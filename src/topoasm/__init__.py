@@ -6,7 +6,6 @@ from .engine import (
     SynthesisConfig,
     SynthesisFailure,
     synthesize,
-    trace_table,
 )
 from .geom import Box3, GeometrySet, LayoutConfig, Point3, global_bounding_box, plumbing_volume
 from .icm import (
@@ -39,5 +38,4 @@ __all__ = [
     "recycle_wires",
     "required_round_size",
     "synthesize",
-    "trace_table",
 ]

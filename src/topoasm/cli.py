@@ -148,7 +148,7 @@ def config_from_args(args, scheduler=None, seed=None) -> SynthesisConfig:
     if args.outcomes:
         script = tuple(
             ln.strip()
-            for ln in Path(args.outcomes).read_text().splitlines()
+            for ln in Path(args.outcomes).read_text(encoding="utf-8").splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")
         )
     return SynthesisConfig(
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.circuit).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read circuit: {exc}", file=sys.stderr)
         return 2
     try:
@@ -203,15 +203,17 @@ def main(argv=None) -> int:
         print(f"circuit parse error: {exc}", file=sys.stderr)
         return 2
     try:
-        parse_condition(args.condition)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        config = config_from_args(args)
+    except (OSError, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        print(f"bad argument: {exc}", file=sys.stderr)
         return 2
 
-    if args.compare:
+    if args.compare is not None:
+        if args.compare < 1:
+            print("bad argument: --compare needs at least 1 seed", file=sys.stderr)
+            return 2
         return run_compare(circuit, args, args.compare)
 
-    config = config_from_args(args)
     try:
         assembly = synthesize(circuit, config)
     except SynthesisFailure as exc:

@@ -19,6 +19,7 @@ are explicit.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .geom import (
@@ -33,8 +34,8 @@ from .geom import (
     plumbing_volume,
     polyline_from_cells,
 )
-from .icm import ICMCircuit, new_traversal_state, next_traversal_event, recycle_wires
-from .pool import ConnectionPool, PoolConfig
+from .icm import ICMCircuit, MagicInput, new_traversal_state, next_traversal_event, recycle_wires
+from .pool import Connection, ConnectionPool, PoolConfig
 from .route import (
     GUIDE,
     OCCUPY,
@@ -127,9 +128,15 @@ class Assembly:
     deliveries: dict = field(default_factory=dict)  # input key -> (conn id, path)
 
 
-def trace_table(assembly: Assembly) -> list[StepRecord]:
-    """One record per traversal step, in step order."""
-    return list(assembly.records)
+@dataclass
+class _Segment:
+    """One segment a step must route, before its spec and obstacles exist."""
+
+    segment_class: str  # SEG_C | SEG_E | SEG_B
+    conn: Connection
+    magic: MagicInput | None = None  # SEG_C: the input it delivers
+    first: int = 0  # SEG_E: first and last new rail cell
+    last: int = 0
 
 
 class OutcomeSource:
@@ -181,6 +188,17 @@ class Synthesizer:
             pool_cfg = replace(
                 pool_cfg, cap_per_type=max(pool_cfg.cap_per_type, totals["A"], totals["Y"])
             )
+        else:
+            # An event's inputs must all be reserved at once, and no round
+            # lifts the pool above its cap.
+            demand = Counter((m.timestep, m.basis) for m in self.circuit.magic_inputs)
+            for (t, basis), n in sorted(demand.items()):
+                if n > pool_cfg.cap_per_type:
+                    raise SynthesisFailure(
+                        f"event at t={t} needs {n} {basis} states, above the pool cap "
+                        f"of {pool_cfg.cap_per_type}",
+                        self.journal,
+                    )
         self.pool = ConnectionPool(pool_cfg, self.journal)
         self.outcomes = OutcomeSource(config.policy.p_fail, config.seed, config.outcome_script)
         self.layers: list[DistillationLayer] = []
@@ -416,7 +434,7 @@ class Synthesizer:
                 if guard > cfg.max_rounds:
                     raise SynthesisFailure("asap could not cover the demand", self.journal)
 
-        event = next_traversal_event(self.circuit, state)
+        event = next_traversal_event(state)
         step = 0
         while True:
             standalone = (
@@ -483,7 +501,7 @@ class Synthesizer:
             )
 
             if not standalone:
-                event = next_traversal_event(self.circuit, state)
+                event = next_traversal_event(state)
 
         # final flush: emit the tail of the circuit and settle the pool
         self.journal.step = step + 1
@@ -519,15 +537,11 @@ class Synthesizer:
 
     def _connect_step(self, frontier: int, assigned, state) -> None:
         pool_y = self.pool.config.pool_gap
-        taskset = TaskSet()
-        spec_meta = []
+        segments = []
 
         # line 16: pool -> circuit drops for the assigned inputs
         for m, conn in assigned:
-            rail_x, rail_y = self.pool.rail_position(conn.rail)
-            pin = Point3(m.timestep, self.config.layout.wire_row(m.wire), 0)
-            start = Point3(m.timestep, rail_x, rail_y - 1)
-            spec_meta.append(("c", m, conn, start, pin))
+            segments.append(_Segment(SEG_C, conn, magic=m))
             self.journal.log("spec-c", conn.id, m.key)
 
         # line 17: delivered connections leave the pool
@@ -541,7 +555,7 @@ class Synthesizer:
         extensions.extend(self.pool.extension_targets(frontier))
         extensions.sort(key=lambda e: e[0].rail)
         for conn, first, last in extensions:
-            spec_meta.append(("e", conn, first, last))
+            segments.append(_Segment(SEG_E, conn, first=first, last=last))
             self.journal.log("spec-e", conn.id, first, last)
 
         # line 19: box -> pool links for this step's reservations, whether
@@ -552,30 +566,32 @@ class Synthesizer:
         )
         self._pending_links.clear()
         for conn in fresh:
-            spec_meta.append(("b", conn))
+            segments.append(_Segment(SEG_B, conn))
             self.journal.log("spec-b", conn.id, conn.source_box)
 
         # line 20 starts here: every connection touched this step gets its
         # rail guides before the per-spec occupies are minted
-        for meta in spec_meta:
-            conn = meta[2] if meta[0] == "c" else meta[1]
-            self._ensure_rail_guards(conn.rail)
-            if conn.id not in self.conn_fwd_guards:
-                self._add_fwd_guard(conn)
+        for seg in segments:
+            self._ensure_rail_guards(seg.conn.rail)
+            if seg.conn.id not in self.conn_fwd_guards:
+                self._add_fwd_guard(seg.conn)
 
         # line 20: obstacles; priorities descend along the compute order
         class_rank = (
-            {"c": 0, "b": 1, "e": 2}
+            {SEG_C: 0, SEG_B: 1, SEG_E: 2}
             if self.config.segment_order == "cbe"
-            else {"c": 0, "e": 1, "b": 2}
+            else {SEG_C: 0, SEG_E: 1, SEG_B: 2}
         )
-        spec_meta.sort(key=lambda meta: class_rank[meta[0]])
-        n = len(spec_meta)
-        built = []
-        for i, meta in enumerate(spec_meta):
+        segments.sort(key=lambda seg: class_rank[seg.segment_class])
+        n = len(segments)
+        taskset = TaskSet()
+        for i, seg in enumerate(segments):
             prio = n - i
-            if meta[0] == "c":
-                _, m, conn, start, pin = meta
+            conn = seg.conn
+            rail_x, rail_y = self.pool.rail_position(conn.rail)
+            if seg.segment_class == SEG_C:
+                m = seg.magic
+                pin = Point3(m.timestep, self.config.layout.wire_row(m.wire), 0)
                 shaft_top = max(1, pool_y - 1)
                 shaft = Box3(
                     Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, shaft_top)
@@ -584,19 +600,16 @@ class Synthesizer:
                 own = [obs.oid, self.pin_guards[m.key], self.rail_under_guards[conn.rail]]
                 if conn.id in self.conn_fwd_guards:
                     own.append(self.conn_fwd_guards[conn.id])
+                start = Point3(pin.t, rail_x, rail_y - 1)
                 spec = SegmentSpec(start, pin, tuple(own), prio, SEG_C, conn.id)
-            elif meta[0] == "e":
-                _, conn, first, last = meta
-                rail_x, rail_y = self.pool.rail_position(conn.rail)
+            elif seg.segment_class == SEG_E:
                 spec = SegmentSpec(
-                    Point3(first, rail_x, rail_y),
-                    Point3(last, rail_x, rail_y),
+                    Point3(seg.first, rail_x, rail_y),
+                    Point3(seg.last, rail_x, rail_y),
                     (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id]),
                     prio, SEG_E, conn.id,
                 )
             else:
-                _, conn = meta
-                rail_x, rail_y = self.pool.rail_position(conn.rail)
                 anchor = Point3(conn.anchor_t, rail_x, rail_y)
                 port_guard = self.world.obstacles.add(
                     Box3(conn.port, conn.port.shifted(1, 1, 1)), OCCUPY, prio, conn.id
@@ -606,34 +619,27 @@ class Synthesizer:
                     (port_guard.oid, self.rail_line_guards[conn.rail]),
                     prio, SEG_B, conn.id,
                 )
-            built.append((spec, meta))
             taskset.add(spec)
 
-        # line 21: compute in descending priority
+        # line 21: compute in descending priority, which is list order
         try:
             paths = compute_taskset(taskset, self.world, margin=self.config.layout.route_margin)
         except NoPathError as exc:
             self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
 
-        for (spec, meta), path in zip(built, paths):
-            self.journal.log("path", spec.segment_class, spec.owner, len(path))
-            if meta[0] == "c":
-                _, m, conn, _, _ = meta
-                self.geometry.defects.append(
-                    polyline_from_cells(path.cells, "primal", SEG_C)
-                )
-                self.deliveries[m.key] = (conn.id, path)
-                state.mark_connected([m])
-            elif meta[0] == "e":
-                _, conn, first, last = meta
-                self._extend_rail_polyline(conn, path)
-                self.pool.apply_extension(conn, last)
+        for seg, path in zip(segments, paths):
+            self.journal.log("path", seg.segment_class, seg.conn.id, len(path))
+            if seg.segment_class == SEG_E:
+                self._extend_rail_polyline(seg.conn, path)
+                self.pool.apply_extension(seg.conn, seg.last)
             else:
-                _, conn = meta
                 self.geometry.defects.append(
-                    polyline_from_cells(path.cells, "primal", SEG_B)
+                    polyline_from_cells(path.cells, "primal", seg.segment_class)
                 )
+            if seg.segment_class == SEG_C:
+                self.deliveries[seg.magic.key] = (seg.conn.id, path)
+                state.mark_connected([seg.magic])
 
         # line 22: sweep; freed rails shed their forward guards so new
         # occupants can land beyond the old stretch

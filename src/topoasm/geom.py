@@ -27,9 +27,6 @@ PRIMAL = "primal"
 DUAL = "dual"
 
 ROLE_CIRCUIT = "circuit"
-ROLE_CONN_B = "connection_b"
-ROLE_CONN_E = "connection_e"
-ROLE_CONN_C = "connection_c"
 
 
 class GeometryError(Exception):
@@ -299,17 +296,6 @@ class LayoutConfig:
 
     def box_extents(self, kind: str) -> tuple[int, int, int]:
         return self.a_box_extents if kind == "A" else self.y_box_extents
-
-
-def emit_geometry_until(circuit, horizon: int, layout: LayoutConfig | None = None) -> GeometrySet:
-    """One-shot emission of a circuit's geometry for cells below ``horizon``.
-
-    Convenience wrapper over :class:`GeometryBuilder` for callers that do
-    not drive emission incrementally.
-    """
-    geometry = GeometrySet()
-    GeometryBuilder(circuit, layout or LayoutConfig(), geometry).emit_until(horizon)
-    return geometry
 
 
 class GeometryBuilder:

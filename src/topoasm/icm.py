@@ -337,7 +337,6 @@ class TraversalEvent:
 
     time: int | None
     inputs: tuple[MagicInput, ...]
-    horizon: int
 
     @property
     def is_end(self) -> bool:
@@ -352,9 +351,8 @@ class TraversalState:
     """Partition of the magic inputs during event-driven traversal.
 
     ``in_a`` connected, ``in_c`` assigned but not connected, ``in_b``
-    currently triggering scheduling, ``in_f`` future.  The scheduler
-    delay is fixed to zero: scheduling never pushes inputs back into
-    the future.
+    currently triggering scheduling, ``in_f`` future.  Scheduling never
+    pushes inputs back into the future.
     """
 
     cursor_time: int = -1
@@ -362,7 +360,6 @@ class TraversalState:
     in_c: set = field(default_factory=set)
     in_b: set = field(default_factory=set)
     in_f: list = field(default_factory=list)
-    delay: int = 0
 
     def mark_assigned(self, inputs) -> None:
         for m in inputs:
@@ -388,17 +385,16 @@ def new_traversal_state(circuit: ICMCircuit) -> TraversalState:
     return state
 
 
-def next_traversal_event(circuit: ICMCircuit, state: TraversalState) -> TraversalEvent:
+def next_traversal_event(state: TraversalState) -> TraversalEvent:
     """Advance to the earliest timestep still carrying unhandled magic inputs.
 
     All inputs at that timestep move to the pending set and are reported
-    together with the horizon known so far (the timestep just before the
-    inputs).  Returns an end event once no magic inputs remain.
+    together.  Returns an end event once no magic inputs remain.
     """
     if state.in_b:
         raise ICMError("previous event's inputs are still pending")
     if not state.in_f:
-        return TraversalEvent(None, (), circuit.last_timestep)
+        return TraversalEvent(None, ())
     t_star = state.in_f[0].timestep
     if t_star <= state.cursor_time:
         raise ICMError("traversal cursor would move backwards")
@@ -406,4 +402,4 @@ def next_traversal_event(circuit: ICMCircuit, state: TraversalState) -> Traversa
     state.in_f = [m for m in state.in_f if m.timestep != t_star]
     state.in_b.update(batch)
     state.cursor_time = t_star
-    return TraversalEvent(t_star, batch, t_star - 1)
+    return TraversalEvent(t_star, batch)

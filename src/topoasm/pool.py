@@ -43,7 +43,6 @@ class PoolConfig:
     cap_per_type: int = 10
     channel_clearance: int = 2
     kb_lead: int = 2  # time distance from a box port to its rail anchor
-    reserve_rails: int | None = None  # rails pre-budgeted into the channel
 
     def __post_init__(self):
         if self.pool_gap < 1:
@@ -53,7 +52,8 @@ class PoolConfig:
 
     @property
     def budgeted_rails(self) -> int:
-        return self.reserve_rails if self.reserve_rails is not None else 2 * self.cap_per_type
+        """Rails pre-budgeted into the channel."""
+        return 2 * self.cap_per_type
 
 
 @dataclass
@@ -92,7 +92,6 @@ class Connection:
     port: Point3 | None = None
     anchor_t: int | None = None
     extended_to: int | None = None  # last rail cell claimed so far
-    assigned_input: str | None = None
 
 
 class ConnectionPool:
@@ -191,7 +190,6 @@ class ConnectionPool:
             return None
         conn = min(candidates, key=lambda c: c.rail)
         self._move(conn, ASSIGNED)
-        conn.assigned_input = input_key
         self.assigned_out[kind] += 1
         if self.journal:
             self.journal.log("assign", conn.id, input_key)
@@ -242,22 +240,10 @@ class ConnectionPool:
             conn.rail = None
             conn.source_box = None
             conn.port = None
-            conn.assigned_input = None
             freed.append(conn.id)
             if self.journal:
                 self.journal.log("sweep-available", conn.id)
         return freed
-
-    def extend_and_sweep(self, now: int):
-        """Composite step: freeze delivered connections, extend the rest,
-        sweep the stale ones.  Returns the extension triples."""
-        delivered = [c.id for c in self.connections.values() if c.state == ASSIGNED]
-        self.mark_tobeavailable(delivered)
-        extensions = self.extension_targets(now)
-        for conn, _, last in extensions:
-            self.apply_extension(conn, last)
-        self.sweep(now)
-        return extensions
 
     # -- invariant helpers for tests ---------------------------------------
 

@@ -13,7 +13,8 @@ Segment computation inside one task set follows a fixed protocol in
 strictly descending priority: disable the active spec's own obstacles,
 plan, commit the path to the world, then re-enable only the guide
 obstacles.  Where enabled obstacles overlap, the one with the lowest
-priority number governs the cell, and any guide outranks any occupy.
+priority number governs the cell, and any guide outranks any occupy
+(:meth:`ObstacleRegistry.governing`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .geom import Box3, Point3, cell_box, merge_boxes
+from .geom import Box3, Point3, cell_box, merge_boxes, polyline_from_cells
 from .spatial import BoxIndex, IndexEntry
 
 GUIDE = "guide"
@@ -145,6 +146,16 @@ class ObstacleRegistry:
     def enabled_obstacles(self) -> list[Obstacle]:
         return [o for o in self._obstacles.values() if o.enabled]
 
+    def governing(self, cell: tuple[int, int, int]) -> Obstacle | None:
+        """The enabled obstacle that rules ``cell``, or None: guides outrank
+        occupies, then the lowest priority number wins."""
+        hits = self.index.hits(cell_box(cell), tags=("obstacle",))
+        cover = [self._obstacles[oid] for oid in hits]
+        if not cover:
+            return None
+        guides = [o for o in cover if o.kind == GUIDE]
+        return min(guides or cover, key=lambda o: (o.priority, o.oid))
+
 
 class World:
     """Shared picture of the space-time volume: solids plus obstacles."""
@@ -175,41 +186,17 @@ class World:
 class BlockedView:
     """Blocked-cell predicate for one segment computation.
 
-    A cell is blocked when solid geometry covers it or when any enabled
-    obstacle covers it.  ``governing`` exposes which obstacle rules a
-    cell after priority resolution: guides outrank occupies, then lower
-    priority numbers win.
+    A cell is blocked when solid geometry or an enabled obstacle covers
+    it; the index holds exactly the enabled obstacles.
     """
 
-    def __init__(self, world: World, active_spec: SegmentSpec | None, bounds: Box3):
-        self.world = world
-        self.spec = active_spec
-        self.bounds = bounds
+    def __init__(self, world: World, bounds: Box3):
         self._blocked: set[tuple[int, int, int]] = set()
-        self._cover: dict[tuple[int, int, int], list[Obstacle]] = {}
         for eid in world.index.hits(bounds):
-            entry = world.index.get(eid)
-            if entry.tag == "obstacle":
-                obs = world.obstacles.get(eid)
-                if not obs.enabled:
-                    continue
-                for cell in _clipped_cells(entry.box, bounds):
-                    self._blocked.add(cell)
-                    self._cover.setdefault(cell, []).append(obs)
-            else:
-                for cell in _clipped_cells(entry.box, bounds):
-                    self._blocked.add(cell)
+            self._blocked.update(_clipped_cells(world.index.get(eid).box, bounds))
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
         return cell in self._blocked
-
-    def governing(self, cell: tuple[int, int, int]) -> Obstacle | None:
-        cover = self._cover.get(cell)
-        if not cover:
-            return None
-        guides = [o for o in cover if o.kind == GUIDE]
-        pool = guides if guides else cover
-        return min(pool, key=lambda o: (o.priority, o.oid))
 
 
 def _clipped_cells(box: Box3, bounds: Box3):
@@ -220,10 +207,6 @@ def _clipped_cells(box: Box3, bounds: Box3):
         for x in range(lo_x, hi_x):
             for y in range(lo_y, hi_y):
                 yield (t, x, y)
-
-
-def blocked_set(world: World, active_spec: SegmentSpec, bounds: Box3) -> BlockedView:
-    return BlockedView(world, active_spec, bounds)
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
@@ -247,7 +230,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     stop = spec.stop.as_tuple()
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
         raise NoPathError(spec, "endpoint outside search bounds")
-    view = blocked_set(world, spec, bounds)
+    view = BlockedView(world, bounds)
     if view.is_blocked(start):
         raise NoPathError(spec, "start cell blocked")
     if view.is_blocked(stop):
@@ -300,8 +283,7 @@ class TaskSet:
         self.specs.append(spec)
 
 
-def compute_taskset(taskset: TaskSet, world: World, margin: int = 10,
-                    claim_tag: str = "connection", on_path=None) -> list[Path]:
+def compute_taskset(taskset: TaskSet, world: World, margin: int = 10) -> list[Path]:
     """Compute every segment of a task set under the obstacle protocol.
 
     Specs are processed in strictly descending priority.  For each spec:
@@ -318,20 +300,16 @@ def compute_taskset(taskset: TaskSet, world: World, margin: int = 10,
         for oid in spec.obstacles:
             world.obstacles.disable(oid)
         path = plan_segment(spec, world, margin=margin)
-        _commit_path(spec, path, world, claim_tag)
+        _commit_path(spec, path, world)
         for oid in spec.obstacles:
             if world.obstacles.get(oid).kind == GUIDE:
                 world.obstacles.enable(oid)
-        if on_path is not None:
-            on_path(spec, path)
         paths.append(path)
     return paths
 
 
-def _commit_path(spec: SegmentSpec, path: Path, world: World, tag: str) -> None:
-    from .geom import polyline_from_cells
-
+def _commit_path(spec: SegmentSpec, path: Path, world: World) -> None:
     poly = polyline_from_cells(path.cells, "primal", spec.segment_class)
     seq = next(world._commit_seq)
     for i, box in enumerate(poly.claim_boxes()):
-        world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, tag)
+        world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, "connection")

@@ -50,15 +50,14 @@ class SchedulerPolicy:
     """When rounds fire and how large they are.
 
     ``condition`` is one of ``("after-round",)``, ``("temporal", period)``
-    or ``("pool", threshold)``.  The delay is fixed at zero: this
-    scheduler type never pushes circuit geometry back in time.
+    or ``("pool", threshold)``.  Rounds never push circuit geometry back
+    in time.
     """
 
     kind: str = "spiral"  # spiral | asap | alap
     condition: tuple = ("after-round",)
     p_fail: float = 0.5
     confidence: float = 0.999
-    delay: int = 0
     completion_lag: int = 6  # settle time after the deepest box of a round
 
     def __post_init__(self):
@@ -68,8 +67,8 @@ class SchedulerPolicy:
             raise ValueError("p_fail must lie in [0, 1)")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
-        if self.delay != 0:
-            raise ValueError("delaying schedulers are not supported")
+        if self.condition[0] == "temporal" and self.condition[1] < 1:
+            raise ValueError("temporal period must be at least 1")
 
 
 @dataclass
@@ -257,12 +256,3 @@ def place_alap_layer(
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer
-
-
-def place_baseline_layer(kind, n_a, n_y, world, layout, channel, demand_time=0,
-                         stack_width=20, round_id=0) -> DistillationLayer:
-    if kind == "asap":
-        return place_asap_stack(n_a, n_y, world, layout, stack_width, round_id)
-    if kind == "alap":
-        return place_alap_layer(n_a, n_y, demand_time, world, layout, channel, round_id)
-    raise ValueError(f"unknown baseline {kind!r}")

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from .geom import Box3
 
 
-class IndexError_(Exception):
+class DuplicateEntryError(Exception):
     pass
 
 
-class DuplicateEntryError(IndexError_):
-    pass
-
-
-class UnknownEntryError(IndexError_):
+class UnknownEntryError(Exception):
     pass
 
 

@@ -16,7 +16,7 @@ from topoasm.cli import export_stats, main
 from topoasm.engine import synthesize
 from topoasm.geom import Point3, box_from_extents
 from topoasm.icm import new_traversal_state, next_traversal_event, parse_icm
-from topoasm.route import NoPathError, World, blocked_set, compute_taskset, plan_segment
+from topoasm.route import BlockedView, NoPathError, World, compute_taskset, plan_segment
 from topoasm.sched import required_round_size
 
 import test_pool
@@ -43,7 +43,7 @@ def test_criterion_1_fixture_counts():
     state = new_traversal_state(circuit)
     events = []
     while True:
-        ev = next_traversal_event(circuit, state)
+        ev = next_traversal_event(state)
         if ev.is_end:
             break
         events.append(ev)
@@ -159,7 +159,7 @@ def test_criterion_5_router_optimality():
                 except Exception:
                     pass
         s = test_route.spec(start, stop)
-        view = blocked_set(w, s, bounds)
+        view = BlockedView(w, bounds)
         want = test_route.bfs_length(start, stop, view.is_blocked, bounds)
         try:
             path = plan_segment(s, w, bounds=bounds)

@@ -47,6 +47,29 @@ def test_bad_condition_exits_two(workdir, capsys):
     assert run_cli(workdir, "--condition", "sometimes") == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--p-fail", "1.5"],
+        ["--confidence", "1"],
+        ["--pool-cap", "0"],
+        ["--pool-gap", "0"],
+        ["--outcomes", "missing.txt"],
+        ["--condition", "temporal:0"],
+        ["--condition", "temporal:-3"],
+        ["--compare", "0"],
+        ["--circuit", "latin1.icm"],
+    ],
+    ids=["p-fail", "confidence", "pool-cap", "pool-gap", "missing-outcomes", "temporal-0",
+         "temporal-negative", "compare-0", "circuit-not-utf8"],
+)
+def test_bad_input_exits_two_with_one_line(workdir, capsys, extra):
+    (workdir / "latin1.icm").write_bytes("@0 init 0 0  # caf\u00e9\n".encode("latin-1"))
+    extra = [str(workdir / a) if a.endswith((".txt", ".icm")) else a for a in extra]
+    assert run_cli(workdir, *extra) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_synthesis_failure_exit_one_writes_journal(workdir, capsys):
     journal = workdir / "fail.journal"
     code = run_cli(

@@ -11,11 +11,10 @@ from topoasm.engine import (
     Synthesizer,
     simulate_round,
     synthesize,
-    trace_table,
 )
 from topoasm.geom import global_bounding_box, plumbing_volume
 from topoasm.icm import parse_icm
-from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE
+from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
 from topoasm.sched import DistillationLayer, SchedulerPolicy
 
 from conftest import scripted_config
@@ -80,11 +79,10 @@ def test_zero_magic_circuit():
     assert asm.records == []
     assert asm.deliveries == {}
     assert asm.volume == plumbing_volume(global_bounding_box(asm.geometry))
-    assert trace_table(asm) == []
 
 
 def test_scripted_toffoli_trace_shape(scripted_assembly):
-    records = trace_table(scripted_assembly)
+    records = scripted_assembly.records
     assert len(records) == 21
     assert sum(r.nr_a for r in records) == 7
     assert sum(r.nr_y for r in records) == 14
@@ -204,6 +202,14 @@ def test_max_rounds_bound(toffoli):
     )
     with pytest.raises(SynthesisFailure):
         synthesize(toffoli, cfg)
+
+
+@pytest.mark.parametrize("kind", ["spiral", "alap"])
+def test_event_demand_above_pool_cap_fails_before_any_round(kind):
+    circuit = parse_icm("@0 init 0 A\n@0 init 1 A\n@2 cnot 0 1\n@5 measure 0 X\n@6 measure 1 Z\n")
+    cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), pool=PoolConfig(cap_per_type=1))
+    with pytest.raises(SynthesisFailure, match="t=0 needs 2 A states, above the pool cap of 1"):
+        synthesize(circuit, cfg)
 
 
 def test_outcome_script_must_cover_rounds(toffoli):

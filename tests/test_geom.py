@@ -133,10 +133,8 @@ def test_emit_idle_wire_extent():
     assert g.pins == []
 
 
-def test_emit_one_shot_wrapper(toffoli):
-    from topoasm.geom import emit_geometry_until
-
-    g = emit_geometry_until(toffoli, toffoli.last_timestep + 1)
+def test_emit_one_shot_equals_incremental(toffoli):
+    g, _ = _emit(toffoli, toffoli.last_timestep + 1)
     incremental = GeometrySet()
     b = GeometryBuilder(toffoli, LayoutConfig(), incremental)
     for h in range(0, toffoli.last_timestep + 2, 7):

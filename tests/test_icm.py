@@ -189,7 +189,7 @@ def drive_traversal(circuit):
     state = new_traversal_state(circuit)
     events = []
     while True:
-        ev = next_traversal_event(circuit, state)
+        ev = next_traversal_event(state)
         if ev.is_end:
             return events, ev, state
         events.append(ev)
@@ -203,14 +203,13 @@ def test_traversal_no_magic_ends_immediately():
     c = parse_icm("@0 init 0 0\n@7 measure 0 X\n")
     events, end, _ = drive_traversal(c)
     assert events == []
-    assert end.is_end and end.horizon == 7
+    assert end.is_end
 
 
 def test_traversal_first_event_counts(toffoli):
     state = new_traversal_state(toffoli)
-    ev = next_traversal_event(toffoli, state)
+    ev = next_traversal_event(state)
     assert ev.count("A") == 2 and ev.count("Y") == 1
-    assert ev.horizon == ev.time - 1
 
 
 def test_traversal_partition_and_monotonicity(toffoli):
@@ -218,7 +217,7 @@ def test_traversal_partition_and_monotonicity(toffoli):
     seen = []
     last_time = -1
     while True:
-        ev = next_traversal_event(toffoli, state)
+        ev = next_traversal_event(state)
         if ev.is_end:
             break
         assert ev.time > last_time
@@ -245,6 +244,6 @@ def test_traversal_exhaustive_sums(toffoli):
 
 def test_traversal_refuses_pending_inputs(toffoli):
     state = new_traversal_state(toffoli)
-    next_traversal_event(toffoli, state)
+    next_traversal_event(state)
     with pytest.raises(ICMError):
-        next_traversal_event(toffoli, state)
+        next_traversal_event(state)

@@ -106,7 +106,11 @@ def test_extend_and_sweep_composite():
         [("b1", "A", Point3(2, 5, -6)), ("b2", "Y", Point3(2, 9, -6))]
     )
     pool.assign_to_input("w0@t5", "A")
-    ext = pool.extend_and_sweep(9)
+    pool.mark_tobeavailable([a])
+    ext = pool.extension_targets(9)
+    for conn, _, last in ext:
+        pool.apply_extension(conn, last)
+    pool.sweep(9)
     # the delivered connection is frozen, the reserved one got stretched
     assert [e[0].id for e in ext] == [b]
     assert (a, ASSIGNED, TOBEAVAILABLE) in pool.transitions

@@ -9,13 +9,13 @@ from topoasm.route import (
     OCCUPY,
     SEG_C,
     SEG_E,
+    BlockedView,
     NoPathError,
     Path,
     RouteError,
     SegmentSpec,
     TaskSet,
     World,
-    blocked_set,
     compute_taskset,
     plan_segment,
 )
@@ -46,14 +46,14 @@ def spec(start, stop, prio=1, seg=SEG_C, owner="t", obstacles=()):
     return SegmentSpec(Point3(*start), Point3(*stop), tuple(obstacles), prio, seg, owner)
 
 
-# -- blocked_set govern rules -------------------------------------------------
+# -- blocked cells and the governing rule --------------------------------------
 
 
 def test_empty_world_nothing_blocked():
     w = World()
-    view = blocked_set(w, spec((0, 0, 0), (3, 0, 0)), BOUNDS)
+    view = BlockedView(w, BOUNDS)
     assert not any(view.is_blocked((t, 0, 0)) for t in range(4))
-    assert view.governing((1, 0, 0)) is None
+    assert w.obstacles.governing((1, 0, 0)) is None
 
 
 def test_guide_outranks_occupy():
@@ -61,10 +61,9 @@ def test_guide_outranks_occupy():
     region = box_from_extents(Point3(5, 5, 5), (2, 2, 2))
     w.obstacles.add(region, GUIDE, 3, "other1")
     w.obstacles.add(region, OCCUPY, 1, "other2")
-    view = blocked_set(w, spec((0, 0, 0), (9, 9, 9)), BOUNDS)
-    gov = view.governing((5, 5, 5))
+    gov = w.obstacles.governing((5, 5, 5))
     assert gov.kind == GUIDE and gov.priority == 3
-    assert view.is_blocked((5, 5, 5))
+    assert BlockedView(w, BOUNDS).is_blocked((5, 5, 5))
 
 
 def test_lower_priority_number_governs_among_occupies():
@@ -72,8 +71,7 @@ def test_lower_priority_number_governs_among_occupies():
     region = box_from_extents(Point3(2, 2, 2), (3, 3, 3))
     w.obstacles.add(region, OCCUPY, 128, "grey")
     w.obstacles.add(region.translated(1, 1, 1), OCCUPY, 0, "black")
-    view = blocked_set(w, spec((0, 0, 0), (9, 9, 9)), BOUNDS)
-    gov = view.governing((4, 4, 4))  # covered by both
+    gov = w.obstacles.governing((4, 4, 4))  # covered by both
     assert gov.priority == 0 and gov.owner == "black"
 
 
@@ -81,8 +79,8 @@ def test_disabled_obstacles_do_not_block():
     w = World()
     obs = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
     w.obstacles.disable(obs.oid)
-    view = blocked_set(w, spec((0, 0, 0), (3, 0, 0)), BOUNDS)
-    assert not view.is_blocked((1, 0, 0))
+    assert not BlockedView(w, BOUNDS).is_blocked((1, 0, 0))
+    assert w.obstacles.governing((1, 0, 0)) is None
 
 
 # -- plan_segment --------------------------------------------------------------
@@ -100,7 +98,7 @@ def test_detour_matches_bfs_oracle():
     w.claim("wall", Box3(Point3(5, 0, 0), Point3(6, 20, 19)), "circuit")
     s = spec((0, 3, 3), (12, 3, 3))
     path = plan_segment(s, w, bounds=BOUNDS)
-    view = blocked_set(w, s, BOUNDS)
+    view = BlockedView(w, BOUNDS)
     want = bfs_length(s.start.as_tuple(), s.stop.as_tuple(), view.is_blocked, BOUNDS)
     assert len(path) == want
 
@@ -143,7 +141,7 @@ def test_random_instances_match_bfs():
         ]
         start, stop = rng.sample(free, 2)
         s = spec(start, stop)
-        view = blocked_set(w, s, BOUNDS)
+        view = BlockedView(w, BOUNDS)
         want = bfs_length(start, stop, view.is_blocked, BOUNDS)
         try:
             path = plan_segment(s, w, bounds=BOUNDS)

@@ -72,6 +72,8 @@ def test_policy_validation():
         SchedulerPolicy(p_fail=1.0)
     with pytest.raises(ValueError):
         SchedulerPolicy(confidence=0.0)
+    with pytest.raises(ValueError):
+        SchedulerPolicy(condition=("temporal", 0))
 
 
 # -- placement --------------------------------------------------------------------
@@ -171,21 +173,13 @@ def test_alap_layer_ends_before_demand():
             assert not a.box.intersects(b.box)
 
 
-def test_baseline_dispatcher():
-    from topoasm.sched import place_baseline_layer
-
+def test_baseline_placements():
     w = World()
     channel = unit_channel()
-    asap = place_baseline_layer(
-        "asap", 1, 2, w, LayoutConfig(), channel, stack_width=16, round_id=1
-    )
+    asap = place_asap_stack(1, 2, w, LayoutConfig(), stack_width=16, round_id=1)
     assert all(b.footprint.hi.t <= 0 for b in asap.boxes)
-    alap = place_baseline_layer(
-        "alap", 0, 2, w, LayoutConfig(), channel, demand_time=20, round_id=2
-    )
+    alap = place_alap_layer(0, 2, 20, w, LayoutConfig(), channel, round_id=2)
     assert all(b.footprint.hi.t <= 20 for b in alap.boxes)
-    with pytest.raises(ValueError):
-        place_baseline_layer("eager", 1, 1, w, LayoutConfig(), channel)
 
 
 def test_placements_never_hit_existing_world():
