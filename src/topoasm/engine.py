@@ -106,6 +106,11 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.segment_order not in ("cbe", "ceb"):
             raise ValueError("segment_order must be 'cbe' or 'ceb'")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1")
+        cond = self.policy.condition
+        if cond[0] == "pool" and not 0 <= cond[1] <= self.pool.cap_per_type:
+            raise ValueError(f"pool threshold must lie in [0, {self.pool.cap_per_type}]")
 
 
 @dataclass

@@ -9,12 +9,13 @@ enabled obstacles.  Obstacles come in two kinds:
 * ``occupy`` obstacles reserve territory for their owner: they block
   the segments computed before the owner's and evaporate afterwards.
 
-Segment computation inside one task set follows a fixed protocol in
-strictly descending priority: disable the active spec's own obstacles,
-plan, commit the path to the world, then re-enable only the guide
-obstacles.  Where enabled obstacles overlap, the one with the lowest
-priority number governs the cell, and any guide outranks any occupy
-(:meth:`ObstacleRegistry.governing`).
+Every obstacle stays in the spatial index from ``add`` to ``remove``;
+switching it off or on only flips its flag, which blocked-cell queries
+read.  A task set is computed in strictly descending priority: disable
+the active spec's own obstacles, plan, commit the path, re-enable the
+guides and remove the occupies.  Where enabled obstacles overlap, the
+one with the lowest priority number governs the cell, and any guide
+outranks any occupy (:meth:`ObstacleRegistry.governing`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class NoPathError(RouteError):
 @dataclass
 class Obstacle:
     oid: str
-    region: Box3
     kind: str  # guide | occupy
     priority: int
     owner: str  # owning connection id
@@ -96,7 +96,8 @@ class Path:
 
 
 class ObstacleRegistry:
-    """Owns all obstacles and mirrors the enabled ones into the index."""
+    """Owns all obstacles, each indexed from ``add`` until ``remove``;
+    ``disable`` and ``enable`` only flip :attr:`Obstacle.enabled`."""
 
     def __init__(self, index: BoxIndex, journal=None):
         self.index = index
@@ -106,7 +107,7 @@ class ObstacleRegistry:
 
     def add(self, region: Box3, kind: str, priority: int, owner: str) -> Obstacle:
         oid = f"obs{next(self._seq)}"
-        obs = Obstacle(oid, region, kind, priority, owner, enabled=True)
+        obs = Obstacle(oid, kind, priority, owner)
         self._obstacles[oid] = obs
         self.index.insert(IndexEntry(oid, region, "obstacle"))
         if self.journal:
@@ -121,27 +122,27 @@ class ObstacleRegistry:
         return self._obstacles[oid]
 
     def disable(self, oid: str) -> None:
-        obs = self._obstacles[oid]
-        if obs.enabled:
-            obs.enabled = False
-            self.index.remove(oid)
-            if self.journal:
-                self.journal.log("obstacle-off", oid)
+        self._switch(oid, False)
 
     def enable(self, oid: str) -> None:
+        self._switch(oid, True)
+
+    def _switch(self, oid: str, on: bool) -> None:
         obs = self._obstacles[oid]
-        if not obs.enabled:
-            obs.enabled = True
-            self.index.insert(IndexEntry(oid, obs.region, "obstacle"))
+        if obs.enabled != on:
+            obs.enabled = on
             if self.journal:
-                self.journal.log("obstacle-on", oid)
+                self.journal.log("obstacle-on" if on else "obstacle-off", oid)
 
     def remove(self, oid: str) -> None:
-        obs = self._obstacles.pop(oid)
-        if obs.enabled:
-            self.index.remove(oid)
-            if self.journal:
-                self.journal.log("obstacle-off", oid)
+        self._switch(oid, False)
+        del self._obstacles[oid]
+        self.index.remove(oid)
+
+    def blocks(self, eid: str) -> bool:
+        """Whether index entry ``eid`` blocks: solids always, obstacles while enabled."""
+        obs = self._obstacles.get(eid)
+        return obs is None or obs.enabled
 
     def enabled_obstacles(self) -> list[Obstacle]:
         return [o for o in self._obstacles.values() if o.enabled]
@@ -150,7 +151,7 @@ class ObstacleRegistry:
         """The enabled obstacle that rules ``cell``, or None: guides outrank
         occupies, then the lowest priority number wins."""
         hits = self.index.hits(cell_box(cell), tags=("obstacle",))
-        cover = [self._obstacles[oid] for oid in hits]
+        cover = [self._obstacles[oid] for oid in hits if self.blocks(oid)]
         if not cover:
             return None
         guides = [o for o in cover if o.kind == GUIDE]
@@ -176,37 +177,30 @@ class World:
             lo, hi = box.lo, box.hi
             self.journal.log("claim", tag, eid, lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
 
-    def solid_hits(self, probe: Box3) -> set[str]:
-        return self.index.hits(probe, tags=SOLID_TAGS)
-
     def is_free(self, box: Box3) -> bool:
         return not self.index.hits(box, tags=SOLID_TAGS)
 
 
 class BlockedView:
-    """Blocked-cell predicate for one segment computation.
-
-    A cell is blocked when solid geometry or an enabled obstacle covers
-    it; the index holds exactly the enabled obstacles.
-    """
+    """Blocked-cell predicate for one segment computation: a cell is
+    blocked when it lies outside ``bounds`` or a solid or an enabled
+    obstacle covers it.  Each cell reads the index on its first query,
+    and the answer is kept for the life of the view."""
 
     def __init__(self, world: World, bounds: Box3):
-        self._blocked: set[tuple[int, int, int]] = set()
-        for eid in world.index.hits(bounds):
-            self._blocked.update(_clipped_cells(world.index.get(eid).box, bounds))
+        self._index = world.index
+        self._blocks = world.obstacles.blocks
+        self._bounds = bounds
+        self._memo: dict[tuple[int, int, int], bool] = {}
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
-        return cell in self._blocked
-
-
-def _clipped_cells(box: Box3, bounds: Box3):
-    lo_t, hi_t = max(box.lo.t, bounds.lo.t), min(box.hi.t, bounds.hi.t)
-    lo_x, hi_x = max(box.lo.x, bounds.lo.x), min(box.hi.x, bounds.hi.x)
-    lo_y, hi_y = max(box.lo.y, bounds.lo.y), min(box.hi.y, bounds.hi.y)
-    for t in range(lo_t, hi_t):
-        for x in range(lo_x, hi_x):
-            for y in range(lo_y, hi_y):
-                yield (t, x, y)
+        blocked = self._memo.get(cell)
+        if blocked is None:
+            blocked = not self._bounds.contains_cell(cell) or any(
+                map(self._blocks, self._index.covering(cell))
+            )
+            self._memo[cell] = blocked
+        return blocked
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
@@ -260,9 +254,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
         base = g[cell]
         for dt, dx, dy in _NEIGHBOR_STEPS:
             nb = (cell[0] + dt, cell[1] + dx, cell[2] + dy)
-            if nb in settled or not bounds.contains_cell(nb):
-                continue
-            if view.is_blocked(nb):
+            if nb in settled or view.is_blocked(nb):
                 continue
             ng = base + 1
             if ng < g.get(nb, 1 << 30):
@@ -288,9 +280,9 @@ def compute_taskset(taskset: TaskSet, world: World, margin: int = 10) -> list[Pa
 
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled, the segment is
-    planned, the path is committed to the world, and only the guide
-    obstacles are re-enabled.  Committed paths are therefore mutually
-    disjoint and disjoint from all prior geometry.
+    planned, the path is committed to the world, the guide obstacles are
+    re-enabled and the occupy obstacles are removed.  Committed paths are
+    therefore mutually disjoint and disjoint from all prior geometry.
     """
     prios = [s.priority for s in taskset.specs]
     if len(set(prios)) != len(prios):
@@ -304,6 +296,8 @@ def compute_taskset(taskset: TaskSet, world: World, margin: int = 10) -> list[Pa
         for oid in spec.obstacles:
             if world.obstacles.get(oid).kind == GUIDE:
                 world.obstacles.enable(oid)
+            else:
+                world.obstacles.remove(oid)
         paths.append(path)
     return paths
 

@@ -41,9 +41,6 @@ class BoxIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, eid: str) -> bool:
-        return eid in self._entries
-
     def _bucket_range(self, box: Box3):
         s = self.bucket_size
         # hi is exclusive; the last occupied cell is hi - 1
@@ -94,5 +91,8 @@ class BoxIndex:
                     out.add(eid)
         return out
 
-    def entries(self):
-        return list(self._entries.values())
+    def covering(self, cell: tuple[int, int, int]) -> list[str]:
+        """Ids of all entries whose boxes contain ``cell``."""
+        s = self.bucket_size
+        ids = self._buckets.get((cell[0] // s, cell[1] // s, cell[2] // s), ())
+        return [eid for eid in ids if self._entries[eid].box.contains_cell(cell)]

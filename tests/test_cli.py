@@ -57,11 +57,16 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--outcomes", "missing.txt"],
         ["--condition", "temporal:0"],
         ["--condition", "temporal:-3"],
+        ["--condition", "pool:11"],
+        ["--condition", "pool:-1"],
+        ["--max-rounds", "0"],
+        ["--max-rounds", "-5"],
         ["--compare", "0"],
         ["--circuit", "latin1.icm"],
     ],
     ids=["p-fail", "confidence", "pool-cap", "pool-gap", "missing-outcomes", "temporal-0",
-         "temporal-negative", "compare-0", "circuit-not-utf8"],
+         "temporal-negative", "pool-above-cap", "pool-negative", "max-rounds-0",
+         "max-rounds-negative", "compare-0", "circuit-not-utf8"],
 )
 def test_bad_input_exits_two_with_one_line(workdir, capsys, extra):
     (workdir / "latin1.icm").write_bytes("@0 init 0 0  # caf\u00e9\n".encode("latin-1"))

@@ -19,6 +19,7 @@ from topoasm.route import (
     compute_taskset,
     plan_segment,
 )
+from topoasm.spatial import UnknownEntryError
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
 
@@ -83,6 +84,49 @@ def test_disabled_obstacles_do_not_block():
     assert w.obstacles.governing((1, 0, 0)) is None
 
 
+def test_blocked_view_matches_rasterized_live_boxes():
+    """Independent oracle: rasterize the boxes this test keeps live and
+    enabled, and compare with the view on every cell of the bounds."""
+    rng = random.Random(2024)
+    bounds = box_from_extents(Point3(0, 0, 0), (12, 12, 12))
+    for trial in range(40):
+        w = World()
+        live = {}  # id -> box of every solid and every enabled obstacle
+        for i in range(rng.randint(1, 6)):
+            lo = Point3(rng.randint(-2, 11), rng.randint(-2, 11), rng.randint(-2, 11))
+            box = box_from_extents(lo, (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)))
+            if w.is_free(box):
+                w.claim(f"s{i}", box, "circuit")
+                live[f"s{i}"] = box
+        obstacles = {}  # id -> box of every obstacle added
+        for _ in range(rng.randint(1, 10)):
+            lo = Point3(rng.randint(-2, 11), rng.randint(-2, 11), rng.randint(-2, 11))
+            box = box_from_extents(lo, (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)))
+            kind = GUIDE if rng.random() < 0.5 else OCCUPY
+            obstacles[w.obstacles.add(box, kind, rng.randint(0, 9), "x").oid] = box
+        live.update(obstacles)
+        for oid, box in obstacles.items():
+            roll = rng.random()
+            if roll < 0.3:
+                w.obstacles.disable(oid)
+                del live[oid]
+                then = rng.random()
+                if then < 0.3:
+                    w.obstacles.enable(oid)
+                    live[oid] = box
+                elif then < 0.5:
+                    w.obstacles.remove(oid)
+            elif roll < 0.5:
+                w.obstacles.remove(oid)
+                del live[oid]
+        want = set()
+        for box in live.values():
+            want.update(c for c in box.cells() if bounds.contains_cell(c))
+        view = BlockedView(w, bounds)
+        for cell in bounds.cells():
+            assert view.is_blocked(cell) == (cell in want), (trial, cell)
+
+
 # -- plan_segment --------------------------------------------------------------
 
 
@@ -137,7 +181,7 @@ def test_random_instances_match_bfs():
             for t in range(20)
             for x in range(20)
             for y in range(20)
-            if not w.solid_hits(box_from_extents(Point3(t, x, y), (1, 1, 1)))
+            if w.is_free(box_from_extents(Point3(t, x, y), (1, 1, 1)))
         ]
         start, stop = rng.sample(free, 2)
         s = spec(start, stop)
@@ -223,6 +267,27 @@ def test_protocol_reenables_only_guides():
     enabled = {o.oid for o in w.obstacles.enabled_obstacles()}
     assert magenta.oid in enabled
     assert orange.oid not in enabled and yellow.oid not in enabled
+
+
+def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
+    w, ts, (magenta, orange, yellow) = three_connection_scenario()
+    sizes = []
+    for name in ("disable", "enable"):
+        def toggle(oid, _orig=getattr(w.obstacles, name)):
+            before = len(w.index)
+            _orig(oid)
+            sizes.append((before, len(w.index)))
+        monkeypatch.setattr(w.obstacles, name, toggle)
+    compute_taskset(ts, w, margin=16)
+    assert len(sizes) == 4  # each spec disables its obstacle; white re-enables its guide
+    assert all(before == after for before, after in sizes)
+    for occupy in (orange, yellow):
+        with pytest.raises(KeyError):
+            w.obstacles.get(occupy.oid)
+        with pytest.raises(UnknownEntryError):
+            w.index.get(occupy.oid)
+    assert w.obstacles.get(magenta.oid).enabled
+    assert w.index.get(magenta.oid).tag == "obstacle"
 
 
 def random_taskset(rng, prios):

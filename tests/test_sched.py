@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from topoasm.engine import SynthesisConfig
 from topoasm.geom import LayoutConfig, Point3, box_from_extents
-from topoasm.route import World
+from topoasm.pool import PoolConfig
+from topoasm.route import SOLID_TAGS, World
 from topoasm.sched import (
     PlacementError,
     SchedulerPolicy,
@@ -74,6 +76,19 @@ def test_policy_validation():
         SchedulerPolicy(confidence=0.0)
     with pytest.raises(ValueError):
         SchedulerPolicy(condition=("temporal", 0))
+
+
+def test_config_rejects_unreachable_pool_threshold_and_no_rounds():
+    cap = PoolConfig(cap_per_type=4)
+    for threshold in (0, 4):
+        SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool=cap)
+    for threshold in (-1, 5):
+        with pytest.raises(ValueError):
+            SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool=cap)
+    SynthesisConfig(max_rounds=1)
+    for rounds in (0, -5):
+        with pytest.raises(ValueError):
+            SynthesisConfig(max_rounds=rounds)
 
 
 # -- placement --------------------------------------------------------------------
@@ -164,13 +179,12 @@ def test_asap_stack_before_circuit_start():
 def test_alap_layer_ends_before_demand():
     w = World()
     channel = unit_channel()
+    everything = []
     for demand_t, rid in ((10, 1), (13, 2)):
         layer = place_alap_layer(2, 3, demand_t, w, LayoutConfig(), channel, round_id=rid)
         assert all(b.footprint.hi.t <= demand_t for b in layer.boxes)
-    everything = [e for e in w.index.entries() if e.tag == "box"]
-    for i, a in enumerate(everything):
-        for b in everything[i + 1:]:
-            assert not a.box.intersects(b.box)
+        everything.extend(layer.boxes)
+    assert no_pairwise_overlap(everything)
 
 
 def test_baseline_placements():
@@ -194,5 +208,5 @@ def test_placements_never_hit_existing_world():
             pass
     layer = place_spiral_layer(5, 5, 4, w, LayoutConfig(), channel)
     for box in layer.boxes:
-        hits = w.solid_hits(box.footprint)
+        hits = w.index.hits(box.footprint, tags=SOLID_TAGS)
         assert hits == {box.box_id}
