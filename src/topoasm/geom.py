@@ -307,6 +307,10 @@ class GeometryBuilder:
     registers a pin at each magic-input coordinate below ``h``.  The pin
     cell itself stays unclaimed; the connection that delivers the
     distilled state terminates on it.
+
+    Each call touches only new work: cursors walk the CNOTs and the magic
+    inputs (both in timestep order), and only lifetimes that have started
+    but are not yet emitted to their end are revisited.
     """
 
     def __init__(self, circuit, layout: LayoutConfig, geometry: GeometrySet, claim=None):
@@ -316,9 +320,12 @@ class GeometryBuilder:
         self.claim = claim or (lambda eid, box, tag: None)
         self.horizon = None  # exclusive bound of emitted cells
         self._corridors = {}  # lifetime index -> (polyline | None, emitted_to_cell)
-        self._braids_done = set()
-        self._pins_done = set()
-        self._lifetimes = circuit.lifetimes()
+        self._lifetimes = circuit.lifetimes()  # in (start, wire) order
+        self._next_lifetime = 0  # lifetimes before it have start < horizon
+        self._open = []  # indices of those not yet emitted to their end, ascending
+        self._cnots = circuit.cnots()
+        self._next_cnot = 0
+        self._next_pin = 0
         self._claim_seq = 0
         self._turns = self._plan_braid_turns()
 
@@ -330,7 +337,7 @@ class GeometryBuilder:
         stays clear of the other templates' rows and turns.
         """
         depth = self.layout.braid_depth
-        cnots = sorted(self.circuit.cnots(), key=lambda o: (o.timestep, o.wires))
+        cnots = sorted(self._cnots, key=lambda o: (o.timestep, o.wires))
         occupied = set()
         for op in cnots:
             xl = min(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
@@ -364,12 +371,19 @@ class GeometryBuilder:
         prev = self.horizon if self.horizon is not None else horizon
         self.horizon = max(horizon, prev)
 
-        new_pins = []
-        for idx, lt in enumerate(self._lifetimes):
+        lifetimes = self._lifetimes
+        while self._next_lifetime < len(lifetimes) and lifetimes[self._next_lifetime].start < horizon:
+            self._open.append(self._next_lifetime)
+            self._next_lifetime += 1
+        still_open = []
+        for idx in self._open:
+            lt = lifetimes[idx]
             row = self.layout.wire_row(lt.wire)
             start = lt.start + 1 if lt.magic else lt.start
             end_cell = (lt.end - 1) if lt.end is not None else horizon - 1
             target = min(horizon - 1, end_cell)
+            if lt.end is None or target < end_cell:
+                still_open.append(idx)
             poly, emitted = self._corridors.get(idx, (None, None))
             if target < start:
                 continue
@@ -395,21 +409,21 @@ class GeometryBuilder:
                     "circuit",
                 )
                 self._corridors[idx] = (poly, target)
+        self._open = still_open
 
-        for op in self.circuit.cnots():
-            key = (op.timestep, op.control, op.target)
-            if op.timestep >= horizon or key in self._braids_done:
-                continue
-            self._emit_braid(op)
-            self._braids_done.add(key)
+        cnots = self._cnots
+        while self._next_cnot < len(cnots) and cnots[self._next_cnot].timestep < horizon:
+            self._emit_braid(cnots[self._next_cnot])
+            self._next_cnot += 1
 
-        for magic in self.circuit.magic_inputs:
-            if magic.timestep >= horizon or magic.key in self._pins_done:
-                continue
+        magic_inputs = self.circuit.magic_inputs
+        new_pins = []
+        while self._next_pin < len(magic_inputs) and magic_inputs[self._next_pin].timestep < horizon:
+            magic = magic_inputs[self._next_pin]
             pin = Point3(magic.timestep, self.layout.wire_row(magic.wire), 0)
             self.geometry.pins.append((magic.key, pin))
-            self._pins_done.add(magic.key)
             new_pins.append((magic.key, pin))
+            self._next_pin += 1
         return new_pins
 
     def _emit_braid(self, op) -> None:

@@ -102,6 +102,11 @@ class ConnectionPool:
         self.journal = journal
         self.rails: list[Rail] = []
         self.connections: dict[str, Connection] = {}
+        # Live connections by state.  A connection swept back to available
+        # is never reused, so the counters and scans below read only these.
+        self._live: dict[str, dict[str, Connection]] = {
+            RESERVED: {}, ASSIGNED: {}, TOBEAVAILABLE: {},
+        }
         self.transitions: list[tuple[str, str, str]] = []
         # Conservation bookkeeping, per type.
         self.offered = {"A": 0, "Y": 0}
@@ -116,6 +121,10 @@ class ConnectionPool:
         if edge not in _LEGAL_EDGES:
             raise PoolError(f"illegal transition {edge} for {conn.id}")
         self.transitions.append((conn.id, conn.state, state))
+        if conn.state in self._live:
+            del self._live[conn.state][conn.id]
+        if state in self._live:
+            self._live[state][conn.id] = conn
         conn.state = state
 
     def rail_position(self, index: int) -> tuple[int, int]:
@@ -125,7 +134,7 @@ class ConnectionPool:
 
     def _grab_rail(self, anchor_t: int) -> Rail:
         # Lowest free rail whose residual occupancy lies strictly in the past.
-        bound = {c.rail for c in self.connections.values() if c.state != AVAILABLE}
+        bound = {c.rail for live in self._live.values() for c in live.values()}
         for rail in self.rails:
             if rail.index not in bound and not rail.occupied_at_or_after(anchor_t):
                 return rail
@@ -135,9 +144,7 @@ class ConnectionPool:
         return rail
 
     def reserved_count(self, kind: str) -> int:
-        return sum(
-            1 for c in self.connections.values() if c.state == RESERVED and c.kind == kind
-        )
+        return sum(1 for c in self._live[RESERVED].values() if c.kind == kind)
 
     def counts(self) -> tuple[int, int]:
         return (self.reserved_count("A"), self.reserved_count("Y"))
@@ -183,9 +190,7 @@ class ConnectionPool:
         Returns the connection id, or None when nothing of that type is
         reserved (the insufficient-states signal; never an exception).
         """
-        candidates = [
-            c for c in self.connections.values() if c.state == RESERVED and c.kind == kind
-        ]
+        candidates = [c for c in self._live[RESERVED].values() if c.kind == kind]
         if not candidates:
             return None
         conn = min(candidates, key=lambda c: c.rail)
@@ -211,10 +216,7 @@ class ConnectionPool:
         at delivery time.
         """
         out = []
-        for conn in sorted(
-            (c for c in self.connections.values() if c.state == RESERVED),
-            key=lambda c: c.rail,
-        ):
+        for conn in sorted(self._live[RESERVED].values(), key=lambda c: c.rail):
             target = now - 1
             if target > conn.extended_to:
                 out.append((conn, conn.extended_to + 1, target))
@@ -229,10 +231,7 @@ class ConnectionPool:
         """Reset every tobeavailable connection whose rail cells all lie
         strictly before ``now``; returns the freed connection ids."""
         freed = []
-        for conn in sorted(
-            (c for c in self.connections.values() if c.state == TOBEAVAILABLE),
-            key=lambda c: int(c.id[1:]),
-        ):
+        for conn in sorted(self._live[TOBEAVAILABLE].values(), key=lambda c: int(c.id[1:])):
             if conn.extended_to is not None and conn.extended_to >= now:
                 continue
             self._move(conn, AVAILABLE)
@@ -248,9 +247,12 @@ class ConnectionPool:
     # -- invariant helpers for tests ---------------------------------------
 
     def conservation_holds(self) -> bool:
-        """offered - assigned - discarded == currently reserved, per type."""
+        """offered - assigned - discarded == currently reserved, per type.
+
+        The reserved side scans every connection ever made, not the live
+        index the counters read, so the check stays independent of it."""
         return all(
             self.offered[kind] - self.assigned_out[kind] - self.discarded[kind]
-            == self.reserved_count(kind)
+            == sum(1 for c in self.connections.values() if c.state == RESERVED and c.kind == kind)
             for kind in ("A", "Y")
         )

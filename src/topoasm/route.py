@@ -16,6 +16,12 @@ the active spec's own obstacles, plan, commit the path, re-enable the
 guides and remove the occupies.  Where enabled obstacles overlap, the
 one with the lowest priority number governs the cell, and any guide
 outranks any occupy (:meth:`ObstacleRegistry.governing`).
+
+Straight-run rule: when start and stop differ on one axis only, the
+straight run between them is the unique shortest path.  If none of its
+cells is blocked, :func:`plan_segment` returns it without a search;
+otherwise A* runs on the same :class:`BlockedView`, whose memo already
+holds the run's cells.  Either way the path is the one A* would return.
 """
 
 from __future__ import annotations
@@ -45,13 +51,16 @@ class RouteError(Exception):
 
 
 class NoPathError(RouteError):
-    """Start and stop are disconnected; carries the failing spec and a
-    snapshot of what blocked the search, for the diagnosis journal."""
+    """Start and stop are disconnected; carries the failing spec, the
+    search bounds and the number of cells the search settled (0 when it
+    never started), for the diagnosis journal."""
 
-    def __init__(self, spec, detail: str = ""):
+    def __init__(self, spec, detail: str = "", searched: int = 0, bounds: Box3 | None = None):
         super().__init__(f"no path for segment {describe_spec(spec)} {detail}".strip())
         self.spec = spec
         self.detail = detail
+        self.searched = searched
+        self.bounds = bounds
 
 
 @dataclass
@@ -215,22 +224,26 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     The heuristic is the exact L1 distance, so the search is admissible
     and the returned path length equals the L1 distance whenever nothing
     obstructs.  Ties break deterministically by axis order (t, x, y) and
-    lexicographic cell order.  The spec's own obstacles must already be
-    disabled (the task-set protocol does this).
+    lexicographic cell order.  A free straight run is returned without a
+    search (the straight-run rule above).  The spec's own obstacles must
+    already be disabled (the task-set protocol does this).
     """
     if bounds is None:
         bounds = default_bounds(spec, margin)
     start = spec.start.as_tuple()
     stop = spec.stop.as_tuple()
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
-        raise NoPathError(spec, "endpoint outside search bounds")
+        raise NoPathError(spec, "endpoint outside search bounds", bounds=bounds)
     view = BlockedView(world, bounds)
     if view.is_blocked(start):
-        raise NoPathError(spec, "start cell blocked")
+        raise NoPathError(spec, "start cell blocked", bounds=bounds)
     if view.is_blocked(stop):
-        raise NoPathError(spec, "stop cell blocked")
+        raise NoPathError(spec, "stop cell blocked", bounds=bounds)
     if start == stop:
         return Path((start,))
+    run = _straight_run(start, stop)
+    if run is not None and not any(map(view.is_blocked, run[1:-1])):
+        return Path(run)
 
     def h(cell):
         return abs(cell[0] - stop[0]) + abs(cell[1] - stop[1]) + abs(cell[2] - stop[2])
@@ -262,7 +275,26 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
                 parent[nb] = cell
                 hb = h(nb)
                 heapq.heappush(heap, (ng + hb, hb, nb))
-    raise NoPathError(spec, f"searched {len(settled)} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}")
+    raise NoPathError(
+        spec, f"searched {len(settled)} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
+        searched=len(settled), bounds=bounds,
+    )
+
+
+def _straight_run(start, stop):
+    """The cells from ``start`` to ``stop`` in order when the two differ on
+    one axis only, else None."""
+    axes = [i for i in range(3) if start[i] != stop[i]]
+    if len(axes) != 1:
+        return None
+    axis = axes[0]
+    step = 1 if stop[axis] > start[axis] else -1
+    cells = []
+    for v in range(start[axis], stop[axis] + step, step):
+        cell = list(start)
+        cell[axis] = v
+        cells.append(tuple(cell))
+    return tuple(cells)
 
 
 @dataclass

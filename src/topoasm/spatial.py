@@ -6,6 +6,12 @@ probe box.  Intersection follows the inclusive-exclusive convention of
 collide.  Internally entries are hashed into coarse lattice buckets,
 which keeps collision probes cheap without any balancing logic; the
 hit-set contract is the only behaviour callers may rely on.
+
+Bucket layout: each bucket maps an entry id to the entry's row
+``(lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)``.  The row is one tuple, built
+at insert and shared by every bucket the entry touches, so ``hits`` and
+``covering`` test each candidate by comparing its row in place, with
+no per-candidate method call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class BoxIndex:
     def __init__(self, bucket_size: int = 8):
         self.bucket_size = bucket_size
         self._entries: dict[str, IndexEntry] = {}
-        self._buckets: dict[tuple[int, int, int], set[str]] = {}
+        self._buckets: dict[tuple[int, int, int], dict[str, tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -53,18 +59,20 @@ class BoxIndex:
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
         self._entries[entry.id] = entry
+        lo, hi = entry.box.lo, entry.box.hi
+        row = (lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
         for key in self._bucket_range(entry.box):
-            self._buckets.setdefault(key, set()).add(entry.id)
+            self._buckets.setdefault(key, {})[entry.id] = row
 
     def remove(self, eid: str) -> None:
         entry = self._entries.pop(eid, None)
         if entry is None:
             raise UnknownEntryError(eid)
         for key in self._bucket_range(entry.box):
-            ids = self._buckets.get(key)
-            if ids is not None:
-                ids.discard(eid)
-                if not ids:
+            rows = self._buckets.get(key)
+            if rows is not None:
+                rows.pop(eid, None)
+                if not rows:
                     del self._buckets[key]
 
     def get(self, eid: str) -> IndexEntry:
@@ -79,20 +87,27 @@ class BoxIndex:
         ``tags`` optionally restricts the result to entries with one of
         the given tags.
         """
+        plt, plx, ply = probe.lo.t, probe.lo.x, probe.lo.y
+        pht, phx, phy = probe.hi.t, probe.hi.x, probe.hi.y
+        entries = self._entries
         out = set()
         for key in self._bucket_range(probe):
-            for eid in self._buckets.get(key, ()):
-                if eid in out:
-                    continue
-                entry = self._entries[eid]
-                if tags is not None and entry.tag not in tags:
-                    continue
-                if entry.box.intersects(probe):
+            for eid, (lt, lx, ly, ht, hx, hy) in self._buckets.get(key, {}).items():
+                if (
+                    lt < pht and plt < ht and lx < phx and plx < hx and ly < phy and ply < hy
+                    and (tags is None or entries[eid].tag in tags)
+                ):
                     out.add(eid)
         return out
 
     def covering(self, cell: tuple[int, int, int]) -> list[str]:
         """Ids of all entries whose boxes contain ``cell``."""
+        t, x, y = cell
         s = self.bucket_size
-        ids = self._buckets.get((cell[0] // s, cell[1] // s, cell[2] // s), ())
-        return [eid for eid in ids if self._entries[eid].box.contains_cell(cell)]
+        rows = self._buckets.get((t // s, x // s, y // s))
+        if rows is None:
+            return []
+        return [
+            eid for eid, (lt, lx, ly, ht, hx, hy) in rows.items()
+            if lt <= t < ht and lx <= x < hx and ly <= y < hy
+        ]

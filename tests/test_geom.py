@@ -232,3 +232,77 @@ def test_emit_no_cell_claimed_twice(toffoli):
         counts[cell] += 1
     dup = [c for c, n in counts.items() if n > 1]
     assert dup == []
+
+
+def _sequential_chain(circuit, copies):
+    """``copies`` copies of ``circuit`` in sequence: each copy's timesteps
+    shift by the whole span and its wires move to a fresh block.  The last
+    copy drops each wire's final measurement, so the chain has outputs."""
+    span = circuit.last_timestep + 1
+    n = circuit.wire_count
+    last_op = {w: op for op in circuit.ops for w in op.wires}
+    ops = [
+        ICMOp(op.kind, op.timestep + k * span, tuple(w + k * n for w in op.wires), op.basis)
+        for k in range(copies)
+        for op in circuit.ops
+        if k < copies - 1 or op.kind != "measure" or last_op[op.wire] is not op
+    ]
+    return ICMCircuit(n * copies, ops)
+
+
+def _corridor_cells(circuit, layout, horizon):
+    """Wire-corridor cells every lifetime owns below ``horizon``."""
+    out = set()
+    for lt in circuit.lifetimes():
+        start = lt.start + 1 if lt.magic else lt.start
+        last = lt.end - 1 if lt.end is not None else horizon - 1
+        row = layout.wire_row(lt.wire)
+        out.update((t, row, 0) for t in range(start, min(last, horizon - 1) + 1))
+    return out
+
+
+@pytest.mark.parametrize("recycle", [False, True])
+def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
+    """Drive the incremental emitter through seeded random horizons that
+    stop, repeat and run past the circuit, and compare every step with
+    what the lifetimes, CNOTs and inputs below the horizon call for."""
+    from topoasm.icm import recycle_wires
+
+    chain = _sequential_chain(toffoli, 3)
+    if recycle:
+        chain = recycle_wires(chain)
+    assert any(lt.end is None for lt in chain.lifetimes())
+    layout = LayoutConfig()
+    end = chain.last_timestep + 1
+    once = GeometrySet()
+    once_claims = []
+    GeometryBuilder(chain, layout, once, claim=lambda *a: once_claims.append(a)).emit_until(end + 6)
+    rows = lambda op: (min(layout.wire_row(w) for w in op.wires), max(layout.wire_row(w) for w in op.wires))
+    magic = sorted(chain.magic_inputs, key=lambda m: (m.timestep, m.wire))
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = GeometrySet()
+        claims = []
+        builder = GeometryBuilder(chain, layout, g, claim=lambda *a: claims.append(a))
+        h = rng.randint(0, 3)
+        returned_pins = []
+        while True:
+            returned_pins += builder.emit_until(h)
+            cells = [c for _, box, _ in claims for c in box.cells()]
+            assert len(cells) == len(set(cells)), (seed, h)
+            assert {c for c in cells if c[2] == 0} == _corridor_cells(chain, layout, h), (seed, h)
+            braids = [d for d in g.defects if d.kind == "dual"]
+            below = [op for op in chain.cnots() if op.timestep < h]
+            assert [(d.vertices[0].t, d.bounding_box().lo.x, d.bounding_box().hi.x - 1)
+                    for d in braids] == [(op.timestep, *rows(op)) for op in below], (seed, h)
+            want_pins = [(m.key, Point3(m.timestep, layout.wire_row(m.wire), 0))
+                         for m in magic if m.timestep < h]
+            assert g.pins == want_pins and returned_pins == want_pins, (seed, h)
+            if h >= end + 6:
+                break
+            h = min(end + 6, h + rng.choice((0, 0, 1, 1, 2, 5, 11)))
+        assert {c for _, box, _ in claims for c in box.cells()} == {
+            c for _, box, _ in once_claims for c in box.cells()
+        }
+        assert {c for d in g.defects for c in d.cells()} == {c for d in once.defects for c in d.cells()}
+        assert g.pins == once.pins

@@ -153,8 +153,50 @@ def test_walled_off_stop_raises():
     for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
         cell = stop.shifted(*d)
         w.claim(f"wall{d}", box_from_extents(cell, (1, 1, 1)), "circuit")
-    with pytest.raises(NoPathError):
+    with pytest.raises(NoPathError) as info:
         plan_segment(spec((0, 0, 0), (10, 10, 10)), w, bounds=BOUNDS)
+    exc = info.value
+    assert exc.bounds == BOUNDS
+    # everything in the 20^3 bounds but the stop and its six walls is reachable
+    assert exc.searched == 20 ** 3 - 7
+    assert str(exc) == (
+        "no path for segment connection_c[t] (0, 0, 0)->(10, 10, 10) pi=1 "
+        f"searched {20 ** 3 - 7} cells in (0, 0, 0)..(20, 20, 20)"
+    )
+    with pytest.raises(NoPathError) as info:
+        plan_segment(spec((10, 11, 10), (0, 0, 0)), w, bounds=BOUNDS)
+    assert info.value.searched == 0 and info.value.bounds == BOUNDS
+    assert info.value.detail == "start cell blocked"
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("blocker", ["free", "solid", "obstacle", "disabled-obstacle"])
+def test_single_axis_spec_matches_bfs(axis, direction, blocker):
+    """Single-axis specs take the straight run when it is free and detour
+    around whatever blocks it, always as short as the BFS oracle."""
+    start = (10, 10, 10)
+    stop = tuple(c + 6 * direction if i == axis else c for i, c in enumerate(start))
+    mid = tuple(c + 3 * direction if i == axis else c for i, c in enumerate(start))
+    w = World()
+    blocked = set()
+    if blocker == "solid":
+        w.claim("wall", box_from_extents(Point3(*mid), (1, 1, 1)), "circuit")
+        blocked.add(mid)
+    elif blocker != "free":
+        obs = w.obstacles.add(box_from_extents(Point3(*mid), (1, 1, 1)), GUIDE, 0, "other")
+        if blocker == "obstacle":
+            blocked.add(mid)
+        else:
+            w.obstacles.disable(obs.oid)
+    path = plan_segment(spec(start, stop), w, bounds=BOUNDS)
+    assert path.start == start and path.stop == stop
+    assert not blocked & set(path.cells)
+    for a, b in zip(path.cells, path.cells[1:]):
+        assert sum(abs(u - v) for u, v in zip(a, b)) == 1
+    assert len(path) == bfs_length(start, stop, blocked.__contains__, BOUNDS)
+    if not blocked:
+        assert len(path) == 7 and mid in path.cells
 
 
 def test_zero_length_segment_is_a_single_cell():

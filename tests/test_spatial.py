@@ -124,3 +124,34 @@ def test_tag_filtered_hits():
     probe = box_from_extents(Point3(0, 0, 0), (8, 8, 8))
     assert idx.hits(probe) == {"solid", "obs"}
     assert idx.hits(probe, tags=("circuit", "box")) == {"solid"}
+
+
+def test_covering_matches_brute_force_under_random_scripts():
+    """``covering(cell)`` equals a scan of the live entries, under seeded
+    insert/remove scripts whose boxes often span many buckets.  Probe
+    cells include every live box's low corner, its last cell and the
+    first cells past its high faces."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        idx = BoxIndex()
+        live = {}
+        for step in range(300):
+            if rng.random() < 0.65 or not live:
+                max_ext = 30 if rng.random() < 0.3 else 4
+                e = IndexEntry(f"s{step}", rand_box(rng, span=40, max_ext=max_ext), "obstacle")
+                idx.insert(e)
+                live[e.id] = e
+            else:
+                victim = rng.choice(sorted(live))
+                idx.remove(victim)
+                del live[victim]
+            if step % 25:
+                continue
+            probes = [tuple(rng.randint(-45, 75) for _ in range(3)) for _ in range(60)]
+            for e in live.values():
+                lo, hi = e.box.lo, e.box.hi
+                probes += [lo.as_tuple(), (hi.t - 1, hi.x - 1, hi.y - 1),
+                           (hi.t, lo.x, lo.y), (lo.t, hi.x, lo.y), (lo.t, lo.x, hi.y)]
+            for cell in probes:
+                want = sorted(e.id for e in live.values() if e.box.contains_cell(cell))
+                assert sorted(idx.covering(cell)) == want, (seed, step, cell)
