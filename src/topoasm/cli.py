@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-recycle", action="store_true", help="skip wire recycling")
     p.add_argument("--strict", action="store_true",
                    help="fail instead of scheduling when states run out")
-    p.add_argument("--max-rounds", type=int, default=64)
+    p.add_argument("--max-rounds", type=int, help="round bound (default: from the circuit)")
     p.add_argument("--export-geometry", metavar="PATH")
     p.add_argument("--export-stats", metavar="PATH")
     p.add_argument("--journal", metavar="PATH")

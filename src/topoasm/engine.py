@@ -32,7 +32,6 @@ from .geom import (
     global_bounding_box,
     merge_boxes,
     plumbing_volume,
-    polyline_from_cells,
 )
 from .icm import ICMCircuit, MagicInput, new_traversal_state, next_traversal_event, recycle_wires
 from .pool import Connection, ConnectionPool, PoolConfig
@@ -44,7 +43,6 @@ from .route import (
     SEG_E,
     NoPathError,
     SegmentSpec,
-    TaskSet,
     World,
     compute_taskset,
     describe_spec,
@@ -86,10 +84,6 @@ class Journal:
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
-    def ops_for_step(self, step: int) -> list[str]:
-        prefix = f"{step} "
-        return [ln.split(" ", 2)[1] for ln in self.lines if ln.startswith(prefix)]
-
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -98,7 +92,7 @@ class SynthesisConfig:
     pool: PoolConfig = field(default_factory=PoolConfig)
     seed: int = 0
     outcome_script: tuple | None = None  # one 0/1 bitmap string per round
-    max_rounds: int = 64
+    max_rounds: int | None = None  # None: max(64, 2 * magic timesteps + 16)
     strict: bool = False
     optimize_wires: bool = True
     segment_order: str = "cbe"  # compute order of the segment classes
@@ -106,7 +100,7 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.segment_order not in ("cbe", "ceb"):
             raise ValueError("segment_order must be 'cbe' or 'ceb'")
-        if self.max_rounds < 1:
+        if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         cond = self.policy.condition
         if cond[0] == "pool" and not 0 <= cond[1] <= self.pool.cap_per_type:
@@ -206,6 +200,12 @@ class Synthesizer:
                     )
         self.pool = ConnectionPool(pool_cfg, self.journal)
         self.outcomes = OutcomeSource(config.policy.p_fail, config.seed, config.outcome_script)
+        # A runaway guard sized by the circuit: the rounds a run needs grow
+        # with its demand events, so no fixed bound serves every length.
+        self.max_rounds = config.max_rounds
+        if self.max_rounds is None:
+            events = len({m.timestep for m in self.circuit.magic_inputs})
+            self.max_rounds = max(64, 2 * events + 16)
         self.layers: list[DistillationLayer] = []
         self.records: list[StepRecord] = []
         self.deliveries: dict = {}
@@ -302,9 +302,12 @@ class Synthesizer:
         pol = self.config.policy
         n_a, n_y = self._round_sizes(event_counts)
         round_id = len(self.layers) + 1
-        if round_id > self.config.max_rounds:
+        if round_id > self.max_rounds:
             raise SynthesisFailure(
-                f"exceeded max_rounds={self.config.max_rounds}", self.journal
+                f"exceeded max_rounds={self.max_rounds}: {len(self.layers)} rounds fired, "
+                f"{self.pool.reserved_count('A')} A and {self.pool.reserved_count('Y')} Y "
+                f"reserved at t={trigger_time}",
+                self.journal,
             )
         self.journal.log("round", round_id, trigger_time, n_a, n_y)
         try:
@@ -429,15 +432,11 @@ class Synthesizer:
 
         if cfg.policy.kind == "asap":
             totals = self._demand_totals()
-            guard = 0
             while (
                 self.pool.reserved_count("A") < totals["A"]
                 or self.pool.reserved_count("Y") < totals["Y"]
             ):
                 self._fire_round(-(self._box_depth + 1), totals)
-                guard += 1
-                if guard > cfg.max_rounds:
-                    raise SynthesisFailure("asap could not cover the demand", self.journal)
 
         event = next_traversal_event(state)
         step = 0
@@ -589,7 +588,7 @@ class Synthesizer:
         )
         segments.sort(key=lambda seg: class_rank[seg.segment_class])
         n = len(segments)
-        taskset = TaskSet()
+        specs = []
         for i, seg in enumerate(segments):
             prio = n - i
             conn = seg.conn
@@ -624,11 +623,11 @@ class Synthesizer:
                     (port_guard.oid, self.rail_line_guards[conn.rail]),
                     prio, SEG_B, conn.id,
                 )
-            taskset.add(spec)
+            specs.append(spec)
 
         # line 21: compute in descending priority, which is list order
         try:
-            paths = compute_taskset(taskset, self.world, margin=self.config.layout.route_margin)
+            paths = compute_taskset(specs, self.world, margin=self.config.layout.route_margin)
         except NoPathError as exc:
             self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
@@ -639,9 +638,7 @@ class Synthesizer:
                 self._extend_rail_polyline(seg.conn, path)
                 self.pool.apply_extension(seg.conn, seg.last)
             else:
-                self.geometry.defects.append(
-                    polyline_from_cells(path.cells, "primal", seg.segment_class)
-                )
+                self.geometry.defects.append(path.polyline)
             if seg.segment_class == SEG_C:
                 self.deliveries[seg.magic.key] = (seg.conn.id, path)
                 state.mark_connected([seg.magic])
@@ -656,9 +653,8 @@ class Synthesizer:
     def _extend_rail_polyline(self, conn, path) -> None:
         poly = self._rail_polylines.get(conn.id)
         if poly is None:
-            poly = polyline_from_cells(path.cells, "primal", SEG_E)
-            self.geometry.defects.append(poly)
-            self._rail_polylines[conn.id] = poly
+            self.geometry.defects.append(path.polyline)
+            self._rail_polylines[conn.id] = path.polyline
         else:
             poly.extend_last(Point3(*path.cells[-1]))
 

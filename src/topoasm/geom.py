@@ -87,9 +87,6 @@ class Box3:
                 for y in range(self.lo.y, self.hi.y):
                     yield (t, x, y)
 
-    def translated(self, dt: int = 0, dx: int = 0, dy: int = 0) -> "Box3":
-        return Box3(self.lo.shifted(dt, dx, dy), self.hi.shifted(dt, dx, dy))
-
     def inflated(self, dt: int, dx: int, dy: int) -> "Box3":
         return Box3(self.lo.shifted(-dt, -dx, -dy), self.hi.shifted(dt, dx, dy))
 
@@ -118,10 +115,10 @@ def plumbing_volume(box: Box3) -> int:
 
 
 def _axis_of(a: Point3, b: Point3) -> int:
-    diffs = [i for i, (u, v) in enumerate(zip(a.as_tuple(), b.as_tuple())) if u != v]
-    if len(diffs) != 1:
+    dt, dx, dy = a.t != b.t, a.x != b.x, a.y != b.y
+    if dt + dx + dy != 1:
         raise GeometryError(f"segment {a} -> {b} is not axis-aligned")
-    return diffs[0]
+    return 0 if dt else 1 if dx else 2
 
 
 @dataclass
@@ -246,16 +243,6 @@ class GeometrySet:
     boxes: list[PlacedBox] = field(default_factory=list)
     pins: list[tuple[str, Point3]] = field(default_factory=list)
 
-    def iter_solid_cells(self):
-        """Yield (cell, owner) for every claimed cell; owners may repeat a cell
-        only if the geometry is broken."""
-        for i, poly in enumerate(self.defects):
-            for cell in poly.cells():
-                yield cell, f"defect{i}"
-        for box in self.boxes:
-            for cell in box.footprint.cells():
-                yield cell, box.box_id
-
     def is_empty(self) -> bool:
         return not self.defects and not self.boxes
 
@@ -364,12 +351,11 @@ class GeometryBuilder:
         self._claim_seq += 1
         self.claim(f"{name}#{self._claim_seq}", box, tag)
 
-    def emit_until(self, horizon: int):
-        """Extend geometry to cover cells with t < horizon; returns new pins."""
+    def emit_until(self, horizon: int) -> None:
+        """Extend geometry to cover cells with t < horizon."""
         if self.horizon is not None and horizon < self.horizon:
             raise GeometryError("emission horizon moved backwards")
-        prev = self.horizon if self.horizon is not None else horizon
-        self.horizon = max(horizon, prev)
+        self.horizon = horizon
 
         lifetimes = self._lifetimes
         while self._next_lifetime < len(lifetimes) and lifetimes[self._next_lifetime].start < horizon:
@@ -417,14 +403,11 @@ class GeometryBuilder:
             self._next_cnot += 1
 
         magic_inputs = self.circuit.magic_inputs
-        new_pins = []
         while self._next_pin < len(magic_inputs) and magic_inputs[self._next_pin].timestep < horizon:
             magic = magic_inputs[self._next_pin]
             pin = Point3(magic.timestep, self.layout.wire_row(magic.wire), 0)
             self.geometry.pins.append((magic.key, pin))
-            new_pins.append((magic.key, pin))
             self._next_pin += 1
-        return new_pins
 
     def _emit_braid(self, op) -> None:
         # Fixed CNOT template: an L-shaped dual defect in the y=1 plane whose

@@ -342,9 +342,6 @@ class TraversalEvent:
     def is_end(self) -> bool:
         return self.time is None
 
-    def count(self, basis: str) -> int:
-        return sum(1 for m in self.inputs if m.basis == basis)
-
 
 @dataclass
 class TraversalState:

@@ -243,16 +243,3 @@ class ConnectionPool:
             if self.journal:
                 self.journal.log("sweep-available", conn.id)
         return freed
-
-    # -- invariant helpers for tests ---------------------------------------
-
-    def conservation_holds(self) -> bool:
-        """offered - assigned - discarded == currently reserved, per type.
-
-        The reserved side scans every connection ever made, not the live
-        index the counters read, so the check stays independent of it."""
-        return all(
-            self.offered[kind] - self.assigned_out[kind] - self.discarded[kind]
-            == sum(1 for c in self.connections.values() if c.state == RESERVED and c.kind == kind)
-            for kind in ("A", "Y")
-        )

@@ -11,11 +11,11 @@ enabled obstacles.  Obstacles come in two kinds:
 
 Every obstacle stays in the spatial index from ``add`` to ``remove``;
 switching it off or on only flips its flag, which blocked-cell queries
-read.  A task set is computed in strictly descending priority: disable
-the active spec's own obstacles, plan, commit the path, re-enable the
-guides and remove the occupies.  Where enabled obstacles overlap, the
-one with the lowest priority number governs the cell, and any guide
-outranks any occupy (:meth:`ObstacleRegistry.governing`).
+read; a cell is blocked while any enabled obstacle covers it.  A task
+set is computed in strictly descending priority: disable the active
+spec's own obstacles, plan, commit the path, re-enable the guides and
+remove the occupies.  :func:`compute_taskset` returns each path with the
+polyline its commit claimed, so callers draw exactly what was claimed.
 
 Straight-run rule: when start and stop differ on one axis only, the
 straight run between them is the unique shortest path.  If none of its
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .geom import Box3, Point3, cell_box, merge_boxes, polyline_from_cells
+from .geom import Box3, DefectPolyline, Point3, cell_box, merge_boxes, polyline_from_cells
 from .spatial import BoxIndex, IndexEntry
 
 GUIDE = "guide"
@@ -40,7 +40,7 @@ SEG_C = "connection_c"  # pool -> circuit pin
 SEG_B = "connection_b"  # box output -> pool rail
 SEG_E = "connection_e"  # extension along a pool rail
 
-SOLID_TAGS = ("circuit", "box", "connection", "pool")
+SOLID_TAGS = ("circuit", "box", "connection")
 
 # Fixed expansion order: t, x, y, negative direction first.
 _NEIGHBOR_STEPS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
@@ -67,8 +67,6 @@ class NoPathError(RouteError):
 class Obstacle:
     oid: str
     kind: str  # guide | occupy
-    priority: int
-    owner: str  # owning connection id
     enabled: bool = True
 
 
@@ -91,6 +89,7 @@ class SegmentSpec:
 @dataclass
 class Path:
     cells: tuple
+    polyline: DefectPolyline | None = None  # what the commit claimed, when committed
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -111,13 +110,14 @@ class ObstacleRegistry:
     def __init__(self, index: BoxIndex, journal=None):
         self.index = index
         self.journal = journal
-        self._obstacles: dict[str, Obstacle] = {}
+        self.by_id: dict[str, Obstacle] = {}  # every obstacle not yet removed
         self._seq = itertools.count()
 
     def add(self, region: Box3, kind: str, priority: int, owner: str) -> Obstacle:
+        """Index a new enabled obstacle; ``priority`` and ``owner`` go to the journal."""
         oid = f"obs{next(self._seq)}"
-        obs = Obstacle(oid, kind, priority, owner)
-        self._obstacles[oid] = obs
+        obs = Obstacle(oid, kind)
+        self.by_id[oid] = obs
         self.index.insert(IndexEntry(oid, region, "obstacle"))
         if self.journal:
             lo, hi = region.lo, region.hi
@@ -128,7 +128,7 @@ class ObstacleRegistry:
         return obs
 
     def get(self, oid: str) -> Obstacle:
-        return self._obstacles[oid]
+        return self.by_id[oid]
 
     def disable(self, oid: str) -> None:
         self._switch(oid, False)
@@ -137,7 +137,7 @@ class ObstacleRegistry:
         self._switch(oid, True)
 
     def _switch(self, oid: str, on: bool) -> None:
-        obs = self._obstacles[oid]
+        obs = self.by_id[oid]
         if obs.enabled != on:
             obs.enabled = on
             if self.journal:
@@ -145,26 +145,13 @@ class ObstacleRegistry:
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
-        del self._obstacles[oid]
+        del self.by_id[oid]
         self.index.remove(oid)
 
     def blocks(self, eid: str) -> bool:
         """Whether index entry ``eid`` blocks: solids always, obstacles while enabled."""
-        obs = self._obstacles.get(eid)
+        obs = self.by_id.get(eid)
         return obs is None or obs.enabled
-
-    def enabled_obstacles(self) -> list[Obstacle]:
-        return [o for o in self._obstacles.values() if o.enabled]
-
-    def governing(self, cell: tuple[int, int, int]) -> Obstacle | None:
-        """The enabled obstacle that rules ``cell``, or None: guides outrank
-        occupies, then the lowest priority number wins."""
-        hits = self.index.hits(cell_box(cell), tags=("obstacle",))
-        cover = [self._obstacles[oid] for oid in hits if self.blocks(oid)]
-        if not cover:
-            return None
-        guides = [o for o in cover if o.kind == GUIDE]
-        return min(guides or cover, key=lambda o: (o.priority, o.oid))
 
 
 class World:
@@ -297,34 +284,26 @@ def _straight_run(start, stop):
     return tuple(cells)
 
 
-@dataclass
-class TaskSet:
-    """Connection segments pending in one event-handling pass."""
-
-    specs: list = field(default_factory=list)
-
-    def add(self, spec: SegmentSpec) -> None:
-        self.specs.append(spec)
-
-
-def compute_taskset(taskset: TaskSet, world: World, margin: int = 10) -> list[Path]:
-    """Compute every segment of a task set under the obstacle protocol.
+def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) -> list[Path]:
+    """Compute the segments of one event-handling pass under the obstacle
+    protocol.
 
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled, the segment is
     planned, the path is committed to the world, the guide obstacles are
     re-enabled and the occupy obstacles are removed.  Committed paths are
     therefore mutually disjoint and disjoint from all prior geometry.
+    Each returned path carries the polyline its commit claimed.
     """
-    prios = [s.priority for s in taskset.specs]
+    prios = [s.priority for s in specs]
     if len(set(prios)) != len(prios):
         raise RouteError(f"task set priorities must be distinct, got {sorted(prios)}")
     paths = []
-    for spec in sorted(taskset.specs, key=lambda s: -s.priority):
+    for spec in sorted(specs, key=lambda s: -s.priority):
         for oid in spec.obstacles:
             world.obstacles.disable(oid)
         path = plan_segment(spec, world, margin=margin)
-        _commit_path(spec, path, world)
+        path.polyline = _commit_path(spec, path, world)
         for oid in spec.obstacles:
             if world.obstacles.get(oid).kind == GUIDE:
                 world.obstacles.enable(oid)
@@ -334,8 +313,10 @@ def compute_taskset(taskset: TaskSet, world: World, margin: int = 10) -> list[Pa
     return paths
 
 
-def _commit_path(spec: SegmentSpec, path: Path, world: World) -> None:
+def _commit_path(spec: SegmentSpec, path: Path, world: World) -> DefectPolyline:
+    """Claim the path's cells and return the polyline that covers them."""
     poly = polyline_from_cells(path.cells, "primal", spec.segment_class)
     seq = next(world._commit_seq)
     for i, box in enumerate(poly.claim_boxes()):
         world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, "connection")
+    return poly

@@ -73,15 +73,11 @@ class SchedulerPolicy:
 
 @dataclass
 class DistillationLayer:
-    """One scheduling round's placed boxes and their schedule."""
+    """One scheduling round's placed boxes."""
 
     round_id: int
     trigger_time: int
     boxes: list[PlacedBox] = field(default_factory=list)
-
-    @property
-    def schedule(self) -> list[Point3]:
-        return [b.footprint.lo for b in self.boxes]
 
 
 def _mk_box(box_id: str, kind: str, lo: Point3, layout: LayoutConfig) -> PlacedBox:

@@ -33,7 +33,7 @@ class UnknownEntryError(Exception):
 class IndexEntry:
     id: str
     box: Box3
-    tag: str  # circuit | box | connection | pool | obstacle
+    tag: str  # circuit | box | connection | obstacle
 
 
 class BoxIndex:

@@ -5,6 +5,7 @@ import pytest
 from topoasm import fixtures
 from topoasm.engine import SynthesisConfig, synthesize
 from topoasm.icm import parse_icm
+from topoasm.pool import RESERVED
 from topoasm.sched import SchedulerPolicy
 
 
@@ -46,3 +47,39 @@ def seed_sweep(toffoli):
         out[kind] = runs
     out["elapsed"] = time.monotonic() - t0
     return out
+
+
+# -- invariant helpers, built on the library's public attributes ---------------
+
+
+def solid_cells(geometry):
+    """Yield (cell, owner) for every cell a defect or box covers; a cell
+    repeats only if the geometry is broken."""
+    for i, poly in enumerate(geometry.defects):
+        for cell in poly.cells():
+            yield cell, f"defect{i}"
+    for box in geometry.boxes:
+        for cell in box.footprint.cells():
+            yield cell, box.box_id
+
+
+def conservation_holds(pool):
+    """offered - assigned - discarded == currently reserved, per type.
+
+    The reserved side scans every connection ever made, not the live
+    index the pool's counters read, so the check stays independent of it."""
+    return all(
+        pool.offered[kind] - pool.assigned_out[kind] - pool.discarded[kind]
+        == sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
+        for kind in ("A", "Y")
+    )
+
+
+def journal_ops(journal, step):
+    """The ops logged at ``step``, in order."""
+    prefix = f"{step} "
+    return [ln.split(" ", 2)[1] for ln in journal.lines if ln.startswith(prefix)]
+
+
+def enabled_obstacles(registry):
+    return [o for o in registry.by_id.values() if o.enabled]

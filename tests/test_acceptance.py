@@ -22,7 +22,7 @@ from topoasm.sched import required_round_size
 import test_pool
 import test_route
 import test_sched
-from conftest import scripted_config
+from conftest import conservation_holds, enabled_obstacles, scripted_config, solid_cells
 
 
 def report(n, message):
@@ -56,8 +56,8 @@ def test_criterion_1_fixture_counts():
     standalone = [t for t in firings if t not in times]
     steps = len(events) + len(standalone)
     assert steps == 21
-    assert max(ev.count("A") for ev in events) == 2
-    assert max(ev.count("Y") for ev in events) == 2
+    assert max(sum(m.basis == "A" for m in ev.inputs) for ev in events) == 2
+    assert max(sum(m.basis == "Y" for m in ev.inputs) for ev in events) == 2
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     report(1, f"9 wires, 7 A, 14 Y, {steps} steps, demand maxima 2/2 ({elapsed:.2f}s)")
@@ -225,7 +225,7 @@ def test_criterion_7_obstacle_protocol():
     assert cells[0].isdisjoint(cells[2])
     assert cells[1].isdisjoint(cells[2])
     assert len(paths[2]) == 8  # the lowest-priority connection stays direct
-    enabled = {o.oid for o in w.obstacles.enabled_obstacles()}
+    enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
     assert magenta.oid in enabled
     assert orange.oid not in enabled and yellow.oid not in enabled
 
@@ -252,7 +252,7 @@ def test_criterion_8_state_machine_conservation():
             spans = sorted(rail.occupancy)
             for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
                 assert b1 < a2
-        assert pool.conservation_holds()
+        assert conservation_holds(pool)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     report(8, f"1000 scripts: legal edges, exclusive rails, conserved counts ({elapsed:.1f}s)")
@@ -264,7 +264,7 @@ def test_criterion_9_non_overlap_and_completeness(toffoli, seed_sweep):
     for kind in ("spiral", "alap", "asap"):
         for assembly in seed_sweep[kind]:
             counts = Counter()
-            for cell, _ in assembly.geometry.iter_solid_cells():
+            for cell, _ in solid_cells(assembly.geometry):
                 counts[cell] += 1
             assert not [c for c, n in counts.items() if n > 1]
             assert set(assembly.deliveries) == {m.key for m in toffoli.magic_inputs}

@@ -17,7 +17,8 @@ from topoasm.icm import parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
 from topoasm.sched import DistillationLayer, SchedulerPolicy
 
-from conftest import scripted_config
+from conftest import conservation_holds, journal_ops, scripted_config, solid_cells
+from test_geom import _sequential_chain
 
 
 # -- outcome simulation -------------------------------------------------------
@@ -114,7 +115,7 @@ def test_every_reservation_gets_a_box_link(toffoli):
 
 def test_scripted_toffoli_no_cell_claimed_twice(scripted_assembly):
     counts = Counter()
-    for cell, owner in scripted_assembly.geometry.iter_solid_cells():
+    for cell, owner in solid_cells(scripted_assembly.geometry):
         counts[cell] += 1
     assert not [c for c, n in counts.items() if n > 1]
 
@@ -149,7 +150,7 @@ def test_journal_follows_workflow_order(scripted_assembly):
     rank = {op: i for i, op in enumerate(WORKFLOW)}
     journal = scripted_assembly.journal
     for step in range(1, 22):
-        ops = [op for op in journal.ops_for_step(step) if op in rank]
+        ops = [op for op in journal_ops(journal, step) if op in rank]
         firsts = {}
         for i, op in enumerate(ops):
             firsts.setdefault(op, i)
@@ -167,7 +168,7 @@ def test_journal_spec_lines_present(scripted_assembly):
 def test_pool_conservation_after_synthesis(toffoli):
     s = Synthesizer(toffoli, scripted_config())
     s.run()
-    assert s.pool.conservation_holds()
+    assert conservation_holds(s.pool)
     for cid, a, b in s.pool.transitions:
         assert (a, b) in {
             (AVAILABLE, RESERVED),
@@ -202,6 +203,54 @@ def test_max_rounds_bound(toffoli):
     )
     with pytest.raises(SynthesisFailure):
         synthesize(toffoli, cfg)
+
+
+@pytest.mark.parametrize("kind", ["spiral", "alap"])
+def test_default_round_bound_grows_with_the_circuit(toffoli, kind):
+    """A 10-Toffoli chain needs more than 64 rounds; by default the bound is
+    max(64, 2 * magic timesteps + 16), which is 376 here."""
+    chain = _sequential_chain(toffoli, 10)
+    assert len({m.timestep for m in chain.magic_inputs}) == 180
+    s = Synthesizer(chain, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+    asm = s.run()
+    assert len(asm.layers) > 64
+    assert s.max_rounds == 376
+    assert len(asm.deliveries) == len(chain.magic_inputs)
+
+
+def test_round_bound_failure_names_rounds_and_reservations(toffoli):
+    chain = _sequential_chain(toffoli, 10)
+    cfg = SynthesisConfig(policy=SchedulerPolicy(kind="alap"), max_rounds=64)
+    with pytest.raises(
+        SynthesisFailure,
+        match=r"^exceeded max_rounds=64: 64 rounds fired, \d+ A and \d+ Y reserved at t=\d+$",
+    ):
+        synthesize(chain, cfg)
+
+
+@pytest.mark.parametrize("kind", ["scripted", "spiral", "alap", "asap"])
+def test_connection_geometry_equals_index_claims(toffoli, kind):
+    """The connection polylines cover exactly the cells their commits
+    claimed in the index, rail extensions included, each cell once."""
+    if kind == "scripted":
+        cfg = scripted_config()
+    else:
+        cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind))
+    s = Synthesizer(toffoli, cfg)
+    asm = s.run()
+    index = s.world.index
+    claimed = Counter(
+        cell
+        for eid in index.hits(global_bounding_box(asm.geometry), tags=("connection",))
+        for cell in index.get(eid).box.cells()
+    )
+    drawn = Counter(
+        cell
+        for d in asm.geometry.defects if d.role.startswith("connection_")
+        for cell in d.cells()
+    )
+    assert claimed and max(claimed.values()) == 1 and max(drawn.values()) == 1
+    assert claimed == drawn
 
 
 @pytest.mark.parametrize("kind", ["spiral", "alap"])
@@ -265,7 +314,7 @@ def test_random_circuits_synthesize_soundly(seed):
         assert exc.journal.lines  # diagnosable
         return
     counts = Counter()
-    for cell, _ in asm.geometry.iter_solid_cells():
+    for cell, _ in solid_cells(asm.geometry):
         counts[cell] += 1
     assert not [c for c, n in counts.items() if n > 1]
     assert set(asm.deliveries) == expected
@@ -276,7 +325,7 @@ def test_alternate_segment_compute_order(toffoli):
     asm = synthesize(toffoli, scripted_config(segment_order="ceb"))
     assert len(asm.deliveries) == 21
     counts = Counter()
-    for cell, _ in asm.geometry.iter_solid_cells():
+    for cell, _ in solid_cells(asm.geometry):
         counts[cell] += 1
     assert not [c for c, n in counts.items() if n > 1]
 

@@ -14,12 +14,13 @@ from topoasm.route import (
     Path,
     RouteError,
     SegmentSpec,
-    TaskSet,
     World,
     compute_taskset,
     plan_segment,
 )
 from topoasm.spatial import UnknownEntryError
+
+from conftest import enabled_obstacles
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
 
@@ -47,14 +48,13 @@ def spec(start, stop, prio=1, seg=SEG_C, owner="t", obstacles=()):
     return SegmentSpec(Point3(*start), Point3(*stop), tuple(obstacles), prio, seg, owner)
 
 
-# -- blocked cells and the governing rule --------------------------------------
+# -- blocked cells ---------------------------------------------------------------
 
 
 def test_empty_world_nothing_blocked():
     w = World()
     view = BlockedView(w, BOUNDS)
     assert not any(view.is_blocked((t, 0, 0)) for t in range(4))
-    assert w.obstacles.governing((1, 0, 0)) is None
 
 
 def test_guide_outranks_occupy():
@@ -62,18 +62,7 @@ def test_guide_outranks_occupy():
     region = box_from_extents(Point3(5, 5, 5), (2, 2, 2))
     w.obstacles.add(region, GUIDE, 3, "other1")
     w.obstacles.add(region, OCCUPY, 1, "other2")
-    gov = w.obstacles.governing((5, 5, 5))
-    assert gov.kind == GUIDE and gov.priority == 3
     assert BlockedView(w, BOUNDS).is_blocked((5, 5, 5))
-
-
-def test_lower_priority_number_governs_among_occupies():
-    w = World()
-    region = box_from_extents(Point3(2, 2, 2), (3, 3, 3))
-    w.obstacles.add(region, OCCUPY, 128, "grey")
-    w.obstacles.add(region.translated(1, 1, 1), OCCUPY, 0, "black")
-    gov = w.obstacles.governing((4, 4, 4))  # covered by both
-    assert gov.priority == 0 and gov.owner == "black"
 
 
 def test_disabled_obstacles_do_not_block():
@@ -81,7 +70,6 @@ def test_disabled_obstacles_do_not_block():
     obs = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
     w.obstacles.disable(obs.oid)
     assert not BlockedView(w, BOUNDS).is_blocked((1, 0, 0))
-    assert w.obstacles.governing((1, 0, 0)) is None
 
 
 def test_blocked_view_matches_rasterized_live_boxes():
@@ -253,12 +241,14 @@ def test_single_spec_taskset_equals_plan():
     w1, w2 = World(), World()
     s = spec((0, 0, 0), (6, 0, 0))
     alone = plan_segment(s, w1, bounds=BOUNDS)
-    (committed,) = compute_taskset(TaskSet([spec((0, 0, 0), (6, 0, 0))]), w2)
+    (committed,) = compute_taskset([spec((0, 0, 0), (6, 0, 0))], w2)
     assert committed.cells == alone.cells
+    assert alone.polyline is None
+    assert committed.polyline.cells() == set(alone.cells)
 
 
 def test_taskset_requires_distinct_priorities():
-    ts = TaskSet([spec((0, 0, 0), (2, 0, 0), prio=1), spec((0, 5, 0), (2, 5, 0), prio=1)])
+    ts = [spec((0, 0, 0), (2, 0, 0), prio=1), spec((0, 5, 0), (2, 5, 0), prio=1)]
     with pytest.raises(RouteError):
         compute_taskset(ts, World())
 
@@ -284,7 +274,7 @@ def three_connection_scenario():
     white = spec((0, 2, 0), (15, 2, 0), prio=255, owner="white", obstacles=(magenta.oid,))
     grey = spec((0, 5, 0), (15, 5, 0), prio=128, owner="grey", obstacles=(orange.oid,))
     black = spec((5, 0, 0), (5, 7, 0), prio=0, owner="black", obstacles=(yellow.oid,))
-    return w, TaskSet([white, grey, black]), (magenta, orange, yellow)
+    return w, [white, grey, black], (magenta, orange, yellow)
 
 
 def test_three_connection_scenario_routes_disjoint():
@@ -306,7 +296,7 @@ def test_three_connection_scenario_routes_disjoint():
 def test_protocol_reenables_only_guides():
     w, ts, (magenta, orange, yellow) = three_connection_scenario()
     compute_taskset(ts, w, margin=16)
-    enabled = {o.oid for o in w.obstacles.enabled_obstacles()}
+    enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
     assert magenta.oid in enabled
     assert orange.oid not in enabled and yellow.oid not in enabled
 
@@ -356,7 +346,7 @@ def random_taskset(rng, prios):
         specs.append(
             SegmentSpec(Point3(*start), Point3(*stop), tuple(own), prio, SEG_C, f"conn{i}")
         )
-    return w, TaskSet(specs)
+    return w, specs
 
 
 def run_outcome(w, ts):

@@ -161,13 +161,6 @@ def test_spiral_exhaustion_raises():
         place_spiral_layer(64, 64, 0, w, layout, channel)
 
 
-def test_spiral_schedule_lists_box_corners():
-    w = World()
-    channel = unit_channel()
-    layer = place_spiral_layer(1, 1, 3, w, LayoutConfig(), channel)
-    assert layer.schedule == [b.footprint.lo for b in layer.boxes]
-
-
 def test_asap_stack_before_circuit_start():
     w = World()
     layer = place_asap_stack(6, 10, w, LayoutConfig(), stack_width=20)

@@ -30,7 +30,7 @@ def test_duplicate_id_rejected():
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
     idx.insert(IndexEntry("a", box, "circuit"))
     with pytest.raises(DuplicateEntryError):
-        idx.insert(IndexEntry("a", box.translated(5, 0, 0), "circuit"))
+        idx.insert(IndexEntry("a", box_from_extents(Point3(5, 0, 0), (1, 1, 1)), "circuit"))
 
 
 def test_remove_then_empty():
@@ -120,7 +120,7 @@ def test_tag_filtered_hits():
     idx = BoxIndex()
     b = box_from_extents(Point3(0, 0, 0), (4, 4, 4))
     idx.insert(IndexEntry("solid", b, "circuit"))
-    idx.insert(IndexEntry("obs", b.translated(1, 1, 1), "obstacle"))
+    idx.insert(IndexEntry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4)), "obstacle"))
     probe = box_from_extents(Point3(0, 0, 0), (8, 8, 8))
     assert idx.hits(probe) == {"solid", "obs"}
     assert idx.hits(probe, tags=("circuit", "box")) == {"solid"}
