@@ -7,7 +7,7 @@ from .engine import (
     SynthesisFailure,
     synthesize,
 )
-from .geom import Box3, GeometrySet, LayoutConfig, Point3, global_bounding_box, plumbing_volume
+from .geom import Box3, GeometrySet, Point3, global_bounding_box, plumbing_volume
 from .icm import (
     ICMCircuit,
     ICMError,
@@ -25,7 +25,6 @@ __all__ = [
     "GeometrySet",
     "ICMCircuit",
     "ICMError",
-    "LayoutConfig",
     "Point3",
     "PoolConfig",
     "SchedulerPolicy",

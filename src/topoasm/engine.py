@@ -23,18 +23,23 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .geom import (
+    BOX_DEPTH,
+    BRAID_DEPTH,
     Box3,
     GeometryBuilder,
     GeometrySet,
-    LayoutConfig,
     Point3,
     TemplateCollisionError,
+    cell_box,
     global_bounding_box,
     merge_boxes,
+    pin_cell,
     plumbing_volume,
+    template_rows,
+    wire_row,
 )
 from .icm import ICMCircuit, MagicInput, new_traversal_state, next_traversal_event, recycle_wires
-from .pool import Connection, ConnectionPool, PoolConfig
+from .pool import RAIL_PITCH, Connection, ConnectionPool, PoolConfig
 from .route import (
     GUIDE,
     OCCUPY,
@@ -48,6 +53,7 @@ from .route import (
     describe_spec,
 )
 from .sched import (
+    COMPLETION_LAG,
     DistillationLayer,
     PlacementError,
     SchedulerPolicy,
@@ -56,6 +62,8 @@ from .sched import (
     place_spiral_layer,
     required_round_size,
 )
+
+CHANNEL_CLEARANCE = 2  # free cells around circuit and pool in x and y
 
 
 class EngineError(Exception):
@@ -88,7 +96,6 @@ class Journal:
 @dataclass(frozen=True)
 class SynthesisConfig:
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
-    layout: LayoutConfig = field(default_factory=LayoutConfig)
     pool: PoolConfig = field(default_factory=PoolConfig)
     seed: int = 0
     outcome_script: tuple | None = None  # one 0/1 bitmap string per round
@@ -176,14 +183,13 @@ class Synthesizer:
         self.journal = Journal()
         self.world = World(self.journal)
         self.geometry = GeometrySet()
-        self.builder = GeometryBuilder(
-            self.circuit, config.layout, self.geometry, claim=self.world.claim
-        )
+        self.builder = GeometryBuilder(self.circuit, self.geometry, claim=self.world.claim)
+        self.demand_totals = Counter(m.basis for m in self.circuit.magic_inputs)
         pool_cfg = config.pool
         if config.policy.kind == "asap":
             # The whole demand parks in the pool at once, so the cap must
             # admit it; the stated cap still applies to the other modes.
-            totals = self._demand_totals()
+            totals = self.demand_totals
             pool_cfg = replace(
                 pool_cfg, cap_per_type=max(pool_cfg.cap_per_type, totals["A"], totals["Y"])
             )
@@ -217,9 +223,7 @@ class Synthesizer:
         self.pin_guards: dict[str, str] = {}  # input key -> guide obstacle id
         self._pending_links: list[str] = []  # reservations awaiting their box link
         self._rail_polylines: dict[str, object] = {}
-        depth = max(config.layout.a_box_extents[0], config.layout.y_box_extents[0])
-        self._box_depth = depth
-        self.t_floor = -(depth + 12)
+        self.t_floor = -(BOX_DEPTH + 12)
         self.t_ceiling = self.circuit.last_timestep + 24
         self._reserve_circuit_footprint()
 
@@ -231,16 +235,12 @@ class Synthesizer:
         future wire corridors, CNOT templates and delivery pins keep
         connection paths from squatting cells the emitter needs later.
         """
-        lay = self.config.layout
         for m in self.circuit.magic_inputs:
-            row = lay.wire_row(m.wire)
-            cell = Box3(
-                Point3(m.timestep, row, 0), Point3(m.timestep + 1, row + 1, 1)
-            )
+            cell = cell_box(pin_cell(m).as_tuple())
             obs = self.world.obstacles.add(cell, GUIDE, 0, f"pin:{m.key}")
             self.pin_guards[m.key] = obs.oid
         for lt in self.circuit.lifetimes():
-            row = lay.wire_row(lt.wire)
+            row = wire_row(lt.wire)
             start = lt.start + 1 if lt.magic else lt.start
             end = lt.end if lt.end is not None else self.t_ceiling
             if end > start:
@@ -249,39 +249,31 @@ class Synthesizer:
                     GUIDE, 0, "circuit",
                 )
         for op in self.circuit.cnots():
-            xl = min(lay.wire_row(op.control), lay.wire_row(op.target))
-            xr = max(lay.wire_row(op.control), lay.wire_row(op.target))
+            xl, xr = template_rows(op)
             self.world.obstacles.add(
                 Box3(
                     Point3(op.timestep, xl, 1),
-                    Point3(op.timestep + lay.braid_depth, xr + 1, 2),
+                    Point3(op.timestep + BRAID_DEPTH, xr + 1, 2),
                 ),
                 GUIDE, 0, "circuit",
             )
 
-    # -- demand and channel -------------------------------------------------
-
-    def _demand_totals(self) -> dict:
-        totals = {"A": 0, "Y": 0}
-        for m in self.circuit.magic_inputs:
-            totals[m.basis] += 1
-        return totals
+    # -- channel ------------------------------------------------------------
 
     def channel(self) -> Box3:
         """Clearance region around circuit and pool; grows with the rails."""
-        lay = self.config.layout
         pc = self.pool.config
-        top_row = lay.wire_row(self.circuit.wire_count - 1)
+        top_row = wire_row(self.circuit.wire_count - 1)
         circuit_box = Box3(
             Point3(self.t_floor, -1, -1), Point3(self.t_ceiling, top_row + 2, 3)
         )
         rails = max(len(self.pool.rails), pc.budgeted_rails)
-        rail_hi_x = rails * pc.rail_pitch + 2
+        rail_hi_x = rails * RAIL_PITCH + 2
         pool_box = Box3(
             Point3(self.t_floor, 0, pc.pool_gap),
             Point3(self.t_ceiling, rail_hi_x, pc.pool_gap + 1),
         )
-        c = pc.channel_clearance
+        c = CHANNEL_CLEARANCE
         return merge_boxes(circuit_box, pool_box).inflated(0, c, c)
 
     # -- scheduling ----------------------------------------------------------
@@ -289,7 +281,7 @@ class Synthesizer:
     def _round_sizes(self, event_counts) -> tuple[int, int]:
         pol = self.config.policy
         if pol.kind == "asap":
-            k = self._demand_totals()
+            k = self.demand_totals
         elif pol.kind == "alap":
             k = dict(event_counts)
         else:
@@ -313,19 +305,17 @@ class Synthesizer:
         try:
             if pol.kind == "asap":
                 layer = place_asap_stack(
-                    n_a, n_y, self.world, self.config.layout,
-                    stack_width=self.config.layout.wire_row(self.circuit.wire_count - 1) + 4,
+                    n_a, n_y, self.world,
+                    stack_width=wire_row(self.circuit.wire_count - 1) + 4,
                     round_id=round_id,
                 )
             elif pol.kind == "alap":
                 layer = place_alap_layer(
-                    n_a, n_y, trigger_time, self.world, self.config.layout,
-                    self.channel(), round_id=round_id,
+                    n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
                 )
             else:
                 layer = place_spiral_layer(
-                    n_a, n_y, trigger_time, self.world, self.config.layout,
-                    self.channel(), round_id=round_id,
+                    n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
                 )
         except PlacementError as exc:
             raise SynthesisFailure(f"placement failed: {exc}", self.journal) from exc
@@ -340,7 +330,7 @@ class Synthesizer:
         self._pending_links.extend(self.pool.reserve_connections(successes))
         if pol.kind == "spiral":
             if pol.condition[0] == "after-round":
-                self.next_round_at = trigger_time + self._box_depth + pol.completion_lag
+                self.next_round_at = trigger_time + BOX_DEPTH + COMPLETION_LAG
             elif pol.condition[0] == "temporal":
                 self.next_round_at = trigger_time + pol.condition[1]
 
@@ -431,20 +421,20 @@ class Synthesizer:
         self.journal.log("begin", cfg.policy.kind, cfg.seed)
 
         if cfg.policy.kind == "asap":
-            totals = self._demand_totals()
+            totals = self.demand_totals
             while (
                 self.pool.reserved_count("A") < totals["A"]
                 or self.pool.reserved_count("Y") < totals["Y"]
             ):
-                self._fire_round(-(self._box_depth + 1), totals)
+                self._fire_round(-(BOX_DEPTH + 1), totals)
 
         event = next_traversal_event(state)
         step = 0
         while True:
+            # next_round_at is set only by spiral's after-round and temporal
+            # conditions, the only ones that fire between events.
             standalone = (
-                cfg.policy.kind == "spiral"
-                and cfg.policy.condition[0] in ("after-round", "temporal")
-                and self.next_round_at is not None
+                self.next_round_at is not None
                 and not event.is_end
                 and self.next_round_at < event.time
             )
@@ -554,7 +544,7 @@ class Synthesizer:
         # line 18: rail extensions; delivered ones get their final stretch
         extensions = []
         for m, conn in assigned:
-            if conn.extended_to is not None and m.timestep > conn.extended_to:
+            if m.timestep > conn.extended_to:
                 extensions.append((conn, conn.extended_to + 1, m.timestep))
         extensions.extend(self.pool.extension_targets(frontier))
         extensions.sort(key=lambda e: e[0].rail)
@@ -595,17 +585,18 @@ class Synthesizer:
             rail_x, rail_y = self.pool.rail_position(conn.rail)
             if seg.segment_class == SEG_C:
                 m = seg.magic
-                pin = Point3(m.timestep, self.config.layout.wire_row(m.wire), 0)
+                pin = pin_cell(m)
                 shaft_top = max(1, pool_y - 1)
                 shaft = Box3(
                     Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, shaft_top)
                 )
                 obs = self.world.obstacles.add(shaft, OCCUPY, prio, conn.id)
-                own = [obs.oid, self.pin_guards[m.key], self.rail_under_guards[conn.rail]]
-                if conn.id in self.conn_fwd_guards:
-                    own.append(self.conn_fwd_guards[conn.id])
+                own = (
+                    obs.oid, self.pin_guards[m.key], self.rail_under_guards[conn.rail],
+                    self.conn_fwd_guards[conn.id],
+                )
                 start = Point3(pin.t, rail_x, rail_y - 1)
-                spec = SegmentSpec(start, pin, tuple(own), prio, SEG_C, conn.id)
+                spec = SegmentSpec(start, pin, own, prio, SEG_C, conn.id)
             elif seg.segment_class == SEG_E:
                 spec = SegmentSpec(
                     Point3(seg.first, rail_x, rail_y),
@@ -627,7 +618,7 @@ class Synthesizer:
 
         # line 21: compute in descending priority, which is list order
         try:
-            paths = compute_taskset(specs, self.world, margin=self.config.layout.route_margin)
+            paths = compute_taskset(specs, self.world)
         except NoPathError as exc:
             self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc

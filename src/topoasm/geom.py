@@ -15,8 +15,11 @@ Conventions:
   adjacent segments share exactly the turn cell.  A single-vertex
   polyline covers one cell.
 * The wire corridor of circuit wire ``w`` runs along +t at
-  ``x = row_pitch * w, y = 0``.  CNOT templates occupy the plane
-  ``y = 1`` just above the wire rows.
+  ``x = ROW_PITCH * w, y = 0``.  CNOT templates occupy the plane
+  ``y = 1`` just above the wire rows and span ``BRAID_DEPTH`` time
+  slices.  These lattice conventions are fixed constants, and the
+  helpers below are the only place that turns circuit wires and
+  timesteps into coordinates.
 """
 
 from __future__ import annotations
@@ -28,13 +31,18 @@ DUAL = "dual"
 
 ROLE_CIRCUIT = "circuit"
 
+ROW_PITCH = 2  # one free row between wire corridors
+BRAID_DEPTH = 2  # time slices of a CNOT template
+BOX_EXTENTS = {"A": (6, 4, 4), "Y": (4, 2, 2)}  # (t, x, y); the A box is the larger
+BOX_DEPTH = max(dt for dt, _, _ in BOX_EXTENTS.values())  # deepest box along t
+
 
 class GeometryError(Exception):
     pass
 
 
 class TemplateCollisionError(GeometryError):
-    """A fixed template landed on already-claimed cells (layout pitch too tight)."""
+    """A fixed template landed on already-claimed cells."""
 
 
 @dataclass(frozen=True, order=True)
@@ -158,33 +166,18 @@ class DefectPolyline:
     def claim_boxes(self) -> list[Box3]:
         """Disjoint unit-thickness boxes covering exactly this polyline's cells.
 
-        The shared turn cell between two segments is attributed to the
-        earlier segment only.
+        One box per segment.  The first covers both of its ends; each later
+        one starts a cell past the turn it shares with the segment before,
+        so the turn cell is attributed to the earlier segment only.
         """
         if len(self.vertices) == 1:
             return [cell_box(self.vertices[0].as_tuple())]
         boxes = []
-        claimed_ends: set[tuple[int, int, int]] = set()
-        for a, b in self.segments():
-            axis = _axis_of(a, b)
-            at, bt = a.as_tuple(), b.as_tuple()
-            lo, hi = min(at[axis], bt[axis]), max(at[axis], bt[axis])
-            # Drop whichever end cell was already claimed by the previous segment.
-            if at in claimed_ends:
-                if at[axis] == lo:
-                    lo += 1
-                else:
-                    hi -= 1
-            if lo > hi:
-                claimed_ends = {at, bt}
-                continue
-            lo_cell = list(at)
-            hi_cell = list(at)
-            lo_cell[axis] = lo
-            hi_cell[axis] = hi + 1
-            hi_cell = [c + (1 if i != axis else 0) for i, c in enumerate(hi_cell)]
-            boxes.append(Box3(Point3(*lo_cell), Point3(*hi_cell)))
-            claimed_ends = {at, bt}
+        for i, (a, b) in enumerate(self.segments()):
+            if i:  # step off the turn cell, one cell toward b
+                a = a.shifted(*[(q > p) - (q < p) for p, q in zip(a.as_tuple(), b.as_tuple())])
+            # The ends differ on one axis only, so the ordered min is the low corner.
+            boxes.append(Box3(min(a, b), max(a, b).shifted(1, 1, 1)))
         return boxes
 
     def bounding_box(self) -> Box3:
@@ -260,29 +253,20 @@ def global_bounding_box(g: GeometrySet) -> Box3:
     return box
 
 
-@dataclass(frozen=True)
-class LayoutConfig:
-    """Lattice pitches and template dimensions.
+def wire_row(wire: int) -> int:
+    """The x row of circuit wire ``wire``'s corridor."""
+    return ROW_PITCH * wire
 
-    Extent tuples are (t, x, y).  The defaults keep one free row between
-    wire corridors and place the A box larger than the Y box.
-    """
 
-    row_pitch: int = 2
-    braid_depth: int = 2
-    a_box_extents: tuple[int, int, int] = (6, 4, 4)
-    y_box_extents: tuple[int, int, int] = (4, 2, 2)
-    spiral_gap: int = 1
-    max_rings: int = 48
-    route_margin: int = 10
-    alap_wall_height: int = 32
-    alap_wall_floor: int = -2
+def template_rows(op) -> tuple[int, int]:
+    """The (xl, xr) row span of a CNOT's template."""
+    rows = (wire_row(op.control), wire_row(op.target))
+    return min(rows), max(rows)
 
-    def wire_row(self, wire: int) -> int:
-        return self.row_pitch * wire
 
-    def box_extents(self, kind: str) -> tuple[int, int, int]:
-        return self.a_box_extents if kind == "A" else self.y_box_extents
+def pin_cell(magic) -> Point3:
+    """The delivery cell of a magic input: its wire row at its timestep."""
+    return Point3(magic.timestep, wire_row(magic.wire), 0)
 
 
 class GeometryBuilder:
@@ -300,9 +284,8 @@ class GeometryBuilder:
     but are not yet emitted to their end are revisited.
     """
 
-    def __init__(self, circuit, layout: LayoutConfig, geometry: GeometrySet, claim=None):
+    def __init__(self, circuit, geometry: GeometrySet, claim=None):
         self.circuit = circuit
-        self.layout = layout
         self.geometry = geometry
         self.claim = claim or (lambda eid, box, tag: None)
         self.horizon = None  # exclusive bound of emitted cells
@@ -323,21 +306,16 @@ class GeometryBuilder:
         turn cell of every template can be placed on whichever row end
         stays clear of the other templates' rows and turns.
         """
-        depth = self.layout.braid_depth
         cnots = sorted(self._cnots, key=lambda o: (o.timestep, o.wires))
         occupied = set()
         for op in cnots:
-            xl = min(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
-            xr = max(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
+            xl, xr = template_rows(op)
             occupied.update((op.timestep, x) for x in range(xl, xr + 1))
         turns = {}
         for op in cnots:
-            if depth < 2:
-                continue
             key = (op.timestep, op.control, op.target)
-            xl = min(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
-            xr = max(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
-            t1 = op.timestep + depth - 1
+            xl, xr = template_rows(op)
+            t1 = op.timestep + BRAID_DEPTH - 1
             for x in (xr, xl):
                 if (t1, x) not in occupied:
                     turns[key] = x
@@ -364,7 +342,7 @@ class GeometryBuilder:
         still_open = []
         for idx in self._open:
             lt = lifetimes[idx]
-            row = self.layout.wire_row(lt.wire)
+            row = wire_row(lt.wire)
             start = lt.start + 1 if lt.magic else lt.start
             end_cell = (lt.end - 1) if lt.end is not None else horizon - 1
             target = min(horizon - 1, end_cell)
@@ -405,23 +383,19 @@ class GeometryBuilder:
         magic_inputs = self.circuit.magic_inputs
         while self._next_pin < len(magic_inputs) and magic_inputs[self._next_pin].timestep < horizon:
             magic = magic_inputs[self._next_pin]
-            pin = Point3(magic.timestep, self.layout.wire_row(magic.wire), 0)
-            self.geometry.pins.append((magic.key, pin))
+            self.geometry.pins.append((magic.key, pin_cell(magic)))
             self._next_pin += 1
 
     def _emit_braid(self, op) -> None:
         # Fixed CNOT template: an L-shaped dual defect in the y=1 plane whose
-        # bounding box spans both wire rows and braid_depth time slices.  The
+        # bounding box spans both wire rows and BRAID_DEPTH time slices.  The
         # later slices carry only the planned turn cell, so templates of
         # nearby CNOTs tile densely before colliding.
         t0 = op.timestep
-        xl = min(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
-        xr = max(self.layout.wire_row(op.control), self.layout.wire_row(op.target))
-        t1 = t0 + self.layout.braid_depth - 1
-        turn = self._turns.get((t0, op.control, op.target))
-        if turn is None:
-            vertices = [Point3(t0, xl, 1), Point3(t0, xr, 1)]
-        elif turn == xl:
+        xl, xr = template_rows(op)
+        t1 = t0 + BRAID_DEPTH - 1
+        turn = self._turns[(t0, op.control, op.target)]
+        if turn == xl:
             vertices = [Point3(t0, xr, 1), Point3(t0, xl, 1), Point3(t1, xl, 1)]
         else:
             vertices = [Point3(t0, xl, 1), Point3(t0, xr, 1), Point3(t1, turn, 1)]

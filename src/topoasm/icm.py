@@ -158,14 +158,12 @@ class ICMCircuit:
         reported as one open lifetime starting at t=0.
         """
         out = []
-        seen_wires = set()
         per_wire: dict[int, list[ICMOp]] = {}
         for op in self.ops:
             for w in op.wires:
                 per_wire.setdefault(w, []).append(op)
-                seen_wires.add(w)
         for w in range(self.wire_count):
-            if w not in seen_wires:
+            if w not in per_wire:
                 out.append(Lifetime(w, 0, None, False))
                 continue
             start = None
@@ -319,8 +317,6 @@ def recycle_wires(circuit: ICMCircuit) -> ICMCircuit:
             for w in op.wires:
                 if w == lt.wire:
                     slot_map[(w, op.timestep)] = assignment[i]
-        if not lt.ops:  # idle wire
-            slot_map[(lt.wire, -1)] = assignment[i]
 
     new_ops = []
     for op in circuit.ops:

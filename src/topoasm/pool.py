@@ -24,6 +24,9 @@ RESERVED = "reserved"
 ASSIGNED = "assigned"
 TOBEAVAILABLE = "tobeavailable"
 
+RAIL_PITCH = 2  # x distance between neighbouring rails
+KB_LEAD = 2  # time distance from a box port to its rail anchor
+
 _LEGAL_EDGES = {
     (AVAILABLE, RESERVED),
     (RESERVED, ASSIGNED),
@@ -39,10 +42,7 @@ class PoolError(Exception):
 @dataclass(frozen=True)
 class PoolConfig:
     pool_gap: int = 4
-    rail_pitch: int = 2
     cap_per_type: int = 10
-    channel_clearance: int = 2
-    kb_lead: int = 2  # time distance from a box port to its rail anchor
 
     def __post_init__(self):
         if self.pool_gap < 1:
@@ -130,7 +130,7 @@ class ConnectionPool:
     def rail_position(self, index: int) -> tuple[int, int]:
         # Rails sit on odd x so they never align with wire rows (even x),
         # keeping pin drop columns and rail lines disjoint.
-        return (index * self.config.rail_pitch + 1, self.config.pool_gap)
+        return (index * RAIL_PITCH + 1, self.config.pool_gap)
 
     def _grab_rail(self, anchor_t: int) -> Rail:
         # Lowest free rail whose residual occupancy lies strictly in the past.
@@ -166,7 +166,7 @@ class ConnectionPool:
                 if self.journal:
                     self.journal.log("discard", kind, box_id)
                 continue
-            anchor_t = port.t + self.config.kb_lead
+            anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
             self._seq += 1
             conn = Connection(id=f"c{self._seq}")
@@ -232,7 +232,7 @@ class ConnectionPool:
         strictly before ``now``; returns the freed connection ids."""
         freed = []
         for conn in sorted(self._live[TOBEAVAILABLE].values(), key=lambda c: int(c.id[1:])):
-            if conn.extended_to is not None and conn.extended_to >= now:
+            if conn.extended_to >= now:
                 continue
             self._move(conn, AVAILABLE)
             conn.kind = None

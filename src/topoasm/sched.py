@@ -18,8 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geom import Box3, LayoutConfig, PlacedBox, Point3, box_from_extents
+from .geom import BOX_DEPTH, BOX_EXTENTS, Box3, PlacedBox, Point3, box_from_extents
 from .route import World
+
+SPIRAL_GAP = 1  # free cells kept around each spiral box in x and y
+MAX_RINGS = 48  # spiral rings tried before placement fails
+ALAP_WALL_FLOOR = -2  # y of the alap wall's lowest box
+ALAP_WALL_HEIGHT = 32  # y extent of one alap wall column
+COMPLETION_LAG = 6  # settle time after the deepest box of a round
 
 
 class PlacementError(Exception):
@@ -58,7 +64,6 @@ class SchedulerPolicy:
     condition: tuple = ("after-round",)
     p_fail: float = 0.5
     confidence: float = 0.999
-    completion_lag: int = 6  # settle time after the deepest box of a round
 
     def __post_init__(self):
         if self.kind not in ("spiral", "asap", "alap"):
@@ -80,8 +85,8 @@ class DistillationLayer:
     boxes: list[PlacedBox] = field(default_factory=list)
 
 
-def _mk_box(box_id: str, kind: str, lo: Point3, layout: LayoutConfig) -> PlacedBox:
-    footprint = box_from_extents(lo, layout.box_extents(kind))
+def _mk_box(box_id: str, kind: str, lo: Point3) -> PlacedBox:
+    footprint = box_from_extents(lo, BOX_EXTENTS[kind])
     dt, dx, dy = footprint.extents
     port = Point3(footprint.hi.t, footprint.lo.x + dx // 2, footprint.lo.y + dy // 2)
     return PlacedBox(box_id, kind, footprint, port)
@@ -109,10 +114,9 @@ def _ring_positions(channel: Box3, ring: int, step: int):
 class _SpiralWalk:
     """Stateful counter-clockwise walk used for one round's placements."""
 
-    def __init__(self, channel: Box3, layout: LayoutConfig):
+    def __init__(self, channel: Box3):
         self.channel = channel
-        self.layout = layout
-        self.step = max(layout.a_box_extents[1], layout.a_box_extents[2]) + layout.spiral_gap
+        self.step = max(BOX_EXTENTS["A"][1:]) + SPIRAL_GAP
         self.ring = 1
         self._positions = list(_ring_positions(channel, 1, self.step))
         self._cursor = 0
@@ -120,10 +124,8 @@ class _SpiralWalk:
     def advance(self) -> tuple[int, int]:
         if self._cursor >= len(self._positions):
             self.ring += 1
-            if self.ring > self.layout.max_rings:
-                raise PlacementError(
-                    f"spiral exhausted {self.layout.max_rings} rings around {self.channel}"
-                )
+            if self.ring > MAX_RINGS:
+                raise PlacementError(f"spiral exhausted {MAX_RINGS} rings around {self.channel}")
             self._positions = list(_ring_positions(self.channel, self.ring, self.step))
             self._cursor = 0
         pos = self._positions[self._cursor]
@@ -136,7 +138,6 @@ def place_spiral_layer(
     n_y: int,
     trigger_time: int,
     world: World,
-    layout: LayoutConfig,
     channel: Box3,
     round_id: int = 0,
 ) -> DistillationLayer:
@@ -147,18 +148,18 @@ def place_spiral_layer(
     previous one stopped, so the layout densifies counter-clockwise.
     """
     layer = DistillationLayer(round_id, trigger_time)
-    walk = _SpiralWalk(channel, layout)
+    walk = _SpiralWalk(channel)
     kinds = ["A"] * n_a + ["Y"] * n_y
     for i, kind in enumerate(kinds):
-        dt, dx, dy = layout.box_extents(kind)
+        dt, dx, dy = BOX_EXTENTS[kind]
         while True:
             cx, cy = walk.advance()
             lo = Point3(trigger_time, cx - dx // 2, cy - dy // 2)
             footprint = box_from_extents(lo, (dt, dx, dy))
-            probe = footprint.inflated(0, layout.spiral_gap, layout.spiral_gap)
+            probe = footprint.inflated(0, SPIRAL_GAP, SPIRAL_GAP)
             if world.is_free(probe):
                 break
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, lo, layout)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, lo)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer
@@ -168,7 +169,6 @@ def place_asap_stack(
     n_a: int,
     n_y: int,
     world: World,
-    layout: LayoutConfig,
     stack_width: int,
     round_id: int = 0,
 ) -> DistillationLayer:
@@ -178,15 +178,14 @@ def place_asap_stack(
     producing the tall stack characteristic of placing everything up
     front.  Every box ends at t <= 0.
     """
-    depth = max(layout.a_box_extents[0], layout.y_box_extents[0])
-    t0 = -(depth + 1)
+    t0 = -(BOX_DEPTH + 1)
     layer = DistillationLayer(round_id, t0)
     kinds = ["A"] * n_a + ["Y"] * n_y
     x = 0
     y_row = -4  # below the wire plane, clear of the circuit rows
     row_depth = 0
     for i, kind in enumerate(kinds):
-        dt, dx, dy = layout.box_extents(kind)
+        dt, dx, dy = BOX_EXTENTS[kind]
         placed = None
         while placed is None:
             if x + dx > stack_width:
@@ -199,7 +198,7 @@ def place_asap_stack(
                 placed = footprint
             x += dx + 1
             row_depth = max(row_depth, dy)
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo, layout)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer
@@ -210,7 +209,6 @@ def place_alap_layer(
     n_y: int,
     demand_time: int,
     world: World,
-    layout: LayoutConfig,
     channel: Box3,
     round_id: int = 0,
 ) -> DistillationLayer:
@@ -220,18 +218,17 @@ def place_alap_layer(
     consecutive events overlap in time the wall marches away from the
     circuit, which is what stretches these assemblies sideways.
     """
-    depth = max(layout.a_box_extents[0], layout.y_box_extents[0])
-    t0 = demand_time - depth - 1
+    t0 = demand_time - BOX_DEPTH - 1
     layer = DistillationLayer(round_id, t0)
     kinds = ["A"] * n_a + ["Y"] * n_y
     base_x = channel.lo.x - 1
-    floor_y = layout.alap_wall_floor
-    top_y = floor_y + layout.alap_wall_height
+    floor_y = ALAP_WALL_FLOOR
+    top_y = floor_y + ALAP_WALL_HEIGHT
     y = floor_y
     col_width = 0
     x_col = base_x
     for i, kind in enumerate(kinds):
-        dt, dx, dy = layout.box_extents(kind)
+        dt, dx, dy = BOX_EXTENTS[kind]
         placed = None
         while placed is None:
             if y + dy > top_y:
@@ -248,7 +245,7 @@ def place_alap_layer(
                 col_width = max(col_width, dx)
             else:
                 y += 1
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo, layout)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer

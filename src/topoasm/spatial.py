@@ -39,8 +39,9 @@ class IndexEntry:
 class BoxIndex:
     """Bucketed box index with insert / remove / hits."""
 
-    def __init__(self, bucket_size: int = 8):
-        self.bucket_size = bucket_size
+    bucket_size = 8  # lattice units per bucket edge
+
+    def __init__(self):
         self._entries: dict[str, IndexEntry] = {}
         self._buckets: dict[tuple[int, int, int], dict[str, tuple]] = {}
 

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +148,19 @@ def test_compare_mode_prints_medians(workdir, capsys):
     out = capsys.readouterr().out
     assert "spiral" in out and "alap" in out and "asap" in out
     assert "smaller" in out
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    """topobench's tracer looks library names up by string, so deleting or
+    renaming one it wraps lands in ``Tracer.missing`` instead of failing."""
+    import topoasm.cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "topobench"))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install(topoasm)
+    finally:
+        t.uninstall()
+    assert t.missing == []

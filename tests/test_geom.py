@@ -8,14 +8,16 @@ from topoasm.geom import (
     GeometryBuilder,
     GeometryError,
     GeometrySet,
-    LayoutConfig,
     Point3,
     box_from_extents,
     cell_box,
     global_bounding_box,
     merge_boxes,
+    pin_cell,
     plumbing_volume,
     polyline_from_cells,
+    template_rows,
+    wire_row,
 )
 from topoasm.icm import ICMCircuit, ICMOp, parse_icm
 
@@ -85,10 +87,13 @@ def test_polyline_from_cells_roundtrip_random_walks():
             seen.add(cell)
         poly = polyline_from_cells(cells, "dual", "connection_c")
         assert poly.cells() == set(cells)
-        claimed = []
-        for box in poly.claim_boxes():
-            claimed.extend(box.cells())
-        assert sorted(claimed) == sorted(set(cells))
+        # Box i covers exactly segment i's cells, minus the turn cell it
+        # shares with segment i-1; a one-cell walk gets one box.
+        ends = [cells.index(v.as_tuple()) for v in poly.vertices]
+        want = [cells[:1]] if len(ends) == 1 else [
+            cells[a + (1 if i else 0):b + 1] for i, (a, b) in enumerate(zip(ends, ends[1:]))
+        ]
+        assert [sorted(box.cells()) for box in poly.claim_boxes()] == [sorted(w) for w in want]
 
 
 def test_global_bounding_box_matches_brute_force():
@@ -121,9 +126,9 @@ def test_global_bounding_box_empty_set_errors():
         global_bounding_box(GeometrySet())
 
 
-def _emit(circuit, horizon, layout=None):
+def _emit(circuit, horizon):
     g = GeometrySet()
-    builder = GeometryBuilder(circuit, layout or LayoutConfig(), g)
+    builder = GeometryBuilder(circuit, g)
     builder.emit_until(horizon)
     return g, builder
 
@@ -139,7 +144,7 @@ def test_emit_idle_wire_extent():
 def test_emit_one_shot_equals_incremental(toffoli):
     g, _ = _emit(toffoli, toffoli.last_timestep + 1)
     incremental = GeometrySet()
-    b = GeometryBuilder(toffoli, LayoutConfig(), incremental)
+    b = GeometryBuilder(toffoli, incremental)
     for h in range(0, toffoli.last_timestep + 2, 7):
         b.emit_until(h)
     b.emit_until(toffoli.last_timestep + 1)
@@ -178,7 +183,7 @@ def test_emit_colliding_templates_flagged():
 
     g = GeometrySet()
     world = World()
-    builder = GeometryBuilder(circuit, LayoutConfig(), g, claim=world.claim)
+    builder = GeometryBuilder(circuit, g, claim=world.claim)
     with pytest.raises(TemplateCollisionError):
         builder.emit_until(10)
 
@@ -186,7 +191,7 @@ def test_emit_colliding_templates_flagged():
 def test_emit_is_idempotent_and_monotone():
     circuit = parse_icm("@0 init 0 A\n@0 init 1 0\n@2 cnot 0 1\n@5 measure 0 X\n@9 measure 1 Z\n")
     g1 = GeometrySet()
-    b1 = GeometryBuilder(circuit, LayoutConfig(), g1)
+    b1 = GeometryBuilder(circuit, g1)
     b1.emit_until(4)
     cells_4 = {c for d in g1.defects for c in d.cells()}
     b1.emit_until(4)
@@ -196,7 +201,7 @@ def test_emit_is_idempotent_and_monotone():
     assert cells_4 <= cells_10
 
     g2 = GeometrySet()
-    b2 = GeometryBuilder(circuit, LayoutConfig(), g2)
+    b2 = GeometryBuilder(circuit, g2)
     b2.emit_until(10)
     assert {c for d in g2.defects for c in d.cells()} == cells_10
     with pytest.raises(GeometryError):
@@ -205,7 +210,7 @@ def test_emit_is_idempotent_and_monotone():
 
 def test_emit_pins_appear_with_horizon(toffoli):
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, LayoutConfig(), g)
+    builder = GeometryBuilder(toffoli, g)
     first_t = toffoli.magic_inputs[0].timestep
     builder.emit_until(first_t)  # cells strictly before the first inputs
     assert g.pins == []
@@ -217,7 +222,7 @@ def test_emit_pins_appear_with_horizon(toffoli):
 
 def test_emit_magic_pin_cell_left_unclaimed(toffoli):
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, LayoutConfig(), g)
+    builder = GeometryBuilder(toffoli, g)
     builder.emit_until(toffoli.last_timestep + 1)
     claimed = {c for d in g.defects for c in d.cells()}
     for key, pin in g.pins:
@@ -228,7 +233,7 @@ def test_emit_no_cell_claimed_twice(toffoli):
     from collections import Counter
 
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, LayoutConfig(), g)
+    builder = GeometryBuilder(toffoli, g)
     builder.emit_until(toffoli.last_timestep + 1)
     counts = Counter()
     for cell, _ in solid_cells(g):
@@ -253,13 +258,13 @@ def _sequential_chain(circuit, copies):
     return ICMCircuit(n * copies, ops)
 
 
-def _corridor_cells(circuit, layout, horizon):
+def _corridor_cells(circuit, horizon):
     """Wire-corridor cells every lifetime owns below ``horizon``."""
     out = set()
     for lt in circuit.lifetimes():
         start = lt.start + 1 if lt.magic else lt.start
         last = lt.end - 1 if lt.end is not None else horizon - 1
-        row = layout.wire_row(lt.wire)
+        row = wire_row(lt.wire)
         out.update((t, row, 0) for t in range(start, min(last, horizon - 1) + 1))
     return out
 
@@ -275,30 +280,27 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
     if recycle:
         chain = recycle_wires(chain)
     assert any(lt.end is None for lt in chain.lifetimes())
-    layout = LayoutConfig()
     end = chain.last_timestep + 1
     once = GeometrySet()
     once_claims = []
-    GeometryBuilder(chain, layout, once, claim=lambda *a: once_claims.append(a)).emit_until(end + 6)
-    rows = lambda op: (min(layout.wire_row(w) for w in op.wires), max(layout.wire_row(w) for w in op.wires))
+    GeometryBuilder(chain, once, claim=lambda *a: once_claims.append(a)).emit_until(end + 6)
     magic = sorted(chain.magic_inputs, key=lambda m: (m.timestep, m.wire))
     for seed in range(6):
         rng = random.Random(seed)
         g = GeometrySet()
         claims = []
-        builder = GeometryBuilder(chain, layout, g, claim=lambda *a: claims.append(a))
+        builder = GeometryBuilder(chain, g, claim=lambda *a: claims.append(a))
         h = rng.randint(0, 3)
         while True:
             builder.emit_until(h)
             cells = [c for _, box, _ in claims for c in box.cells()]
             assert len(cells) == len(set(cells)), (seed, h)
-            assert {c for c in cells if c[2] == 0} == _corridor_cells(chain, layout, h), (seed, h)
+            assert {c for c in cells if c[2] == 0} == _corridor_cells(chain, h), (seed, h)
             braids = [d for d in g.defects if d.kind == "dual"]
             below = [op for op in chain.cnots() if op.timestep < h]
             assert [(d.vertices[0].t, d.bounding_box().lo.x, d.bounding_box().hi.x - 1)
-                    for d in braids] == [(op.timestep, *rows(op)) for op in below], (seed, h)
-            want_pins = [(m.key, Point3(m.timestep, layout.wire_row(m.wire), 0))
-                         for m in magic if m.timestep < h]
+                    for d in braids] == [(op.timestep, *template_rows(op)) for op in below], (seed, h)
+            want_pins = [(m.key, pin_cell(m)) for m in magic if m.timestep < h]
             assert g.pins == want_pins, (seed, h)
             if h >= end + 6:
                 break

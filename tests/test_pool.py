@@ -79,7 +79,7 @@ def test_extend_reserved_to_now():
     pool = mk_pool()
     (cid,) = pool.reserve_connections([("b", "Y", Point3(2, 5, -6))])
     conn = pool.connections[cid]
-    assert conn.anchor_t == 4  # port.t + kb_lead
+    assert conn.anchor_t == 4  # port.t + KB_LEAD
     targets = pool.extension_targets(9)
     assert len(targets) == 1
     _, first, last = targets[0]

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from topoasm import sched
 from topoasm.engine import SynthesisConfig
-from topoasm.geom import LayoutConfig, Point3, box_from_extents
+from topoasm.geom import BOX_EXTENTS, Point3, box_from_extents
 from topoasm.pool import PoolConfig
 from topoasm.route import SOLID_TAGS, World
 from topoasm.sched import (
     PlacementError,
+    SPIRAL_GAP,
     SchedulerPolicy,
     place_alap_layer,
     place_asap_stack,
@@ -110,7 +112,7 @@ def test_spiral_single_box_adjacent_to_seed():
     w = World()
     seed = unit_channel()
     w.claim("seed", seed, "circuit")
-    layer = place_spiral_layer(0, 1, 0, w, LayoutConfig(), seed)
+    layer = place_spiral_layer(0, 1, 0, w, seed)
     (box,) = layer.boxes
     assert not box.footprint.intersects(seed)
     # within the first ring
@@ -121,7 +123,7 @@ def test_spiral_layer_collision_free():
     w = World()
     channel = unit_channel()
     w.claim("seed", channel, "circuit")
-    layer = place_spiral_layer(4, 4, 0, w, LayoutConfig(), channel)
+    layer = place_spiral_layer(4, 4, 0, w, channel)
     assert len(layer.boxes) == 8
     assert no_pairwise_overlap(layer.boxes)
     assert all(b.footprint.lo.t == 0 for b in layer.boxes)
@@ -132,7 +134,7 @@ def test_spiral_determinism():
         w = World()
         channel = unit_channel()
         w.claim("seed", channel, "circuit")
-        layer = place_spiral_layer(3, 5, 7, w, LayoutConfig(), channel)
+        layer = place_spiral_layer(3, 5, 7, w, channel)
         return [(b.box_id, b.footprint.lo.as_tuple()) for b in layer.boxes]
 
     assert run() == run()
@@ -142,28 +144,27 @@ def test_spiral_large_round_balances_around_seed():
     w = World()
     channel = unit_channel()
     w.claim("seed", channel, "circuit")
-    layout = LayoutConfig()
-    layer = place_spiral_layer(0, 64, 0, w, layout, channel)
+    layer = place_spiral_layer(0, 64, 0, w, channel)
     assert no_pairwise_overlap(layer.boxes)
     cx = sum(b.footprint.lo.x + b.footprint.extents[1] / 2 for b in layer.boxes) / 64
     cy = sum(b.footprint.lo.y + b.footprint.extents[2] / 2 for b in layer.boxes) / 64
     seed_cx, seed_cy = 0.5, 0.5
-    pitch = max(layout.a_box_extents[1:]) + layout.spiral_gap
+    pitch = max(BOX_EXTENTS["A"][1:]) + SPIRAL_GAP
     assert abs(cx - seed_cx) <= pitch
     assert abs(cy - seed_cy) <= pitch
 
 
-def test_spiral_exhaustion_raises():
+def test_spiral_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(sched, "MAX_RINGS", 1)
     w = World()
     channel = unit_channel()
-    layout = LayoutConfig(max_rings=1)
     with pytest.raises(PlacementError):
-        place_spiral_layer(64, 64, 0, w, layout, channel)
+        place_spiral_layer(64, 64, 0, w, channel)
 
 
 def test_asap_stack_before_circuit_start():
     w = World()
-    layer = place_asap_stack(6, 10, w, LayoutConfig(), stack_width=20)
+    layer = place_asap_stack(6, 10, w, stack_width=20)
     assert len(layer.boxes) == 16
     assert no_pairwise_overlap(layer.boxes)
     assert all(b.footprint.hi.t <= 0 for b in layer.boxes)
@@ -174,7 +175,7 @@ def test_alap_layer_ends_before_demand():
     channel = unit_channel()
     everything = []
     for demand_t, rid in ((10, 1), (13, 2)):
-        layer = place_alap_layer(2, 3, demand_t, w, LayoutConfig(), channel, round_id=rid)
+        layer = place_alap_layer(2, 3, demand_t, w, channel, round_id=rid)
         assert all(b.footprint.hi.t <= demand_t for b in layer.boxes)
         everything.extend(layer.boxes)
     assert no_pairwise_overlap(everything)
@@ -183,9 +184,9 @@ def test_alap_layer_ends_before_demand():
 def test_baseline_placements():
     w = World()
     channel = unit_channel()
-    asap = place_asap_stack(1, 2, w, LayoutConfig(), stack_width=16, round_id=1)
+    asap = place_asap_stack(1, 2, w, stack_width=16, round_id=1)
     assert all(b.footprint.hi.t <= 0 for b in asap.boxes)
-    alap = place_alap_layer(0, 2, 20, w, LayoutConfig(), channel, round_id=2)
+    alap = place_alap_layer(0, 2, 20, w, channel, round_id=2)
     assert all(b.footprint.hi.t <= 20 for b in alap.boxes)
 
 
@@ -199,7 +200,7 @@ def test_placements_never_hit_existing_world():
             w.claim(f"junk{i}", box_from_extents(lo, (2, 2, 2)), "circuit")
         except Exception:
             pass
-    layer = place_spiral_layer(5, 5, 4, w, LayoutConfig(), channel)
+    layer = place_spiral_layer(5, 5, 4, w, channel)
     for box in layer.boxes:
         hits = w.index.hits(box.footprint, tags=SOLID_TAGS)
         assert hits == {box.box_id}
