@@ -31,6 +31,7 @@ from .geom import (
     Point3,
     TemplateCollisionError,
     cell_box,
+    corridor_span,
     global_bounding_box,
     merge_boxes,
     pin_cell,
@@ -240,9 +241,7 @@ class Synthesizer:
             obs = self.world.obstacles.add(cell, GUIDE, 0, f"pin:{m.key}")
             self.pin_guards[m.key] = obs.oid
         for lt in self.circuit.lifetimes():
-            row = wire_row(lt.wire)
-            start = lt.start + 1 if lt.magic else lt.start
-            end = lt.end if lt.end is not None else self.t_ceiling
+            row, start, end = corridor_span(lt, self.t_ceiling)
             if end > start:
                 self.world.obstacles.add(
                     Box3(Point3(start, row, 0), Point3(end, row + 1, 1)),

@@ -89,12 +89,6 @@ class Box3:
             and self.lo.y <= y < self.hi.y
         )
 
-    def cells(self):
-        for t in range(self.lo.t, self.hi.t):
-            for x in range(self.lo.x, self.hi.x):
-                for y in range(self.lo.y, self.hi.y):
-                    yield (t, x, y)
-
     def inflated(self, dt: int, dx: int, dy: int) -> "Box3":
         return Box3(self.lo.shifted(-dt, -dx, -dy), self.hi.shifted(dt, dx, dy))
 
@@ -151,18 +145,6 @@ class DefectPolyline:
     def segments(self) -> list[tuple[Point3, Point3]]:
         return list(zip(self.vertices, self.vertices[1:]))
 
-    def cells(self) -> set[tuple[int, int, int]]:
-        out = {self.vertices[0].as_tuple()}
-        for a, b in self.segments():
-            axis = _axis_of(a, b)
-            at, bt = a.as_tuple(), b.as_tuple()
-            lo, hi = min(at[axis], bt[axis]), max(at[axis], bt[axis])
-            for v in range(lo, hi + 1):
-                cell = list(at)
-                cell[axis] = v
-                out.add(tuple(cell))
-        return out
-
     def claim_boxes(self) -> list[Box3]:
         """Disjoint unit-thickness boxes covering exactly this polyline's cells.
 
@@ -201,21 +183,23 @@ class DefectPolyline:
 
 def polyline_from_cells(cells, kind: str, role: str) -> DefectPolyline:
     """Collapse an adjacent cell path into a polyline of turn points."""
-    pts = [Point3(*c) for c in cells]
-    if not pts:
+    if not cells:
         raise GeometryError("empty cell path")
-    vertices = [pts[0]]
+    turns = [cells[0]]
     run_axis = None
-    for prev, cur in zip(pts, pts[1:]):
-        axis = _axis_of(prev, cur)
-        if abs(cur.as_tuple()[axis] - prev.as_tuple()[axis]) != 1:
+    for prev, cur in zip(cells, cells[1:]):
+        dt, dx, dy = cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]
+        if (dt != 0) + (dx != 0) + (dy != 0) != 1:
+            raise GeometryError(f"segment {Point3(*prev)} -> {Point3(*cur)} is not axis-aligned")
+        if abs(dt + dx + dy) != 1:
             raise GeometryError("cells are not adjacent")
+        axis = 0 if dt else 1 if dx else 2
         if axis == run_axis:
-            vertices[-1] = cur
+            turns[-1] = cur
         else:
-            vertices.append(cur)
+            turns.append(cur)
             run_axis = axis
-    return DefectPolyline(kind, role, vertices)
+    return DefectPolyline(kind, role, [Point3(*c) for c in turns])
 
 
 @dataclass
@@ -267,6 +251,15 @@ def template_rows(op) -> tuple[int, int]:
 def pin_cell(magic) -> Point3:
     """The delivery cell of a magic input: its wire row at its timestep."""
     return Point3(magic.timestep, wire_row(magic.wire), 0)
+
+
+def corridor_span(lifetime, open_end: int) -> tuple[int, int, int]:
+    """The ``(row, first, end)`` of a wire lifetime's corridor, ``end``
+    exclusive.  A magic input's corridor starts one timestep past its pin
+    cell; a lifetime without an end runs to ``open_end``."""
+    first = lifetime.start + 1 if lifetime.magic else lifetime.start
+    end = lifetime.end if lifetime.end is not None else open_end
+    return wire_row(lifetime.wire), first, end
 
 
 class GeometryBuilder:
@@ -342,9 +335,8 @@ class GeometryBuilder:
         still_open = []
         for idx in self._open:
             lt = lifetimes[idx]
-            row = wire_row(lt.wire)
-            start = lt.start + 1 if lt.magic else lt.start
-            end_cell = (lt.end - 1) if lt.end is not None else horizon - 1
+            row, start, end = corridor_span(lt, horizon)
+            end_cell = end - 1
             target = min(horizon - 1, end_cell)
             if lt.end is None or target < end_cell:
                 still_open.append(idx)

@@ -22,6 +22,14 @@ straight run between them is the unique shortest path.  If none of its
 cells is blocked, :func:`plan_segment` returns it without a search;
 otherwise A* runs on the same :class:`BlockedView`, whose memo already
 holds the run's cells.  Either way the path is the one A* would return.
+
+Lazy blocked checks: A* pushes every neighbour that is neither settled
+nor already rejected, untested, and asks the view about a cell only
+when it pops it; a blocked cell is rejected there and never expanded.
+The heap key orders cells totally and a rejected entry leaves no trace,
+so every free cell gets the same cost and parent, and is popped in the
+same order, as under a check at push time: the path is unchanged, and
+most neighbours, which are never popped, are never tested.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .geom import Box3, DefectPolyline, Point3, cell_box, merge_boxes, polyline_from_cells
+from .geom import Box3, DefectPolyline, Point3, polyline_from_cells
 from .spatial import BoxIndex, IndexEntry
 
 GUIDE = "guide"
@@ -181,27 +189,35 @@ class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
     blocked when it lies outside ``bounds`` or a solid or an enabled
     obstacle covers it.  Each cell reads the index on its first query,
-    and the answer is kept for the life of the view."""
+    and the answer is kept for the life of the view.  A* queries a cell
+    when it pops it, not when it pushes it."""
 
     def __init__(self, world: World, bounds: Box3):
         self._index = world.index
         self._blocks = world.obstacles.blocks
-        self._bounds = bounds
+        self._lo = bounds.lo.as_tuple()
+        self._hi = bounds.hi.as_tuple()
         self._memo: dict[tuple[int, int, int], bool] = {}
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
         blocked = self._memo.get(cell)
         if blocked is None:
-            blocked = not self._bounds.contains_cell(cell) or any(
-                map(self._blocks, self._index.covering(cell))
-            )
+            t, x, y = cell
+            lo, hi = self._lo, self._hi
+            blocked = not (
+                lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]
+            ) or any(map(self._blocks, self._index.covering(cell)))
             self._memo[cell] = blocked
         return blocked
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
-    envelope = merge_boxes(cell_box(spec.start.as_tuple()), cell_box(spec.stop.as_tuple()))
-    return envelope.inflated(margin, margin, margin)
+    """The box spanning both endpoints, ``margin`` cells wider on every side."""
+    a, b = spec.start, spec.stop
+    return Box3(
+        Point3(min(a.t, b.t) - margin, min(a.x, b.x) - margin, min(a.y, b.y) - margin),
+        Point3(max(a.t, b.t) + margin + 1, max(a.x, b.x) + margin + 1, max(a.y, b.y) + margin + 1),
+    )
 
 
 def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
@@ -238,10 +254,11 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     g = {start: 0}
     parent: dict = {}
     heap = [(h(start), h(start), start)]
-    settled = set()
+    settled = set()  # expanded free cells
+    rejected = set()  # popped cells found blocked
     while heap:
         f, _, cell = heapq.heappop(heap)
-        if cell in settled:
+        if cell in settled or cell in rejected:
             continue
         if cell == stop:
             out = [cell]
@@ -250,11 +267,14 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
                 out.append(cell)
             out.reverse()
             return Path(tuple(out))
+        if view.is_blocked(cell):
+            rejected.add(cell)
+            continue
         settled.add(cell)
         base = g[cell]
         for dt, dx, dy in _NEIGHBOR_STEPS:
             nb = (cell[0] + dt, cell[1] + dx, cell[2] + dy)
-            if nb in settled or view.is_blocked(nb):
+            if nb in settled or nb in rejected:
                 continue
             ng = base + 1
             if ng < g.get(nb, 1 << 30):

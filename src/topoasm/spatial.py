@@ -16,6 +16,7 @@ no per-candidate method call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .geom import Box3
@@ -50,11 +51,13 @@ class BoxIndex:
 
     def _bucket_range(self, box: Box3):
         s = self.bucket_size
+        lo, hi = box.lo, box.hi
         # hi is exclusive; the last occupied cell is hi - 1
-        for bt in range(box.lo.t // s, (box.hi.t - 1) // s + 1):
-            for bx in range(box.lo.x // s, (box.hi.x - 1) // s + 1):
-                for by in range(box.lo.y // s, (box.hi.y - 1) // s + 1):
-                    yield (bt, bx, by)
+        return itertools.product(
+            range(lo.t // s, (hi.t - 1) // s + 1),
+            range(lo.x // s, (hi.x - 1) // s + 1),
+            range(lo.y // s, (hi.y - 1) // s + 1),
+        )
 
     def insert(self, entry: IndexEntry) -> None:
         if entry.id in self._entries:

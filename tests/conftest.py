@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -52,14 +53,30 @@ def seed_sweep(toffoli):
 # -- invariant helpers, built on the library's public attributes ---------------
 
 
+def box_cells(box):
+    """An iterator over every cell of ``box`` (lo inclusive, hi exclusive), t outermost."""
+    lo, hi = box.lo, box.hi
+    return itertools.product(range(lo.t, hi.t), range(lo.x, hi.x), range(lo.y, hi.y))
+
+
+def polyline_cells(poly):
+    """The set of cells a defect polyline covers: every cell between each
+    segment's two ends, ends included."""
+    out = {poly.vertices[0].as_tuple()}
+    for a, b in poly.segments():
+        spans = [range(min(p, q), max(p, q) + 1) for p, q in zip(a.as_tuple(), b.as_tuple())]
+        out.update(itertools.product(*spans))
+    return out
+
+
 def solid_cells(geometry):
     """Yield (cell, owner) for every cell a defect or box covers; a cell
     repeats only if the geometry is broken."""
     for i, poly in enumerate(geometry.defects):
-        for cell in poly.cells():
+        for cell in polyline_cells(poly):
             yield cell, f"defect{i}"
     for box in geometry.boxes:
-        for cell in box.footprint.cells():
+        for cell in box_cells(box.footprint):
             yield cell, box.box_id
 
 

@@ -7,7 +7,7 @@ from topoasm import fixtures
 from topoasm.cli import export_geometry, load_geometry, main
 from topoasm.engine import synthesize
 
-from conftest import scripted_config
+from conftest import polyline_cells, scripted_config
 
 
 @pytest.fixture()
@@ -118,8 +118,8 @@ def test_geometry_roundtrip(toffoli, tmp_path):
     assert len(loaded.defects) == len(asm.geometry.defects)
     assert len(loaded.boxes) == len(asm.geometry.boxes)
     assert len(loaded.pins) == len(asm.geometry.pins)
-    assert {c for d in loaded.defects for c in d.cells()} == {
-        c for d in asm.geometry.defects for c in d.cells()
+    assert {c for d in loaded.defects for c in polyline_cells(d)} == {
+        c for d in asm.geometry.defects for c in polyline_cells(d)
     }
 
 

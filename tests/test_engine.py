@@ -17,7 +17,14 @@ from topoasm.icm import parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
 from topoasm.sched import DistillationLayer, SchedulerPolicy
 
-from conftest import conservation_holds, journal_ops, scripted_config, solid_cells
+from conftest import (
+    box_cells,
+    conservation_holds,
+    journal_ops,
+    polyline_cells,
+    scripted_config,
+    solid_cells,
+)
 from test_geom import _sequential_chain
 
 
@@ -242,12 +249,12 @@ def test_connection_geometry_equals_index_claims(toffoli, kind):
     claimed = Counter(
         cell
         for eid in index.hits(global_bounding_box(asm.geometry), tags=("connection",))
-        for cell in index.get(eid).box.cells()
+        for cell in box_cells(index.get(eid).box)
     )
     drawn = Counter(
         cell
         for d in asm.geometry.defects if d.role.startswith("connection_")
-        for cell in d.cells()
+        for cell in polyline_cells(d)
     )
     assert claimed and max(claimed.values()) == 1 and max(drawn.values()) == 1
     assert claimed == drawn

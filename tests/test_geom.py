@@ -21,7 +21,7 @@ from topoasm.geom import (
 )
 from topoasm.icm import ICMCircuit, ICMOp, parse_icm
 
-from conftest import solid_cells
+from conftest import box_cells, polyline_cells, solid_cells
 
 
 def test_box_requires_positive_extent():
@@ -50,7 +50,7 @@ def test_volume_invariant_under_translation():
 
 def test_unit_segment_bounding_box():
     poly = DefectPolyline("primal", "circuit", [Point3(0, 0, 0)])
-    assert poly.cells() == {(0, 0, 0)}
+    assert polyline_cells(poly) == {(0, 0, 0)}
     assert poly.bounding_box().extents == (1, 1, 1)
 
 
@@ -63,11 +63,11 @@ def test_polyline_rejects_diagonals_and_zero_segments():
 
 def test_polyline_cells_cover_turns_once():
     poly = polyline_from_cells([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)], "primal", "circuit")
-    assert poly.cells() == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)}
+    assert polyline_cells(poly) == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)}
     claimed = []
     for box in poly.claim_boxes():
-        claimed.extend(box.cells())
-    assert sorted(claimed) == sorted(poly.cells())  # disjoint cover, no dups
+        claimed.extend(box_cells(box))
+    assert sorted(claimed) == sorted(polyline_cells(poly))  # disjoint cover, no dups
 
 
 def test_polyline_from_cells_roundtrip_random_walks():
@@ -86,14 +86,28 @@ def test_polyline_from_cells_roundtrip_random_walks():
             cells.append(cell)
             seen.add(cell)
         poly = polyline_from_cells(cells, "dual", "connection_c")
-        assert poly.cells() == set(cells)
+        assert polyline_cells(poly) == set(cells)
         # Box i covers exactly segment i's cells, minus the turn cell it
         # shares with segment i-1; a one-cell walk gets one box.
         ends = [cells.index(v.as_tuple()) for v in poly.vertices]
         want = [cells[:1]] if len(ends) == 1 else [
             cells[a + (1 if i else 0):b + 1] for i, (a, b) in enumerate(zip(ends, ends[1:]))
         ]
-        assert [sorted(box.cells()) for box in poly.claim_boxes()] == [sorted(w) for w in want]
+        assert [sorted(box_cells(box)) for box in poly.claim_boxes()] == [sorted(w) for w in want]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([], "empty cell path"),
+    ([(0, 0, 0), (1, 0, 0), (2, 1, 0)],
+     "segment Point3(t=1, x=0, y=0) -> Point3(t=2, x=1, y=0) is not axis-aligned"),
+    ([(0, 0, 0), (0, 1, 0), (0, 1, 0)],
+     "segment Point3(t=0, x=1, y=0) -> Point3(t=0, x=1, y=0) is not axis-aligned"),
+    ([(0, 0, 0), (0, 0, 1), (0, 0, 3)], "cells are not adjacent"),
+], ids=["empty", "diagonal", "repeated", "jump-2"])
+def test_polyline_from_cells_rejects_broken_paths(cells, message):
+    with pytest.raises(GeometryError) as info:
+        polyline_from_cells(cells, "primal", "connection_c")
+    assert str(info.value) == message
 
 
 def test_global_bounding_box_matches_brute_force():
@@ -148,8 +162,8 @@ def test_emit_one_shot_equals_incremental(toffoli):
     for h in range(0, toffoli.last_timestep + 2, 7):
         b.emit_until(h)
     b.emit_until(toffoli.last_timestep + 1)
-    assert {c for d in g.defects for c in d.cells()} == {
-        c for d in incremental.defects for c in d.cells()
+    assert {c for d in g.defects for c in polyline_cells(d)} == {
+        c for d in incremental.defects for c in polyline_cells(d)
     }
     assert g.pins == incremental.pins
 
@@ -193,17 +207,17 @@ def test_emit_is_idempotent_and_monotone():
     g1 = GeometrySet()
     b1 = GeometryBuilder(circuit, g1)
     b1.emit_until(4)
-    cells_4 = {c for d in g1.defects for c in d.cells()}
+    cells_4 = {c for d in g1.defects for c in polyline_cells(d)}
     b1.emit_until(4)
-    assert {c for d in g1.defects for c in d.cells()} == cells_4
+    assert {c for d in g1.defects for c in polyline_cells(d)} == cells_4
     b1.emit_until(10)
-    cells_10 = {c for d in g1.defects for c in d.cells()}
+    cells_10 = {c for d in g1.defects for c in polyline_cells(d)}
     assert cells_4 <= cells_10
 
     g2 = GeometrySet()
     b2 = GeometryBuilder(circuit, g2)
     b2.emit_until(10)
-    assert {c for d in g2.defects for c in d.cells()} == cells_10
+    assert {c for d in g2.defects for c in polyline_cells(d)} == cells_10
     with pytest.raises(GeometryError):
         b2.emit_until(3)
 
@@ -224,7 +238,7 @@ def test_emit_magic_pin_cell_left_unclaimed(toffoli):
     g = GeometrySet()
     builder = GeometryBuilder(toffoli, g)
     builder.emit_until(toffoli.last_timestep + 1)
-    claimed = {c for d in g.defects for c in d.cells()}
+    claimed = {c for d in g.defects for c in polyline_cells(d)}
     for key, pin in g.pins:
         assert pin.as_tuple() not in claimed
 
@@ -293,7 +307,7 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
         h = rng.randint(0, 3)
         while True:
             builder.emit_until(h)
-            cells = [c for _, box, _ in claims for c in box.cells()]
+            cells = [c for _, box, _ in claims for c in box_cells(box)]
             assert len(cells) == len(set(cells)), (seed, h)
             assert {c for c in cells if c[2] == 0} == _corridor_cells(chain, h), (seed, h)
             braids = [d for d in g.defects if d.kind == "dual"]
@@ -305,8 +319,8 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
             if h >= end + 6:
                 break
             h = min(end + 6, h + rng.choice((0, 0, 1, 1, 2, 5, 11)))
-        assert {c for _, box, _ in claims for c in box.cells()} == {
-            c for _, box, _ in once_claims for c in box.cells()
+        assert {c for _, box, _ in claims for c in box_cells(box)} == {
+            c for _, box, _ in once_claims for c in box_cells(box)
         }
-        assert {c for d in g.defects for c in d.cells()} == {c for d in once.defects for c in d.cells()}
+        assert {c for d in g.defects for c in polyline_cells(d)} == {c for d in once.defects for c in polyline_cells(d)}
         assert g.pins == once.pins

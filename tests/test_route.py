@@ -1,9 +1,10 @@
+import heapq
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from topoasm.geom import Box3, Point3, box_from_extents
+from topoasm.geom import Box3, Point3, box_from_extents, cell_box, merge_boxes
 from topoasm.route import (
     GUIDE,
     OCCUPY,
@@ -16,11 +17,12 @@ from topoasm.route import (
     SegmentSpec,
     World,
     compute_taskset,
+    default_bounds,
     plan_segment,
 )
 from topoasm.spatial import UnknownEntryError
 
-from conftest import enabled_obstacles
+from conftest import box_cells, enabled_obstacles, polyline_cells
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
 
@@ -46,6 +48,60 @@ def bfs_length(start, stop, blocked, bounds):
 
 def spec(start, stop, prio=1, seg=SEG_C, owner="t", obstacles=()):
     return SegmentSpec(Point3(*start), Point3(*stop), tuple(obstacles), prio, seg, owner)
+
+
+def eager_plan(s, world, bounds):
+    """Reference router: ``plan_segment`` with the blocked check made when a
+    neighbour is pushed, not when it is popped, and without the straight-run
+    shortcut (A* returns that run anyway).  Returns the path's cells, or
+    ``("nopath", detail, searched)``."""
+    start, stop = s.start.as_tuple(), s.stop.as_tuple()
+    if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
+        return ("nopath", "endpoint outside search bounds", 0)
+    view = BlockedView(world, bounds)
+    if view.is_blocked(start):
+        return ("nopath", "start cell blocked", 0)
+    if view.is_blocked(stop):
+        return ("nopath", "stop cell blocked", 0)
+    if start == stop:
+        return (start,)
+
+    def h(cell):
+        return abs(cell[0] - stop[0]) + abs(cell[1] - stop[1]) + abs(cell[2] - stop[2])
+
+    g = {start: 0}
+    parent = {}
+    heap = [(h(start), h(start), start)]
+    settled = set()
+    while heap:
+        _, _, cell = heapq.heappop(heap)
+        if cell in settled:
+            continue
+        if cell == stop:
+            out = [cell]
+            while cell != start:
+                cell = parent[cell]
+                out.append(cell)
+            return tuple(reversed(out))
+        settled.add(cell)
+        for d in ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)):
+            nb = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
+            if nb in settled or view.is_blocked(nb):
+                continue
+            if g[cell] + 1 < g.get(nb, 1 << 30):
+                g[nb] = g[cell] + 1
+                parent[nb] = cell
+                heapq.heappush(heap, (g[nb] + h(nb), h(nb), nb))
+    detail = f"searched {len(settled)} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}"
+    return ("nopath", detail, len(settled))
+
+
+def planned(s, world, bounds=None, margin=10):
+    """``plan_segment``'s outcome in ``eager_plan``'s form."""
+    try:
+        return plan_segment(s, world, bounds=bounds, margin=margin).cells
+    except NoPathError as exc:
+        return ("nopath", exc.detail, exc.searched)
 
 
 # -- blocked cells ---------------------------------------------------------------
@@ -109,9 +165,9 @@ def test_blocked_view_matches_rasterized_live_boxes():
                 del live[oid]
         want = set()
         for box in live.values():
-            want.update(c for c in box.cells() if bounds.contains_cell(c))
+            want.update(c for c in box_cells(box) if bounds.contains_cell(c))
         view = BlockedView(w, bounds)
-        for cell in bounds.cells():
+        for cell in box_cells(bounds):
             assert view.is_blocked(cell) == (cell in want), (trial, cell)
 
 
@@ -217,6 +273,7 @@ def test_random_instances_match_bfs():
         s = spec(start, stop)
         view = BlockedView(w, BOUNDS)
         want = bfs_length(start, stop, view.is_blocked, BOUNDS)
+        assert planned(s, w, BOUNDS) == eager_plan(s, w, BOUNDS), trial
         try:
             path = plan_segment(s, w, bounds=BOUNDS)
         except NoPathError:
@@ -234,6 +291,50 @@ def test_random_instances_match_bfs():
     assert solved + blocked_agree == 200
 
 
+def test_paths_equal_eager_reference_with_guides_and_faces():
+    """Against guide obstacles, enabled or disabled, and with endpoints
+    on the faces of the search bounds, ``plan_segment`` returns the eager
+    reference's cells, or fails with its detail and settled count."""
+    rng = random.Random(8)
+
+    def faces(c):
+        return [c[:i] + (v,) + c[i + 1:] for i in range(3) for v in (0, 11)]
+
+    outcomes = Counter()
+    for trial in range(150):
+        w = World()
+        for i in range(rng.randint(0, 6)):
+            lo = Point3(rng.randint(0, 10), rng.randint(0, 10), rng.randint(0, 10))
+            box = box_from_extents(lo, (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)))
+            if w.is_free(box):
+                w.claim(f"s{i}", box, "circuit")
+        for _ in range(rng.randint(1, 8)):
+            lo = Point3(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11))
+            box = box_from_extents(lo, (rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 12)))
+            obs = w.obstacles.add(box, GUIDE, 0, "g")
+            if rng.random() < 0.4:
+                w.obstacles.disable(obs.oid)
+        if rng.random() < 0.5:  # a guide wall across the whole volume
+            axis, at = rng.randrange(3), rng.randint(1, 10)
+            lo = Point3(*(at if i == axis else -4 for i in range(3)))
+            w.obstacles.add(box_from_extents(lo, tuple(1 if i == axis else 20 for i in range(3))),
+                            GUIDE, 0, "wall")
+        cells = [(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11)) for _ in range(2)]
+        start, stop = (rng.choice(faces(c)) for c in cells)
+        s = spec(start, stop)
+        bounds = box_from_extents(Point3(0, 0, 0), (12, 12, 12))
+        got = planned(s, w, bounds)
+        assert got == eager_plan(s, w, bounds), trial
+        outcomes["path" if got[0] != "nopath" else "exhausted" if got[2] else "refused"] += 1
+        margin = rng.randint(0, 3)  # default bounds: both endpoints lie on or near its faces
+        envelope = merge_boxes(cell_box(start), cell_box(stop))
+        assert default_bounds(s, margin) == envelope.inflated(margin, margin, margin)
+        got = planned(s, w, margin=margin)
+        assert got == eager_plan(s, w, default_bounds(s, margin)), (trial, margin)
+    # found paths, searches that exhaust their bounds and refused endpoints all occur
+    assert min(outcomes["path"], outcomes["exhausted"], outcomes["refused"]) >= 5, outcomes
+
+
 # -- compute_taskset protocol ---------------------------------------------------
 
 
@@ -244,7 +345,7 @@ def test_single_spec_taskset_equals_plan():
     (committed,) = compute_taskset([spec((0, 0, 0), (6, 0, 0))], w2)
     assert committed.cells == alone.cells
     assert alone.polyline is None
-    assert committed.polyline.cells() == set(alone.cells)
+    assert polyline_cells(committed.polyline) == set(alone.cells)
 
 
 def test_taskset_requires_distinct_priorities():
