@@ -224,9 +224,6 @@ def main(argv=None) -> int:
             except OSError as io_exc:
                 print(f"cannot write journal: {io_exc}", file=sys.stderr)
         return 1
-    except EngineError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return 1
 
     try:
         if args.export_geometry:

@@ -1,6 +1,7 @@
 """The online synthesis loop.
 
-One iteration per traversal event, plus standalone iterations whenever
+One iteration per demand event (all magic inputs of one timestep, from
+:func:`~topoasm.icm.magic_events`), plus standalone iterations whenever
 the proactive scheduling condition fires between events:
 
 1. if the manager lacks distilled states or the condition is due, fire
@@ -39,7 +40,7 @@ from .geom import (
     template_rows,
     wire_row,
 )
-from .icm import ICMCircuit, MagicInput, new_traversal_state, next_traversal_event, recycle_wires
+from .icm import MAGIC_BASES, ICMCircuit, MagicInput, magic_events, recycle_wires
 from .pool import RAIL_PITCH, Connection, ConnectionPool, PoolConfig
 from .route import (
     GUIDE,
@@ -185,6 +186,7 @@ class Synthesizer:
         self.world = World(self.journal)
         self.geometry = GeometrySet()
         self.builder = GeometryBuilder(self.circuit, self.geometry, claim=self.world.claim)
+        self.events = magic_events(self.circuit)
         self.demand_totals = Counter(m.basis for m in self.circuit.magic_inputs)
         pool_cfg = config.pool
         if config.policy.kind == "asap":
@@ -197,22 +199,21 @@ class Synthesizer:
         else:
             # An event's inputs must all be reserved at once, and no round
             # lifts the pool above its cap.
-            demand = Counter((m.timestep, m.basis) for m in self.circuit.magic_inputs)
-            for (t, basis), n in sorted(demand.items()):
-                if n > pool_cfg.cap_per_type:
-                    raise SynthesisFailure(
-                        f"event at t={t} needs {n} {basis} states, above the pool cap "
-                        f"of {pool_cfg.cap_per_type}",
-                        self.journal,
-                    )
+            for t, inputs in self.events:
+                for basis, n in sorted(Counter(m.basis for m in inputs).items()):
+                    if n > pool_cfg.cap_per_type:
+                        raise SynthesisFailure(
+                            f"event at t={t} needs {n} {basis} states, above the pool cap "
+                            f"of {pool_cfg.cap_per_type}",
+                            self.journal,
+                        )
         self.pool = ConnectionPool(pool_cfg, self.journal)
         self.outcomes = OutcomeSource(config.policy.p_fail, config.seed, config.outcome_script)
         # A runaway guard sized by the circuit: the rounds a run needs grow
         # with its demand events, so no fixed bound serves every length.
         self.max_rounds = config.max_rounds
         if self.max_rounds is None:
-            events = len({m.timestep for m in self.circuit.magic_inputs})
-            self.max_rounds = max(64, 2 * events + 16)
+            self.max_rounds = max(64, 2 * len(self.events) + 16)
         self.layers: list[DistillationLayer] = []
         self.records: list[StepRecord] = []
         self.deliveries: dict = {}
@@ -277,21 +278,17 @@ class Synthesizer:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _round_sizes(self, event_counts) -> tuple[int, int]:
+    def _round_sizes(self, counts) -> tuple[int, int]:
         pol = self.config.policy
-        if pol.kind == "asap":
-            k = self.demand_totals
-        elif pol.kind == "alap":
-            k = dict(event_counts)
-        else:
-            k = dict(self.demand_max)
-        n_a = required_round_size(k["A"], pol.p_fail, pol.confidence) if k["A"] else 0
-        n_y = required_round_size(k["Y"], pol.p_fail, pol.confidence) if k["Y"] else 0
-        return n_a, n_y
+        demand = {"asap": self.demand_totals, "alap": counts, "spiral": self.demand_max}[pol.kind]
+        return tuple(
+            required_round_size(demand[b], pol.p_fail, pol.confidence) if demand[b] else 0
+            for b in MAGIC_BASES
+        )
 
-    def _fire_round(self, trigger_time: int, event_counts) -> None:
+    def _fire_round(self, trigger_time: int, counts) -> None:
         pol = self.config.policy
-        n_a, n_y = self._round_sizes(event_counts)
+        n_a, n_y = self._round_sizes(counts)
         round_id = len(self.layers) + 1
         if round_id > self.max_rounds:
             raise SynthesisFailure(
@@ -320,7 +317,10 @@ class Synthesizer:
             raise SynthesisFailure(f"placement failed: {exc}", self.journal) from exc
         self.layers.append(layer)
         self.geometry.boxes.extend(layer.boxes)
-        successes = simulate_round(layer, self.outcomes)
+        try:
+            successes = simulate_round(layer, self.outcomes)
+        except EngineError as exc:
+            raise SynthesisFailure(str(exc), self.journal) from exc
         won = {box_id for box_id, _, _ in successes}
         self.journal.log(
             "simulate", round_id,
@@ -381,29 +381,28 @@ class Synthesizer:
         return False
 
     def _schedule_phase(self, step_time: int, counts) -> int:
-        """Work-flow lines 8-12 for one iteration; returns rounds fired."""
-        cfg = self.config
+        """Work-flow lines 8-12 for one iteration; returns rounds fired.
+
+        alap fires one round per demand event, spiral fires while its
+        proactive condition is due, and a reactive backstop then covers
+        any shortfall.  asap reserved everything up front, so a shortfall
+        there is a fault; ``strict`` forbids the backstop under spiral.
+        """
+        pol = self.config.policy
         fired = 0
-        if cfg.policy.kind == "asap":
-            if self._insufficient(counts):
-                raise SynthesisFailure("asap pool exhausted mid-circuit", self.journal)
-            return 0
-        if cfg.policy.kind == "alap":
-            if counts["A"] or counts["Y"]:
-                self._fire_round(step_time, counts)
-                fired += 1
-                while self._insufficient(counts):
-                    self._fire_round(step_time, counts)
-                    fired += 1
-            return fired
-        # spiral: proactive condition first, reactive backstop second
-        while self._proactive_due(step_time):
+        if pol.kind == "alap" and (counts["A"] or counts["Y"]):
             self._fire_round(step_time, counts)
             fired += 1
-            if self.config.policy.condition[0] == "pool" and not self._insufficient(counts):
-                break
+        if pol.kind == "spiral":
+            while self._proactive_due(step_time):
+                self._fire_round(step_time, counts)
+                fired += 1
+                if pol.condition[0] == "pool" and not self._insufficient(counts):
+                    break
         if self._insufficient(counts):
-            if cfg.strict:
+            if pol.kind == "asap":
+                raise SynthesisFailure("asap pool exhausted mid-circuit", self.journal)
+            if pol.kind == "spiral" and self.config.strict:
                 raise SynthesisFailure(
                     "insufficient distilled states in strict mode", self.journal
                 )
@@ -416,7 +415,7 @@ class Synthesizer:
 
     def run(self) -> Assembly:
         cfg = self.config
-        state = new_traversal_state(self.circuit)
+        events = self.events
         self.journal.log("begin", cfg.policy.kind, cfg.seed)
 
         if cfg.policy.kind == "asap":
@@ -427,58 +426,47 @@ class Synthesizer:
             ):
                 self._fire_round(-(BOX_DEPTH + 1), totals)
 
-        event = next_traversal_event(state)
+        k = 0  # the first demand event not yet handled
         step = 0
-        while True:
+        while k < len(events):
             # next_round_at is set only by spiral's after-round and temporal
             # conditions, the only ones that fire between events.
-            standalone = (
-                self.next_round_at is not None
-                and not event.is_end
-                and self.next_round_at < event.time
-            )
-            if event.is_end and not standalone:
-                break
-
+            standalone = self.next_round_at is not None and self.next_round_at < events[k][0]
             step += 1
             self.journal.step = step
             if standalone:
-                step_time = self.next_round_at
-                inputs = ()
+                step_time, inputs = self.next_round_at, ()
             else:
-                step_time = event.time
-                inputs = event.inputs
+                step_time, inputs = events[k]
 
-            counts = {
-                "A": sum(1 for m in inputs if m.basis == "A"),
-                "Y": sum(1 for m in inputs if m.basis == "Y"),
-            }
+            counts = Counter(m.basis for m in inputs)
             self.journal.log("step-begin", step_time, counts["A"], counts["Y"])
-            for kind in ("A", "Y"):
-                self.demand_max[kind] = max(self.demand_max[kind], counts[kind])
+            for basis in MAGIC_BASES:
+                self.demand_max[basis] = max(self.demand_max[basis], counts[basis])
 
             fired = self._schedule_phase(step_time, counts)
 
-            # lines 13-14: geometry up to the earliest unscheduled input
-            frontier = state.next_pending_time()
-            if frontier is None:
+            # lines 13-14: geometry up to the event after event k, whether
+            # this step handles event k or is a standalone round before it
+            if k + 1 < len(events):
+                frontier = events[k + 1][0]
+            else:
                 frontier = self.circuit.last_timestep + 1
             self.journal.log("geometry", frontier)
             self._emit(frontier)
 
             # line 15: assign connections to this step's inputs
             assigned = []
-            for m in sorted(inputs, key=lambda m: m.wire):
+            for m in inputs:
                 cid = self.pool.assign_to_input(m.key, m.basis)
                 if cid is None:
                     raise SynthesisFailure(
                         f"no reserved {m.basis} connection for {m.key}", self.journal
                     )
                 assigned.append((m, self.pool.connections[cid]))
-            state.mark_assigned([m for m, _ in assigned])
 
             # lines 16-22
-            self._connect_step(frontier, assigned, state)
+            self._connect_step(frontier, assigned)
 
             self.records.append(
                 StepRecord(
@@ -494,18 +482,18 @@ class Synthesizer:
             )
 
             if not standalone:
-                event = next_traversal_event(state)
+                k += 1
 
         # final flush: emit the tail of the circuit and settle the pool
         self.journal.step = step + 1
         final_frontier = self.circuit.last_timestep + 1
         self.journal.log("geometry", final_frontier)
         self._emit(final_frontier)
-        self._connect_step(final_frontier, [], state)
+        self._connect_step(final_frontier, [])
 
-        if len(state.in_a) != len(self.circuit.magic_inputs):
+        if len(self.deliveries) != len(self.circuit.magic_inputs):
             raise SynthesisFailure(
-                f"only {len(state.in_a)} of {len(self.circuit.magic_inputs)} inputs connected",
+                f"only {len(self.deliveries)} of {len(self.circuit.magic_inputs)} inputs connected",
                 self.journal,
             )
         volume = plumbing_volume(global_bounding_box(self.geometry))
@@ -528,7 +516,7 @@ class Synthesizer:
 
     # -- segment determination and computation --------------------------------
 
-    def _connect_step(self, frontier: int, assigned, state) -> None:
+    def _connect_step(self, frontier: int, assigned) -> None:
         pool_y = self.pool.config.pool_gap
         segments = []
 
@@ -631,7 +619,6 @@ class Synthesizer:
                 self.geometry.defects.append(path.polyline)
             if seg.segment_class == SEG_C:
                 self.deliveries[seg.magic.key] = (seg.conn.id, path)
-                state.mark_connected([seg.magic])
 
         # line 22: sweep; freed rails shed their forward guards so new
         # occupants can land beyond the old stretch

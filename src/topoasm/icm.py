@@ -1,9 +1,10 @@
-"""ICM circuit model, text format, wire recycling, and event traversal.
+"""ICM circuit model, text format, wire recycling, and demand events.
 
 An ICM circuit consists solely of single-qubit initialisations, CNOTs
 and single-qubit measurements.  Initialisation bases are ``0``, ``+``,
 ``A`` or ``Y``; the latter two are magic states that must be delivered
-by distillation and drive the whole online synthesis.
+by distillation.  Grouped by timestep into demand events
+(:func:`magic_events`), they drive the whole online synthesis.
 
 Text format (UTF-8, line oriented, ``#`` comments)::
 
@@ -18,7 +19,8 @@ everything already placed on its wire(s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 
 INIT = "init"
 CNOT = "cnot"
@@ -326,73 +328,14 @@ def recycle_wires(circuit: ICMCircuit) -> ICMCircuit:
     return ICMCircuit(new_count, new_ops)
 
 
-@dataclass
-class TraversalEvent:
-    """One scheduling trigger: all magic inputs sharing the earliest
-    not-yet-handled timestep, or the end of the circuit."""
+def magic_events(circuit: ICMCircuit) -> list[tuple[int, tuple[MagicInput, ...]]]:
+    """The circuit's demand events: ``(timestep, inputs)`` for every
+    timestep that initialises magic states, with all of its magic inputs.
 
-    time: int | None
-    inputs: tuple[MagicInput, ...]
-
-    @property
-    def is_end(self) -> bool:
-        return self.time is None
-
-
-@dataclass
-class TraversalState:
-    """Partition of the magic inputs during event-driven traversal.
-
-    ``in_a`` connected, ``in_c`` assigned but not connected, ``in_b``
-    currently triggering scheduling, ``in_f`` future.  Scheduling never
-    pushes inputs back into the future.
+    Times strictly increase, and each event's inputs are in wire order,
+    since ``circuit.magic_inputs`` is sorted by timestep, then wire.
     """
-
-    cursor_time: int = -1
-    in_a: set = field(default_factory=set)
-    in_c: set = field(default_factory=set)
-    in_b: set = field(default_factory=set)
-    in_f: list = field(default_factory=list)
-
-    def mark_assigned(self, inputs) -> None:
-        for m in inputs:
-            if m not in self.in_b:
-                raise ICMError(f"{m.key} was not pending assignment")
-            self.in_b.discard(m)
-            self.in_c.add(m)
-
-    def mark_connected(self, inputs) -> None:
-        for m in inputs:
-            if m not in self.in_c:
-                raise ICMError(f"{m.key} was not assigned")
-            self.in_c.discard(m)
-            self.in_a.add(m)
-
-    def next_pending_time(self) -> int | None:
-        return self.in_f[0].timestep if self.in_f else None
-
-
-def new_traversal_state(circuit: ICMCircuit) -> TraversalState:
-    state = TraversalState()
-    state.in_f = sorted(circuit.magic_inputs, key=lambda m: (m.timestep, m.wire))
-    return state
-
-
-def next_traversal_event(state: TraversalState) -> TraversalEvent:
-    """Advance to the earliest timestep still carrying unhandled magic inputs.
-
-    All inputs at that timestep move to the pending set and are reported
-    together.  Returns an end event once no magic inputs remain.
-    """
-    if state.in_b:
-        raise ICMError("previous event's inputs are still pending")
-    if not state.in_f:
-        return TraversalEvent(None, ())
-    t_star = state.in_f[0].timestep
-    if t_star <= state.cursor_time:
-        raise ICMError("traversal cursor would move backwards")
-    batch = tuple(m for m in state.in_f if m.timestep == t_star)
-    state.in_f = [m for m in state.in_f if m.timestep != t_star]
-    state.in_b.update(batch)
-    state.cursor_time = t_star
-    return TraversalEvent(t_star, batch)
+    return [
+        (t, tuple(inputs))
+        for t, inputs in itertools.groupby(circuit.magic_inputs, key=lambda m: m.timestep)
+    ]

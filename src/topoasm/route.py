@@ -20,12 +20,14 @@ polyline its commit claimed, so callers draw exactly what was claimed.
 Straight-run rule: when start and stop differ on one axis only, the
 straight run between them is the unique shortest path.  If none of its
 cells is blocked, :func:`plan_segment` returns it without a search;
-otherwise A* runs on the same :class:`BlockedView`, whose memo already
-holds the run's cells.  Either way the path is the one A* would return.
+otherwise A* runs on the same :class:`BlockedView`.  Either way the path
+is the one A* would return.
 
 Lazy blocked checks: A* pushes every neighbour that is neither settled
 nor already rejected, untested, and asks the view about a cell only
 when it pops it; a blocked cell is rejected there and never expanded.
+The ``settled`` and ``rejected`` sets are the search's only record of
+tested cells, so A* tests each cell at most once.
 The heap key orders cells totally and a rejected entry leaves no trace,
 so every free cell gets the same cost and parent, and is popped in the
 same order, as under a check at push time: the path is unchanged, and
@@ -188,8 +190,7 @@ class World:
 class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
     blocked when it lies outside ``bounds`` or a solid or an enabled
-    obstacle covers it.  Each cell reads the index on its first query,
-    and the answer is kept for the life of the view.  A* queries a cell
+    obstacle covers it.  Every query reads the index; A* queries a cell
     when it pops it, not when it pushes it."""
 
     def __init__(self, world: World, bounds: Box3):
@@ -197,18 +198,13 @@ class BlockedView:
         self._blocks = world.obstacles.blocks
         self._lo = bounds.lo.as_tuple()
         self._hi = bounds.hi.as_tuple()
-        self._memo: dict[tuple[int, int, int], bool] = {}
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
-        blocked = self._memo.get(cell)
-        if blocked is None:
-            t, x, y = cell
-            lo, hi = self._lo, self._hi
-            blocked = not (
-                lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]
-            ) or any(map(self._blocks, self._index.covering(cell)))
-            self._memo[cell] = blocked
-        return blocked
+        t, x, y = cell
+        lo, hi = self._lo, self._hi
+        return not (
+            lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]
+        ) or any(map(self._blocks, self._index.covering(cell)))
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:

@@ -111,26 +111,13 @@ def _ring_positions(channel: Box3, ring: int, step: int):
         yield (x, y0)
 
 
-class _SpiralWalk:
-    """Stateful counter-clockwise walk used for one round's placements."""
-
-    def __init__(self, channel: Box3):
-        self.channel = channel
-        self.step = max(BOX_EXTENTS["A"][1:]) + SPIRAL_GAP
-        self.ring = 1
-        self._positions = list(_ring_positions(channel, 1, self.step))
-        self._cursor = 0
-
-    def advance(self) -> tuple[int, int]:
-        if self._cursor >= len(self._positions):
-            self.ring += 1
-            if self.ring > MAX_RINGS:
-                raise PlacementError(f"spiral exhausted {MAX_RINGS} rings around {self.channel}")
-            self._positions = list(_ring_positions(self.channel, self.ring, self.step))
-            self._cursor = 0
-        pos = self._positions[self._cursor]
-        self._cursor += 1
-        return pos
+def _spiral_positions(channel: Box3):
+    """Anchor centres ring after ring around the channel, innermost first;
+    raises :class:`PlacementError` once ``MAX_RINGS`` rings are used up."""
+    step = max(BOX_EXTENTS["A"][1:]) + SPIRAL_GAP
+    for ring in range(1, MAX_RINGS + 1):
+        yield from _ring_positions(channel, ring, step)
+    raise PlacementError(f"spiral exhausted {MAX_RINGS} rings around {channel}")
 
 
 def place_spiral_layer(
@@ -148,12 +135,12 @@ def place_spiral_layer(
     previous one stopped, so the layout densifies counter-clockwise.
     """
     layer = DistillationLayer(round_id, trigger_time)
-    walk = _SpiralWalk(channel)
+    walk = _spiral_positions(channel)
     kinds = ["A"] * n_a + ["Y"] * n_y
     for i, kind in enumerate(kinds):
         dt, dx, dy = BOX_EXTENTS[kind]
         while True:
-            cx, cy = walk.advance()
+            cx, cy = next(walk)
             lo = Point3(trigger_time, cx - dx // 2, cy - dy // 2)
             footprint = box_from_extents(lo, (dt, dx, dy))
             probe = footprint.inflated(0, SPIRAL_GAP, SPIRAL_GAP)

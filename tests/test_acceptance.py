@@ -15,7 +15,7 @@ from topoasm import fixtures
 from topoasm.cli import export_stats, main
 from topoasm.engine import synthesize
 from topoasm.geom import Point3, box_from_extents
-from topoasm.icm import new_traversal_state, next_traversal_event, parse_icm
+from topoasm.icm import magic_events, parse_icm
 from topoasm.route import BlockedView, NoPathError, World, compute_taskset, plan_segment
 from topoasm.sched import required_round_size
 
@@ -37,27 +37,18 @@ def test_criterion_1_fixture_counts():
     y = sum(1 for m in circuit.magic_inputs if m.basis == "Y")
     assert (a, y) == (7, 14)
 
-    # Traversal events merged with the bundled condition's round firings:
+    # Demand events merged with the bundled condition's round firings:
     # the cadence anchors at the first demand and each firing strictly
     # between demand timesteps contributes its own zero-demand step.
-    state = new_traversal_state(circuit)
-    events = []
-    while True:
-        ev = next_traversal_event(state)
-        if ev.is_end:
-            break
-        events.append(ev)
-        batch = list(state.in_b)
-        state.mark_assigned(batch)
-        state.mark_connected(batch)
-    times = [ev.time for ev in events]
+    events = magic_events(circuit)
+    times = [t for t, _ in events]
     period = fixtures.TOFFOLI_CONDITION[1]
     firings = list(range(times[0], times[-1] + 1, period))
     standalone = [t for t in firings if t not in times]
     steps = len(events) + len(standalone)
     assert steps == 21
-    assert max(sum(m.basis == "A" for m in ev.inputs) for ev in events) == 2
-    assert max(sum(m.basis == "Y" for m in ev.inputs) for ev in events) == 2
+    assert max(sum(m.basis == "A" for m in inputs) for _, inputs in events) == 2
+    assert max(sum(m.basis == "Y" for m in inputs) for _, inputs in events) == 2
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     report(1, f"9 wires, 7 A, 14 Y, {steps} steps, demand maxima 2/2 ({elapsed:.2f}s)")

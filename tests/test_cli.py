@@ -76,13 +76,31 @@ def test_bad_input_exits_two_with_one_line(workdir, capsys, extra):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_synthesis_failure_exit_one_writes_journal(workdir, capsys):
+@pytest.mark.parametrize(
+    "script, extra, message",
+    [
+        (None, ["--strict"], "insufficient distilled states in strict mode"),
+        (
+            "11111111000000 1111111000\n11110000000000 1111110000\n", [],
+            "outcome script exhausted at round 3",
+        ),
+        ("0101\n", [], "outcome script round 1: need 24 bits, got '0101'"),
+    ],
+    ids=["strict", "outcomes-too-few-lines", "outcomes-wrong-length"],
+)
+def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extra, message):
+    """Every exit 1 writes the requested journal; ``script`` replaces the
+    bundled outcome script when given."""
+    outcomes = workdir / "outcomes.txt"
+    if script is not None:
+        outcomes.write_text(script)
     journal = workdir / "fail.journal"
     code = run_cli(
-        workdir, "--strict", "--condition", "temporal:15",
-        "--outcomes", str(workdir / "outcomes.txt"), "--journal", str(journal),
+        workdir, *extra, "--condition", "temporal:15",
+        "--outcomes", str(outcomes), "--journal", str(journal),
     )
     assert code == 1
+    assert capsys.readouterr().err == f"synthesis failed: {message}\n"
     assert journal.exists() and journal.read_text().strip()
 
 

@@ -13,7 +13,7 @@ from topoasm.engine import (
     synthesize,
 )
 from topoasm.geom import global_bounding_box, plumbing_volume
-from topoasm.icm import parse_icm
+from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
 from topoasm.sched import DistillationLayer, SchedulerPolicy
 
@@ -163,6 +163,29 @@ def test_journal_follows_workflow_order(scripted_assembly):
             firsts.setdefault(op, i)
         ordered = sorted(firsts, key=firsts.get)
         assert ordered == sorted(ordered, key=rank.get), f"step {step}: {ordered}"
+
+
+def test_each_step_emits_geometry_up_to_the_event_after_its_pending_one(
+    toffoli, scripted_assembly
+):
+    """A step handles the earliest pending demand event, or is a standalone
+    round before it; either way its geometry frontier is the time of the
+    event after that one, or the circuit's end."""
+    times = [t for t, _ in magic_events(toffoli)]
+    step_time, frontier = {}, {}
+    for line in scripted_assembly.journal.lines:
+        step, op, *args = line.split()
+        if op == "step-begin":
+            step_time[step] = int(args[0])
+        elif op == "geometry" and step in step_time:
+            frontier[step] = int(args[0])
+    standalone = 0
+    for step, t in step_time.items():
+        later = [u for u in times if u >= t]
+        standalone += later[0] != t
+        want = later[1] if len(later) > 1 else toffoli.last_timestep + 1
+        assert frontier[step] == want, f"step {step} at t={t}"
+    assert len(step_time) == 21 and standalone > 0
 
 
 def test_journal_spec_lines_present(scripted_assembly):

@@ -9,8 +9,7 @@ from topoasm.icm import (
     ICMOp,
     ICMSyntaxError,
     format_icm,
-    new_traversal_state,
-    next_traversal_event,
+    magic_events,
     parse_icm,
     recycle_wires,
 )
@@ -182,72 +181,37 @@ def test_recycle_soundness_random_circuits():
                 assert a.end is not None and a.end < b.start
 
 
-# -- traversal ---------------------------------------------------------------
+# -- demand events (the engine's traversal) ------------------------------------
 
 
-def drive_traversal(circuit):
-    state = new_traversal_state(circuit)
-    events = []
-    while True:
-        ev = next_traversal_event(state)
-        if ev.is_end:
-            return events, ev, state
-        events.append(ev)
-        # stand in for the engine: handle the pending inputs immediately
-        batch = list(state.in_b)
-        state.mark_assigned(batch)
-        state.mark_connected(batch)
-
-
-def _count(ev, basis):
-    return sum(1 for m in ev.inputs if m.basis == basis)
+def _count(inputs, basis):
+    return sum(1 for m in inputs if m.basis == basis)
 
 
 def test_traversal_no_magic_ends_immediately():
     c = parse_icm("@0 init 0 0\n@7 measure 0 X\n")
-    events, end, _ = drive_traversal(c)
-    assert events == []
-    assert end.is_end
+    assert magic_events(c) == []
 
 
 def test_traversal_first_event_counts(toffoli):
-    state = new_traversal_state(toffoli)
-    ev = next_traversal_event(state)
-    assert _count(ev, "A") == 2 and _count(ev, "Y") == 1
+    _, inputs = magic_events(toffoli)[0]
+    assert _count(inputs, "A") == 2 and _count(inputs, "Y") == 1
 
 
 def test_traversal_partition_and_monotonicity(toffoli):
-    state = new_traversal_state(toffoli)
-    seen = []
-    last_time = -1
-    while True:
-        ev = next_traversal_event(state)
-        if ev.is_end:
-            break
-        assert ev.time > last_time
-        last_time = ev.time
-        groups = [state.in_a, state.in_c, state.in_b, set(state.in_f)]
-        union = set().union(*groups)
-        assert sum(len(g) for g in groups) == len(union) == len(toffoli.magic_inputs)
-        assert all(m.timestep <= ev.time for m in state.in_a | state.in_c)
-        assert all(m.timestep > ev.time for m in state.in_f)
-        seen.extend(ev.inputs)
-        batch = list(state.in_b)
-        state.mark_assigned(batch)
-        state.mark_connected(batch)
-    assert Counter(seen) == Counter(toffoli.magic_inputs)
+    events = magic_events(toffoli)
+    times = [t for t, _ in events]
+    assert all(a < b for a, b in zip(times, times[1:]))
+    for t, inputs in events:
+        assert inputs and all(m.timestep == t for m in inputs)
+        wires = [m.wire for m in inputs]
+        assert wires == sorted(set(wires))
+    assert [m for _, inputs in events for m in inputs] == list(toffoli.magic_inputs)
 
 
 def test_traversal_exhaustive_sums(toffoli):
-    events, _, _ = drive_traversal(toffoli)
-    assert sum(_count(ev, "A") for ev in events) == 7
-    assert sum(_count(ev, "Y") for ev in events) == 14
-    assert max(_count(ev, "A") for ev in events) == 2
-    assert max(_count(ev, "Y") for ev in events) == 2
-
-
-def test_traversal_refuses_pending_inputs(toffoli):
-    state = new_traversal_state(toffoli)
-    next_traversal_event(state)
-    with pytest.raises(ICMError):
-        next_traversal_event(state)
+    events = magic_events(toffoli)
+    assert sum(_count(inputs, "A") for _, inputs in events) == 7
+    assert sum(_count(inputs, "Y") for _, inputs in events) == 14
+    assert max(_count(inputs, "A") for _, inputs in events) == 2
+    assert max(_count(inputs, "Y") for _, inputs in events) == 2

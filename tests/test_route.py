@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 from collections import Counter, deque
 
@@ -255,20 +256,17 @@ def test_random_instances_match_bfs():
     blocked_agree = 0
     for trial in range(200):
         w = World()
+        solid = set()
         for i in range(rng.randint(2, 14)):
             lo = Point3(rng.randint(0, 16), rng.randint(0, 16), rng.randint(0, 16))
             ext = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
+            box = box_from_extents(lo, ext)
             try:
-                w.claim(f"o{i}", box_from_extents(lo, ext), "circuit")
+                w.claim(f"o{i}", box, "circuit")
             except RouteError:
-                pass  # overlapping random solids: skip, coverage is what matters
-        free = [
-            (t, x, y)
-            for t in range(20)
-            for x in range(20)
-            for y in range(20)
-            if w.is_free(box_from_extents(Point3(t, x, y), (1, 1, 1)))
-        ]
+                continue  # overlapping random solids: skip, coverage is what matters
+            solid.update(box_cells(box))
+        free = [cell for cell in itertools.product(range(20), repeat=3) if cell not in solid]
         start, stop = rng.sample(free, 2)
         s = spec(start, stop)
         view = BlockedView(w, BOUNDS)
