@@ -11,7 +11,9 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import Assembly, EngineError, SynthesisConfig, SynthesisFailure, synthesize
+from .engine import (
+    Assembly, EngineError, SynthesisConfig, SynthesisFailure, read_outcome_script, synthesize,
+)
 from .geom import Box3, DefectPolyline, GeometrySet, PlacedBox, Point3, global_bounding_box
 from .icm import ICMError, parse_icm
 from .pool import PoolConfig
@@ -111,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="outcome generator seed")
     p.add_argument("--outcomes", help="scripted outcomes: one 0/1 bitmap line per round")
     p.add_argument("--condition", default="after-round",
-                   help="round condition: after-round | temporal:<period> | pool:<threshold>")
+                   help="spiral round condition, ignored by alap and asap: "
+                        "after-round | temporal:<period> | pool:<threshold>")
     p.add_argument("--segment-order", choices=("cbe", "ceb"), default="cbe",
                    help="compute order of the three segment classes")
     p.add_argument("--no-recycle", action="store_true", help="skip wire recycling")
     p.add_argument("--strict", action="store_true",
-                   help="fail instead of scheduling when states run out")
+                   help="spiral only, ignored by alap and asap: fail instead of "
+                        "scheduling when states run out")
     p.add_argument("--max-rounds", type=int, help="round bound (default: from the circuit)")
     p.add_argument("--export-geometry", metavar="PATH")
     p.add_argument("--export-stats", metavar="PATH")
@@ -146,11 +150,7 @@ def config_from_args(args, scheduler=None, seed=None) -> SynthesisConfig:
     pool = PoolConfig(pool_gap=args.pool_gap, cap_per_type=args.pool_cap)
     script = None
     if args.outcomes:
-        script = tuple(
-            ln.strip()
-            for ln in Path(args.outcomes).read_text(encoding="utf-8").splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        )
+        script = read_outcome_script(Path(args.outcomes).read_text(encoding="utf-8"))
     return SynthesisConfig(
         policy=policy,
         pool=pool,

@@ -170,10 +170,12 @@ class OutcomeSource:
         return [b == "1" for b in bits]
 
 
-def simulate_round(layer: DistillationLayer, source: OutcomeSource):
-    """Success list [(box_id, kind, port)] in box-id order."""
-    bits = source.draw(len(layer.boxes))
-    return [(box.box_id, box.kind, box.port) for box, ok in zip(layer.boxes, bits) if ok]
+def read_outcome_script(text: str) -> tuple[str, ...]:
+    """The bitmap lines of an outcome script, one per round, stripped;
+    blank lines and lines whose first non-blank character is ``#`` are
+    skipped."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return tuple(ln for ln in lines if ln and not ln.startswith("#"))
 
 
 class Synthesizer:
@@ -318,15 +320,13 @@ class Synthesizer:
         self.layers.append(layer)
         self.geometry.boxes.extend(layer.boxes)
         try:
-            successes = simulate_round(layer, self.outcomes)
+            bits = self.outcomes.draw(len(layer.boxes))
         except EngineError as exc:
             raise SynthesisFailure(str(exc), self.journal) from exc
-        won = {box_id for box_id, _, _ in successes}
-        self.journal.log(
-            "simulate", round_id,
-            "".join("1" if box.box_id in won else "0" for box in layer.boxes),
-        )
-        self._pending_links.extend(self.pool.reserve_connections(successes))
+        self.journal.log("simulate", round_id, "".join("1" if ok else "0" for ok in bits))
+        self._pending_links.extend(self.pool.reserve_connections(
+            [(box.box_id, box.kind, box.port) for box, ok in zip(layer.boxes, bits) if ok]
+        ))
         if pol.kind == "spiral":
             if pol.condition[0] == "after-round":
                 self.next_round_at = trigger_time + BOX_DEPTH + COMPLETION_LAG

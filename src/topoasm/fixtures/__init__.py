@@ -11,6 +11,8 @@ scheduling rounds, pools capped at ten.
 from importlib import resources
 from pathlib import Path
 
+from ..engine import read_outcome_script
+
 TOFFOLI_CONDITION = ("temporal", 15)
 
 
@@ -27,5 +29,4 @@ def toffoli_unopt_text() -> str:
 
 
 def toffoli_outcome_script() -> tuple:
-    text = fixture_path("toffoli_outcomes.txt").read_text(encoding="utf-8")
-    return tuple(ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#"))
+    return read_outcome_script(fixture_path("toffoli_outcomes.txt").read_text(encoding="utf-8"))

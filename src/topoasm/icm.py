@@ -29,6 +29,7 @@ MEASURE = "measure"
 INIT_BASES = ("0", "+", "A", "Y")
 MEASURE_BASES = ("X", "Z")
 MAGIC_BASES = ("A", "Y")
+OP_BASES = {INIT: INIT_BASES, CNOT: None, MEASURE: MEASURE_BASES}  # kind -> basis set
 
 
 class ICMError(Exception):
@@ -104,47 +105,43 @@ class Lifetime:
 
 
 class ICMCircuit:
-    """Validated ICM circuit with timestep-ordered ops."""
+    """Validated ICM circuit with timestep-ordered ops and per-wire lifetimes."""
 
     def __init__(self, wire_count: int, ops):
         if wire_count <= 0:
             raise ICMError("wire_count must be positive")
         self.wire_count = wire_count
         self.ops = sorted(ops, key=lambda op: op.timestep)
-        self._validate()
-        self.magic_inputs: tuple[MagicInput, ...] = tuple(
-            MagicInput(op.wire, op.timestep, op.basis)
-            for op in sorted(
-                (o for o in self.ops if o.kind == INIT and o.basis in MAGIC_BASES),
-                key=lambda o: (o.timestep, o.wire),
-            )
-        )
-
-    def _validate(self) -> None:
-        per_wire: dict[int, list[ICMOp]] = {}
-        slots = set()
+        per_wire: dict[int, list[ICMOp]] = {}  # in first-appearance order
         for op in self.ops:
             for w in op.wires:
-                if w >= self.wire_count:
-                    raise ICMError(f"wire {w} out of range (wire_count={self.wire_count})")
-                if (w, op.timestep) in slots:
+                if w >= wire_count:
+                    raise ICMError(f"wire {w} out of range (wire_count={wire_count})")
+                on_wire = per_wire.setdefault(w, [])
+                if on_wire and on_wire[-1].timestep == op.timestep:
                     raise ICMError(f"duplicate op slot on wire {w} at t={op.timestep}")
-                slots.add((w, op.timestep))
-                per_wire.setdefault(w, []).append(op)
-        for w, ops in per_wire.items():
-            open_ = False
-            for op in ops:
+                on_wire.append(op)
+        lifetimes = [Lifetime(w, 0, None, False) for w in range(wire_count) if w not in per_wire]
+        for w, on_wire in per_wire.items():
+            acc: list[ICMOp] = []  # the open lifetime's ops; empty between lifetimes
+            for op in on_wire:
                 if op.kind == INIT:
-                    if open_:
+                    if acc:
                         raise ICMError(f"wire {w} re-initialised before measurement at t={op.timestep}")
-                    open_ = True
-                elif op.kind == MEASURE:
-                    if not open_:
-                        raise ICMError(f"wire {w} measured before init at t={op.timestep}")
-                    open_ = False
-                else:
-                    if not open_:
-                        raise ICMError(f"wire {w} used before init at t={op.timestep}")
+                elif not acc:
+                    verb = "measured" if op.kind == MEASURE else "used"
+                    raise ICMError(f"wire {w} {verb} before init at t={op.timestep}")
+                acc.append(op)
+                if op.kind == MEASURE:
+                    lifetimes.append(_lifetime(w, acc, op.timestep))
+                    acc = []
+            if acc:
+                lifetimes.append(_lifetime(w, acc, None))
+        lifetimes.sort(key=lambda lt: (lt.start, lt.wire))
+        self._lifetimes = tuple(lifetimes)
+        self.magic_inputs: tuple[MagicInput, ...] = tuple(
+            MagicInput(lt.wire, lt.start, lt.ops[0].basis) for lt in lifetimes if lt.magic
+        )
 
     def cnots(self):
         return [op for op in self.ops if op.kind == CNOT]
@@ -153,39 +150,17 @@ class ICMCircuit:
     def last_timestep(self) -> int:
         return max((op.timestep for op in self.ops), default=0)
 
-    def lifetimes(self) -> list[Lifetime]:
+    def lifetimes(self) -> tuple[Lifetime, ...]:
         """Init..measure intervals per wire, in (start, wire) order.
 
         A wire carrying no ops at all idles for the whole circuit and is
         reported as one open lifetime starting at t=0.
         """
-        out = []
-        per_wire: dict[int, list[ICMOp]] = {}
-        for op in self.ops:
-            for w in op.wires:
-                per_wire.setdefault(w, []).append(op)
-        for w in range(self.wire_count):
-            if w not in per_wire:
-                out.append(Lifetime(w, 0, None, False))
-                continue
-            start = None
-            magic = False
-            acc: list[ICMOp] = []
-            for op in per_wire[w]:
-                if op.kind == INIT:
-                    start = op.timestep
-                    magic = op.basis in MAGIC_BASES
-                    acc = [op]
-                elif op.kind == MEASURE:
-                    acc.append(op)
-                    out.append(Lifetime(w, start, op.timestep, magic, tuple(acc)))
-                    start = None
-                else:
-                    acc.append(op)
-            if start is not None:
-                out.append(Lifetime(w, start, None, magic, tuple(acc)))
-        out.sort(key=lambda lt: (lt.start, lt.wire))
-        return out
+        return self._lifetimes
+
+
+def _lifetime(wire: int, ops: list[ICMOp], end: int | None) -> Lifetime:
+    return Lifetime(wire, ops[0].timestep, end, ops[0].basis in MAGIC_BASES, tuple(ops))
 
 
 def parse_icm(text: str) -> ICMCircuit:
@@ -193,15 +168,13 @@ def parse_icm(text: str) -> ICMCircuit:
     ops = []
     next_free: dict[int, int] = {}
 
-    def fresh_slot(wires) -> int:
-        t = max(next_free.get(w, 0) for w in wires)
-        for w in wires:
-            next_free[w] = t + 1
-        return t
-
-    def note_explicit(wires, t) -> None:
+    def slot(wires, timestep) -> int:
+        """The op's timestep: ``timestep``, or the earliest slot after
+        everything already placed on its wires when it is None."""
+        t = max(next_free.get(w, 0) for w in wires) if timestep is None else timestep
         for w in wires:
             next_free[w] = max(next_free.get(w, 0), t + 1)
+        return t
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -219,54 +192,30 @@ def parse_icm(text: str) -> ICMCircuit:
                 raise ICMSyntaxError(lineno, len(raw), "timestep with no op")
         word = tokens[0]
 
-        def want(n: int):
-            if len(tokens) != n + 1:
-                raise ICMSyntaxError(lineno, raw.find(word) + 1, f"{word} expects {n} arguments")
+        def fail(token: str, message: str):
+            raise ICMSyntaxError(lineno, raw.find(token) + 1, message)
 
-        def wire_arg(i: int) -> int:
+        if word not in OP_BASES:
+            fail(word, f"unknown op {word!r}")
+        if len(tokens) != 3:
+            fail(word, f"{word} expects 2 arguments")
+        bases = OP_BASES[word]
+        wires = []
+        for tok in (tokens[1:2] if bases else tokens[1:]):
             try:
-                v = int(tokens[i])
+                wires.append(int(tok))
             except ValueError:
-                raise ICMSyntaxError(lineno, raw.find(tokens[i]) + 1, f"bad wire id {tokens[i]!r}")
-            if v < 0:
-                raise ICMSyntaxError(lineno, raw.find(tokens[i]) + 1, "wire ids are non-negative")
-            return v
-
+                fail(tok, f"bad wire id {tok!r}")
+            if wires[-1] < 0:
+                fail(tok, "wire ids are non-negative")
+        if wires[1:] == wires[:1]:
+            fail(tokens[2], "control equals target")
+        basis = tokens[2] if bases else None
+        if bases and basis not in bases:
+            fail(basis, f"bad {word} basis {basis!r}")
         try:
-            if word == INIT:
-                want(2)
-                w = wire_arg(1)
-                basis = tokens[2]
-                if basis not in INIT_BASES:
-                    raise ICMSyntaxError(lineno, raw.find(basis) + 1, f"bad init basis {basis!r}")
-                t = timestep if timestep is not None else fresh_slot([w])
-                if timestep is not None:
-                    note_explicit([w], t)
-                ops.append(ICMOp(INIT, t, (w,), basis))
-            elif word == CNOT:
-                want(2)
-                c, x = wire_arg(1), wire_arg(2)
-                if c == x:
-                    raise ICMSyntaxError(lineno, raw.find(tokens[2]) + 1, "control equals target")
-                t = timestep if timestep is not None else fresh_slot([c, x])
-                if timestep is not None:
-                    note_explicit([c, x], t)
-                ops.append(ICMOp(CNOT, t, (c, x)))
-            elif word == MEASURE:
-                want(2)
-                w = wire_arg(1)
-                basis = tokens[2]
-                if basis not in MEASURE_BASES:
-                    raise ICMSyntaxError(lineno, raw.find(basis) + 1, f"bad measure basis {basis!r}")
-                t = timestep if timestep is not None else fresh_slot([w])
-                if timestep is not None:
-                    note_explicit([w], t)
-                ops.append(ICMOp(MEASURE, t, (w,), basis))
-            else:
-                raise ICMSyntaxError(lineno, raw.find(word) + 1, f"unknown op {word!r}")
+            ops.append(ICMOp(word, slot(wires, timestep), tuple(wires), basis))
         except ICMError as exc:
-            if isinstance(exc, ICMSyntaxError):
-                raise
             raise ICMSyntaxError(lineno, 1, str(exc)) from None
 
     if not ops:
@@ -279,12 +228,8 @@ def format_icm(circuit: ICMCircuit) -> str:
     """Serialize a circuit back to the text format with explicit timesteps."""
     lines = []
     for op in circuit.ops:
-        if op.kind == INIT:
-            lines.append(f"@{op.timestep} init {op.wire} {op.basis}")
-        elif op.kind == CNOT:
-            lines.append(f"@{op.timestep} cnot {op.control} {op.target}")
-        else:
-            lines.append(f"@{op.timestep} measure {op.wire} {op.basis}")
+        args = (*op.wires, op.basis) if op.basis else op.wires
+        lines.append(f"@{op.timestep} {op.kind} " + " ".join(map(str, args)))
     return "\n".join(lines) + "\n"
 
 
@@ -297,35 +242,23 @@ def recycle_wires(circuit: ICMCircuit) -> ICMCircuit:
     colouring, so the result never uses more wires than necessary.  The
     op multiset and all timesteps are unchanged; only wire names move.
     """
-    lifetimes = circuit.lifetimes()
-    wire_free_at: list[int | None] = []  # per output wire: first reusable timestep
-    assignment: dict[int, int] = {}  # lifetime index -> output wire
-    for i, lt in enumerate(lifetimes):
-        placed = None
-        for w, free_at in enumerate(wire_free_at):
-            if free_at is not None and free_at < lt.start:
-                placed = w
-                break
-        if placed is None:
+    wire_free_at: list[int | None] = []  # per output wire: last occupant's end, None while live
+    slot_map: dict[tuple[int, int], int] = {}  # (wire, timestep) -> output wire
+    for lt in circuit.lifetimes():
+        placed = next(
+            (w for w, end in enumerate(wire_free_at) if end is not None and end < lt.start),
+            len(wire_free_at),
+        )
+        if placed == len(wire_free_at):
             wire_free_at.append(None)
-            placed = len(wire_free_at) - 1
-        assignment[i] = placed
-        wire_free_at[placed] = lt.end if lt.end is not None else None
-
-    # Map each (wire, timestep) op slot to its output wire.
-    slot_map: dict[tuple[int, int], int] = {}
-    for i, lt in enumerate(lifetimes):
+        wire_free_at[placed] = lt.end
         for op in lt.ops:
-            for w in op.wires:
-                if w == lt.wire:
-                    slot_map[(w, op.timestep)] = assignment[i]
-
-    new_ops = []
-    for op in circuit.ops:
-        wires = tuple(slot_map[(w, op.timestep)] for w in op.wires)
-        new_ops.append(replace(op, wires=wires))
-    new_count = max(len(wire_free_at), 1)
-    return ICMCircuit(new_count, new_ops)
+            slot_map[(lt.wire, op.timestep)] = placed
+    new_ops = [
+        replace(op, wires=tuple(slot_map[(w, op.timestep)] for w in op.wires))
+        for op in circuit.ops
+    ]
+    return ICMCircuit(max(len(wire_free_at), 1), new_ops)
 
 
 def magic_events(circuit: ICMCircuit) -> list[tuple[int, tuple[MagicInput, ...]]]:

@@ -6,6 +6,7 @@ are cached per session; their wall time is charged to every criterion
 that consumes them.
 """
 
+import itertools
 import random
 import statistics
 import time
@@ -16,13 +17,26 @@ from topoasm.cli import export_stats, main
 from topoasm.engine import synthesize
 from topoasm.geom import Point3, box_from_extents
 from topoasm.icm import magic_events, parse_icm
-from topoasm.route import BlockedView, NoPathError, World, compute_taskset, plan_segment
+from topoasm.route import (
+    BlockedView,
+    NoPathError,
+    RouteError,
+    World,
+    compute_taskset,
+    plan_segment,
+)
 from topoasm.sched import required_round_size
 
 import test_pool
 import test_route
 import test_sched
-from conftest import conservation_holds, enabled_obstacles, scripted_config, solid_cells
+from conftest import (
+    box_cells,
+    conservation_holds,
+    enabled_obstacles,
+    scripted_config,
+    solid_cells,
+)
 
 
 def report(n, message):
@@ -118,24 +132,22 @@ def test_criterion_5_router_optimality():
     solved = agreed_nopath = 0
     for trial in range(200):
         w = World()
+        taken = set()  # every cell the index holds: claimed boxes and the obstacle
         for i in range(rng.randint(3, 16)):
             lo = Point3(rng.randint(0, 17), rng.randint(0, 17), rng.randint(0, 17))
-            ext = (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+            box = box_from_extents(lo, (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)))
             try:
-                w.claim(f"o{i}", box_from_extents(lo, ext), "circuit")
-            except Exception:
-                pass
+                w.claim(f"o{i}", box, "circuit")
+            except RouteError:
+                continue
+            taken.update(box_cells(box))
         if rng.random() < 0.5:
             lo = Point3(rng.randint(0, 14), rng.randint(0, 14), rng.randint(0, 14))
             kind = "guide" if rng.random() < 0.5 else "occupy"
-            w.obstacles.add(box_from_extents(lo, (3, 3, 3)), kind, rng.randint(1, 9), "x")
-        free = [
-            (t, x, y)
-            for t in range(20)
-            for x in range(20)
-            for y in range(20)
-            if not w.index.hits(box_from_extents(Point3(t, x, y), (1, 1, 1)))
-        ]
+            box = box_from_extents(lo, (3, 3, 3))
+            w.obstacles.add(box, kind, rng.randint(1, 9), "x")
+            taken.update(box_cells(box))
+        free = [cell for cell in itertools.product(range(20), repeat=3) if cell not in taken]
         start, stop = rng.sample(free, 2)
         if trial % 8 == 0:
             # wall the stop into a sealed shell so the instance is infeasible

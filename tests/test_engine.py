@@ -9,13 +9,13 @@ from topoasm.engine import (
     SynthesisConfig,
     SynthesisFailure,
     Synthesizer,
-    simulate_round,
+    read_outcome_script,
     synthesize,
 )
 from topoasm.geom import global_bounding_box, plumbing_volume
 from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
-from topoasm.sched import DistillationLayer, SchedulerPolicy
+from topoasm.sched import SchedulerPolicy
 
 from conftest import (
     box_cells,
@@ -31,48 +31,41 @@ from test_geom import _sequential_chain
 # -- outcome simulation -------------------------------------------------------
 
 
-class _FakeBox:
-    def __init__(self, i, kind):
-        self.box_id = f"b{i}"
-        self.kind = kind
-        self.port = None
-
-
-def fake_layer(n):
-    layer = DistillationLayer(1, 0)
-    layer.boxes = [_FakeBox(i, "A" if i % 2 else "Y") for i in range(n)]
-    return layer
-
-
 def test_simulate_p_fail_zero_all_succeed():
     src = OutcomeSource(0.0, seed=5)
-    got = simulate_round(fake_layer(20), src)
-    assert len(got) == 20
+    got = src.draw(20)
+    assert sum(got) == 20
 
 
 def test_simulate_scripted_bitmap():
     src = OutcomeSource(0.5, seed=0, script=["10110"])
-    got = simulate_round(fake_layer(5), src)
-    assert [g[0] for g in got] == ["b0", "b2", "b3"]
+    got = src.draw(5)
+    assert [i for i, ok in enumerate(got) if ok] == [0, 2, 3]
 
 
 def test_simulate_script_exhausted():
     src = OutcomeSource(0.5, seed=0, script=["11"])
-    simulate_round(fake_layer(2), src)
+    src.draw(2)
     with pytest.raises(EngineError):
-        simulate_round(fake_layer(2), src)
+        src.draw(2)
 
 
 def test_simulate_bad_bitmap_length():
     src = OutcomeSource(0.5, seed=0, script=["111"])
     with pytest.raises(EngineError):
-        simulate_round(fake_layer(2), src)
+        src.draw(2)
+
+
+def test_outcome_script_skips_blank_and_comment_lines():
+    text = "# header\n  # indented comment\n\n 1011 \n10 11\n"
+    assert read_outcome_script(text) == ("1011", "10 11")
+    assert len(fixtures.toffoli_outcome_script()) == 5  # one line per scripted round
 
 
 def test_simulate_success_fraction_within_3_sigma():
     src = OutcomeSource(0.5, seed=1234)
     n = 10_000
-    wins = len(simulate_round(fake_layer(n), src))
+    wins = sum(src.draw(n))
     sigma = (n * 0.25) ** 0.5
     assert abs(wins - n / 2) <= 3 * sigma
 

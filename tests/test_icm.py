@@ -8,6 +8,7 @@ from topoasm.icm import (
     ICMError,
     ICMOp,
     ICMSyntaxError,
+    Lifetime,
     format_icm,
     magic_events,
     parse_icm,
@@ -58,6 +59,138 @@ def test_comments_and_dense_timesteps():
     assert by_kind["init"] == [0, 0]
     assert by_kind["cnot"] == [1]
     assert sorted(by_kind["measure"]) == [2, 2]
+
+
+# One case per error path: (source, line, column, message).  Line and
+# column are None for the circuit-level checks, which raise a plain
+# ICMError without a position.
+PARSE_ERRORS = {
+    "bad-timestep-token": ("@x init 0 0\n", 1, 1, "bad timestep token '@x'"),
+    "timestep-with-no-op": ("init 0 0\n@3  \n", 2, 4, "timestep with no op"),
+    "unknown-op": ("init 0 0\n  swap 0 1\n", 2, 3, "unknown op 'swap'"),
+    "init-arity": ("init 0\n", 1, 1, "init expects 2 arguments"),
+    "cnot-arity": ("init 0 0\ninit 1 0\ncnot 0\n", 3, 1, "cnot expects 2 arguments"),
+    "measure-arity": ("init 0 0\n measure 0 X Z\n", 2, 2, "measure expects 2 arguments"),
+    "bad-wire-id": ("init 0 0\ncnot 0 w1\n", 2, 8, "bad wire id 'w1'"),
+    "negative-wire-id": ("init -1 0\n", 1, 6, "wire ids are non-negative"),
+    "control-equals-target": ("init 0 0\ncnot 0 0\n", 2, 6, "control equals target"),
+    "bad-init-basis": ("init 0 0\ninit 1 Q\n", 2, 8, "bad init basis 'Q'"),
+    "bad-measure-basis": ("init 0 0\nmeasure 0 Y\n", 2, 11, "bad measure basis 'Y'"),
+    "negative-timestep": ("init 0 0\n@-1 measure 0 X\n", 2, 1, "negative timestep -1"),
+    "duplicate-slot": ("@0 init 0 0\n@0 init 0 +\n", None, None, "duplicate op slot on wire 0 at t=0"),
+    "re-init": ("init 0 0\ninit 0 +\n", None, None, "wire 0 re-initialised before measurement at t=1"),
+    "measure-before-init": ("measure 0 X\n", None, None, "wire 0 measured before init at t=0"),
+    "use-before-init": ("init 0 0\ncnot 0 1\n", None, None, "wire 1 used before init at t=1"),
+    "no-operations": ("# only a comment\n\n", 1, 1, "no operations"),
+    # Slot checks over all ops come before any init/measure order check.
+    "slot-check-first": (
+        "measure 1 X\n@5 init 0 0\n@5 cnot 0 2\n@5 init 2 0\n",
+        None, None, "duplicate op slot on wire 0 at t=5",
+    ),
+    # Order checks visit wires in first-appearance order, not by id.
+    "first-appearing-wire-first": (
+        "@3 init 0 0\n@0 init 1 0\n@1 init 1 0\n@2 measure 0 X\n",
+        None, None, "wire 1 re-initialised before measurement at t=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_messages_and_positions(case):
+    text, line, column, message = PARSE_ERRORS[case]
+    with pytest.raises(ICMError) as err:
+        parse_icm(text)
+    if line is None:
+        assert type(err.value) is ICMError
+        assert str(err.value) == message
+    else:
+        assert isinstance(err.value, ICMSyntaxError)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "wire_count, ops, message",
+    [
+        (1, [ICMOp("init", 0, (1,), "0")], "wire 1 out of range (wire_count=1)"),
+        (0, [], "wire_count must be positive"),
+        (-2, [ICMOp("init", 0, (0,), "0")], "wire_count must be positive"),
+    ],
+)
+def test_circuit_constructor_errors(wire_count, ops, message):
+    with pytest.raises(ICMError) as err:
+        ICMCircuit(wire_count, ops)
+    assert type(err.value) is ICMError
+    assert str(err.value) == message
+
+
+def random_icm_source(rng, stats):
+    """A valid ICM source text with idle wires, lifetimes left open, and a
+    mix of explicit and implicit timesteps; ``stats`` counts each."""
+    wires = rng.randint(2, 7)
+    idle = set(rng.sample(range(wires - 1), rng.randint(0, 1)))  # never the top wire
+    live: set[int] = set()
+    used: set[int] = set()
+    next_free = dict.fromkeys(range(wires), 0)
+    lines = []
+    for _ in range(rng.randint(1, 30)):
+        roll = rng.random()
+        free = [w for w in range(wires) if w not in live and w not in idle]
+        if free and (roll < 0.35 or not live):
+            kind, ws, basis = "init", (rng.choice(free),), rng.choice("0+AY")
+            live.add(ws[0])
+        elif roll < 0.7 and len(live) >= 2:
+            kind, ws, basis = "cnot", tuple(rng.sample(sorted(live), 2)), None
+        else:
+            kind, ws, basis = "measure", (rng.choice(sorted(live)),), rng.choice("XZ")
+            live.discard(ws[0])
+        t = max(next_free[w] for w in ws)
+        prefix = ""
+        if rng.random() < 0.5:
+            t += rng.randint(0, 3)
+            prefix = f"@{t} "
+            stats["explicit"] += 1
+        else:
+            stats["implicit"] += 1
+        for w in ws:
+            next_free[w] = t + 1
+        used.update(ws)
+        lines.append(f"{prefix}{kind} " + " ".join(map(str, ws + ((basis,) if basis else ()))))
+    stats["idle"] += sum(1 for w in idle if w < max(used))
+    stats["open"] += bool(live)
+    return "\n".join(lines) + "\n"
+
+
+def reference_lifetimes(circuit):
+    """Lifetimes recomputed from ``circuit.ops``, wire by wire."""
+    out = []
+    for w in range(circuit.wire_count):
+        ops = [op for op in circuit.ops if w in op.wires]
+        if not ops:
+            out.append(Lifetime(w, 0, None, False))
+            continue
+        starts = [i for i, op in enumerate(ops) if op.kind == "init"]
+        for a, b in zip(starts, starts[1:] + [len(ops)]):
+            chunk = tuple(ops[a:b])
+            end = chunk[-1].timestep if chunk[-1].kind == "measure" else None
+            out.append(Lifetime(w, chunk[0].timestep, end, chunk[0].basis in ("A", "Y"), chunk))
+    return sorted(out, key=lambda lt: (lt.start, lt.wire))
+
+
+def test_lifetimes_match_reference_on_random_circuits():
+    rng = random.Random(2017)
+    stats = Counter()
+    for _ in range(300):
+        text = random_icm_source(rng, stats)
+        c = parse_icm(text)
+        assert list(c.lifetimes()) == reference_lifetimes(c), text
+        assert [(m.wire, m.timestep, m.basis) for m in c.magic_inputs] == sorted(
+            ((op.wire, op.timestep, op.basis) for op in c.ops
+             if op.kind == "init" and op.basis in ("A", "Y")),
+            key=lambda m: (m[1], m[0]),
+        )
+        assert parse_icm(format_icm(c)).ops == c.ops
+    assert min(stats[k] for k in ("explicit", "implicit", "idle", "open")) >= 20, stats
 
 
 def test_format_roundtrip(toffoli):
