@@ -12,6 +12,7 @@ Text format (UTF-8, line oriented, ``#`` comments)::
     [@<timestep>] cnot <control> <target>
     [@<timestep>] measure <wire> <X|Z>
 
+Wire ids and timesteps are unsigned decimal integers (``[0-9]+``).
 When the ``@<timestep>`` token is absent, timesteps are assigned
 densely per wire in file order: an op lands on the earliest slot after
 everything already placed on its wire(s).
@@ -20,6 +21,7 @@ everything already placed on its wire(s).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 
 INIT = "init"
@@ -30,6 +32,7 @@ INIT_BASES = ("0", "+", "A", "Y")
 MEASURE_BASES = ("X", "Z")
 MAGIC_BASES = ("A", "Y")
 OP_BASES = {INIT: INIT_BASES, CNOT: None, MEASURE: MEASURE_BASES}  # kind -> basis set
+_NEGATIVE = re.compile(r"-[0-9]+")  # a signed wire id or timestep, reported as negative
 
 
 class ICMError(Exception):
@@ -177,46 +180,46 @@ def parse_icm(text: str) -> ICMCircuit:
         return t
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        tokens = code.split()
+        if not tokens:
             continue
-        tokens = line.split()
+        first = 0  # index of the op word among the line's tokens
+
+        def fail(i: int, message: str):
+            """Raise at the column of ``tokens[i]``."""
+            starts = [m.start() for m in re.finditer(r"\S+", code)]
+            raise ICMSyntaxError(lineno, starts[first + i] + 1, message)
+
         timestep = None
         if tokens[0].startswith("@"):
-            try:
-                timestep = int(tokens[0][1:])
-            except ValueError:
-                raise ICMSyntaxError(lineno, 1, f"bad timestep token {tokens[0]!r}")
-            tokens = tokens[1:]
+            stamp = tokens[0][1:]
+            if not (stamp.isascii() and stamp.isdigit()):
+                fail(0, f"negative timestep {stamp}" if _NEGATIVE.fullmatch(stamp)
+                     else f"bad timestep token {tokens[0]!r}")
+            timestep = int(stamp)
+            first, tokens = 1, tokens[1:]
             if not tokens:
                 raise ICMSyntaxError(lineno, len(raw), "timestep with no op")
         word = tokens[0]
-
-        def fail(token: str, message: str):
-            raise ICMSyntaxError(lineno, raw.find(token) + 1, message)
-
         if word not in OP_BASES:
-            fail(word, f"unknown op {word!r}")
+            fail(0, f"unknown op {word!r}")
         if len(tokens) != 3:
-            fail(word, f"{word} expects 2 arguments")
+            fail(0, f"{word} expects 2 arguments")
         bases = OP_BASES[word]
         wires = []
-        for tok in (tokens[1:2] if bases else tokens[1:]):
-            try:
-                wires.append(int(tok))
-            except ValueError:
-                fail(tok, f"bad wire id {tok!r}")
-            if wires[-1] < 0:
-                fail(tok, "wire ids are non-negative")
+        for i in (1,) if bases else (1, 2):
+            tok = tokens[i]
+            if not (tok.isascii() and tok.isdigit()):
+                fail(i, "wire ids are non-negative" if _NEGATIVE.fullmatch(tok)
+                     else f"bad wire id {tok!r}")
+            wires.append(int(tok))
         if wires[1:] == wires[:1]:
-            fail(tokens[2], "control equals target")
+            fail(2, "control equals target")
         basis = tokens[2] if bases else None
         if bases and basis not in bases:
-            fail(basis, f"bad {word} basis {basis!r}")
-        try:
-            ops.append(ICMOp(word, slot(wires, timestep), tuple(wires), basis))
-        except ICMError as exc:
-            raise ICMSyntaxError(lineno, 1, str(exc)) from None
+            fail(2, f"bad {word} basis {basis!r}")
+        ops.append(ICMOp(word, slot(wires, timestep), tuple(wires), basis))
 
     if not ops:
         raise ICMSyntaxError(1, 1, "no operations")

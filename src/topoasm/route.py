@@ -10,12 +10,13 @@ enabled obstacles.  Obstacles come in two kinds:
   the segments computed before the owner's and evaporate afterwards.
 
 Every obstacle stays in the spatial index from ``add`` to ``remove``;
-switching it off or on only flips its flag, which blocked-cell queries
-read; a cell is blocked while any enabled obstacle covers it.  A task
-set is computed in strictly descending priority: disable the active
-spec's own obstacles, plan, commit the path, re-enable the guides and
-remove the occupies.  :func:`compute_taskset` returns each path with the
-polyline its commit claimed, so callers draw exactly what was claimed.
+switching it off or on only flips its flag and its membership of the
+registry's ``disabled`` set, which blocked-cell queries read; a cell is
+blocked while any enabled obstacle covers it.  A task set is computed
+in strictly descending priority: disable the active spec's own
+obstacles, plan, commit the path, re-enable the guides and remove the
+occupies.  :func:`compute_taskset` returns each path with the polyline
+its commit claimed, so callers draw exactly what was claimed.
 
 Straight-run rule: when start and stop differ on one axis only, the
 straight run between them is the unique shortest path.  If none of its
@@ -23,15 +24,18 @@ cells is blocked, :func:`plan_segment` returns it without a search;
 otherwise A* runs on the same :class:`BlockedView`.  Either way the path
 is the one A* would return.
 
-Lazy blocked checks: A* pushes every neighbour that is neither settled
-nor already rejected, untested, and asks the view about a cell only
-when it pops it; a blocked cell is rejected there and never expanded.
-The ``settled`` and ``rejected`` sets are the search's only record of
-tested cells, so A* tests each cell at most once.
-The heap key orders cells totally and a rejected entry leaves no trace,
-so every free cell gets the same cost and parent, and is popped in the
-same order, as under a check at push time: the path is unchanged, and
-most neighbours, which are never popped, are never tested.
+Lazy blocked checks: A* pushes every neighbour it has not yet popped,
+untested, and asks the view about a cell only when it pops it; a
+blocked cell is dropped there and never expanded.  One ``done`` set
+holds every popped cell, settled or found blocked, so A* tests each
+cell at most once.  The heap key ``(f, h, cell)`` orders cells totally
+and a blocked entry leaves no trace, so every free cell gets the same
+cost and parent, and is popped in the same order, as under a check at
+push time: the path is unchanged, and most neighbours, which are never
+popped, are never tested.  The heuristic is updated per step, not
+recomputed: a neighbour's ``h`` is the popped cell's ``h`` minus one
+when the step goes towards ``stop`` and plus one otherwise, and the
+popped cell's ``g`` is ``f - h``.
 """
 
 from __future__ import annotations
@@ -51,9 +55,6 @@ SEG_B = "connection_b"  # box output -> pool rail
 SEG_E = "connection_e"  # extension along a pool rail
 
 SOLID_TAGS = ("circuit", "box", "connection")
-
-# Fixed expansion order: t, x, y, negative direction first.
-_NEIGHBOR_STEPS = ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1))
 
 
 class RouteError(Exception):
@@ -115,12 +116,14 @@ class Path:
 
 class ObstacleRegistry:
     """Owns all obstacles, each indexed from ``add`` until ``remove``;
-    ``disable`` and ``enable`` only flip :attr:`Obstacle.enabled`."""
+    ``disable`` and ``enable`` only flip :attr:`Obstacle.enabled` and
+    keep :attr:`disabled`, the ids of the switched-off obstacles."""
 
     def __init__(self, index: BoxIndex, journal=None):
         self.index = index
         self.journal = journal
         self.by_id: dict[str, Obstacle] = {}  # every obstacle not yet removed
+        self.disabled: set[str] = set()
         self._seq = itertools.count()
 
     def add(self, region: Box3, kind: str, priority: int, owner: str) -> Obstacle:
@@ -150,18 +153,18 @@ class ObstacleRegistry:
         obs = self.by_id[oid]
         if obs.enabled != on:
             obs.enabled = on
+            if on:
+                self.disabled.discard(oid)
+            else:
+                self.disabled.add(oid)
             if self.journal:
                 self.journal.log("obstacle-on" if on else "obstacle-off", oid)
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
         del self.by_id[oid]
+        self.disabled.discard(oid)
         self.index.remove(oid)
-
-    def blocks(self, eid: str) -> bool:
-        """Whether index entry ``eid`` blocks: solids always, obstacles while enabled."""
-        obs = self.by_id.get(eid)
-        return obs is None or obs.enabled
 
 
 class World:
@@ -190,12 +193,13 @@ class World:
 class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
     blocked when it lies outside ``bounds`` or a solid or an enabled
-    obstacle covers it.  Every query reads the index; A* queries a cell
-    when it pops it, not when it pushes it."""
+    obstacle covers it.  Every query is one early-exit scan of the cell's
+    index bucket (:meth:`~topoasm.spatial.BoxIndex.covered`) that exempts
+    the disabled obstacles; A* queries a cell when it pops it."""
 
     def __init__(self, world: World, bounds: Box3):
-        self._index = world.index
-        self._blocks = world.obstacles.blocks
+        self._covered = world.index.covered
+        self._disabled = world.obstacles.disabled
         self._lo = bounds.lo.as_tuple()
         self._hi = bounds.hi.as_tuple()
 
@@ -204,7 +208,7 @@ class BlockedView:
         lo, hi = self._lo, self._hi
         return not (
             lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]
-        ) or any(map(self._blocks, self._index.covering(cell)))
+        ) or self._covered(cell, self._disabled)
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
@@ -243,18 +247,17 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     run = _straight_run(start, stop)
     if run is not None and not any(map(view.is_blocked, run[1:-1])):
         return Path(run)
-
-    def h(cell):
-        return abs(cell[0] - stop[0]) + abs(cell[1] - stop[1]) + abs(cell[2] - stop[2])
-
+    st, sx, sy = stop
+    h0 = abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy)
     g = {start: 0}
     parent: dict = {}
-    heap = [(h(start), h(start), start)]
-    settled = set()  # expanded free cells
-    rejected = set()  # popped cells found blocked
+    heap = [(h0, h0, start)]
+    done = set()  # popped cells: settled (free, expanded) or found blocked
+    settled = 0
+    push, pop, is_blocked = heapq.heappush, heapq.heappop, view.is_blocked
     while heap:
-        f, _, cell = heapq.heappop(heap)
-        if cell in settled or cell in rejected:
+        f, h, cell = pop(heap)
+        if cell in done:
             continue
         if cell == stop:
             out = [cell]
@@ -263,24 +266,29 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
                 out.append(cell)
             out.reverse()
             return Path(tuple(out))
-        if view.is_blocked(cell):
-            rejected.add(cell)
+        done.add(cell)
+        if is_blocked(cell):
             continue
-        settled.add(cell)
-        base = g[cell]
-        for dt, dx, dy in _NEIGHBOR_STEPS:
-            nb = (cell[0] + dt, cell[1] + dx, cell[2] + dy)
-            if nb in settled or nb in rejected:
-                continue
-            ng = base + 1
-            if ng < g.get(nb, 1 << 30):
+        settled += 1
+        ng = f - h + 1
+        t, x, y = cell
+        # Fixed expansion order: t, x, y, negative direction first; a step
+        # towards stop lowers the L1 heuristic by one, any other raises it.
+        for nb, hb in (
+            ((t - 1, x, y), h - 1 if t > st else h + 1),
+            ((t + 1, x, y), h - 1 if t < st else h + 1),
+            ((t, x - 1, y), h - 1 if x > sx else h + 1),
+            ((t, x + 1, y), h - 1 if x < sx else h + 1),
+            ((t, x, y - 1), h - 1 if y > sy else h + 1),
+            ((t, x, y + 1), h - 1 if y < sy else h + 1),
+        ):
+            if nb not in done and ng < g.get(nb, 1 << 30):
                 g[nb] = ng
                 parent[nb] = cell
-                hb = h(nb)
-                heapq.heappush(heap, (ng + hb, hb, nb))
+                push(heap, (ng + hb, hb, nb))
     raise NoPathError(
-        spec, f"searched {len(settled)} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
-        searched=len(settled), bounds=bounds,
+        spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
+        searched=settled, bounds=bounds,
     )
 
 

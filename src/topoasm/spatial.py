@@ -10,8 +10,10 @@ hit-set contract is the only behaviour callers may rely on.
 Bucket layout: each bucket maps an entry id to the entry's row
 ``(lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)``.  The row is one tuple, built
 at insert and shared by every bucket the entry touches, so ``hits`` and
-``covering`` test each candidate by comparing its row in place, with
-no per-candidate method call.
+``covered`` test each candidate by comparing its row in place, with
+no per-candidate method call.  ``covered`` answers the router's
+per-cell question in one scan of the cell's bucket: it stops at the
+first row that contains the cell and is not exempt, and builds no list.
 """
 
 from __future__ import annotations
@@ -104,14 +106,13 @@ class BoxIndex:
                     out.add(eid)
         return out
 
-    def covering(self, cell: tuple[int, int, int]) -> list[str]:
-        """Ids of all entries whose boxes contain ``cell``."""
+    def covered(self, cell: tuple[int, int, int], exempt) -> bool:
+        """Whether an entry whose id is not in ``exempt`` contains ``cell``."""
         t, x, y = cell
         s = self.bucket_size
         rows = self._buckets.get((t // s, x // s, y // s))
-        if rows is None:
-            return []
-        return [
-            eid for eid, (lt, lx, ly, ht, hx, hy) in rows.items()
-            if lt <= t < ht and lx <= x < hx and ly <= y < hy
-        ]
+        if rows is not None:
+            for eid, (lt, lx, ly, ht, hx, hy) in rows.items():
+                if lt <= t < ht and lx <= x < hx and ly <= y < hy and eid not in exempt:
+                    return True
+        return False

@@ -64,13 +64,20 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--max-rounds", "-5"],
         ["--compare", "0"],
         ["--circuit", "latin1.icm"],
+        ["--circuit", "underscore.icm"],
+        ["--circuit", "plus.icm"],
+        ["--circuit", "plus-timestep.icm"],
     ],
     ids=["p-fail", "confidence", "pool-cap", "pool-gap", "missing-outcomes", "temporal-0",
          "temporal-negative", "pool-above-cap", "pool-negative", "max-rounds-0",
-         "max-rounds-negative", "compare-0", "circuit-not-utf8"],
+         "max-rounds-negative", "compare-0", "circuit-not-utf8", "circuit-wire-underscore",
+         "circuit-wire-plus", "circuit-timestep-plus"],
 )
 def test_bad_input_exits_two_with_one_line(workdir, capsys, extra):
     (workdir / "latin1.icm").write_bytes("@0 init 0 0  # caf\u00e9\n".encode("latin-1"))
+    (workdir / "underscore.icm").write_text("init 1_0 0\nmeasure 10 X\n")
+    (workdir / "plus.icm").write_text("init +0 0\nmeasure 0 X\n")
+    (workdir / "plus-timestep.icm").write_text("@+3 init 0 0\n@4 measure 0 X\n")
     extra = [str(workdir / a) if a.endswith((".txt", ".icm")) else a for a in extra]
     assert run_cli(workdir, *extra) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1

@@ -73,9 +73,20 @@ PARSE_ERRORS = {
     "measure-arity": ("init 0 0\n measure 0 X Z\n", 2, 2, "measure expects 2 arguments"),
     "bad-wire-id": ("init 0 0\ncnot 0 w1\n", 2, 8, "bad wire id 'w1'"),
     "negative-wire-id": ("init -1 0\n", 1, 6, "wire ids are non-negative"),
-    "control-equals-target": ("init 0 0\ncnot 0 0\n", 2, 6, "control equals target"),
+    "control-equals-target": ("init 0 0\ncnot 0 0\n", 2, 8, "control equals target"),
     "bad-init-basis": ("init 0 0\ninit 1 Q\n", 2, 8, "bad init basis 'Q'"),
     "bad-measure-basis": ("init 0 0\nmeasure 0 Y\n", 2, 11, "bad measure basis 'Y'"),
+    # A token that repeats an earlier one on its line is reported at its own column.
+    "bad-measure-basis-repeats-wire": ("init 0 0\nmeasure 0 0\n", 2, 11, "bad measure basis '0'"),
+    "unknown-op-repeats-timestep": ("@0 0 0 0\n", 1, 4, "unknown op '0'"),
+    # Wire ids and timesteps are plain ASCII digits, nothing else int() reads.
+    "wire-id-underscore": ("init 1_0 0\n", 1, 6, "bad wire id '1_0'"),
+    "wire-id-plus": ("init 0 0\ninit 1 0\ncnot 0 +1\n", 3, 8, "bad wire id '+1'"),
+    "wire-id-non-ascii-digit": ("init \u0661 0\n", 1, 6, "bad wire id '\u0661'"),
+    "wire-id-negative-zero": ("init -0 0\n", 1, 6, "wire ids are non-negative"),
+    "timestep-plus": ("@+3 init 0 0\n", 1, 1, "bad timestep token '@+3'"),
+    "timestep-underscore": ("@1_0 init 0 0\n", 1, 1, "bad timestep token '@1_0'"),
+    "timestep-space": ("@ 3 init 0 0\n", 1, 1, "bad timestep token '@'"),
     "negative-timestep": ("init 0 0\n@-1 measure 0 X\n", 2, 1, "negative timestep -1"),
     "duplicate-slot": ("@0 init 0 0\n@0 init 0 +\n", None, None, "duplicate op slot on wire 0 at t=0"),
     "re-init": ("init 0 0\ninit 0 +\n", None, None, "wire 0 re-initialised before measurement at t=1"),

@@ -129,6 +129,27 @@ def test_disabled_obstacles_do_not_block():
     assert not BlockedView(w, BOUNDS).is_blocked((1, 0, 0))
 
 
+def test_disabled_tracks_switched_off_obstacles_under_random_scripts():
+    """After every step of seeded add/disable/enable/remove scripts, the
+    registry's ``disabled`` set holds exactly the ids of the obstacles
+    whose ``enabled`` flag is False."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        reg = World().obstacles
+        for step in range(200):
+            roll = rng.random()
+            if roll < 0.3 or not reg.by_id:
+                lo = Point3(rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30))
+                reg.add(box_from_extents(lo, (rng.randint(1, 80), 1, 2)),
+                        rng.choice((GUIDE, OCCUPY)), rng.randint(0, 9), "x")
+            else:
+                oid = rng.choice(sorted(reg.by_id))
+                op = "disable" if roll < 0.6 else "enable" if roll < 0.85 else "remove"
+                getattr(reg, op)(oid)
+            want = {oid for oid, obs in reg.by_id.items() if not obs.enabled}
+            assert reg.disabled == want, (seed, step)
+
+
 def test_blocked_view_matches_rasterized_live_boxes():
     """Independent oracle: rasterize the boxes this test keeps live and
     enabled, and compare with the view on every cell of the bounds."""
@@ -331,6 +352,38 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
         assert got == eager_plan(s, w, default_bounds(s, margin)), (trial, margin)
     # found paths, searches that exhaust their bounds and refused endpoints all occur
     assert min(outcomes["path"], outcomes["exhausted"], outcomes["refused"]) >= 5, outcomes
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_detour_away_from_stop_matches_eager_reference(axis, direction):
+    """A cup of walls around start, closed towards stop, forces the path to
+    step away from stop along ``axis`` before it can pass the wall; the
+    search's per-step heuristic update must then agree with the eager
+    reference, which recomputes the L1 distance for every cell."""
+    start = (10, 10, 10)
+    stop = tuple(c + 6 * direction if i == axis else c for i, c in enumerate(start))
+    b, c = (i for i in range(3) if i != axis)
+
+    def box(along, on_b, on_c):
+        lo, hi = [0] * 3, [0] * 3
+        for i, (low, high) in ((axis, along), (b, on_b), (c, on_c)):
+            lo[i], hi[i] = low, high
+        return Box3(Point3(*lo), Point3(*hi))
+
+    plate = 10 + 2 * direction  # the wall between start and stop
+    sides = (7, 12) if direction > 0 else (9, 14)  # the cup's side walls, open behind start
+    w = World()
+    w.claim("plate", box((plate, plate + 1), (5, 16), (5, 16)), "circuit")
+    for i, (on_b, on_c) in enumerate((((5, 6), (5, 16)), ((15, 16), (5, 16)),
+                                      ((6, 15), (5, 6)), ((6, 15), (15, 16)))):
+        w.claim(f"side{i}", box(sides, on_b, on_c), "circuit")
+    s = spec(start, stop)
+    got = planned(s, w, BOUNDS)
+    assert got == eager_plan(s, w, BOUNDS)
+    assert len(got) == bfs_length(start, stop, BlockedView(w, BOUNDS).is_blocked, BOUNDS)
+    # the path backs out of the cup, away from stop
+    assert min(cell[axis] * direction for cell in got) < (start[axis] - 2) * direction
 
 
 # -- compute_taskset protocol ---------------------------------------------------

@@ -126,19 +126,30 @@ def test_tag_filtered_hits():
     assert idx.hits(probe, tags=("circuit", "box")) == {"solid"}
 
 
+def rand_rod(rng, span=40):
+    """A box longer than 64 in t and 1-2 cells wide in x and y, the shape
+    of the rail and lifetime guides."""
+    lo = Point3(rng.randint(-span, span), rng.randint(-span, span), rng.randint(-span, span))
+    return box_from_extents(lo, (rng.randint(65, 140), rng.randint(1, 2), rng.randint(1, 2)))
+
+
 def test_covering_matches_brute_force_under_random_scripts():
-    """``covering(cell)`` equals a scan of the live entries, under seeded
-    insert/remove scripts whose boxes often span many buckets.  Probe
-    cells include every live box's low corner, its last cell and the
-    first cells past its high faces."""
+    """``covered(cell, exempt)`` is True exactly when a live box that is
+    not exempt contains the cell, under seeded insert/remove scripts whose
+    boxes often span many buckets or are long thin rods.  Probe cells
+    include every live box's low corner, its last cell and the first
+    cells past its high faces; exempt sets include the empty set, every
+    live id and random subsets of the live ids."""
     for seed in range(8):
         rng = random.Random(seed)
         idx = BoxIndex()
         live = {}
         for step in range(300):
             if rng.random() < 0.65 or not live:
-                max_ext = 30 if rng.random() < 0.3 else 4
-                e = IndexEntry(f"s{step}", rand_box(rng, span=40, max_ext=max_ext), "obstacle")
+                roll = rng.random()
+                box = (rand_rod(rng) if roll < 0.2
+                       else rand_box(rng, span=40, max_ext=30 if roll < 0.45 else 4))
+                e = IndexEntry(f"s{step}", box, "obstacle")
                 idx.insert(e)
                 live[e.id] = e
             else:
@@ -147,11 +158,17 @@ def test_covering_matches_brute_force_under_random_scripts():
                 del live[victim]
             if step % 25:
                 continue
-            probes = [tuple(rng.randint(-45, 75) for _ in range(3)) for _ in range(60)]
+            ids = sorted(live)
+            exempts = [set(), set(ids)] + [set(rng.sample(ids, rng.randint(1, len(ids))))
+                                           for _ in range(3 if ids else 0)]
+            probes = [tuple(rng.randint(-45, 185) if i == 0 else rng.randint(-45, 75)
+                            for i in range(3)) for _ in range(60)]
             for e in live.values():
                 lo, hi = e.box.lo, e.box.hi
                 probes += [lo.as_tuple(), (hi.t - 1, hi.x - 1, hi.y - 1),
                            (hi.t, lo.x, lo.y), (lo.t, hi.x, lo.y), (lo.t, lo.x, hi.y)]
             for cell in probes:
-                want = sorted(e.id for e in live.values() if e.box.contains_cell(cell))
-                assert sorted(idx.covering(cell)) == want, (seed, step, cell)
+                covers = {e.id for e in live.values() if e.box.contains_cell(cell)}
+                for exempt in exempts:
+                    want = bool(covers - exempt)
+                    assert idx.covered(cell, exempt) is want, (seed, step, cell, sorted(exempt))
