@@ -133,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_condition(text: str) -> tuple:
     if text == "after-round":
         return ("after-round",)
-    if text.startswith("temporal:"):
-        return ("temporal", int(text.split(":", 1)[1]))
-    if text.startswith("pool:"):
-        return ("pool", int(text.split(":", 1)[1]))
+    kind, _, value = text.partition(":")
+    # ASCII decimals only; a negative value parses so that its range check reports it
+    if kind in ("temporal", "pool") and value.isascii() and value.removeprefix("-").isdigit():
+        return (kind, int(value))
     raise ValueError(f"bad condition {text!r}")
 
 

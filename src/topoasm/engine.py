@@ -8,8 +8,9 @@ the proactive scheduling condition fires between events:
    a round: place boxes, simulate outcomes, reserve connections;
 2. emit circuit geometry up to the earliest future magic input;
 3. assign reserved connections to the pending inputs;
-4. determine the segment specs (pool-to-pin drops, rail extensions,
-   box-to-rail links), add their obstacles, compute the paths;
+4. list the pool-to-pin drops, rail runs and box-to-rail links, add
+   their guards, then specs, obstacles and paths in the order drops +
+   links + runs (``cbe``) or drops + runs + links (``ceb``);
 5. sweep stale connections back to available and record the step.
 
 Everything is deterministic for a fixed config: box outcomes come from
@@ -40,8 +41,8 @@ from .geom import (
     template_rows,
     wire_row,
 )
-from .icm import MAGIC_BASES, ICMCircuit, MagicInput, magic_events, recycle_wires
-from .pool import RAIL_PITCH, Connection, ConnectionPool, PoolConfig
+from .icm import MAGIC_BASES, ICMCircuit, magic_events, recycle_wires
+from .pool import RAIL_PITCH, ConnectionPool, PoolConfig
 from .route import (
     GUIDE,
     OCCUPY,
@@ -134,17 +135,6 @@ class Assembly:
     volume: int
     journal: Journal
     deliveries: dict = field(default_factory=dict)  # input key -> (conn id, path)
-
-
-@dataclass
-class _Segment:
-    """One segment a step must route, before its spec and obstacles exist."""
-
-    segment_class: str  # SEG_C | SEG_E | SEG_B
-    conn: Connection
-    magic: MagicInput | None = None  # SEG_C: the input it delivers
-    first: int = 0  # SEG_E: first and last new rail cell
-    last: int = 0
 
 
 class OutcomeSource:
@@ -333,36 +323,6 @@ class Synthesizer:
             elif pol.condition[0] == "temporal":
                 self.next_round_at = trigger_time + pol.condition[1]
 
-    def _ensure_rail_guards(self, rail_index: int) -> None:
-        if rail_index in self.rail_line_guards:
-            return
-        rail = self.pool.rails[rail_index]
-        line = Box3(
-            Point3(self.t_floor, rail.x, rail.y),
-            Point3(self.t_ceiling, rail.x + 1, rail.y + 1),
-        )
-        under = Box3(
-            Point3(self.t_floor, rail.x, rail.y - 1),
-            Point3(self.t_ceiling, rail.x + 1, rail.y),
-        )
-        self.rail_line_guards[rail_index] = self.world.obstacles.add(
-            line, GUIDE, 0, f"rail{rail_index}"
-        ).oid
-        self.rail_under_guards[rail_index] = self.world.obstacles.add(
-            under, GUIDE, 0, f"rail{rail_index}"
-        ).oid
-
-    def _add_fwd_guard(self, conn) -> None:
-        # Fences the connection's forward rail stretch (line and under-strip)
-        # against everything except its own extensions and final drop.
-        rail = self.pool.rails[conn.rail]
-        region = Box3(
-            Point3(conn.anchor_t + 1, rail.x, rail.y - 1),
-            Point3(self.t_ceiling, rail.x + 1, rail.y + 1),
-        )
-        obs = self.world.obstacles.add(region, GUIDE, 0, conn.id)
-        self.conn_fwd_guards[conn.id] = obs.oid
-
     def _insufficient(self, counts) -> bool:
         return (
             counts["A"] > self.pool.reserved_count("A")
@@ -419,12 +379,8 @@ class Synthesizer:
         self.journal.log("begin", cfg.policy.kind, cfg.seed)
 
         if cfg.policy.kind == "asap":
-            totals = self.demand_totals
-            while (
-                self.pool.reserved_count("A") < totals["A"]
-                or self.pool.reserved_count("Y") < totals["Y"]
-            ):
-                self._fire_round(-(BOX_DEPTH + 1), totals)
+            while self._insufficient(self.demand_totals):
+                self._fire_round(-(BOX_DEPTH + 1), self.demand_totals)
 
         k = 0  # the first demand event not yet handled
         step = 0
@@ -468,17 +424,14 @@ class Synthesizer:
             # lines 16-22
             self._connect_step(frontier, assigned)
 
-            self.records.append(
-                StepRecord(
-                    step, counts["A"], counts["Y"],
-                    self.pool.reserved_count("A"), self.pool.reserved_count("Y"),
-                    1 if fired else 0,
-                )
-            )
-            self.journal.log(
-                "record", counts["A"], counts["Y"],
+            rec = StepRecord(
+                step, counts["A"], counts["Y"],
                 self.pool.reserved_count("A"), self.pool.reserved_count("Y"),
                 1 if fired else 0,
+            )
+            self.records.append(rec)
+            self.journal.log(
+                "record", rec.nr_a, rec.nr_y, rec.a_pool, rec.y_pool, rec.sched_round
             )
 
             if not standalone:
@@ -517,91 +470,54 @@ class Synthesizer:
     # -- segment determination and computation --------------------------------
 
     def _connect_step(self, frontier: int, assigned) -> None:
-        pool_y = self.pool.config.pool_gap
-        segments = []
+        # Each segment is a (segment_class, conn, arg) triple; arg is the
+        # MagicInput of a drop, the (first, last) cells of a rail run and
+        # None for a box link.
+        def by_rail(seg):
+            return seg[1].rail
 
         # line 16: pool -> circuit drops for the assigned inputs
-        for m, conn in assigned:
-            segments.append(_Segment(SEG_C, conn, magic=m))
+        drops = [(SEG_C, conn, m) for m, conn in assigned]
+        for _, conn, m in drops:
             self.journal.log("spec-c", conn.id, m.key)
 
         # line 17: delivered connections leave the pool
         self.pool.mark_tobeavailable([conn.id for _, conn in assigned])
 
-        # line 18: rail extensions; delivered ones get their final stretch
-        extensions = []
-        for m, conn in assigned:
-            if m.timestep > conn.extended_to:
-                extensions.append((conn, conn.extended_to + 1, m.timestep))
-        extensions.extend(self.pool.extension_targets(frontier))
-        extensions.sort(key=lambda e: e[0].rail)
-        for conn, first, last in extensions:
-            segments.append(_Segment(SEG_E, conn, first=first, last=last))
+        # line 18: rail runs, by rail; delivered ones get their final stretch
+        runs = [
+            (SEG_E, conn, (conn.extended_to + 1, m.timestep))
+            for m, conn in assigned
+            if m.timestep > conn.extended_to
+        ]
+        runs += [(SEG_E, conn, (a, b)) for conn, a, b in self.pool.extension_targets(frontier)]
+        runs.sort(key=by_rail)
+        for _, conn, (first, last) in runs:
             self.journal.log("spec-e", conn.id, first, last)
 
-        # line 19: box -> pool links for this step's reservations, whether
-        # or not they were already consumed by this step's inputs
-        fresh = sorted(
-            (self.pool.connections[cid] for cid in self._pending_links),
-            key=lambda c: c.rail,
+        # line 19: box -> pool links for this step's reservations, by rail,
+        # whether or not they were already consumed by this step's inputs
+        links = sorted(
+            ((SEG_B, self.pool.connections[cid], None) for cid in self._pending_links),
+            key=by_rail,
         )
         self._pending_links.clear()
-        for conn in fresh:
-            segments.append(_Segment(SEG_B, conn))
+        for _, conn, _ in links:
             self.journal.log("spec-b", conn.id, conn.source_box)
 
         # line 20 starts here: every connection touched this step gets its
-        # rail guides before the per-spec occupies are minted
-        for seg in segments:
-            self._ensure_rail_guards(seg.conn.rail)
-            if seg.conn.id not in self.conn_fwd_guards:
-                self._add_fwd_guard(seg.conn)
+        # guides before the per-spec occupies are minted
+        for _, conn, _ in drops + runs + links:
+            self._ensure_guards(conn)
 
-        # line 20: obstacles; priorities descend along the compute order
-        class_rank = (
-            {SEG_C: 0, SEG_B: 1, SEG_E: 2}
-            if self.config.segment_order == "cbe"
-            else {SEG_C: 0, SEG_E: 1, SEG_B: 2}
-        )
-        segments.sort(key=lambda seg: class_rank[seg.segment_class])
-        n = len(segments)
-        specs = []
-        for i, seg in enumerate(segments):
-            prio = n - i
-            conn = seg.conn
-            rail_x, rail_y = self.pool.rail_position(conn.rail)
-            if seg.segment_class == SEG_C:
-                m = seg.magic
-                pin = pin_cell(m)
-                shaft_top = max(1, pool_y - 1)
-                shaft = Box3(
-                    Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, shaft_top)
-                )
-                obs = self.world.obstacles.add(shaft, OCCUPY, prio, conn.id)
-                own = (
-                    obs.oid, self.pin_guards[m.key], self.rail_under_guards[conn.rail],
-                    self.conn_fwd_guards[conn.id],
-                )
-                start = Point3(pin.t, rail_x, rail_y - 1)
-                spec = SegmentSpec(start, pin, own, prio, SEG_C, conn.id)
-            elif seg.segment_class == SEG_E:
-                spec = SegmentSpec(
-                    Point3(seg.first, rail_x, rail_y),
-                    Point3(seg.last, rail_x, rail_y),
-                    (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id]),
-                    prio, SEG_E, conn.id,
-                )
-            else:
-                anchor = Point3(conn.anchor_t, rail_x, rail_y)
-                port_guard = self.world.obstacles.add(
-                    Box3(conn.port, conn.port.shifted(1, 1, 1)), OCCUPY, prio, conn.id
-                )
-                spec = SegmentSpec(
-                    conn.port, anchor,
-                    (port_guard.oid, self.rail_line_guards[conn.rail]),
-                    prio, SEG_B, conn.id,
-                )
-            specs.append(spec)
+        # line 20: the compute order concatenates the lists; each spec mints
+        # its occupy, and priorities descend along the order
+        if self.config.segment_order == "cbe":
+            order = drops + links + runs
+        else:
+            order = drops + runs + links
+        n = len(order)
+        specs = [self._spec(*seg, n - i) for i, seg in enumerate(order)]
 
         # line 21: compute in descending priority, which is list order
         try:
@@ -610,15 +526,15 @@ class Synthesizer:
             self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
 
-        for seg, path in zip(segments, paths):
-            self.journal.log("path", seg.segment_class, seg.conn.id, len(path))
-            if seg.segment_class == SEG_E:
-                self._extend_rail_polyline(seg.conn, path)
-                self.pool.apply_extension(seg.conn, seg.last)
+        for (segment_class, conn, arg), path in zip(order, paths):
+            self.journal.log("path", segment_class, conn.id, len(path))
+            if segment_class == SEG_E:
+                self._extend_rail_polyline(conn, path)
+                self.pool.apply_extension(conn, arg[1])
             else:
                 self.geometry.defects.append(path.polyline)
-            if seg.segment_class == SEG_C:
-                self.deliveries[seg.magic.key] = (seg.conn.id, path)
+            if segment_class == SEG_C:
+                self.deliveries[arg.key] = (conn.id, path)
 
         # line 22: sweep; freed rails shed their forward guards so new
         # occupants can land beyond the old stretch
@@ -626,6 +542,50 @@ class Synthesizer:
             oid = self.conn_fwd_guards.pop(cid, None)
             if oid is not None:
                 self.world.obstacles.remove(oid)
+
+    def _ensure_guards(self, conn) -> None:
+        """Add the line and under guides of the connection's rail, once per
+        rail, and its forward guard, once per connection."""
+        rail = self.pool.rails[conn.rail]
+        x, y = rail.x, rail.y
+        if conn.rail not in self.rail_line_guards:
+            for guards, gy in ((self.rail_line_guards, y), (self.rail_under_guards, y - 1)):
+                strip = Box3(Point3(self.t_floor, x, gy), Point3(self.t_ceiling, x + 1, gy + 1))
+                guards[conn.rail] = self.world.obstacles.add(
+                    strip, GUIDE, 0, f"rail{conn.rail}"
+                ).oid
+        if conn.id not in self.conn_fwd_guards:
+            # Fences the connection's forward rail stretch (line and
+            # under-strip) against everything except its own extensions and
+            # final drop.
+            region = Box3(Point3(conn.anchor_t + 1, x, y - 1), Point3(self.t_ceiling, x + 1, y + 1))
+            self.conn_fwd_guards[conn.id] = self.world.obstacles.add(
+                region, GUIDE, 0, conn.id
+            ).oid
+
+    def _spec(self, segment_class, conn, arg, prio) -> SegmentSpec:
+        """The segment's spec; a drop or link also mints its occupy obstacle,
+        the drop shaft or the box port."""
+        x, y = self.pool.rail_position(conn.rail)
+        if segment_class == SEG_E:
+            first, last = arg
+            own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
+            return SegmentSpec(Point3(first, x, y), Point3(last, x, y), own, prio, SEG_E, conn.id)
+        if segment_class == SEG_C:
+            pin = pin_cell(arg)
+            shaft_top = max(1, self.pool.config.pool_gap - 1)
+            occupy = Box3(Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, shaft_top))
+            start, goal = Point3(pin.t, x, y - 1), pin
+            guards = (
+                self.pin_guards[arg.key], self.rail_under_guards[conn.rail],
+                self.conn_fwd_guards[conn.id],
+            )
+        else:
+            occupy = Box3(conn.port, conn.port.shifted(1, 1, 1))
+            start, goal = conn.port, Point3(conn.anchor_t, x, y)
+            guards = (self.rail_line_guards[conn.rail],)
+        oid = self.world.obstacles.add(occupy, OCCUPY, prio, conn.id).oid
+        return SegmentSpec(start, goal, (oid, *guards), prio, segment_class, conn.id)
 
     def _extend_rail_polyline(self, conn, path) -> None:
         poly = self._rail_polylines.get(conn.id)

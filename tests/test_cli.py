@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 from pathlib import Path
 
@@ -45,7 +46,9 @@ def test_bad_circuit_exits_two(tmp_path, capsys):
 
 
 def test_bad_condition_exits_two(workdir, capsys):
-    assert run_cli(workdir, "--condition", "sometimes") == 2
+    for text in ("sometimes", "temporal:15:2"):
+        assert run_cli(workdir, "--condition", text) == 2
+        assert capsys.readouterr().err == f"bad argument: bad condition {text!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -60,6 +63,11 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--condition", "temporal:-3"],
         ["--condition", "pool:11"],
         ["--condition", "pool:-1"],
+        ["--condition", "temporal:1_0"],
+        ["--condition", "temporal:+15"],
+        ["--condition", "temporal: 15"],
+        ["--condition", "pool:\u0663"],
+        ["--condition", "temporal:15:2"],
         ["--max-rounds", "0"],
         ["--max-rounds", "-5"],
         ["--compare", "0"],
@@ -69,7 +77,9 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--circuit", "plus-timestep.icm"],
     ],
     ids=["p-fail", "confidence", "pool-cap", "pool-gap", "missing-outcomes", "temporal-0",
-         "temporal-negative", "pool-above-cap", "pool-negative", "max-rounds-0",
+         "temporal-negative", "pool-above-cap", "pool-negative", "temporal-underscore",
+         "temporal-plus", "temporal-space", "pool-non-ascii-digit", "temporal-two-colons",
+         "max-rounds-0",
          "max-rounds-negative", "compare-0", "circuit-not-utf8", "circuit-wire-underscore",
          "circuit-wire-plus", "circuit-timestep-plus"],
 )
@@ -148,23 +158,68 @@ def test_geometry_roundtrip(toffoli, tmp_path):
     }
 
 
-def test_cli_determinism_byte_identical(workdir):
-    def run(tag):
-        paths = {
-            "stats": workdir / f"s{tag}.csv",
-            "geom": workdir / f"g{tag}.txt",
-            "journal": workdir / f"j{tag}.log",
-        }
-        code = run_cli(
-            workdir, "--seed", "42",
-            "--export-stats", str(paths["stats"]),
-            "--export-geometry", str(paths["geom"]),
-            "--journal", str(paths["journal"]),
-        )
-        assert code == 0
-        return {k: p.read_bytes() for k, p in paths.items()}
+@pytest.mark.parametrize(
+    "circuit, extra, digests",
+    [
+        pytest.param(
+            "toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
+            (
+                "3eda286d5492c599c62255ac6261749c2d8d2e646b4e4411ae1af5a16bc4d5ee",
+                "d823cd0f823e3a3e05ec121eae60d2181621f15a6808587eb22888f074823e7d",
+                "15081e5d18266598de4915b9b2cd277dc3d8184d8f2c3adacfbbb7cf1c3aec39",
+            ),
+            id="readme-scripted",
+        ),
+        pytest.param(
+            "toffoli.icm", ["--seed", "1", "--segment-order", "ceb"],
+            (
+                "b61945a177b88f4eb7c031bcd35ac69eabbb96b5f58ac4042e7ff3885de5d8f9",
+                "72d4cb2a93ae99145ae42658eb02f26bb2a542d2d06ceb54e1838054b69d8941",
+                "d93d8603ffe35dc96627c2eb34f26f0ca73e57d350e68f95dc0a7f0bf072edc6",
+            ),
+            id="seed1-ceb",
+        ),
+        pytest.param(
+            "toffoli_unopt.icm", ["--scheduler", "alap", "--seed", "2", "--no-recycle"],
+            (
+                "ec18bda58f39164f84a7d7b2967f11e5fb3d4b99356d3a3eb1806ebb3f484be6",
+                "7c3dc9155ee9918dfb6809ce45230a3094c2e03a71763a4bf3fb0c11cd136232",
+                "52684175c89127abceecb0ca32dcac0bf96eeb5d640bd361695ccd84c494e73d",
+            ),
+            id="alap-unopt-no-recycle",
+        ),
+        pytest.param(
+            "toffoli.icm", ["--scheduler", "asap", "--seed", "0"],
+            (
+                "9676a690527e73d5e9815896cc4045dd6ba193ec7d2233b2eaa96018b1219515",
+                "cdb79703fff843c0ef14742ce138d9d04cb42a25b8ab0e816df88654bb3d7649",
+                "1c624ff4f628d11a0c06d8a1375f86cb91343de80be49c78a9a5d4a44feda8df",
+            ),
+            id="asap",
+        ),
+    ],
+)
+def test_cli_determinism_byte_identical(workdir, circuit, extra, digests):
+    """Reruns write the same bytes, and those bytes match the sha256 digests
+    of the geometry, stats and journal exports recorded for these runs; a
+    change that alters an output must say why and update its digests."""
+    shutil.copy(fixtures.fixture_path(circuit), workdir / circuit)
+    extra = [str(workdir / a) if a.endswith(".txt") else a for a in extra]
 
-    assert run("a") == run("b")
+    def run(tag):
+        paths = [workdir / f"{tag}.{kind}" for kind in ("geometry", "stats", "journal")]
+        code = main([
+            "--circuit", str(workdir / circuit), *extra,
+            "--export-geometry", str(paths[0]),
+            "--export-stats", str(paths[1]),
+            "--journal", str(paths[2]),
+        ])
+        assert code == 0
+        return [p.read_bytes() for p in paths]
+
+    first = run("a")
+    assert first == run("b")
+    assert tuple(hashlib.sha256(b).hexdigest() for b in first) == digests
 
 
 def test_compare_mode_prints_medians(workdir, capsys):
