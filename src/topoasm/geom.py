@@ -272,9 +272,12 @@ class GeometryBuilder:
     cell itself stays unclaimed; the connection that delivers the
     distilled state terminates on it.
 
-    Each call touches only new work: cursors walk the CNOTs and the magic
-    inputs (both in timestep order), and only lifetimes that have started
-    but are not yet emitted to their end are revisited.
+    Each call touches only new work.  One cursor walks the lifetimes in
+    (start, wire) order and opens each one that starts below ``h``; a
+    magic lifetime registers its pin as it opens.  An open lifetime keeps
+    one record, its corridor polyline (``None`` until the first cell),
+    whose last vertex is the last cell emitted, and leaves once emitted
+    to its end.  A second cursor walks the CNOTs in timestep order.
     """
 
     def __init__(self, circuit, geometry: GeometrySet, claim=None):
@@ -282,18 +285,17 @@ class GeometryBuilder:
         self.geometry = geometry
         self.claim = claim or (lambda eid, box, tag: None)
         self.horizon = None  # exclusive bound of emitted cells
-        self._corridors = {}  # lifetime index -> (polyline | None, emitted_to_cell)
         self._lifetimes = circuit.lifetimes()  # in (start, wire) order
         self._next_lifetime = 0  # lifetimes before it have start < horizon
-        self._open = []  # indices of those not yet emitted to their end, ascending
+        self._magic = iter(circuit.magic_inputs)  # one per magic lifetime, in the same order
+        self._open = {}  # lifetime index -> corridor polyline | None, ascending by index
         self._cnots = circuit.cnots()
         self._next_cnot = 0
-        self._next_pin = 0
         self._claim_seq = 0
-        self._turns = self._plan_braid_turns()
+        self._templates = self._plan_templates()
 
-    def _plan_braid_turns(self) -> dict:
-        """Pick each CNOT template's turn end so the templates tile.
+    def _plan_templates(self) -> dict:
+        """Each CNOT's template vertices, with turn ends picked so the templates tile.
 
         The whole circuit footprint is known up front, so the trailing
         turn cell of every template can be placed on whichever row end
@@ -304,19 +306,17 @@ class GeometryBuilder:
         for op in cnots:
             xl, xr = template_rows(op)
             occupied.update((op.timestep, x) for x in range(xl, xr + 1))
-        turns = {}
+        templates = {}
         for op in cnots:
-            key = (op.timestep, op.control, op.target)
+            t0, t1 = op.timestep, op.timestep + BRAID_DEPTH - 1
             xl, xr = template_rows(op)
-            t1 = op.timestep + BRAID_DEPTH - 1
-            for x in (xr, xl):
-                if (t1, x) not in occupied:
-                    turns[key] = x
-                    occupied.add((t1, x))
-                    break
+            turn = next((x for x in (xr, xl) if (t1, x) not in occupied), None)
+            if turn is None:
+                turn = xr  # dense spot, left unmarked; the claim will flag it
             else:
-                turns[key] = xr  # dense spot; the claim will flag it
-        return turns
+                occupied.add((t1, turn))
+            templates[op] = [Point3(t0, xl + xr - turn, 1), Point3(t0, turn, 1), Point3(t1, turn, 1)]
+        return templates
 
     def _claim_box(self, name: str, box: Box3, tag: str) -> None:
         self._claim_seq += 1
@@ -330,73 +330,47 @@ class GeometryBuilder:
 
         lifetimes = self._lifetimes
         while self._next_lifetime < len(lifetimes) and lifetimes[self._next_lifetime].start < horizon:
-            self._open.append(self._next_lifetime)
+            self._open[self._next_lifetime] = None
+            if lifetimes[self._next_lifetime].magic:
+                magic = next(self._magic)
+                self.geometry.pins.append((magic.key, pin_cell(magic)))
             self._next_lifetime += 1
-        still_open = []
-        for idx in self._open:
+        for idx, poly in list(self._open.items()):
             lt = lifetimes[idx]
             row, start, end = corridor_span(lt, horizon)
-            end_cell = end - 1
-            target = min(horizon - 1, end_cell)
-            if lt.end is None or target < end_cell:
-                still_open.append(idx)
-            poly, emitted = self._corridors.get(idx, (None, None))
-            if target < start:
-                continue
-            if poly is None:
-                if target == start:
-                    poly = DefectPolyline(PRIMAL, ROLE_CIRCUIT, [Point3(start, row, 0)])
-                else:
-                    poly = DefectPolyline(
-                        PRIMAL, ROLE_CIRCUIT, [Point3(start, row, 0), Point3(target, row, 0)]
-                    )
-                self.geometry.defects.append(poly)
-                self._claim_box(
-                    f"wire{lt.wire}.{idx}",
-                    Box3(Point3(start, row, 0), Point3(target + 1, row + 1, 1)),
-                    "circuit",
-                )
-                self._corridors[idx] = (poly, target)
-            elif target > emitted:
-                poly.extend_last(Point3(target, row, 0))
+            target = min(horizon - 1, end - 1)
+            emitted = start - 1 if poly is None else poly.vertices[-1].t
+            if target > emitted:
+                if poly is None:
+                    poly = self._open[idx] = DefectPolyline(PRIMAL, ROLE_CIRCUIT, [Point3(start, row, 0)])
+                    self.geometry.defects.append(poly)
+                if target > start:
+                    poly.extend_last(Point3(target, row, 0))
                 self._claim_box(
                     f"wire{lt.wire}.{idx}",
                     Box3(Point3(emitted + 1, row, 0), Point3(target + 1, row + 1, 1)),
                     "circuit",
                 )
-                self._corridors[idx] = (poly, target)
-        self._open = still_open
+            if lt.end is not None and target == end - 1:
+                del self._open[idx]
 
         cnots = self._cnots
         while self._next_cnot < len(cnots) and cnots[self._next_cnot].timestep < horizon:
             self._emit_braid(cnots[self._next_cnot])
             self._next_cnot += 1
 
-        magic_inputs = self.circuit.magic_inputs
-        while self._next_pin < len(magic_inputs) and magic_inputs[self._next_pin].timestep < horizon:
-            magic = magic_inputs[self._next_pin]
-            self.geometry.pins.append((magic.key, pin_cell(magic)))
-            self._next_pin += 1
-
     def _emit_braid(self, op) -> None:
         # Fixed CNOT template: an L-shaped dual defect in the y=1 plane whose
         # bounding box spans both wire rows and BRAID_DEPTH time slices.  The
         # later slices carry only the planned turn cell, so templates of
         # nearby CNOTs tile densely before colliding.
-        t0 = op.timestep
-        xl, xr = template_rows(op)
-        t1 = t0 + BRAID_DEPTH - 1
-        turn = self._turns[(t0, op.control, op.target)]
-        if turn == xl:
-            vertices = [Point3(t0, xr, 1), Point3(t0, xl, 1), Point3(t1, xl, 1)]
-        else:
-            vertices = [Point3(t0, xl, 1), Point3(t0, xr, 1), Point3(t1, turn, 1)]
-        poly = DefectPolyline(DUAL, ROLE_CIRCUIT, vertices)
+        poly = DefectPolyline(DUAL, ROLE_CIRCUIT, self._templates.pop(op))
         self.geometry.defects.append(poly)
         for box in poly.claim_boxes():
             try:
-                self._claim_box(f"braid.t{t0}", box, "circuit")
+                self._claim_box(f"braid.t{op.timestep}", box, "circuit")
             except Exception as exc:  # re-tag index collisions as template faults
+                xl, xr = template_rows(op)
                 raise TemplateCollisionError(
-                    f"CNOT template at t={t0} rows [{xl},{xr}] collides: {exc}"
+                    f"CNOT template at t={op.timestep} rows [{xl},{xr}] collides: {exc}"
                 ) from exc

@@ -41,12 +41,19 @@ def required_round_size(k_needed: int, p_fail: float, confidence: float) -> int:
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
     p = 1.0 - p_fail
+    if p == 1.0:
+        return k_needed
+    log_p, log_q = math.log(p), math.log(1.0 - p)
     n = k_needed
     while True:
-        tail = sum(
-            math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(k_needed, n + 1)
+        # 1 - P[X < k]: k lower terms, each in log space so that no
+        # binomial coefficient overflows a float however large n grows.
+        head = math.lgamma(n + 1)
+        lower = sum(
+            math.exp(head - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
+            for i in range(k_needed)
         )
-        if tail >= confidence:
+        if 1.0 - lower >= confidence:
             return n
         n += 1
 

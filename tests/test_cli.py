@@ -30,6 +30,12 @@ def test_happy_path_exit_zero(workdir, capsys):
     assert "volume" in out and "plumbing pieces" in out
 
 
+def test_asap_at_high_failure_rate_exits_zero(workdir, capsys):
+    """A round of well over a thousand boxes is sized without overflow."""
+    assert run_cli(workdir, "--scheduler", "asap", "--p-fail", "0.99") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
 def test_unknown_flag_exits_two(workdir, capsys):
     assert run_cli(workdir, "--does-not-exist") == 2
 
@@ -220,6 +226,82 @@ def test_cli_determinism_byte_identical(workdir, circuit, extra, digests):
     first = run("a")
     assert first == run("b")
     assert tuple(hashlib.sha256(b).hexdigest() for b in first) == digests
+
+
+MATRIX_DIGESTS = [  # (circuit, scheduler, seed, segment order, sha256)
+    ("toffoli.icm", "spiral", 0, "cbe", "6ed9ea066a8aae36be9f9a63a9b6ad534f30d168c4735c94893c5b7681739fe2"),
+    ("toffoli.icm", "spiral", 0, "ceb", "791bae5849d6e61d67cf7402c394bfa1ae7f6257ee486fcc9c5b2e7ffab76d4f"),
+    ("toffoli.icm", "spiral", 1, "cbe", "e5347d3c0c9d0e9772e5dd63a23f409132438fab6c4d305ef17802552a482dce"),
+    ("toffoli.icm", "spiral", 1, "ceb", "f280581c8640fb84ea3d1bad7d3eae810346a357a24b30afca3cd065749318da"),
+    ("toffoli.icm", "spiral", 2, "cbe", "8fa10cc068b4dcbbde17350e911be59ee6a147a05d72cefc5204f5248ac3508f"),
+    ("toffoli.icm", "spiral", 2, "ceb", "cc0d8480ed10d0c40bf26b286f99d2a6e41f79fa544ba01e317426a1335fdc67"),
+    ("toffoli.icm", "alap", 0, "cbe", "eb31dcb7b2d906915af6d687e6c5cd16ad176d189fcddc1e263253245c46c4c8"),
+    ("toffoli.icm", "alap", 0, "ceb", "173652488aad2c2f4770207cb80196d799137fd701fff7147a699502dd0abd02"),
+    ("toffoli.icm", "alap", 1, "cbe", "76ff8c388fd82cf0dfd6f741b334956937383ff4e7d9e48216a285b3e52ffc8f"),
+    ("toffoli.icm", "alap", 1, "ceb", "f806684bdc7aaef3d7528d0c2ebd8b3c389b9921ad1e0be543c51ab8b391c460"),
+    ("toffoli.icm", "alap", 2, "cbe", "204b7353f3a21269e663bf7ad783b92e3de167a979b4d6442624bc506f706b2a"),
+    ("toffoli.icm", "alap", 2, "ceb", "c5da4dec0195f2ba21118a254dd8574464185fd70dd4ac553ea262c8ad7f6d42"),
+    ("toffoli.icm", "asap", 0, "cbe", "ccf1565acf8cd7ef7242c2335a9dadba8a531132e98360979b941f9769f69f49"),
+    ("toffoli.icm", "asap", 0, "ceb", "0154767dd6d20445649decc947faa692dff34151c5a6e98f060314e497930ec2"),
+    ("toffoli.icm", "asap", 1, "cbe", "708fda98ddc8e4e88b24f11bf5e3e4144630876d7af8208aad527217e3db0aed"),
+    ("toffoli.icm", "asap", 1, "ceb", "0306fdf33a277dc12d08b7df81cdab015fdc5b2257677db520f95b7f7eb26564"),
+    ("toffoli.icm", "asap", 2, "cbe", "8302cc8a508c67e5adaf6d747fc2a23317efa7c713c00392f499e529ca295ffe"),
+    ("toffoli.icm", "asap", 2, "ceb", "e980767c9a23fbad7a764ef5c9201331651ec175e0c2a1309878930fce20c0f6"),
+    ("toffoli_unopt.icm", "spiral", 0, "cbe", "6ed9ea066a8aae36be9f9a63a9b6ad534f30d168c4735c94893c5b7681739fe2"),
+    ("toffoli_unopt.icm", "spiral", 0, "ceb", "791bae5849d6e61d67cf7402c394bfa1ae7f6257ee486fcc9c5b2e7ffab76d4f"),
+    ("toffoli_unopt.icm", "spiral", 1, "cbe", "e5347d3c0c9d0e9772e5dd63a23f409132438fab6c4d305ef17802552a482dce"),
+    ("toffoli_unopt.icm", "spiral", 1, "ceb", "f280581c8640fb84ea3d1bad7d3eae810346a357a24b30afca3cd065749318da"),
+    ("toffoli_unopt.icm", "spiral", 2, "cbe", "8fa10cc068b4dcbbde17350e911be59ee6a147a05d72cefc5204f5248ac3508f"),
+    ("toffoli_unopt.icm", "spiral", 2, "ceb", "cc0d8480ed10d0c40bf26b286f99d2a6e41f79fa544ba01e317426a1335fdc67"),
+    ("toffoli_unopt.icm", "alap", 0, "cbe", "eb31dcb7b2d906915af6d687e6c5cd16ad176d189fcddc1e263253245c46c4c8"),
+    ("toffoli_unopt.icm", "alap", 0, "ceb", "173652488aad2c2f4770207cb80196d799137fd701fff7147a699502dd0abd02"),
+    ("toffoli_unopt.icm", "alap", 1, "cbe", "76ff8c388fd82cf0dfd6f741b334956937383ff4e7d9e48216a285b3e52ffc8f"),
+    ("toffoli_unopt.icm", "alap", 1, "ceb", "f806684bdc7aaef3d7528d0c2ebd8b3c389b9921ad1e0be543c51ab8b391c460"),
+    ("toffoli_unopt.icm", "alap", 2, "cbe", "204b7353f3a21269e663bf7ad783b92e3de167a979b4d6442624bc506f706b2a"),
+    ("toffoli_unopt.icm", "alap", 2, "ceb", "c5da4dec0195f2ba21118a254dd8574464185fd70dd4ac553ea262c8ad7f6d42"),
+    ("toffoli_unopt.icm", "asap", 0, "cbe", "ccf1565acf8cd7ef7242c2335a9dadba8a531132e98360979b941f9769f69f49"),
+    ("toffoli_unopt.icm", "asap", 0, "ceb", "0154767dd6d20445649decc947faa692dff34151c5a6e98f060314e497930ec2"),
+    ("toffoli_unopt.icm", "asap", 1, "cbe", "708fda98ddc8e4e88b24f11bf5e3e4144630876d7af8208aad527217e3db0aed"),
+    ("toffoli_unopt.icm", "asap", 1, "ceb", "0306fdf33a277dc12d08b7df81cdab015fdc5b2257677db520f95b7f7eb26564"),
+    ("toffoli_unopt.icm", "asap", 2, "cbe", "8302cc8a508c67e5adaf6d747fc2a23317efa7c713c00392f499e529ca295ffe"),
+    ("toffoli_unopt.icm", "asap", 2, "ceb", "e980767c9a23fbad7a764ef5c9201331651ec175e0c2a1309878930fce20c0f6"),
+]
+
+
+@pytest.mark.parametrize(
+    "circuit, extra, digest",
+    [
+        (c, ["--scheduler", s, "--seed", str(seed), "--segment-order", o], d)
+        for c, s, seed, o, d in MATRIX_DIGESTS
+    ]
+    + [
+        (
+            "toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
+            "af7a26ae96be67cc8286e7cb1dc87ca0a84f499650f405aa174c59a22da7f284",
+        )
+    ],
+    ids=[f"{c.split('.')[0]}-{s}-{seed}-{o}" for c, s, seed, o, _ in MATRIX_DIGESTS] + ["readme-scripted"],
+)
+def test_release_matrix_digests(workdir, capsys, circuit, extra, digest):
+    """The release matrix: both fixtures under every scheduler, seeds 0-2 and
+    both segment orders, plus the README scripted run.  Each row pins one
+    sha256 over the geometry, stats and journal exports and stdout; a change
+    that alters an output must say why and update the row."""
+    shutil.copy(fixtures.fixture_path(circuit), workdir / circuit)
+    extra = [str(workdir / a) if a.endswith(".txt") else a for a in extra]
+    paths = [workdir / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
+    code = main([
+        "--circuit", str(workdir / circuit), *extra,
+        "--export-geometry", str(paths[0]),
+        "--export-stats", str(paths[1]),
+        "--journal", str(paths[2]),
+    ])
+    assert code == 0
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_compare_mode_prints_medians(workdir, capsys):

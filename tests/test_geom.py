@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -283,11 +284,47 @@ def _corridor_cells(circuit, horizon):
     return out
 
 
-@pytest.mark.parametrize("recycle", [False, True])
-def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
+def _emission_digest(claims, geometry):
+    """sha256 of the claim sequence (id, box, tag) and every defect's vertices."""
+    lines = [f"{eid} {box.lo.as_tuple()} {box.hi.as_tuple()} {tag}" for eid, box, tag in claims]
+    lines += [f"{d.kind} {[v.as_tuple() for v in d.vertices]}" for d in geometry.defects]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "recycle, digests",
+    [
+        (
+            False,
+            (
+                "7c30eccda4465bc5602ffd6bd53ee3c02839daa569ee6edaf4ce41ae10a91553",
+                "81682cd82c9ae47c8ce9b4c8ada5476e577c4f11433466ada9672b0a35e35883",
+                "00ca892219861429d84dd104d4b249cbc7b5dc28d3dacf8644c2fd63ea5948e5",
+                "37d354825acfe7a84ed7376fdd5a7a91a6958e2935f2fb3f513c7d696c5146e6",
+                "b8ce1ef396a14028e3a6cf5118a9db78b85cdfd85c221f3fabec42836f20dde7",
+                "efe90345a7fd6e15e339c11b20bb42d50ede297b67515c2ee692200c08d0c958",
+            ),
+        ),
+        (
+            True,
+            (
+                "d5a7f20f2915b38ee4bdf6d5625474255a6ffc53236aa7e2f9a04c03cf4524a5",
+                "2ce0b3d119c529252585e31abc61cc4b17c8986cd29717bff9e46e2cbc8e5db7",
+                "3c14644f71796bf92064cd8059ceb78fdadc4cb0ebff2217f85ae262c74a69fe",
+                "3f8479147868b08327599ad97f3e32719764103915fe1348aeff76e5a2791e0d",
+                "2467bac5198bf0c22406d2e53df7b62cff8fead1ea87ce37782c940e29d3b6ec",
+                "f5f1b0c270e0d9d519470e44f4f093a5c4b57df35075a7e4232fd2cebf6875f4",
+            ),
+        ),
+    ],
+    ids=["False", "True"],
+)
+def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle, digests):
     """Drive the incremental emitter through seeded random horizons that
     stop, repeat and run past the circuit, and compare every step with
-    what the lifetimes, CNOTs and inputs below the horizon call for."""
+    what the lifetimes, CNOTs and inputs below the horizon call for.  The
+    chain has open lifetimes, which no CLI run has, so the digests pin how
+    open corridors are chunked and named across steps."""
     from topoasm.icm import recycle_wires
 
     chain = _sequential_chain(toffoli, 3)
@@ -299,6 +336,7 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
     once_claims = []
     GeometryBuilder(chain, once, claim=lambda *a: once_claims.append(a)).emit_until(end + 6)
     magic = sorted(chain.magic_inputs, key=lambda m: (m.timestep, m.wire))
+    got = []
     for seed in range(6):
         rng = random.Random(seed)
         g = GeometrySet()
@@ -324,3 +362,5 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle):
         }
         assert {c for d in g.defects for c in polyline_cells(d)} == {c for d in once.defects for c in polyline_cells(d)}
         assert g.pins == once.pins
+        got.append(_emission_digest(claims, g))
+    assert tuple(got) == digests

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -60,6 +62,21 @@ def test_round_size_matches_dp_oracle_small_grid():
                 got = required_round_size(k, p_fail, conf)
                 assert got == oracle_round_size(k, p_fail, conf)
                 assert got <= 64
+
+
+def exact_tail_ge_k(n, p_fail, k):
+    """P[Binomial(n, 1 - p_fail) >= k] in exact rationals, as 1 - P[X < k]."""
+    q = Fraction(p_fail)
+    return 1 - sum(comb(n, i) * (1 - q) ** i * q ** (n - i) for i in range(k))
+
+
+@pytest.mark.parametrize("k, p_fail, n", [(7, "0.99", 1801), (5, "0.995", 2954)])
+def test_round_size_past_float_binomial_range(k, p_fail, n):
+    """Round sizes above about 1030 boxes, where a binomial coefficient no
+    longer fits in a float, match an exact lower-tail oracle."""
+    assert required_round_size(k, float(p_fail), 0.999) == n
+    conf = Fraction("0.999")
+    assert exact_tail_ge_k(n, p_fail, k) >= conf > exact_tail_ge_k(n - 1, p_fail, k)
 
 
 def test_round_size_monotonicity():
