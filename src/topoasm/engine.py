@@ -89,7 +89,7 @@ class Journal:
         self.step = 0
 
     def log(self, op: str, *args) -> None:
-        tail = " ".join(str(a) for a in args)
+        tail = " ".join(map(str, args))
         self.lines.append(f"{self.step} {op} {tail}".rstrip())
 
     def text(self) -> str:
@@ -230,7 +230,7 @@ class Synthesizer:
         connection paths from squatting cells the emitter needs later.
         """
         for m in self.circuit.magic_inputs:
-            cell = cell_box(pin_cell(m).as_tuple())
+            cell = cell_box(pin_cell(m))
             obs = self.world.obstacles.add(cell, GUIDE, 0, f"pin:{m.key}")
             self.pin_guards[m.key] = obs.oid
         for lt in self.circuit.lifetimes():

@@ -8,6 +8,10 @@ bounding box.
 
 Conventions:
 
+* Points and boxes are immutable tuples.  A ``Point3`` is the tuple
+  ``(t, x, y)``, so a plain cell tuple equals its ``Point3``, orders
+  like it and is the same dict or set key.  A ``Box3`` is the pair
+  ``(lo, hi)`` of its corners.
 * ``Box3`` is inclusive-exclusive (``lo`` inside, ``hi`` outside), so
   touching boxes do not overlap.
 * Defect polylines store their turn points inclusively: a segment
@@ -25,6 +29,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -45,8 +51,7 @@ class TemplateCollisionError(GeometryError):
     """A fixed template landed on already-claimed cells."""
 
 
-@dataclass(frozen=True, order=True)
-class Point3:
+class Point3(NamedTuple):
     t: int
     x: int
     y: int
@@ -58,39 +63,44 @@ class Point3:
         return (self.t, self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Box3:
+class Box3(tuple):
     """Axis-aligned box between two diagonal corners, lo inclusive, hi exclusive."""
 
-    lo: Point3
-    hi: Point3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.lo.t < self.hi.t and self.lo.x < self.hi.x and self.lo.y < self.hi.y):
-            raise GeometryError(f"degenerate box {self.lo} .. {self.hi}")
+    def __new__(cls, lo: Point3, hi: Point3) -> "Box3":
+        if not (lo.t < hi.t and lo.x < hi.x and lo.y < hi.y):
+            raise GeometryError(f"degenerate box {lo} .. {hi}")
+        return tuple.__new__(cls, (lo, hi))
+
+    def __getnewargs__(self) -> tuple[Point3, Point3]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Box3(lo={self[0]!r}, hi={self[1]!r})"
+
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
 
     @property
     def extents(self) -> tuple[int, int, int]:
-        return (self.hi.t - self.lo.t, self.hi.x - self.lo.x, self.hi.y - self.lo.y)
+        lo, hi = self
+        return (hi.t - lo.t, hi.x - lo.x, hi.y - lo.y)
 
     def intersects(self, other: "Box3") -> bool:
         # Shared faces do not count as overlap.
-        return (
-            self.lo.t < other.hi.t and other.lo.t < self.hi.t
-            and self.lo.x < other.hi.x and other.lo.x < self.hi.x
-            and self.lo.y < other.hi.y and other.lo.y < self.hi.y
-        )
+        (lt, lx, ly), (ht, hx, hy) = self
+        (olt, olx, oly), (oht, ohx, ohy) = other
+        return lt < oht and olt < ht and lx < ohx and olx < hx and ly < ohy and oly < hy
 
     def contains_cell(self, cell: tuple[int, int, int]) -> bool:
         t, x, y = cell
-        return (
-            self.lo.t <= t < self.hi.t
-            and self.lo.x <= x < self.hi.x
-            and self.lo.y <= y < self.hi.y
-        )
+        (lt, lx, ly), (ht, hx, hy) = self
+        return lt <= t < ht and lx <= x < hx and ly <= y < hy
 
     def inflated(self, dt: int, dx: int, dy: int) -> "Box3":
-        return Box3(self.lo.shifted(-dt, -dx, -dy), self.hi.shifted(dt, dx, dy))
+        lo, hi = self
+        return Box3(lo.shifted(-dt, -dx, -dy), hi.shifted(dt, dx, dy))
 
 
 def box_from_extents(lo: Point3, extents: tuple[int, int, int]) -> Box3:
@@ -153,20 +163,14 @@ class DefectPolyline:
         so the turn cell is attributed to the earlier segment only.
         """
         if len(self.vertices) == 1:
-            return [cell_box(self.vertices[0].as_tuple())]
+            return [cell_box(self.vertices[0])]
         boxes = []
         for i, (a, b) in enumerate(self.segments()):
             if i:  # step off the turn cell, one cell toward b
-                a = a.shifted(*[(q > p) - (q < p) for p, q in zip(a.as_tuple(), b.as_tuple())])
+                a = a.shifted(*[(q > p) - (q < p) for p, q in zip(a, b)])
             # The ends differ on one axis only, so the ordered min is the low corner.
             boxes.append(Box3(min(a, b), max(a, b).shifted(1, 1, 1)))
         return boxes
-
-    def bounding_box(self) -> Box3:
-        box = cell_box(self.vertices[0].as_tuple())
-        for v in self.vertices[1:]:
-            box = merge_boxes(box, cell_box(v.as_tuple()))
-        return box
 
     def extend_last(self, new_end: Point3) -> None:
         """Grow the polyline by moving its final vertex along the last axis."""
@@ -225,16 +229,21 @@ class GeometrySet:
 
 
 def global_bounding_box(g: GeometrySet) -> Box3:
-    """Minimal box containing every defect segment and box footprint."""
+    """Minimal box containing every defect segment and box footprint.
+
+    One pass per axis over ints: a polyline's cells lie between its
+    vertices, and a footprint's first and last cells are ``lo`` and
+    ``hi - 1``.
+    """
     if g.is_empty():
         raise GeometryError("empty geometry set has no bounding box")
-    box = None
-    for poly in g.defects:
-        b = poly.bounding_box()
-        box = b if box is None else merge_boxes(box, b)
-    for placed in g.boxes:
-        box = placed.footprint if box is None else merge_boxes(box, placed.footprint)
-    return box
+    vertices = [v for poly in g.defects for v in poly.vertices]
+    feet = [placed.footprint for placed in g.boxes]
+    firsts = vertices + [lo for lo, _ in feet]
+    lasts = vertices + [(t - 1, x - 1, y - 1) for _, (t, x, y) in feet]
+    lo = [min(map(itemgetter(axis), firsts)) for axis in range(3)]
+    hi = [max(map(itemgetter(axis), lasts)) + 1 for axis in range(3)]
+    return Box3(Point3(*lo), Point3(*hi))
 
 
 def wire_row(wire: int) -> int:

@@ -200,8 +200,7 @@ class BlockedView:
     def __init__(self, world: World, bounds: Box3):
         self._covered = world.index.covered
         self._disabled = world.obstacles.disabled
-        self._lo = bounds.lo.as_tuple()
-        self._hi = bounds.hi.as_tuple()
+        self._lo, self._hi = bounds
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
         t, x, y = cell
@@ -233,8 +232,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     """
     if bounds is None:
         bounds = default_bounds(spec, margin)
-    start = spec.start.as_tuple()
-    stop = spec.stop.as_tuple()
+    start, stop = spec.start, spec.stop
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
         raise NoPathError(spec, "endpoint outside search bounds", bounds=bounds)
     view = BlockedView(world, bounds)

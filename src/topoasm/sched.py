@@ -44,8 +44,8 @@ def required_round_size(k_needed: int, p_fail: float, confidence: float) -> int:
     if p == 1.0:
         return k_needed
     log_p, log_q = math.log(p), math.log(1.0 - p)
-    n = k_needed
-    while True:
+
+    def clears(n: int) -> bool:
         # 1 - P[X < k]: k lower terms, each in log space so that no
         # binomial coefficient overflows a float however large n grows.
         head = math.lgamma(n + 1)
@@ -53,9 +53,22 @@ def required_round_size(k_needed: int, p_fail: float, confidence: float) -> int:
             math.exp(head - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q)
             for i in range(k_needed)
         )
-        if 1.0 - lower >= confidence:
-            return n
-        n += 1
+        return 1.0 - lower >= confidence
+
+    # The tail never falls as n grows, so the smallest n that clears it is
+    # bracketed by doubling and then found by bisection.
+    if clears(k_needed):
+        return k_needed
+    lo, hi = k_needed, 2 * k_needed  # clears(lo) is false
+    while not clears(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clears(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -229,7 +242,9 @@ def place_alap_layer(
                 y = floor_y
                 x_col -= (col_width + 1) if col_width else (dx + 1)
                 col_width = 0
-                if x_col < base_x - 96 * (dx + 1):
+                # Each box opens at most one column; 96 more make room to
+                # march past the walls of earlier rounds.
+                if x_col < base_x - (96 + len(kinds)) * (dx + 1):
                     raise PlacementError("alap wall ran away from the channel")
             lo = Point3(t0, x_col - dx, y)
             footprint = box_from_extents(lo, (dt, dx, dy))

@@ -19,7 +19,7 @@ first row that contains the cell and is not exempt, and builds no list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import Box3
 
@@ -32,8 +32,7 @@ class UnknownEntryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     id: str
     box: Box3
     tag: str  # circuit | box | connection | obstacle
@@ -53,7 +52,7 @@ class BoxIndex:
 
     def _bucket_range(self, box: Box3):
         s = self.bucket_size
-        lo, hi = box.lo, box.hi
+        lo, hi = box
         # hi is exclusive; the last occupied cell is hi - 1
         return itertools.product(
             range(lo.t // s, (hi.t - 1) // s + 1),
@@ -65,8 +64,8 @@ class BoxIndex:
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
         self._entries[entry.id] = entry
-        lo, hi = entry.box.lo, entry.box.hi
-        row = (lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
+        lo, hi = entry.box
+        row = lo + hi
         for key in self._bucket_range(entry.box):
             self._buckets.setdefault(key, {})[entry.id] = row
 
@@ -93,8 +92,7 @@ class BoxIndex:
         ``tags`` optionally restricts the result to entries with one of
         the given tags.
         """
-        plt, plx, ply = probe.lo.t, probe.lo.x, probe.lo.y
-        pht, phx, phy = probe.hi.t, probe.hi.x, probe.hi.y
+        (plt, plx, ply), (pht, phx, phy) = probe
         entries = self._entries
         out = set()
         for key in self._bucket_range(probe):

@@ -36,6 +36,12 @@ def test_asap_at_high_failure_rate_exits_zero(workdir, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+def test_alap_at_high_failure_rate_exits_zero(workdir, capsys):
+    """Rounds of over 768 A boxes fit in the alap wall."""
+    assert run_cli(workdir, "--scheduler", "alap", "--p-fail", "0.99") == 0
+    assert capsys.readouterr().out == "volume 3201408 plumbing pieces, 18 scheduling rounds\n"
+
+
 def test_unknown_flag_exits_two(workdir, capsys):
     assert run_cli(workdir, "--does-not-exist") == 2
 

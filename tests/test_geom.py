@@ -49,10 +49,14 @@ def test_volume_invariant_under_translation():
     assert plumbing_volume(b) == plumbing_volume(moved)
 
 
+def _bbox(poly):
+    return global_bounding_box(GeometrySet([poly]))
+
+
 def test_unit_segment_bounding_box():
     poly = DefectPolyline("primal", "circuit", [Point3(0, 0, 0)])
     assert polyline_cells(poly) == {(0, 0, 0)}
-    assert poly.bounding_box().extents == (1, 1, 1)
+    assert _bbox(poly).extents == (1, 1, 1)
 
 
 def test_polyline_rejects_diagonals_and_zero_segments():
@@ -136,6 +140,107 @@ def test_global_bounding_box_matches_brute_force():
     assert got == want
 
 
+def _cell_bounding_box(g):
+    """The bounding box of every cell the polylines claim and the boxes cover,
+    found cell by cell."""
+    boxes = [b for poly in g.defects for b in poly.claim_boxes()]
+    boxes += [placed.footprint for placed in g.boxes]
+    axes = list(zip(*(c for b in boxes for c in box_cells(b))))
+    return Box3(Point3(*map(min, axes)), Point3(*(max(a) + 1 for a in axes)))
+
+
+def _random_polyline(rng):
+    vertices = [Point3(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(-30, 30))]
+    axis = None
+    for _ in range(rng.randint(0, 4)):
+        axis = rng.choice([a for a in range(3) if a != axis])
+        step = [0, 0, 0]
+        step[axis] = rng.choice([-1, 1]) * rng.randint(1, 6)
+        vertices.append(vertices[-1].shifted(*step))
+    return DefectPolyline("primal", "circuit", vertices)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_global_bounding_box_equals_cell_brute_force(seed):
+    from topoasm.geom import PlacedBox
+
+    rng = random.Random(seed)
+    g = GeometrySet()
+    for i in range(rng.randint(1, 12)):
+        if rng.random() < 0.5:
+            lo = Point3(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(-30, 30))
+            box = box_from_extents(lo, (rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 4)))
+            g.boxes.append(PlacedBox(f"b{i}", "A", box, Point3(box.hi.t, lo.x, lo.y)))
+        else:
+            g.defects.append(_random_polyline(rng))
+    assert global_bounding_box(g) == _cell_bounding_box(g)
+
+
+def test_global_bounding_box_of_a_chain_assembly(toffoli):
+    from topoasm.engine import SynthesisConfig, synthesize
+
+    asm = synthesize(_sequential_chain(toffoli, 2), SynthesisConfig())
+    assert asm.geometry.boxes and len(asm.geometry.defects) > 100
+    assert global_bounding_box(asm.geometry) == _cell_bounding_box(asm.geometry)
+
+
+# -- the value types --------------------------------------------------------------
+
+
+def test_points_and_boxes_are_immutable():
+    p = Point3(1, 2, 3)
+    box = Box3(Point3(0, 0, 0), Point3(1, 2, 3))
+    with pytest.raises(AttributeError):
+        p.t = 5
+    with pytest.raises(AttributeError):
+        box.lo = p
+    with pytest.raises(AttributeError):
+        box.extra = 1
+    with pytest.raises(TypeError):
+        box[0] = p
+    assert p == (1, 2, 3) and box == (Point3(0, 0, 0), p)
+
+
+def test_point_equals_its_cell_tuple_as_a_key():
+    cell = (4, -2, 7)
+    assert Point3(*cell) == cell and hash(Point3(*cell)) == hash(cell)
+    assert {cell: "a"}[Point3(*cell)] == "a"
+    assert Point3(*cell) in {cell} and cell in {Point3(*cell)}
+    assert len({cell, Point3(*cell)}) == 1
+
+
+def test_sorted_points_and_boxes_follow_tuple_order():
+    rng = random.Random(5)
+    cells = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(200)]
+    assert [p.as_tuple() for p in sorted(Point3(*c) for c in cells)] == sorted(cells)
+    pairs = [(a, tuple(x + 1 + rng.randint(0, 2) for x in a)) for a in cells]
+    boxes = [Box3(Point3(*lo), Point3(*hi)) for lo, hi in pairs]
+    assert [(b.lo.as_tuple(), b.hi.as_tuple()) for b in sorted(boxes)] == sorted(pairs)
+
+
+def test_value_type_reprs():
+    p = Point3(1, -2, 3)
+    box = Box3(Point3(0, 0, 0), Point3(1, 2, 3))
+    assert repr(p) == str(p) == "Point3(t=1, x=-2, y=3)"
+    assert repr(box) == str(box) == "Box3(lo=Point3(t=0, x=0, y=0), hi=Point3(t=1, x=2, y=3))"
+    assert f"around {box}" == "around Box3(lo=Point3(t=0, x=0, y=0), hi=Point3(t=1, x=2, y=3))"
+
+
+def test_degenerate_box_message():
+    with pytest.raises(GeometryError) as info:
+        Box3(Point3(0, 0, 0), Point3(0, 1, 1))
+    assert str(info.value) == "degenerate box Point3(t=0, x=0, y=0) .. Point3(t=0, x=1, y=1)"
+
+
+def test_box_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    box = Box3(Point3(0, 0, 0), Point3(1, 2, 3))
+    for clone in (copy.copy(box), copy.deepcopy(box), pickle.loads(pickle.dumps(box))):
+        assert clone == box and type(clone) is Box3 and repr(clone) == repr(box)
+
+
 def test_global_bounding_box_empty_set_errors():
     with pytest.raises(GeometryError):
         global_bounding_box(GeometrySet())
@@ -152,7 +257,7 @@ def test_emit_idle_wire_extent():
     circuit = ICMCircuit(1, [])
     g, _ = _emit(circuit, 5)
     assert len(g.defects) == 1
-    assert g.defects[0].bounding_box().extents == (5, 1, 1)
+    assert _bbox(g.defects[0]).extents == (5, 1, 1)
     assert g.pins == []
 
 
@@ -179,7 +284,7 @@ def test_emit_braid_per_cnot_spans_both_rows():
     g, _ = _emit(circuit, 4)
     braids = [d for d in g.defects if d.kind == "dual"]
     assert len(braids) == 1
-    bb = braids[0].bounding_box()
+    bb = _bbox(braids[0])
     assert bb.lo.x == 0 and bb.hi.x == 3  # spans rows x=0 and x=2
     assert bb.extents[0] == 2
 
@@ -350,7 +455,7 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle, digests):
             assert {c for c in cells if c[2] == 0} == _corridor_cells(chain, h), (seed, h)
             braids = [d for d in g.defects if d.kind == "dual"]
             below = [op for op in chain.cnots() if op.timestep < h]
-            assert [(d.vertices[0].t, d.bounding_box().lo.x, d.bounding_box().hi.x - 1)
+            assert [(d.vertices[0].t, _bbox(d).lo.x, _bbox(d).hi.x - 1)
                     for d in braids] == [(op.timestep, *template_rows(op)) for op in below], (seed, h)
             want_pins = [(m.key, pin_cell(m)) for m in magic if m.timestep < h]
             assert g.pins == want_pins, (seed, h)

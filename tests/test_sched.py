@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -77,6 +78,41 @@ def test_round_size_past_float_binomial_range(k, p_fail, n):
     assert required_round_size(k, float(p_fail), 0.999) == n
     conf = Fraction("0.999")
     assert exact_tail_ge_k(n, p_fail, k) >= conf > exact_tail_ge_k(n - 1, p_fail, k)
+
+
+def linear_round_sizes(k, p_fail, confidences):
+    """For each confidence, the first n from k upward whose tail clears it:
+    a linear scan over the same float tail ``required_round_size`` computes,
+    one scan for all confidences.  ``math.lgamma`` is tabulated, which leaves
+    every term's value unchanged."""
+    p = 1.0 - p_fail
+    if p == 1.0:
+        return {c: k for c in confidences}
+    log_p, log_q = math.log(p), math.log(1.0 - p)
+    lgamma = [None] + [math.lgamma(m) for m in range(1, k + 2)]
+    found = {}
+    n = k
+    while len(found) < len(confidences):
+        if len(lgamma) == n + 1:
+            lgamma.append(math.lgamma(n + 1))
+        head = lgamma[n + 1]
+        lower = sum(
+            math.exp(head - lgamma[i + 1] - lgamma[n - i + 1] + i * log_p + (n - i) * log_q)
+            for i in range(k)
+        )
+        for c in confidences:
+            if c not in found and 1.0 - lower >= c:
+                found[c] = n
+        n += 1
+    return found
+
+
+@pytest.mark.parametrize("p_fail", [0.0, 0.1, 0.5, 0.9, 0.99])
+def test_round_size_equals_linear_scan(p_fail):
+    confidences = (0.5, 0.9, 0.999, 0.999999)
+    for k in range(1, 65):
+        want = linear_round_sizes(k, p_fail, confidences)
+        assert {c: required_round_size(k, p_fail, c) for c in confidences} == want, k
 
 
 def test_round_size_monotonicity():
