@@ -14,7 +14,7 @@ from pathlib import Path
 from .engine import (
     Assembly, EngineError, SynthesisConfig, SynthesisFailure, read_outcome_script, synthesize,
 )
-from .geom import Box3, DefectPolyline, GeometrySet, PlacedBox, Point3, global_bounding_box
+from .geom import Box3, DefectPolyline, GeometrySet, PlacedBox, Point3
 from .icm import ICMError, parse_icm
 from .pool import PoolConfig
 from .sched import SchedulerPolicy
@@ -26,7 +26,7 @@ def export_geometry(assembly: Assembly, path) -> None:
     """Write the geometry document; byte-stable for a fixed assembly."""
     g = assembly.geometry
     lines = [GEOMETRY_HEADER, "units plumbing-pieces"]
-    bbox = global_bounding_box(g)
+    bbox = assembly.bbox
     lines.append(
         "bbox {} {} {} {} {} {}".format(
             bbox.lo.t, bbox.lo.x, bbox.lo.y, bbox.hi.t, bbox.hi.x, bbox.hi.y

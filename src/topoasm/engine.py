@@ -132,9 +132,13 @@ class Assembly:
     geometry: GeometrySet
     layers: list[DistillationLayer]
     records: list[StepRecord]
-    volume: int
+    bbox: Box3  # global bounding box of the geometry
     journal: Journal
     deliveries: dict = field(default_factory=dict)  # input key -> (conn id, path)
+
+    @property
+    def volume(self) -> int:
+        return plumbing_volume(self.bbox)
 
 
 class OutcomeSource:
@@ -449,13 +453,13 @@ class Synthesizer:
                 f"only {len(self.deliveries)} of {len(self.circuit.magic_inputs)} inputs connected",
                 self.journal,
             )
-        volume = plumbing_volume(global_bounding_box(self.geometry))
-        self.journal.log("volume", volume)
+        bbox = global_bounding_box(self.geometry)
+        self.journal.log("volume", plumbing_volume(bbox))
         return Assembly(
             geometry=self.geometry,
             layers=self.layers,
             records=self.records,
-            volume=volume,
+            bbox=bbox,
             journal=self.journal,
             deliveries=self.deliveries,
         )

@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from .geom import Box3, DefectPolyline, Point3, polyline_from_cells
-from .spatial import BoxIndex, IndexEntry
+from .spatial import BoxIndex, IndexEntry, SolidOverlapError
 
 GUIDE = "guide"
 OCCUPY = "occupy"
@@ -177,25 +177,31 @@ class World:
         self._commit_seq = itertools.count()
 
     def claim(self, eid: str, box: Box3, tag: str) -> None:
-        """Commit solid cells; claiming over existing solids is a hard fault."""
-        clash = self.index.hits(box, tags=SOLID_TAGS)
-        if clash:
-            raise RouteError(f"claim {eid} overlaps {sorted(clash)}")
-        self.index.insert(IndexEntry(eid, box, tag))
+        """Commit permanent solid cells (``tag`` is one of :data:`SOLID_TAGS`)
+        as one solid index insert; a claim that shares a cell with an
+        earlier solid is a hard fault naming every solid it overlaps."""
+        try:
+            self.index.insert(IndexEntry(eid, box, tag), solid=True)
+        except SolidOverlapError:
+            clash = self.index.hits(box, tags=SOLID_TAGS)
+            raise RouteError(f"claim {eid} overlaps {sorted(clash)}") from None
         if self.journal:
             lo, hi = box.lo, box.hi
             self.journal.log("claim", tag, eid, lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
 
     def is_free(self, box: Box3) -> bool:
-        return not self.index.hits(box, tags=SOLID_TAGS)
+        """Whether no solid cell lies in ``box`` (obstacles do not count):
+        a bit-mask probe of the buckets the box touches."""
+        return not self.index.overlaps_solid(box)
 
 
 class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
     blocked when it lies outside ``bounds`` or a solid or an enabled
-    obstacle covers it.  Every query is one early-exit scan of the cell's
-    index bucket (:meth:`~topoasm.spatial.BoxIndex.covered`) that exempts
-    the disabled obstacles; A* queries a cell when it pops it."""
+    obstacle covers it.  Every query tests the cell's solid bit, then
+    scans its bucket's obstacle rows up to the first that covers it
+    (:meth:`~topoasm.spatial.BoxIndex.covered`), exempting the disabled
+    obstacles; A* queries a cell when it pops it."""
 
     def __init__(self, world: World, bounds: Box3):
         self._covered = world.index.covered

@@ -1,9 +1,19 @@
+import itertools
 import random
 
 import pytest
 
 from topoasm.geom import Point3, box_from_extents
-from topoasm.spatial import BoxIndex, DuplicateEntryError, IndexEntry, UnknownEntryError
+from topoasm.route import SOLID_TAGS, RouteError, World
+from topoasm.spatial import (
+    BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError, UnknownEntryError,
+)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below needs hypothesis
+    st = None
 
 
 def rand_box(rng, span=60, max_ext=8):
@@ -172,3 +182,196 @@ def test_covering_matches_brute_force_under_random_scripts():
                 for exempt in exempts:
                     want = bool(covers - exempt)
                     assert idx.covered(cell, exempt) is want, (seed, step, cell, sorted(exempt))
+
+
+# -- solids: permanent bit-mask cells --------------------------------------
+
+
+def cells_of(box):
+    (lt, lx, ly), (ht, hx, hy) = box
+    return itertools.product(range(lt, ht), range(lx, hx), range(ly, hy))
+
+
+def solid_box(rng):
+    """A box with negative and positive corners that often crosses bucket
+    faces and is now and then longer than a bucket on each axis."""
+    lo = Point3(rng.randint(-20, 12), rng.randint(-20, 12), rng.randint(-20, 12))
+    return box_from_extents(lo, tuple(rng.choice((1, 1, 2, 3, 5, 9, 13, 19)) for _ in range(3)))
+
+
+class SolidOracle:
+    """Brute force over the live boxes, replayed next to a ``BoxIndex``."""
+
+    def __init__(self):
+        self.idx = BoxIndex()
+        self.live = {}  # id -> IndexEntry
+        self.solid = set()
+
+    def insert_solid(self, e):
+        want = not any(self.live[s].box.intersects(e.box) for s in self.solid)
+        try:
+            self.idx.insert(e, solid=True)
+        except SolidOverlapError:
+            got = False
+        else:
+            got = True
+        assert got is want, e
+        if got:
+            self.live[e.id] = e
+            self.solid.add(e.id)
+
+    def insert_obstacle(self, e):
+        self.idx.insert(e)
+        self.live[e.id] = e
+
+    def remove(self, eid):
+        if eid in self.solid:
+            with pytest.raises(ValueError):
+                self.idx.remove(eid)
+        else:
+            self.idx.remove(eid)
+            del self.live[eid]
+
+    def check(self, probes, cells, exempts):
+        """Compare ``overlaps_solid``, ``hits`` (with and without tags)
+        and ``covered`` (exempt sets may hold solid ids, which must have no
+        effect) against brute force."""
+        assert len(self.idx) == len(self.live)
+        live = self.live.values()
+        for probe in probes:
+            over = {e.id for e in live if e.box.intersects(probe)}
+            assert self.idx.overlaps_solid(probe) is bool(over & self.solid), probe
+            assert self.idx.hits(probe) == over, probe
+            for tags in (SOLID_TAGS, ("box", "obstacle"), ("connection",)):
+                want = {eid for eid in over if self.live[eid].tag in tags}
+                assert self.idx.hits(probe, tags=tags) == want, (probe, tags)
+        for cell in cells:
+            covers = {e.id for e in live if e.box.contains_cell(cell)}
+            for exempt in exempts:
+                want = bool(covers & self.solid or covers - exempt)
+                assert self.idx.covered(cell, exempt) is want, (cell, sorted(exempt))
+
+
+def run_solid_script(ops, rng):
+    """Replay ``ops`` (``("solid" | "obstacle", box, tag)`` or
+    ``("remove", k)``, removing the k-th live id mod their number) and
+    check every query after each op."""
+    oracle = SolidOracle()
+    for n, op in enumerate(ops):
+        if op[0] == "remove":
+            if oracle.live:
+                ids = sorted(oracle.live)
+                oracle.remove(ids[op[1] % len(ids)])
+        elif op[0] == "solid":
+            oracle.insert_solid(IndexEntry(f"s{n}", op[1], op[2]))
+        else:
+            oracle.insert_obstacle(IndexEntry(f"o{n}", op[1], "obstacle"))
+        ids = sorted(oracle.live)
+        exempts = [set(), set(ids), set(rng.sample(ids, len(ids) // 2))]
+        cells = [tuple(rng.randint(-24, 36) for _ in range(3)) for _ in range(20)]
+        for e in oracle.live.values():
+            (lt, lx, ly), (ht, hx, hy) = e.box
+            cells += [(lt, lx, ly), (ht - 1, hx - 1, hy - 1), (ht, lx, ly), (lt, hx, ly),
+                      (lt, lx, hy), (lt - 1, lx, ly), (lt, lx - 1, ly), (lt, lx, ly - 1)]
+        probes = [solid_box(rng) for _ in range(4)] + [e.box for e in oracle.live.values()]
+        oracle.check(probes, cells, exempts)
+    return oracle
+
+
+def random_solid_ops(rng, n):
+    ops = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.55:
+            ops.append(("solid", solid_box(rng), rng.choice(SOLID_TAGS)))
+        elif roll < 0.85:
+            ops.append(("obstacle", solid_box(rng), "obstacle"))
+        else:
+            ops.append(("remove", rng.randrange(1 << 16)))
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solid_index_matches_brute_force_under_random_scripts(seed):
+    """Solid inserts are accepted exactly when they share no cell with a
+    live solid, solids cannot be removed, and ``overlaps_solid``,
+    ``covered`` and ``hits`` agree with brute force after every op."""
+    rng = random.Random(1000 + seed)
+    oracle = run_solid_script(random_solid_ops(rng, 60), rng)
+    assert oracle.solid and len(oracle.live) > len(oracle.solid)
+
+
+def test_every_cell_of_a_solid_box_is_covered_and_no_other():
+    """Each cell of a solid crossing buckets on every axis, with negative
+    corners, is covered; the cells one step outside each face are not."""
+    idx = BoxIndex()
+    box = box_from_extents(Point3(-11, -3, 5), (19, 10, 12))
+    idx.insert(IndexEntry("s", box, "box"), solid=True)
+    inside = set(cells_of(box))
+    (lt, lx, ly), (ht, hx, hy) = box
+    around = itertools.product(range(lt - 1, ht + 1), range(lx - 1, hx + 1), range(ly - 1, hy + 1))
+    for cell in around:
+        assert idx.covered(cell, {"s"}) is (cell in inside), cell
+
+
+def test_rejected_solid_insert_leaves_the_index_unchanged():
+    """A solid that overlaps another in one bucket and reaches into
+    buckets of its own is refused without marking any of its cells."""
+    idx = BoxIndex()
+    first = box_from_extents(Point3(0, 0, 0), (2, 2, 2))
+    idx.insert(IndexEntry("a", first, "circuit"), solid=True)
+    idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3)), "obstacle"))
+    late = box_from_extents(Point3(-9, -9, -9), (11, 11, 11))
+    before = (len(idx), idx.hits(late), [idx.covered(c, set()) for c in cells_of(late)])
+    with pytest.raises(SolidOverlapError):
+        idx.insert(IndexEntry("b", late, "connection"), solid=True)
+    assert (len(idx), idx.hits(late), [idx.covered(c, set()) for c in cells_of(late)]) == before
+    assert idx.hits(late, tags=SOLID_TAGS) == {"a"}
+    assert not idx.overlaps_solid(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
+
+
+def test_removing_a_solid_raises_and_keeps_it():
+    idx = BoxIndex()
+    box = box_from_extents(Point3(3, -5, 7), (4, 9, 2))
+    idx.insert(IndexEntry("s", box, "box"), solid=True)
+    with pytest.raises(ValueError):
+        idx.remove("s")
+    assert len(idx) == 1 and idx.get("s").box == box
+    assert idx.hits(box) == {"s"} and idx.covered(box.lo, {"s"})
+
+
+def test_world_claim_clash_names_every_solid_it_overlaps():
+    """The clash text lists the overlapped solids in sorted order and
+    leaves out obstacles under the same cells."""
+    w = World()
+    w.claim("pin.b", box_from_extents(Point3(0, 0, 0), (2, 2, 2)), "circuit")
+    w.claim("box.a", box_from_extents(Point3(0, 6, 0), (2, 4, 2)), "box")
+    w.obstacles.add(box_from_extents(Point3(0, 0, 0), (2, 12, 2)), "guide", 1, "x")
+    late = box_from_extents(Point3(1, 1, 1), (1, 8, 1))
+    assert not w.is_free(late)
+    with pytest.raises(RouteError) as err:
+        w.claim("link", late, "connection")
+    assert str(err.value) == "claim link overlaps ['box.a', 'pin.b']"
+    assert len(w.index) == 3
+
+
+if st is not None:
+    coords = st.integers(-20, 20)
+    extents = st.integers(1, 19)
+    boxes = st.builds(lambda t, x, y, dt, dx, dy: box_from_extents(Point3(t, x, y), (dt, dx, dy)),
+                      coords, coords, coords, extents, extents, extents)
+    script_ops = st.one_of(
+        st.tuples(st.just("solid"), boxes, st.sampled_from(SOLID_TAGS)),
+        st.tuples(st.just("obstacle"), boxes, st.just("obstacle")),
+        st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
+    )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(script_ops, max_size=12), st.integers(0, 1 << 16))
+    def test_solid_index_property(ops, seed):
+        """The brute-force oracle above, on hypothesis-made scripts."""
+        run_solid_script(ops, random.Random(seed))
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_solid_index_property():
+        pass
