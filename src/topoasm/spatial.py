@@ -65,11 +65,6 @@ def _axis_spans(lo: int, hi: int, table) -> list[tuple[int, int]]:
 def _box_masks(box: Box3) -> list[tuple[tuple[int, int, int], int]]:
     """``(bucket key, cell mask)`` for every bucket the box touches."""
     (lt, lx, ly), (ht, hx, hy) = box
-    bt, bx, by = lt >> _SHIFT, lx >> _SHIFT, ly >> _SHIFT
-    if bt == (ht - 1) >> _SHIFT and bx == (hx - 1) >> _SHIFT and by == (hy - 1) >> _SHIFT:
-        t0, x0, y0 = bt << _SHIFT, bx << _SHIFT, by << _SHIFT
-        return [((bt, bx, by),
-                 _Y_SPAN[ly - y0][hy - y0] * _X_SPAN[lx - x0][hx - x0] * _T_SPAN[lt - t0][ht - t0])]
     ts = _axis_spans(lt, ht, _T_SPAN)
     xys = [(bx, by, xm * ym) for bx, xm in _axis_spans(lx, hx, _X_SPAN)
            for by, ym in _axis_spans(ly, hy, _Y_SPAN)]
@@ -109,14 +104,14 @@ class BoxIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _bucket_range(self, box: Box3):
-        s = self.bucket_size
-        lo, hi = box
+    @staticmethod
+    def _bucket_range(box: Box3):
+        (lt, lx, ly), (ht, hx, hy) = box
         # hi is exclusive; the last occupied cell is hi - 1
         return itertools.product(
-            range(lo.t // s, (hi.t - 1) // s + 1),
-            range(lo.x // s, (hi.x - 1) // s + 1),
-            range(lo.y // s, (hi.y - 1) // s + 1),
+            range(lt >> _SHIFT, ((ht - 1) >> _SHIFT) + 1),
+            range(lx >> _SHIFT, ((hx - 1) >> _SHIFT) + 1),
+            range(ly >> _SHIFT, ((hy - 1) >> _SHIFT) + 1),
         )
 
     def insert(self, entry: IndexEntry, solid: bool = False) -> None:
@@ -125,12 +120,10 @@ class BoxIndex:
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
         if solid:
-            masks = _box_masks(entry.box)
+            if self.overlaps_solid(entry.box):
+                raise SolidOverlapError(entry.id)
             occupied = self._occupied
-            for key, mask in masks:
-                if occupied.get(key, 0) & mask:
-                    raise SolidOverlapError(entry.id)
-            for key, mask in masks:
+            for key, mask in _box_masks(entry.box):
                 occupied[key] = occupied.get(key, 0) | mask
             self._solids.add(entry.id)
         else:

@@ -9,12 +9,6 @@ from topoasm.spatial import (
     BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError, UnknownEntryError,
 )
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-except ImportError:  # the property test below needs hypothesis
-    st = None
-
 
 def rand_box(rng, span=60, max_ext=8):
     lo = Point3(rng.randint(-span, span), rng.randint(-span, span), rng.randint(-span, span))
@@ -278,13 +272,14 @@ def run_solid_script(ops, rng):
     return oracle
 
 
-def random_solid_ops(rng, n):
+def random_solid_ops(rng, n, solid_share=0.55, obstacle_share=0.3):
+    """``n`` ops: solids, obstacles, and removals with what share is left."""
     ops = []
     for _ in range(n):
         roll = rng.random()
-        if roll < 0.55:
+        if roll < solid_share:
             ops.append(("solid", solid_box(rng), rng.choice(SOLID_TAGS)))
-        elif roll < 0.85:
+        elif roll < solid_share + obstacle_share:
             ops.append(("obstacle", solid_box(rng), "obstacle"))
         else:
             ops.append(("remove", rng.randrange(1 << 16)))
@@ -299,6 +294,17 @@ def test_solid_index_matches_brute_force_under_random_scripts(seed):
     rng = random.Random(1000 + seed)
     oracle = run_solid_script(random_solid_ops(rng, 60), rng)
     assert oracle.solid and len(oracle.live) > len(oracle.solid)
+
+
+@pytest.mark.parametrize("solid_share, obstacle_share", [(0.9, 0.05), (0.2, 0.4)],
+                         ids=["solid-heavy", "remove-heavy"])
+@pytest.mark.parametrize("seed", range(4))
+def test_solid_index_matches_brute_force_under_other_op_mixes(seed, solid_share, obstacle_share):
+    """The same oracle on short scripts that nearly only add solids (so
+    the masks fill up and some inserts are refused) and on scripts that
+    mostly remove (so obstacles come and go under permanent solids)."""
+    rng = random.Random(2000 + seed)
+    run_solid_script(random_solid_ops(rng, 25, solid_share, obstacle_share), rng)
 
 
 def test_every_cell_of_a_solid_box_is_covered_and_no_other():
@@ -353,25 +359,3 @@ def test_world_claim_clash_names_every_solid_it_overlaps():
         w.claim("link", late, "connection")
     assert str(err.value) == "claim link overlaps ['box.a', 'pin.b']"
     assert len(w.index) == 3
-
-
-if st is not None:
-    coords = st.integers(-20, 20)
-    extents = st.integers(1, 19)
-    boxes = st.builds(lambda t, x, y, dt, dx, dy: box_from_extents(Point3(t, x, y), (dt, dx, dy)),
-                      coords, coords, coords, extents, extents, extents)
-    script_ops = st.one_of(
-        st.tuples(st.just("solid"), boxes, st.sampled_from(SOLID_TAGS)),
-        st.tuples(st.just("obstacle"), boxes, st.just("obstacle")),
-        st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
-    )
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.lists(script_ops, max_size=12), st.integers(0, 1 << 16))
-    def test_solid_index_property(ops, seed):
-        """The brute-force oracle above, on hypothesis-made scripts."""
-        run_solid_script(ops, random.Random(seed))
-else:
-    @pytest.mark.skip(reason="hypothesis is not installed")
-    def test_solid_index_property():
-        pass
