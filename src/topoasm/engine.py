@@ -42,7 +42,7 @@ from .geom import (
     wire_row,
 )
 from .icm import MAGIC_BASES, ICMCircuit, magic_events, recycle_wires
-from .pool import RAIL_PITCH, ConnectionPool, PoolConfig
+from .pool import ConnectionPool, PoolConfig
 from .route import (
     GUIDE,
     OCCUPY,
@@ -264,7 +264,7 @@ class Synthesizer:
             Point3(self.t_floor, -1, -1), Point3(self.t_ceiling, top_row + 2, 3)
         )
         rails = max(len(self.pool.rails), pc.budgeted_rails)
-        rail_hi_x = rails * RAIL_PITCH + 2
+        rail_hi_x = self.pool.rail_position(rails)[0] + 1
         pool_box = Box3(
             Point3(self.t_floor, 0, pc.pool_gap),
             Point3(self.t_ceiling, rail_hi_x, pc.pool_gap + 1),
@@ -550,9 +550,8 @@ class Synthesizer:
     def _ensure_guards(self, conn) -> None:
         """Add the line and under guides of the connection's rail, once per
         rail, and its forward guard, once per connection."""
-        rail = self.pool.rails[conn.rail]
-        x, y = rail.x, rail.y
         if conn.rail not in self.rail_line_guards:
+            x, y = self.pool.rail_position(conn.rail)
             for guards, gy in ((self.rail_line_guards, y), (self.rail_under_guards, y - 1)):
                 strip = Box3(Point3(self.t_floor, x, gy), Point3(self.t_ceiling, x + 1, gy + 1))
                 guards[conn.rail] = self.world.obstacles.add(
@@ -562,6 +561,7 @@ class Synthesizer:
             # Fences the connection's forward rail stretch (line and
             # under-strip) against everything except its own extensions and
             # final drop.
+            x, y = self.pool.rail_position(conn.rail)
             region = Box3(Point3(conn.anchor_t + 1, x, y - 1), Point3(self.t_ceiling, x + 1, y + 1))
             self.conn_fwd_guards[conn.id] = self.world.obstacles.add(
                 region, GUIDE, 0, conn.id

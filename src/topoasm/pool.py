@@ -2,20 +2,22 @@
 
 The pool is a bank of straight rails parallel to the circuit's time
 axis, stacked along x in a plane ``pool_gap`` above the wire rows.  A
-successful distillation output is bound to the lowest free rail and the
-resulting connection walks a four-state lifecycle::
+successful distillation output is bound to a rail and the resulting
+connection walks a four-state lifecycle::
 
     available -> reserved(type) -> assigned -> tobeavailable -> available
 
-A ``tobeavailable`` connection keeps holding its rail until every cell
-it occupies lies strictly in the past; only then does the sweep reset
-it.  Surplus distillation successes beyond the per-type cap are
+A new connection gets the lowest rail whose last holder is back to
+``available`` with its stretch ended before the new anchor, else a new
+rail; so only a rail's last holder can be live.  A ``tobeavailable``
+connection holds its rail until the sweep finds all its cells in the
+past.  Surplus distillation successes beyond the per-type cap are
 discarded, never buffered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geom import Point3
 
@@ -57,32 +59,6 @@ class PoolConfig:
 
 
 @dataclass
-class Rail:
-    index: int
-    x: int
-    y: int
-    occupancy: list = field(default_factory=list)  # disjoint [first_cell, last_cell] pairs
-
-    def occupied_at_or_after(self, t: int) -> bool:
-        return any(last >= t for _, last in self.occupancy)
-
-    def add_interval(self, first: int, last: int) -> None:
-        for a, b in self.occupancy:
-            if first <= b and a <= last:
-                raise PoolError(f"rail {self.index} double-booked: [{first},{last}] vs [{a},{b}]")
-        self.occupancy.append((first, last))
-
-    def extend_interval(self, first: int, new_last: int) -> None:
-        for i, (a, b) in enumerate(self.occupancy):
-            if a == first:
-                if new_last < b:
-                    raise PoolError("rail occupancy may only grow")
-                self.occupancy[i] = (a, new_last)
-                return
-        raise PoolError(f"no occupancy starting at {first} on rail {self.index}")
-
-
-@dataclass
 class Connection:
     id: str
     state: str = AVAILABLE
@@ -95,18 +71,18 @@ class Connection:
 
 
 class ConnectionPool:
-    """Single-writer connection manager."""
+    """Single-writer connection manager.
+
+    ``rails[i]`` lists the connections rail ``i`` was granted to, in grant
+    order.  A rail is granted only when its last holder is ``available``
+    and ended before the new anchor, so only the last holder can be live.
+    """
 
     def __init__(self, config: PoolConfig, journal=None):
         self.config = config
         self.journal = journal
-        self.rails: list[Rail] = []
+        self.rails: list[list[Connection]] = []
         self.connections: dict[str, Connection] = {}
-        # Live connections by state.  A connection swept back to available
-        # is never reused, so the counters and scans below read only these.
-        self._live: dict[str, dict[str, Connection]] = {
-            RESERVED: {}, ASSIGNED: {}, TOBEAVAILABLE: {},
-        }
         self.transitions: list[tuple[str, str, str]] = []
         # Conservation bookkeeping, per type.
         self.offered = {"A": 0, "Y": 0}
@@ -121,10 +97,6 @@ class ConnectionPool:
         if edge not in _LEGAL_EDGES:
             raise PoolError(f"illegal transition {edge} for {conn.id}")
         self.transitions.append((conn.id, conn.state, state))
-        if conn.state in self._live:
-            del self._live[conn.state][conn.id]
-        if state in self._live:
-            self._live[state][conn.id] = conn
         conn.state = state
 
     def rail_position(self, index: int) -> tuple[int, int]:
@@ -132,19 +104,23 @@ class ConnectionPool:
         # keeping pin drop columns and rail lines disjoint.
         return (index * RAIL_PITCH + 1, self.config.pool_gap)
 
-    def _grab_rail(self, anchor_t: int) -> Rail:
-        # Lowest free rail whose residual occupancy lies strictly in the past.
-        bound = {c.rail for live in self._live.values() for c in live.values()}
-        for rail in self.rails:
-            if rail.index not in bound and not rail.occupied_at_or_after(anchor_t):
-                return rail
-        x, y = self.rail_position(len(self.rails))
-        rail = Rail(len(self.rails), x, y)
-        self.rails.append(rail)
-        return rail
+    def _grab_rail(self, anchor_t: int) -> int:
+        # Earlier holders ended before the last one began, so it decides.
+        for index, holders in enumerate(self.rails):
+            last = holders[-1]
+            if last.state == AVAILABLE and last.extended_to < anchor_t:
+                return index
+        self.rails.append([])
+        return len(self.rails) - 1
+
+    def _holders(self, state: str):
+        """The rails' last holders in ``state``, in rail order."""
+        for holders in self.rails:
+            if holders[-1].state == state:
+                yield holders[-1]
 
     def reserved_count(self, kind: str) -> int:
-        return sum(1 for c in self._live[RESERVED].values() if c.kind == kind)
+        return sum(1 for c in self._holders(RESERVED) if c.kind == kind)
 
     def counts(self) -> tuple[int, int]:
         return (self.reserved_count("A"), self.reserved_count("Y"))
@@ -171,17 +147,17 @@ class ConnectionPool:
             self._seq += 1
             conn = Connection(id=f"c{self._seq}")
             self.connections[conn.id] = conn
+            self.rails[rail].append(conn)
             self._move(conn, RESERVED)
             conn.kind = kind
-            conn.rail = rail.index
+            conn.rail = rail
             conn.source_box = box_id
             conn.port = port
             conn.anchor_t = anchor_t
             conn.extended_to = anchor_t
-            rail.add_interval(anchor_t, anchor_t)
             reserved.append(conn.id)
             if self.journal:
-                self.journal.log("reserve", conn.id, kind, rail.index, box_id)
+                self.journal.log("reserve", conn.id, kind, rail, box_id)
         return reserved
 
     def assign_to_input(self, input_key: str, kind: str):
@@ -190,10 +166,9 @@ class ConnectionPool:
         Returns the connection id, or None when nothing of that type is
         reserved (the insufficient-states signal; never an exception).
         """
-        candidates = [c for c in self._live[RESERVED].values() if c.kind == kind]
-        if not candidates:
+        conn = next((c for c in self._holders(RESERVED) if c.kind == kind), None)
+        if conn is None:
             return None
-        conn = min(candidates, key=lambda c: c.rail)
         self._move(conn, ASSIGNED)
         self.assigned_out[kind] += 1
         if self.journal:
@@ -210,28 +185,25 @@ class ConnectionPool:
     def extension_targets(self, now: int):
         """Rail stretches needed so every reserved connection reaches ``now``.
 
-        Returns (connection, first_new_cell, last_new_cell) triples; rail
-        occupancy covers cells up to ``now - 1`` afterwards.  Assigned and
-        tobeavailable connections are left alone: their occupancy is frozen
-        at delivery time.
+        Returns (connection, first_new_cell, last_new_cell) triples in rail
+        order; each stretch covers cells up to ``now - 1`` afterwards.
+        Assigned and tobeavailable connections are left alone: their
+        stretch is frozen at delivery time.
         """
-        out = []
-        for conn in sorted(self._live[RESERVED].values(), key=lambda c: c.rail):
-            target = now - 1
-            if target > conn.extended_to:
-                out.append((conn, conn.extended_to + 1, target))
-        return out
+        last = now - 1
+        return [(c, c.extended_to + 1, last) for c in self._holders(RESERVED) if last > c.extended_to]
 
     def apply_extension(self, conn: Connection, new_last: int) -> None:
-        rail = self.rails[conn.rail]
-        rail.extend_interval(conn.anchor_t, new_last)
+        if new_last < conn.extended_to:
+            raise PoolError(f"stretch of {conn.id} may only grow")
         conn.extended_to = new_last
 
     def sweep(self, now: int) -> list[str]:
         """Reset every tobeavailable connection whose rail cells all lie
-        strictly before ``now``; returns the freed connection ids."""
+        strictly before ``now``; returns the freed connection ids.  The
+        stretch (``extended_to``) stays: the grant rule reads it."""
         freed = []
-        for conn in sorted(self._live[TOBEAVAILABLE].values(), key=lambda c: int(c.id[1:])):
+        for conn in sorted(self._holders(TOBEAVAILABLE), key=lambda c: int(c.id[1:])):
             if conn.extended_to >= now:
                 continue
             self._move(conn, AVAILABLE)

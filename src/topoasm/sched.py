@@ -105,9 +105,8 @@ class DistillationLayer:
     boxes: list[PlacedBox] = field(default_factory=list)
 
 
-def _mk_box(box_id: str, kind: str, lo: Point3) -> PlacedBox:
-    footprint = box_from_extents(lo, BOX_EXTENTS[kind])
-    dt, dx, dy = footprint.extents
+def _mk_box(box_id: str, kind: str, footprint: Box3) -> PlacedBox:
+    _, dx, dy = footprint.extents
     port = Point3(footprint.hi.t, footprint.lo.x + dx // 2, footprint.lo.y + dy // 2)
     return PlacedBox(box_id, kind, footprint, port)
 
@@ -166,7 +165,7 @@ def place_spiral_layer(
             probe = footprint.inflated(0, SPIRAL_GAP, SPIRAL_GAP)
             if world.is_free(probe):
                 break
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, lo)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, footprint)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer
@@ -205,7 +204,7 @@ def place_asap_stack(
                 placed = footprint
             x += dx + 1
             row_depth = max(row_depth, dy)
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer
@@ -254,7 +253,7 @@ def place_alap_layer(
                 col_width = max(col_width, dx)
             else:
                 y += 1
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed.lo)
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
     return layer

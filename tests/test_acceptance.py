@@ -251,8 +251,8 @@ def test_criterion_8_state_machine_conservation():
         pool = test_pool.random_pool_script(seed, steps=30)
         for cid, a, b in pool.transitions:
             assert (a, b) in test_pool.LEGAL
-        for rail in pool.rails:
-            spans = sorted(rail.occupancy)
+        for holders in pool.rails:
+            spans = sorted((c.anchor_t, c.extended_to) for c in holders)
             for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
                 assert b1 < a2
         assert conservation_holds(pool)

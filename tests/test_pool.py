@@ -6,6 +6,7 @@ from topoasm.geom import Point3
 from topoasm.pool import (
     ASSIGNED,
     AVAILABLE,
+    KB_LEAD,
     RESERVED,
     TOBEAVAILABLE,
     ConnectionPool,
@@ -87,6 +88,8 @@ def test_extend_reserved_to_now():
     pool.apply_extension(conn, last)
     assert conn.extended_to == 8
     assert pool.extension_targets(9) == []
+    with pytest.raises(PoolError):
+        pool.apply_extension(conn, 7)  # a stretch only grows
 
 
 def test_tobeavailable_holds_rail_until_past():
@@ -128,19 +131,46 @@ def test_illegal_transition_rejected():
         pool.mark_tobeavailable([cid])  # reserved -> tobeavailable is not an edge
 
 
-def test_rail_double_booking_rejected():
+def test_rail_reuse_waits_for_sweep_and_past_stretch():
     pool = mk_pool()
-    (cid,) = pool.reserve_connections([("b", "A", Point3(2, 5, -6))])
-    rail = pool.rails[pool.connections[cid].rail]
-    with pytest.raises(PoolError):
-        rail.add_interval(4, 4)
+    (a,) = pool.reserve_connections([("b0", "A", Point3(2, 5, -6))])  # anchor 4
+    pool.apply_extension(pool.connections[a], 12)
+    pool.assign_to_input("w0@t9", "A")
+    pool.mark_tobeavailable([a])
+    assert pool.sweep(12) == []  # the delivered connection holds rail 0
+    assert pool.sweep(13) == [a]
+    # an anchor at or before the swept stretch's last cell opens a new rail,
+    # a later one reuses rail 0
+    (c,) = pool.reserve_connections([("b1", "Y", Point3(10, 5, -6))])  # anchor 12
+    (d,) = pool.reserve_connections([("b2", "Y", Point3(11, 5, -6))])  # anchor 13
+    assert (pool.connections[c].rail, pool.connections[d].rail) == (1, 0)
+    # a tobeavailable holder whose stretch has ended keeps its rail until swept
+    assert pool.assign_to_input("w1@t13", "Y") == d
+    pool.mark_tobeavailable([d])
+    (e,) = pool.reserve_connections([("b3", "Y", Point3(18, 5, -6))])  # anchor 20
+    assert pool.connections[e].rail == 2
+    assert [[h.id for h in holders] for holders in pool.rails] == [[a, d], [c], [e]]
+
+
+def expected_rail(pool, granted, anchor_t):
+    """The grant rule over all recorded holders: the lowest rail whose
+    holders are all available and ended before ``anchor_t``, else a new one."""
+    rails = {}
+    for cid, rail in granted.items():
+        rails.setdefault(rail, []).append(pool.connections[cid])
+    for rail in range(len(rails)):
+        if all(c.state == AVAILABLE and c.extended_to < anchor_t for c in rails[rail]):
+            return rail
+    return len(rails)
 
 
 def random_pool_script(seed, steps=60):
     """Drive a pool through a random but legal op sequence; return it with
-    the rails and transition log intact."""
+    the rails and transition log intact.  Every reservation's rail is
+    checked against ``expected_rail``."""
     rng = random.Random(seed)
     pool = mk_pool(cap=rng.randint(2, 6))
+    granted = {}  # connection id -> rail, as the grant rule gives it
     now = 0
     box = 0
     for _ in range(steps):
@@ -150,9 +180,18 @@ def random_pool_script(seed, steps=60):
             kind = rng.choice("AY")
             batch = []
             for _ in range(n):
-                batch.append((f"b{box}", kind, Point3(now + rng.randint(2, 8), rng.randint(0, 30), -6)))
+                batch.append((f"b{box}", kind, Point3(now + rng.randint(-4, 8), rng.randint(0, 30), -6)))
                 box += 1
-            pool.reserve_connections(batch)
+            free = pool.config.cap_per_type - pool.reserved_count(kind)
+            ids = pool.reserve_connections(batch)
+            assert len(ids) == min(n, free)
+            # earlier members of the batch are reserved, so they count as live
+            for cid, (box_id, _, port) in zip(ids, batch):
+                conn = pool.connections[cid]
+                assert conn.source_box == box_id
+                rail = expected_rail(pool, granted, port.t + KB_LEAD)
+                assert conn.rail == rail
+                granted[cid] = rail
         elif roll < 0.7:
             kind = rng.choice("AY")
             cid = pool.assign_to_input(f"w{box}@t{now}", kind)
@@ -172,8 +211,8 @@ def test_random_scripts_state_machine_and_rails(seed):
     pool = random_pool_script(seed)
     for cid, a, b in pool.transitions:
         assert (a, b) in LEGAL
-    for rail in pool.rails:
-        spans = sorted(rail.occupancy)
+    for holders in pool.rails:
+        spans = sorted((c.anchor_t, c.extended_to) for c in holders)
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 < a2  # intervals never overlap
     assert conservation_holds(pool)
