@@ -9,10 +9,11 @@ enabled obstacles.  Obstacles come in two kinds:
 * ``occupy`` obstacles reserve territory for their owner: they block
   the segments computed before the owner's and evaporate afterwards.
 
-Every obstacle stays in the spatial index from ``add`` to ``remove``;
-switching it off or on only flips its flag and its membership of the
-registry's ``disabled`` set, which blocked-cell queries read; a cell is
-blocked while any enabled obstacle covers it.  A task set is computed
+Every obstacle stays counted in the spatial index from ``add`` to
+``remove``; switching it off or on only flips its flag and its
+membership of the registry's ``disabled`` set.  A cell is blocked while
+its solid bit is set or its obstacle count exceeds the number of
+disabled obstacles that contain it.  A task set is computed
 in strictly descending priority: disable the active spec's own
 obstacles, plan, commit the path, re-enable the guides and remove the
 occupies.  :func:`compute_taskset` returns each path with the polyline
@@ -45,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 
 from .geom import Box3, DefectPolyline, Point3, polyline_from_cells
-from .spatial import BoxIndex, IndexEntry, SolidOverlapError
+from .spatial import LOW, SHIFT, T_SHIFT, BoxIndex, IndexEntry, SolidOverlapError
 
 GUIDE = "guide"
 OCCUPY = "occupy"
@@ -197,23 +198,37 @@ class World:
 
 class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
-    blocked when it lies outside ``bounds`` or a solid or an enabled
-    obstacle covers it.  Every query tests the cell's solid bit, then
-    scans its bucket's obstacle rows up to the first that covers it
-    (:meth:`~topoasm.spatial.BoxIndex.covered`), exempting the disabled
-    obstacles; A* queries a cell when it pops it."""
+    blocked when it lies outside ``bounds``, is solid, or lies inside an
+    enabled obstacle.  A query reads the cell's bucket record in the
+    spatial index: its solid bit, then its obstacle count less the
+    disabled obstacles that contain it, whose rows are looked up once
+    here.  A* queries a cell when it pops it."""
 
     def __init__(self, world: World, bounds: Box3):
-        self._covered = world.index.covered
-        self._disabled = world.obstacles.disabled
+        self._records = world.index.records
+        rows = world.index.rows
+        self._exempt = [rows[oid] for oid in world.obstacles.disabled]
         self._lo, self._hi = bounds
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
         t, x, y = cell
         lo, hi = self._lo, self._hi
-        return not (
-            lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]
-        ) or self._covered(cell, self._disabled)
+        if not (lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]):
+            return True
+        rec = self._records.get((t >> SHIFT, x >> SHIFT, y >> SHIFT))
+        if rec is None:
+            return False
+        bit = (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
+        if rec[0] >> bit & 1:
+            return True
+        count = 0
+        for i in range(len(rec) - 1, 0, -1):
+            count = count << 1 | rec[i] >> bit & 1
+        if count:
+            for lt, lx, ly, ht, hx, hy in self._exempt:
+                if lt <= t < ht and lx <= x < hx and ly <= y < hy:
+                    count -= 1
+        return count > 0
 
 
 def default_bounds(spec: SegmentSpec, margin: int) -> Box3:

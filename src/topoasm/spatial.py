@@ -1,42 +1,43 @@
 """Spatial index over axis-aligned boxes in the space-time volume.
 
-The index answers which registered boxes intersect a probe box, and
-whether a cell is covered.  Intersection follows the inclusive-exclusive
-convention of :class:`topoasm.geom.Box3`, so boxes that merely share a
-face do not collide.  Cells are hashed into lattice buckets of
-``BUCKET`` cells per edge, keyed ``(t >> 3, x >> 3, y >> 3)`` (floor
-division, negative coordinates included).  Entries come in two kinds,
-held in two representations:
+The index answers which registered boxes intersect a probe box, whether
+a box holds a solid cell, and how many obstacles cover a cell.
+Intersection follows the inclusive-exclusive convention of
+:class:`topoasm.geom.Box3`, so boxes that merely share a face do not
+collide.  Cells are hashed into lattice buckets of ``BUCKET`` cells per
+edge, keyed ``(t >> SHIFT, x >> SHIFT, y >> SHIFT)`` (floor division,
+negative coordinates included); a cell's bit in its bucket is
+``(t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW``.
 
-* **Solids** (circuit, box and connection claims) are permanent: they
-  are never removed and never exempt from a blocked-cell query, and no
-  two of them share a cell.  Each bucket keeps one int whose bits are
-  the bucket's solid cells; a cell's bit is
-  ``(t & 7) << 6 | (x & 7) << 3 | (y & 7)``.  An insert, an overlap
-  probe and a cell test are bit operations on those masks.
-* **Obstacles** are removable.  Each bucket maps an obstacle's id to its
-  row ``(lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)``; the row is one tuple,
-  built at insert and shared by every bucket the obstacle touches, so
-  a query compares it in place.
+Each bucket keeps one record, a ``list[int]`` of bit masks over its
+cells:
 
-``covered`` answers the router's per-cell question: it tests the cell's
-solid bit, then scans the bucket's obstacle rows and stops at the first
-that contains the cell and is not exempt.  ``hits`` returns entries of
-both kinds; it finds solids by a scan over all of them, which only
-clash messages and tests need.
+* Entry 0 holds the **solid** cells (circuit, box and connection
+  claims).  Solids are permanent: they are never removed and never
+  exempt from a blocked-cell query, and no two of them share a cell.
+* The entries after it are the bit planes, low bit first, of a per-cell
+  count of the removable **obstacles** that cover the cell (bit-sliced
+  counters, Knuth, *TAOCP* 4A, 7.1.3).  An obstacle insert ripples a
+  carry of its per-bucket mask through the planes, a remove ripples a
+  borrow; a zero top plane is popped, and a record with no bits left is
+  dropped.
+
+Inserts, overlap probes and cell tests are therefore bit operations.
+:attr:`BoxIndex.rows` keeps each obstacle's row ``lo + hi``, so a
+blocked-cell query can subtract the obstacles it exempts.  ``hits``
+scans every entry; only clash messages and tests need it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .geom import Box3
 
 BUCKET = 8  # lattice units per bucket edge; a power of two
-_SHIFT = BUCKET.bit_length() - 1  # bucket key of a coordinate: c >> _SHIFT
-_LOW = BUCKET - 1  # a coordinate's offset in its bucket: c & _LOW
-_T_SHIFT = 2 * _SHIFT  # a cell's bit: (t & _LOW) << _T_SHIFT | (x & _LOW) << _SHIFT | y & _LOW
+SHIFT = BUCKET.bit_length() - 1  # bucket key of a coordinate: c >> SHIFT
+LOW = BUCKET - 1  # a coordinate's offset in its bucket: c & LOW
+T_SHIFT = 2 * SHIFT  # a cell's bit: (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
 
 
 def _span_table(stride: int) -> list[list[int]]:
@@ -54,12 +55,12 @@ _Y_SPAN = _span_table(1)
 
 def _axis_spans(lo: int, hi: int, table) -> list[tuple[int, int]]:
     """``(bucket, mask)`` for every bucket that ``[lo, hi)`` touches on one axis."""
-    first, last = lo >> _SHIFT, (hi - 1) >> _SHIFT
+    first, last = lo >> SHIFT, (hi - 1) >> SHIFT
     if first == last:
-        return [(first, table[lo & _LOW][hi - (first << _SHIFT)])]
+        return [(first, table[lo & LOW][hi - (first << SHIFT)])]
     full = table[0][BUCKET]
-    return ([(first, table[lo & _LOW][BUCKET])] + [(b, full) for b in range(first + 1, last)]
-            + [(last, table[0][hi - (last << _SHIFT)])])
+    return ([(first, table[lo & LOW][BUCKET])] + [(b, full) for b in range(first + 1, last)]
+            + [(last, table[0][hi - (last << SHIFT)])])
 
 
 def _box_masks(box: Box3) -> list[tuple[tuple[int, int, int], int]]:
@@ -90,62 +91,71 @@ class IndexEntry(NamedTuple):
 
 
 class BoxIndex:
-    """Bucketed box index: permanent solids as bit masks, removable
-    obstacles as rows."""
+    """Bucketed box index: one record per bucket, its solid cells and the
+    bit planes of its obstacle counts."""
 
     bucket_size = BUCKET
 
     def __init__(self):
         self._entries: dict[str, IndexEntry] = {}
-        self._solids: set[str] = set()
-        self._occupied: dict[tuple[int, int, int], int] = {}  # bucket -> solid cell bits
-        self._buckets: dict[tuple[int, int, int], dict[str, tuple]] = {}  # obstacle rows
+        self.records: dict[tuple[int, int, int], list[int]] = {}  # bucket -> [solid, planes...]
+        self.rows: dict[str, tuple] = {}  # obstacle id -> (lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @staticmethod
-    def _bucket_range(box: Box3):
-        (lt, lx, ly), (ht, hx, hy) = box
-        # hi is exclusive; the last occupied cell is hi - 1
-        return itertools.product(
-            range(lt >> _SHIFT, ((ht - 1) >> _SHIFT) + 1),
-            range(lx >> _SHIFT, ((hx - 1) >> _SHIFT) + 1),
-            range(ly >> _SHIFT, ((hy - 1) >> _SHIFT) + 1),
-        )
 
     def insert(self, entry: IndexEntry, solid: bool = False) -> None:
         """Index ``entry``; a ``solid`` entry is permanent and may share no
         cell with another solid (:class:`SolidOverlapError`, index unchanged)."""
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
+        records = self.records
+        masks = _box_masks(entry.box)
         if solid:
-            if self.overlaps_solid(entry.box):
-                raise SolidOverlapError(entry.id)
-            occupied = self._occupied
-            for key, mask in _box_masks(entry.box):
-                occupied[key] = occupied.get(key, 0) | mask
-            self._solids.add(entry.id)
+            for key, mask in masks:
+                rec = records.get(key)
+                if rec is not None and rec[0] & mask:
+                    raise SolidOverlapError(entry.id)
+            for key, mask in masks:
+                rec = records.get(key)
+                if rec is None:
+                    records[key] = [mask]
+                else:
+                    rec[0] |= mask
         else:
+            for key, carry in masks:
+                rec = records.setdefault(key, [0])
+                for i in range(1, len(rec)):
+                    plane = rec[i]
+                    rec[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    rec.append(carry)
             lo, hi = entry.box
-            row = lo + hi
-            for key in self._bucket_range(entry.box):
-                self._buckets.setdefault(key, {})[entry.id] = row
+            self.rows[entry.id] = lo + hi
         self._entries[entry.id] = entry
 
     def remove(self, eid: str) -> None:
         """Unindex an obstacle; solids are permanent (``ValueError``)."""
-        if eid in self._solids:
-            raise ValueError(f"solid entry {eid} is permanent")
-        entry = self._entries.pop(eid, None)
-        if entry is None:
+        if self.rows.pop(eid, None) is None:
+            if eid in self._entries:
+                raise ValueError(f"solid entry {eid} is permanent")
             raise UnknownEntryError(eid)
-        for key in self._bucket_range(entry.box):
-            rows = self._buckets.get(key)
-            if rows is not None:
-                rows.pop(eid, None)
-                if not rows:
-                    del self._buckets[key]
+        records = self.records
+        for key, borrow in _box_masks(self._entries.pop(eid).box):
+            rec = records[key]
+            i = 1
+            while borrow:
+                plane = rec[i]
+                rec[i] = plane ^ borrow
+                borrow &= ~plane
+                i += 1
+            while len(rec) > 1 and not rec[-1]:
+                rec.pop()
+            if len(rec) == 1 and not rec[0]:
+                del records[key]
 
     def get(self, eid: str) -> IndexEntry:
         try:
@@ -156,15 +166,15 @@ class BoxIndex:
     def overlaps_solid(self, box: Box3) -> bool:
         """Whether any cell of ``box`` is solid; a bucket's mask is built
         only when the bucket holds solid cells."""
-        occupied = self._occupied
+        records = self.records
         (lt, lx, ly), (ht, hx, hy) = box
         xs = _axis_spans(lx, hx, _X_SPAN)
         ys = _axis_spans(ly, hy, _Y_SPAN)
         for bt, tm in _axis_spans(lt, ht, _T_SPAN):
             for bx, xm in xs:
                 for by, ym in ys:
-                    bits = occupied.get((bt, bx, by))
-                    if bits and bits & ym * xm * tm:
+                    rec = records.get((bt, bx, by))
+                    if rec and rec[0] and rec[0] & ym * xm * tm:
                         return True
         return False
 
@@ -174,31 +184,5 @@ class BoxIndex:
         ``tags`` optionally restricts the result to entries with one of
         the given tags.
         """
-        (plt, plx, ply), (pht, phx, phy) = probe
-        entries = self._entries
-        out = {eid for eid in self._solids
-               if (tags is None or entries[eid].tag in tags) and entries[eid].box.intersects(probe)}
-        for key in self._bucket_range(probe):
-            for eid, (lt, lx, ly, ht, hx, hy) in self._buckets.get(key, {}).items():
-                if (
-                    lt < pht and plt < ht and lx < phx and plx < hx and ly < phy and ply < hy
-                    and (tags is None or entries[eid].tag in tags)
-                ):
-                    out.add(eid)
-        return out
-
-    def covered(self, cell: tuple[int, int, int], exempt) -> bool:
-        """Whether a solid, or an obstacle whose id is not in ``exempt``,
-        contains ``cell``."""
-        t, x, y = cell
-        key = (t >> _SHIFT, x >> _SHIFT, y >> _SHIFT)
-        if self._occupied.get(key, 0) >> (
-            (t & _LOW) << _T_SHIFT | (x & _LOW) << _SHIFT | y & _LOW
-        ) & 1:
-            return True
-        rows = self._buckets.get(key)
-        if rows is not None:
-            for eid, (lt, lx, ly, ht, hx, hy) in rows.items():
-                if lt <= t < ht and lx <= x < hx and ly <= y < hy and eid not in exempt:
-                    return True
-        return False
+        return {eid for eid, e in self._entries.items()
+                if (tags is None or e.tag in tags) and e.box.intersects(probe)}

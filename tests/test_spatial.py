@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from topoasm.geom import Point3, box_from_extents
-from topoasm.route import SOLID_TAGS, RouteError, World
+from topoasm.geom import Box3, Point3, box_from_extents
+from topoasm.route import SOLID_TAGS, BlockedView, RouteError, World
 from topoasm.spatial import (
-    BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError, UnknownEntryError,
+    LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
+    UnknownEntryError,
 )
+
+EVERYWHERE = Box3(Point3(-1000, -1000, -1000), Point3(1000, 1000, 1000))
 
 
 def rand_box(rng, span=60, max_ext=8):
@@ -21,12 +24,22 @@ def brute_hits(entries, probe):
     return {e.id for e in entries if e.box.intersects(probe)}
 
 
+def view_of(world, exempt=()):
+    """The blocked-cell view of ``world`` when its registry has disabled
+    exactly the obstacles in ``exempt``, unbounded in practice."""
+    world.obstacles.disabled = set(exempt)
+    return BlockedView(world, EVERYWHERE)
+
+
 def test_insert_and_point_query():
-    idx = BoxIndex()
+    w = World()
+    idx = w.index
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
     idx.insert(IndexEntry("a", box, "circuit"))
     assert len(idx) == 1
     assert idx.hits(box) == {"a"}
+    assert view_of(w).is_blocked(box.lo) and not view_of(w, {"a"}).is_blocked(box.lo)
+    assert not view_of(w).is_blocked((1, 0, 0))
 
 
 def test_duplicate_id_rejected():
@@ -138,15 +151,17 @@ def rand_rod(rng, span=40):
 
 
 def test_covering_matches_brute_force_under_random_scripts():
-    """``covered(cell, exempt)`` is True exactly when a live box that is
-    not exempt contains the cell, under seeded insert/remove scripts whose
+    """``BlockedView.is_blocked(cell)``, with the ``exempt`` obstacles
+    disabled, is True exactly when a live box that is not exempt
+    contains the cell, under seeded insert/remove scripts whose
     boxes often span many buckets or are long thin rods.  Probe cells
     include every live box's low corner, its last cell and the first
     cells past its high faces; exempt sets include the empty set, every
     live id and random subsets of the live ids."""
     for seed in range(8):
         rng = random.Random(seed)
-        idx = BoxIndex()
+        w = World()
+        idx = w.index
         live = {}
         for step in range(300):
             if rng.random() < 0.65 or not live:
@@ -171,11 +186,83 @@ def test_covering_matches_brute_force_under_random_scripts():
                 lo, hi = e.box.lo, e.box.hi
                 probes += [lo.as_tuple(), (hi.t - 1, hi.x - 1, hi.y - 1),
                            (hi.t, lo.x, lo.y), (lo.t, hi.x, lo.y), (lo.t, lo.x, hi.y)]
-            for cell in probes:
-                covers = {e.id for e in live.values() if e.box.contains_cell(cell)}
-                for exempt in exempts:
+            covering = [(cell, {e.id for e in live.values() if e.box.contains_cell(cell)})
+                        for cell in probes]
+            for exempt in exempts:
+                view = view_of(w, exempt)
+                for cell, covers in covering:
                     want = bool(covers - exempt)
-                    assert idx.covered(cell, exempt) is want, (seed, step, cell, sorted(exempt))
+                    assert view.is_blocked(cell) is want, (seed, step, cell, sorted(exempt))
+
+
+def plane_count(idx, cell):
+    """The obstacle count of ``cell`` as read from its bucket's bit planes."""
+    t, x, y = cell
+    rec = idx.records.get((t >> SHIFT, x >> SHIFT, y >> SHIFT), [0])
+    bit = (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
+    return sum((plane >> bit & 1) << i for i, plane in enumerate(rec[1:]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
+    """Under seeded add/remove scripts of registry obstacles (negative
+    corners, long rods, and up to 5 obstacles stacked on one cell, so a
+    carry reaches a third plane) among a few solids, every probed cell's
+    count read from the planes equals the number of live obstacles that
+    contain it, and ``is_blocked`` agrees with brute force with none and
+    with a random subset of them disabled.  Once all are removed, every
+    bucket's record is just its solid bits, or gone."""
+    rng = random.Random(3000 + seed)
+    w = World()
+    idx, reg = w.index, w.obstacles
+    solids = []
+    for n in range(6):
+        box = solid_box(rng)
+        if not idx.overlaps_solid(box):
+            w.claim(f"s{n}", box, "box")
+            solids.append(box)
+    stack = Point3(rng.randint(-20, -1), rng.randint(-20, -1), rng.randint(-20, -1))
+    live = {}  # oid -> box
+    tallest = 0
+    for step in range(150):
+        roll = rng.random()
+        if roll < 0.6 or not live:
+            if roll < 0.25 and sum(b.contains_cell(stack) for b in live.values()) < 5:
+                box = box_from_extents(stack.shifted(*(-rng.randint(0, 9) for _ in range(3))),
+                                       tuple(rng.randint(10, 19) for _ in range(3)))
+            elif roll < 0.35:
+                box = rand_rod(rng)
+            else:
+                box = rand_box(rng, span=30, max_ext=12)
+            live[reg.add(box, "guide", step, "x").oid] = box
+        else:
+            oid = rng.choice(sorted(live))
+            reg.remove(oid)
+            del live[oid]
+        tallest = max(tallest, max(len(rec) - 1 for rec in idx.records.values()))
+        cells = [stack] + [tuple(rng.randint(-45, 45) for _ in range(3)) for _ in range(20)]
+        for (lt, lx, ly), (ht, hx, hy) in live.values():
+            cells += [(lt, lx, ly), (ht - 1, hx - 1, hy - 1), (ht, lx, ly), (lt, hx, ly),
+                      (lt, lx, hy)]
+        covering = []
+        for cell in cells:
+            covers = {oid for oid, box in live.items() if box.contains_cell(cell)}
+            assert plane_count(idx, cell) == len(covers), (seed, step, cell)
+            covering.append((cell, covers, any(b.contains_cell(cell) for b in solids)))
+        for exempt in (set(), set(rng.sample(sorted(live), len(live) // 2))):
+            for oid in exempt:
+                reg.disable(oid)
+            view = BlockedView(w, EVERYWHERE)
+            for cell, covers, solid in covering:
+                want = solid or bool(covers - exempt)
+                assert view.is_blocked(cell) is want, (seed, step, cell, sorted(exempt))
+            for oid in exempt:
+                reg.enable(oid)
+    assert tallest >= 3
+    for oid in sorted(live):
+        reg.remove(oid)
+    assert len(idx) == len(solids)
+    assert all(len(rec) == 1 and rec[0] for rec in idx.records.values())
 
 
 # -- solids: permanent bit-mask cells --------------------------------------
@@ -197,7 +284,8 @@ class SolidOracle:
     """Brute force over the live boxes, replayed next to a ``BoxIndex``."""
 
     def __init__(self):
-        self.idx = BoxIndex()
+        self.world = World()
+        self.idx = self.world.index
         self.live = {}  # id -> IndexEntry
         self.solid = set()
 
@@ -228,8 +316,8 @@ class SolidOracle:
 
     def check(self, probes, cells, exempts):
         """Compare ``overlaps_solid``, ``hits`` (with and without tags)
-        and ``covered`` (exempt sets may hold solid ids, which must have no
-        effect) against brute force."""
+        and ``BlockedView.is_blocked`` (with each exempt set of obstacles
+        disabled) against brute force."""
         assert len(self.idx) == len(self.live)
         live = self.live.values()
         for probe in probes:
@@ -239,11 +327,12 @@ class SolidOracle:
             for tags in (SOLID_TAGS, ("box", "obstacle"), ("connection",)):
                 want = {eid for eid in over if self.live[eid].tag in tags}
                 assert self.idx.hits(probe, tags=tags) == want, (probe, tags)
-        for cell in cells:
-            covers = {e.id for e in live if e.box.contains_cell(cell)}
-            for exempt in exempts:
+        covering = [(cell, {e.id for e in live if e.box.contains_cell(cell)}) for cell in cells]
+        for exempt in exempts:
+            view = view_of(self.world, exempt)
+            for cell, covers in covering:
                 want = bool(covers & self.solid or covers - exempt)
-                assert self.idx.covered(cell, exempt) is want, (cell, sorted(exempt))
+                assert view.is_blocked(cell) is want, (cell, sorted(exempt))
 
 
 def run_solid_script(ops, rng):
@@ -261,7 +350,9 @@ def run_solid_script(ops, rng):
         else:
             oracle.insert_obstacle(IndexEntry(f"o{n}", op[1], "obstacle"))
         ids = sorted(oracle.live)
-        exempts = [set(), set(ids), set(rng.sample(ids, len(ids) // 2))]
+        # a solid is never a registry obstacle, so it is never disabled
+        exempts = [ex - oracle.solid
+                   for ex in (set(), set(ids), set(rng.sample(ids, len(ids) // 2)))]
         cells = [tuple(rng.randint(-24, 36) for _ in range(3)) for _ in range(20)]
         for e in oracle.live.values():
             (lt, lx, ly), (ht, hx, hy) = e.box
@@ -290,7 +381,7 @@ def random_solid_ops(rng, n, solid_share=0.55, obstacle_share=0.3):
 def test_solid_index_matches_brute_force_under_random_scripts(seed):
     """Solid inserts are accepted exactly when they share no cell with a
     live solid, solids cannot be removed, and ``overlaps_solid``,
-    ``covered`` and ``hits`` agree with brute force after every op."""
+    ``BlockedView.is_blocked`` and ``hits`` agree with brute force after every op."""
     rng = random.Random(1000 + seed)
     oracle = run_solid_script(random_solid_ops(rng, 60), rng)
     assert oracle.solid and len(oracle.live) > len(oracle.solid)
@@ -309,41 +400,49 @@ def test_solid_index_matches_brute_force_under_other_op_mixes(seed, solid_share,
 
 def test_every_cell_of_a_solid_box_is_covered_and_no_other():
     """Each cell of a solid crossing buckets on every axis, with negative
-    corners, is covered; the cells one step outside each face are not."""
-    idx = BoxIndex()
+    corners, is blocked; the cells one step outside each face are not."""
+    w = World()
     box = box_from_extents(Point3(-11, -3, 5), (19, 10, 12))
-    idx.insert(IndexEntry("s", box, "box"), solid=True)
+    w.index.insert(IndexEntry("s", box, "box"), solid=True)
     inside = set(cells_of(box))
     (lt, lx, ly), (ht, hx, hy) = box
     around = itertools.product(range(lt - 1, ht + 1), range(lx - 1, hx + 1), range(ly - 1, hy + 1))
+    view = view_of(w)
     for cell in around:
-        assert idx.covered(cell, {"s"}) is (cell in inside), cell
+        assert view.is_blocked(cell) is (cell in inside), cell
 
 
 def test_rejected_solid_insert_leaves_the_index_unchanged():
     """A solid that overlaps another in one bucket and reaches into
     buckets of its own is refused without marking any of its cells."""
-    idx = BoxIndex()
+    w = World()
+    idx = w.index
     first = box_from_extents(Point3(0, 0, 0), (2, 2, 2))
     idx.insert(IndexEntry("a", first, "circuit"), solid=True)
     idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3)), "obstacle"))
     late = box_from_extents(Point3(-9, -9, -9), (11, 11, 11))
-    before = (len(idx), idx.hits(late), [idx.covered(c, set()) for c in cells_of(late)])
+
+    def state():
+        view = view_of(w)
+        return len(idx), idx.hits(late), [view.is_blocked(c) for c in cells_of(late)]
+
+    before = state()
     with pytest.raises(SolidOverlapError):
         idx.insert(IndexEntry("b", late, "connection"), solid=True)
-    assert (len(idx), idx.hits(late), [idx.covered(c, set()) for c in cells_of(late)]) == before
+    assert state() == before
     assert idx.hits(late, tags=SOLID_TAGS) == {"a"}
     assert not idx.overlaps_solid(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
 
 
 def test_removing_a_solid_raises_and_keeps_it():
-    idx = BoxIndex()
+    w = World()
+    idx = w.index
     box = box_from_extents(Point3(3, -5, 7), (4, 9, 2))
     idx.insert(IndexEntry("s", box, "box"), solid=True)
     with pytest.raises(ValueError):
         idx.remove("s")
     assert len(idx) == 1 and idx.get("s").box == box
-    assert idx.hits(box) == {"s"} and idx.covered(box.lo, {"s"})
+    assert idx.hits(box) == {"s"} and view_of(w).is_blocked(box.lo)
 
 
 def test_world_claim_clash_names_every_solid_it_overlaps():
