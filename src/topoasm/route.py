@@ -25,18 +25,29 @@ cells is blocked, :func:`plan_segment` returns it without a search;
 otherwise A* runs on the same :class:`BlockedView`.  Either way the path
 is the one A* would return.
 
-Lazy blocked checks: A* pushes every neighbour it has not yet popped,
+Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
-blocked cell is dropped there and never expanded.  One ``done`` set
-holds every popped cell, settled or found blocked, so A* tests each
-cell at most once.  The heap key ``(f, h, cell)`` orders cells totally
-and a blocked entry leaves no trace, so every free cell gets the same
-cost and parent, and is popped in the same order, as under a check at
-push time: the path is unchanged, and most neighbours, which are never
-popped, are never tested.  The heuristic is updated per step, not
-recomputed: a neighbour's ``h`` is the popped cell's ``h`` minus one
-when the step goes towards ``stop`` and plus one otherwise, and the
-popped cell's ``g`` is ``f - h``.
+blocked cell is dropped there and never expanded.  A cell is queued at
+most once, so it is tested at most once, and most neighbours, which
+are never popped, are never tested.  The heuristic is updated per
+step, not recomputed: a step towards ``stop`` lowers ``h`` by one, any
+other raises it by one.
+
+Open list by f level: a step keeps ``f = g + h`` or raises it by two,
+so only levels ``f`` and ``f + 2`` are ever open.  The current level is
+a heap of ``(h, cell)``, the next a plain list of ``(h, cell, parent)``
+in push order.  When the heap runs dry, the first list entry of each
+cell not yet queued sets the cell's parent and joins the heap, which
+then holds level ``f + 2``.  A level is drained before the next opens,
+so no queued cell can later get a cheaper path: ``parent``, seeded with
+``start``, marks every queued cell and is the only push test, in place
+of a ``g`` map and a set of popped cells.  The pop order is that of one
+heap keyed ``(f, h, cell)``: within a level, ``(h, cell)`` orders cells
+the same way; every list entry of a cell carries the same ``g``, so its
+first entry is the first push with the least ``g``; and a cell reached
+later at the current level by a step towards ``stop`` is queued, and so
+skipped, before the level switches.  Every free cell thus gets the same
+parent, and the path is the one a check at push time would give.
 """
 
 from __future__ import annotations
@@ -248,8 +259,12 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     and the returned path length equals the L1 distance whenever nothing
     obstructs.  Ties break deterministically by axis order (t, x, y) and
     lexicographic cell order.  A free straight run is returned without a
-    search (the straight-run rule above).  The spec's own obstacles must
-    already be disabled (the task-set protocol does this).
+    search (the straight-run rule above).  Otherwise A* drains one f
+    level, a heap on ``(h, cell)``, before it opens the next, so a queued
+    cell never gets a cheaper path later: ``parent`` marks every queued
+    cell and no ``g`` map or set of popped cells is kept (the module
+    notes give the details).  The spec's own obstacles must already be
+    disabled (the task-set protocol does this).
     """
     if bounds is None:
         bounds = default_bounds(spec, margin)
@@ -267,44 +282,47 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     if run is not None and not any(map(view.is_blocked, run[1:-1])):
         return Path(run)
     st, sx, sy = stop
-    h0 = abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy)
-    g = {start: 0}
-    parent: dict = {}
-    heap = [(h0, h0, start)]
-    done = set()  # popped cells: settled (free, expanded) or found blocked
+    parent = {start: None}  # every cell queued at an opened level
+    cur = [(abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy), start)]
+    nxt = []  # (h, cell, parent) for the next level, in push order
     settled = 0
     push, pop, is_blocked = heapq.heappush, heapq.heappop, view.is_blocked
-    while heap:
-        f, h, cell = pop(heap)
-        if cell in done:
-            continue
-        if cell == stop:
-            out = [cell]
-            while cell != start:
-                cell = parent[cell]
-                out.append(cell)
-            out.reverse()
-            return Path(tuple(out))
-        done.add(cell)
-        if is_blocked(cell):
-            continue
-        settled += 1
-        ng = f - h + 1
-        t, x, y = cell
-        # Fixed expansion order: t, x, y, negative direction first; a step
-        # towards stop lowers the L1 heuristic by one, any other raises it.
-        for nb, hb in (
-            ((t - 1, x, y), h - 1 if t > st else h + 1),
-            ((t + 1, x, y), h - 1 if t < st else h + 1),
-            ((t, x - 1, y), h - 1 if x > sx else h + 1),
-            ((t, x + 1, y), h - 1 if x < sx else h + 1),
-            ((t, x, y - 1), h - 1 if y > sy else h + 1),
-            ((t, x, y + 1), h - 1 if y < sy else h + 1),
-        ):
-            if nb not in done and ng < g.get(nb, 1 << 30):
-                g[nb] = ng
-                parent[nb] = cell
-                push(heap, (ng + hb, hb, nb))
+    while cur:  # one pass per f level, lowest first
+        while cur:
+            h, cell = pop(cur)
+            if cell == stop:
+                out = []
+                while cell is not None:
+                    out.append(cell)
+                    cell = parent[cell]
+                out.reverse()
+                return Path(tuple(out))
+            if is_blocked(cell):
+                continue
+            settled += 1
+            t, x, y = cell
+            # Fixed expansion order: t, x, y, negative direction first; a
+            # step towards stop stays at level f, any other goes to f + 2.
+            for nb, towards in (
+                ((t - 1, x, y), t > st),
+                ((t + 1, x, y), t < st),
+                ((t, x - 1, y), x > sx),
+                ((t, x + 1, y), x < sx),
+                ((t, x, y - 1), y > sy),
+                ((t, x, y + 1), y < sy),
+            ):
+                if nb not in parent:
+                    if towards:
+                        parent[nb] = cell
+                        push(cur, (h - 1, nb))
+                    else:
+                        nxt.append((h + 1, nb, cell))
+        for hb, nb, via in nxt:  # open level f + 2: each cell's first entry
+            if nb not in parent:
+                parent[nb] = via
+                cur.append((hb, nb))
+        heapq.heapify(cur)
+        nxt = []
     raise NoPathError(
         spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
         searched=settled, bounds=bounds,

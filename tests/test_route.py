@@ -51,10 +51,22 @@ def spec(start, stop, prio=1, seg=SEG_C, owner="t", obstacles=()):
     return SegmentSpec(Point3(*start), Point3(*stop), tuple(obstacles), prio, seg, owner)
 
 
+def axis_box(axis, along, on_b, on_c):
+    """The box spanning ``along`` on ``axis`` and ``on_b``, ``on_c`` on the
+    other two axes, in (t, x, y) order."""
+    b, c = (i for i in range(3) if i != axis)
+    lo, hi = [0] * 3, [0] * 3
+    for i, (low, high) in ((axis, along), (b, on_b), (c, on_c)):
+        lo[i], hi[i] = low, high
+    return Box3(Point3(*lo), Point3(*hi))
+
+
 def eager_plan(s, world, bounds):
     """Reference router: ``plan_segment`` with the blocked check made when a
-    neighbour is pushed, not when it is popped, and without the straight-run
-    shortcut (A* returns that run anyway).  Returns the path's cells, or
+    neighbour is pushed, not when it is popped, without the straight-run
+    shortcut (A* returns that run anyway), and with a single heap keyed
+    ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of the
+    per-level open list.  Returns the path's cells, or
     ``("nopath", detail, searched)``."""
     start, stop = s.start.as_tuple(), s.stop.as_tuple()
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
@@ -363,27 +375,79 @@ def test_detour_away_from_stop_matches_eager_reference(axis, direction):
     reference, which recomputes the L1 distance for every cell."""
     start = (10, 10, 10)
     stop = tuple(c + 6 * direction if i == axis else c for i, c in enumerate(start))
-    b, c = (i for i in range(3) if i != axis)
-
-    def box(along, on_b, on_c):
-        lo, hi = [0] * 3, [0] * 3
-        for i, (low, high) in ((axis, along), (b, on_b), (c, on_c)):
-            lo[i], hi[i] = low, high
-        return Box3(Point3(*lo), Point3(*hi))
-
     plate = 10 + 2 * direction  # the wall between start and stop
     sides = (7, 12) if direction > 0 else (9, 14)  # the cup's side walls, open behind start
     w = World()
-    w.claim("plate", box((plate, plate + 1), (5, 16), (5, 16)), "circuit")
+    w.claim("plate", axis_box(axis, (plate, plate + 1), (5, 16), (5, 16)), "circuit")
     for i, (on_b, on_c) in enumerate((((5, 6), (5, 16)), ((15, 16), (5, 16)),
                                       ((6, 15), (5, 6)), ((6, 15), (15, 16)))):
-        w.claim(f"side{i}", box(sides, on_b, on_c), "circuit")
+        w.claim(f"side{i}", axis_box(axis, sides, on_b, on_c), "circuit")
     s = spec(start, stop)
     got = planned(s, w, BOUNDS)
     assert got == eager_plan(s, w, BOUNDS)
     assert len(got) == bfs_length(start, stop, BlockedView(w, BOUNDS).is_blocked, BOUNDS)
     # the path backs out of the cup, away from stop
     assert min(cell[axis] * direction for cell in got) < (start[axis] - 2) * direction
+
+
+def plate_boxes(axis, at, hole):
+    """The cross-section of ``BOUNDS`` at ``at`` along ``axis``, one cell
+    thick, less the rectangle ``hole`` = ((b0, b1), (c0, c1)) on the two
+    other axes: up to four boxes."""
+    (b0, b1), (c0, c1) = hole
+    return [axis_box(axis, (at, at + 1), on_b, on_c)
+            for on_b, on_c in (((0, b0), (0, 20)), ((b1, 20), (0, 20)),
+                               ((b0, b1), (0, c0)), ((b0, b1), (c1, 20)))
+            if on_b[0] < on_b[1] and on_c[0] < on_c[1]]
+
+
+def test_stacked_plates_and_baffles_match_eager_reference():
+    """Plates with small holes and half-plate baffles, stacked between
+    start and stop, force paths that step away from stop again and again,
+    so the search opens several f levels; a plate without a hole walls
+    stop off.  ``plan_segment`` must return the eager reference's cells,
+    or fail with its detail and settled count."""
+    rng = random.Random(18)
+    outcomes = Counter()
+    for trial in range(80):
+        w = World()
+        axis = rng.randrange(3)
+        plates = sorted(rng.sample(range(3, 17, 2), rng.randint(2, 4)))
+        for n, at in enumerate(plates):
+            shape = rng.random()
+            if shape < 0.05:  # no hole
+                hole = ((0, 0), (0, 0))
+            elif shape < 0.55:  # a hole of 1 to 3 cells a side
+                b0, c0 = rng.randint(0, 17), rng.randint(0, 17)
+                hole = ((b0, b0 + rng.randint(1, 3)), (c0, c0 + rng.randint(1, 3)))
+            else:  # a baffle: the plate's low or high part along one axis
+                cut = rng.randint(4, 16)
+                half = (0, cut) if rng.random() < 0.5 else (cut, 20)
+                hole = (half, (0, 20)) if rng.random() < 0.5 else ((0, 20), half)
+            solid = rng.random() < 0.6
+            for i, box in enumerate(plate_boxes(axis, at, hole)):
+                if solid:
+                    w.claim(f"p{n}.{i}", box, "circuit")
+                else:
+                    obs = w.obstacles.add(box, rng.choice((GUIDE, OCCUPY)), 0, "plate")
+                    if rng.random() < 0.1:
+                        w.obstacles.disable(obs.oid)
+        ends = [[rng.randrange(20) for _ in range(3)] for _ in range(2)]
+        ends[0][axis] = rng.randint(0, plates[0] - 1)
+        ends[1][axis] = rng.randint(plates[-1] + 1, 19)
+        if rng.random() < 0.5:
+            ends.reverse()
+        start, stop = map(tuple, ends)
+        s = spec(start, stop)
+        got = planned(s, w, BOUNDS)
+        assert got == eager_plan(s, w, BOUNDS), trial
+        if got[0] == "nopath":
+            outcomes["exhausted" if got[2] else "refused"] += 1
+        else:
+            l1 = sum(abs(u - v) for u, v in zip(start, stop))
+            outcomes["detour 4+" if len(got) - 1 >= l1 + 4 else "path"] += 1
+    # at least two level switches in many worlds, and walled-off stops
+    assert outcomes["detour 4+"] >= 20 and outcomes["exhausted"] >= 5, outcomes
 
 
 # -- compute_taskset protocol ---------------------------------------------------
