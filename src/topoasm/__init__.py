@@ -14,7 +14,6 @@ from .icm import (
     parse_icm,
     recycle_wires,
 )
-from .pool import PoolConfig
 from .sched import SchedulerPolicy, required_round_size
 
 __version__ = "0.1.0"
@@ -26,7 +25,6 @@ __all__ = [
     "ICMCircuit",
     "ICMError",
     "Point3",
-    "PoolConfig",
     "SchedulerPolicy",
     "StepRecord",
     "SynthesisConfig",

@@ -14,9 +14,7 @@ from pathlib import Path
 from .engine import (
     Assembly, EngineError, SynthesisConfig, SynthesisFailure, read_outcome_script, synthesize,
 )
-from .geom import Box3, DefectPolyline, GeometrySet, PlacedBox, Point3
 from .icm import ICMError, parse_icm
-from .pool import PoolConfig
 from .sched import SchedulerPolicy
 
 GEOMETRY_HEADER = "topoasm-geometry 1"
@@ -52,39 +50,6 @@ def export_geometry(assembly: Assembly, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_geometry(path) -> GeometrySet:
-    """Re-parse an exported geometry document."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != GEOMETRY_HEADER:
-        raise ValueError(f"{path}: not a geometry document")
-    g = GeometrySet()
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "d":
-            nverts = int(parts[3])
-            coords = [int(v) for v in parts[4:]]
-            vertices = [
-                Point3(coords[3 * i], coords[3 * i + 1], coords[3 * i + 2])
-                for i in range(nverts)
-            ]
-            g.defects.append(DefectPolyline(parts[1], parts[2], vertices))
-        elif parts[0] == "b":
-            vals = [int(v) for v in parts[3:]]
-            g.boxes.append(
-                PlacedBox(
-                    parts[2], parts[1],
-                    Box3(Point3(*vals[0:3]), Point3(*vals[3:6])),
-                    Point3(*vals[6:9]),
-                )
-            )
-        elif parts[0] == "p":
-            g.pins.append((parts[1], Point3(int(parts[2]), int(parts[3]), int(parts[4]))))
-    return g
-
-
 def export_stats(assembly: Assembly, path) -> None:
     """Comma-separated trace table plus a trailing total-volume row."""
     lines = ["step,nr_a,nr_y,a_pool,y_pool,sched_round"]
@@ -109,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=0.999,
                    help="per-round probability that enough boxes succeed")
     p.add_argument("--pool-cap", type=int, default=10, help="max connections per state type")
-    p.add_argument("--pool-gap", type=int, default=4, help="circuit-to-pool distance")
     p.add_argument("--seed", type=int, default=0, help="outcome generator seed")
     p.add_argument("--outcomes", help="scripted outcomes: one 0/1 bitmap line per round")
     p.add_argument("--condition", default="after-round",
@@ -147,13 +111,12 @@ def config_from_args(args, scheduler=None, seed=None) -> SynthesisConfig:
         p_fail=args.p_fail,
         confidence=args.confidence,
     )
-    pool = PoolConfig(pool_gap=args.pool_gap, cap_per_type=args.pool_cap)
     script = None
     if args.outcomes:
         script = read_outcome_script(Path(args.outcomes).read_text(encoding="utf-8"))
     return SynthesisConfig(
         policy=policy,
-        pool=pool,
+        pool_cap=args.pool_cap,
         seed=args.seed if seed is None else seed,
         outcome_script=script,
         max_rounds=args.max_rounds,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .geom import (
     BOX_DEPTH,
@@ -42,7 +42,7 @@ from .geom import (
     wire_row,
 )
 from .icm import MAGIC_BASES, ICMCircuit, magic_events, recycle_wires
-from .pool import ConnectionPool, PoolConfig
+from .pool import POOL_GAP, ConnectionPool
 from .route import (
     GUIDE,
     OCCUPY,
@@ -99,7 +99,7 @@ class Journal:
 @dataclass(frozen=True)
 class SynthesisConfig:
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
-    pool: PoolConfig = field(default_factory=PoolConfig)
+    pool_cap: int = 10  # max reserved connections per state type
     seed: int = 0
     outcome_script: tuple | None = None  # one 0/1 bitmap string per round
     max_rounds: int | None = None  # None: max(64, 2 * magic timesteps + 16)
@@ -112,9 +112,11 @@ class SynthesisConfig:
             raise ValueError("segment_order must be 'cbe' or 'ceb'")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if self.pool_cap < 1:
+            raise ValueError("pool_cap must be at least 1")
         cond = self.policy.condition
-        if cond[0] == "pool" and not 0 <= cond[1] <= self.pool.cap_per_type:
-            raise ValueError(f"pool threshold must lie in [0, {self.pool.cap_per_type}]")
+        if cond[0] == "pool" and not 0 <= cond[1] <= self.pool_cap:
+            raise ValueError(f"pool threshold must lie in [0, {self.pool_cap}]")
 
 
 @dataclass
@@ -184,26 +186,23 @@ class Synthesizer:
         self.builder = GeometryBuilder(self.circuit, self.geometry, claim=self.world.claim)
         self.events = magic_events(self.circuit)
         self.demand_totals = Counter(m.basis for m in self.circuit.magic_inputs)
-        pool_cfg = config.pool
+        cap = config.pool_cap
         if config.policy.kind == "asap":
             # The whole demand parks in the pool at once, so the cap must
             # admit it; the stated cap still applies to the other modes.
-            totals = self.demand_totals
-            pool_cfg = replace(
-                pool_cfg, cap_per_type=max(pool_cfg.cap_per_type, totals["A"], totals["Y"])
-            )
+            cap = max(cap, self.demand_totals["A"], self.demand_totals["Y"])
         else:
             # An event's inputs must all be reserved at once, and no round
             # lifts the pool above its cap.
             for t, inputs in self.events:
                 for basis, n in sorted(Counter(m.basis for m in inputs).items()):
-                    if n > pool_cfg.cap_per_type:
+                    if n > cap:
                         raise SynthesisFailure(
                             f"event at t={t} needs {n} {basis} states, above the pool cap "
-                            f"of {pool_cfg.cap_per_type}",
+                            f"of {cap}",
                             self.journal,
                         )
-        self.pool = ConnectionPool(pool_cfg, self.journal)
+        self.pool = ConnectionPool(cap, self.journal)
         self.outcomes = OutcomeSource(config.policy.p_fail, config.seed, config.outcome_script)
         # A runaway guard sized by the circuit: the rounds a run needs grow
         # with its demand events, so no fixed bound serves every length.
@@ -215,8 +214,8 @@ class Synthesizer:
         self.deliveries: dict = {}
         self.demand_max = {"A": 0, "Y": 0}
         self.next_round_at: int | None = None
-        self.rail_line_guards: dict[int, str] = {}  # rail index -> y=pool_gap guide
-        self.rail_under_guards: dict[int, str] = {}  # rail index -> y=pool_gap-1 guide
+        self.rail_line_guards: dict[int, str] = {}  # rail index -> y=POOL_GAP guide
+        self.rail_under_guards: dict[int, str] = {}  # rail index -> y=POOL_GAP-1 guide
         self.conn_fwd_guards: dict[str, str] = {}  # conn id -> forward-stretch guide
         self.pin_guards: dict[str, str] = {}  # input key -> guide obstacle id
         self._pending_links: list[str] = []  # reservations awaiting their box link
@@ -258,16 +257,15 @@ class Synthesizer:
 
     def channel(self) -> Box3:
         """Clearance region around circuit and pool; grows with the rails."""
-        pc = self.pool.config
         top_row = wire_row(self.circuit.wire_count - 1)
         circuit_box = Box3(
             Point3(self.t_floor, -1, -1), Point3(self.t_ceiling, top_row + 2, 3)
         )
-        rails = max(len(self.pool.rails), pc.budgeted_rails)
+        # two rails per unit of cap are budgeted in from the start
+        rails = max(len(self.pool.rails), 2 * self.pool.cap_per_type)
         rail_hi_x = self.pool.rail_position(rails)[0] + 1
         pool_box = Box3(
-            Point3(self.t_floor, 0, pc.pool_gap),
-            Point3(self.t_ceiling, rail_hi_x, pc.pool_gap + 1),
+            Point3(self.t_floor, 0, POOL_GAP), Point3(self.t_ceiling, rail_hi_x, POOL_GAP + 1)
         )
         c = CHANNEL_CLEARANCE
         return merge_boxes(circuit_box, pool_box).inflated(0, c, c)
@@ -337,12 +335,11 @@ class Synthesizer:
         cond = self.config.policy.condition
         if cond[0] in ("after-round", "temporal"):
             return self.next_round_at is not None and step_time >= self.next_round_at
-        if cond[0] == "pool":
-            return (
-                self.pool.reserved_count("A") < cond[1]
-                or self.pool.reserved_count("Y") < cond[1]
-            )
-        return False
+        # ("pool", threshold), the only other shape SchedulerPolicy admits
+        return (
+            self.pool.reserved_count("A") < cond[1]
+            or self.pool.reserved_count("Y") < cond[1]
+        )
 
     def _schedule_phase(self, step_time: int, counts) -> int:
         """Work-flow lines 8-12 for one iteration; returns rounds fired.
@@ -577,8 +574,7 @@ class Synthesizer:
             return SegmentSpec(Point3(first, x, y), Point3(last, x, y), own, prio, SEG_E, conn.id)
         if segment_class == SEG_C:
             pin = pin_cell(arg)
-            shaft_top = max(1, self.pool.config.pool_gap - 1)
-            occupy = Box3(Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, shaft_top))
+            occupy = Box3(Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, POOL_GAP - 1))
             start, goal = Point3(pin.t, x, y - 1), pin
             guards = (
                 self.pin_guards[arg.key], self.rail_under_guards[conn.rail],

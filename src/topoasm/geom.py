@@ -173,16 +173,16 @@ class DefectPolyline:
         return boxes
 
     def extend_last(self, new_end: Point3) -> None:
-        """Grow the polyline by moving its final vertex along the last axis."""
+        """Grow the polyline by moving its final vertex along the last axis;
+        a single vertex gains a segment to ``new_end`` instead."""
         if len(self.vertices) == 1:
             _axis_of(self.vertices[0], new_end)
             self.vertices.append(new_end)
             return
         a, b = self.vertices[-2], self.vertices[-1]
-        if _axis_of(a, b) != _axis_of(a, new_end):
-            self.vertices.append(new_end)
-        else:
-            self.vertices[-1] = new_end
+        if _axis_of(a, new_end) != _axis_of(a, b):
+            raise GeometryError(f"{new_end} is off the axis of segment {a} -> {b}")
+        self.vertices[-1] = new_end
 
 
 def polyline_from_cells(cells, kind: str, role: str) -> DefectPolyline:

@@ -1,9 +1,9 @@
 """The connection manager: pool rails, reservation and the state machine.
 
 The pool is a bank of straight rails parallel to the circuit's time
-axis, stacked along x in a plane ``pool_gap`` above the wire rows.  A
-successful distillation output is bound to a rail and the resulting
-connection walks a four-state lifecycle::
+axis, stacked along x in the plane ``POOL_GAP`` cells above the wire
+rows (y = 0).  A successful distillation output is bound to a rail and
+the resulting connection walks a four-state lifecycle::
 
     available -> reserved(type) -> assigned -> tobeavailable -> available
 
@@ -28,6 +28,9 @@ TOBEAVAILABLE = "tobeavailable"
 
 RAIL_PITCH = 2  # x distance between neighbouring rails
 KB_LEAD = 2  # time distance from a box port to its rail anchor
+# y of the rail plane; at least 3, since below that the rails (gap 1) or the
+# drop start cells under them (gap 2) land in the CNOT template plane y = 1
+POOL_GAP = 4
 
 _LEGAL_EDGES = {
     (AVAILABLE, RESERVED),
@@ -39,23 +42,6 @@ _LEGAL_EDGES = {
 
 class PoolError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    pool_gap: int = 4
-    cap_per_type: int = 10
-
-    def __post_init__(self):
-        if self.pool_gap < 1:
-            raise ValueError("pool_gap must be at least 1")
-        if self.cap_per_type < 1:
-            raise ValueError("cap_per_type must be at least 1")
-
-    @property
-    def budgeted_rails(self) -> int:
-        """Rails pre-budgeted into the channel."""
-        return 2 * self.cap_per_type
 
 
 @dataclass
@@ -78,8 +64,8 @@ class ConnectionPool:
     and ended before the new anchor, so only the last holder can be live.
     """
 
-    def __init__(self, config: PoolConfig, journal=None):
-        self.config = config
+    def __init__(self, cap_per_type: int, journal=None):
+        self.cap_per_type = cap_per_type
         self.journal = journal
         self.rails: list[list[Connection]] = []
         self.connections: dict[str, Connection] = {}
@@ -102,7 +88,7 @@ class ConnectionPool:
     def rail_position(self, index: int) -> tuple[int, int]:
         # Rails sit on odd x so they never align with wire rows (even x),
         # keeping pin drop columns and rail lines disjoint.
-        return (index * RAIL_PITCH + 1, self.config.pool_gap)
+        return (index * RAIL_PITCH + 1, POOL_GAP)
 
     def _grab_rail(self, anchor_t: int) -> int:
         # Earlier holders ended before the last one began, so it decides.
@@ -137,7 +123,7 @@ class ConnectionPool:
         reserved = []
         for box_id, kind, port in successes:
             self.offered[kind] += 1
-            if self.reserved_count(kind) >= self.config.cap_per_type:
+            if self.reserved_count(kind) >= self.cap_per_type:
                 self.discarded[kind] += 1
                 if self.journal:
                     self.journal.log("discard", kind, box_id)

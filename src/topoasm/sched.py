@@ -92,7 +92,13 @@ class SchedulerPolicy:
             raise ValueError("p_fail must lie in [0, 1)")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
-        if self.condition[0] == "temporal" and self.condition[1] < 1:
+        cond = self.condition
+        if cond != ("after-round",) and not (
+            isinstance(cond, tuple) and len(cond) == 2
+            and cond[0] in ("temporal", "pool") and isinstance(cond[1], int)
+        ):
+            raise ValueError(f"bad condition {cond!r}")
+        if cond[0] == "temporal" and cond[1] < 1:
             raise ValueError("temporal period must be at least 1")
 
 

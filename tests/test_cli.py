@@ -1,14 +1,17 @@
 import hashlib
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from topoasm import fixtures
-from topoasm.cli import export_geometry, load_geometry, main
+from topoasm.cli import build_parser, export_geometry, main
 from topoasm.engine import synthesize
 
-from conftest import polyline_cells, scripted_config
+from conftest import scripted_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -69,7 +72,6 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--p-fail", "1.5"],
         ["--confidence", "1"],
         ["--pool-cap", "0"],
-        ["--pool-gap", "0"],
         ["--outcomes", "missing.txt"],
         ["--condition", "temporal:0"],
         ["--condition", "temporal:-3"],
@@ -88,7 +90,7 @@ def test_bad_condition_exits_two(workdir, capsys):
         ["--circuit", "plus.icm"],
         ["--circuit", "plus-timestep.icm"],
     ],
-    ids=["p-fail", "confidence", "pool-cap", "pool-gap", "missing-outcomes", "temporal-0",
+    ids=["p-fail", "confidence", "pool-cap", "missing-outcomes", "temporal-0",
          "temporal-negative", "pool-above-cap", "pool-negative", "temporal-underscore",
          "temporal-plus", "temporal-space", "pool-non-ascii-digit", "temporal-two-colons",
          "max-rounds-0",
@@ -161,13 +163,25 @@ def test_geometry_roundtrip(toffoli, tmp_path):
     export_geometry(asm, path)
     export_geometry(asm, tmp_path / "geom2.txt")
     assert path.read_bytes() == (tmp_path / "geom2.txt").read_bytes()
-    loaded = load_geometry(path)
-    assert len(loaded.defects) == len(asm.geometry.defects)
-    assert len(loaded.boxes) == len(asm.geometry.boxes)
-    assert len(loaded.pins) == len(asm.geometry.pins)
-    assert {c for d in loaded.defects for c in polyline_cells(d)} == {
-        c for d in asm.geometry.defects for c in polyline_cells(d)
-    }
+
+
+def test_readme_flag_table_names_the_parser_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### CLI flags\n", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    documented = set()
+    for row in table.splitlines()[2:]:  # past the header and rule rows
+        documented.update(re.findall(r"--[a-z][a-z-]*", row.split("` |", 1)[0]))
+    flags = {s for action in build_parser()._actions for s in action.option_strings}
+    assert documented == flags - {"-h", "--help"}
+
+
+def test_readme_library_snippet_prints_its_volume(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(snippet, {})
+    assert capsys.readouterr().out == "116640 6\n"
 
 
 @pytest.mark.parametrize(

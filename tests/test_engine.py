@@ -14,7 +14,7 @@ from topoasm.engine import (
 )
 from topoasm.geom import global_bounding_box, plumbing_volume
 from topoasm.icm import magic_events, parse_icm
-from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE, PoolConfig
+from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE
 from topoasm.sched import SchedulerPolicy
 
 from conftest import (
@@ -279,7 +279,7 @@ def test_connection_geometry_equals_index_claims(toffoli, kind):
 @pytest.mark.parametrize("kind", ["spiral", "alap"])
 def test_event_demand_above_pool_cap_fails_before_any_round(kind):
     circuit = parse_icm("@0 init 0 A\n@0 init 1 A\n@2 cnot 0 1\n@5 measure 0 X\n@6 measure 1 Z\n")
-    cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), pool=PoolConfig(cap_per_type=1))
+    cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), pool_cap=1)
     with pytest.raises(SynthesisFailure, match="t=0 needs 2 A states, above the pool cap of 1"):
         synthesize(circuit, cfg)
 

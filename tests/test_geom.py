@@ -66,6 +66,17 @@ def test_polyline_rejects_diagonals_and_zero_segments():
         DefectPolyline("primal", "circuit", [Point3(0, 0, 0), Point3(0, 0, 0)])
 
 
+def test_extend_last_moves_along_the_last_axis_only():
+    poly = DefectPolyline("primal", "circuit", [Point3(0, 0, 0)])
+    poly.extend_last(Point3(5, 0, 0))
+    poly.extend_last(Point3(9, 0, 0))
+    assert poly.vertices == [Point3(0, 0, 0), Point3(9, 0, 0)]
+    for off_axis in (Point3(0, 3, 0), Point3(0, 0, 2), Point3(9, 3, 0)):
+        with pytest.raises(GeometryError):
+            poly.extend_last(off_axis)
+    assert poly.vertices == [Point3(0, 0, 0), Point3(9, 0, 0)]
+
+
 def test_polyline_cells_cover_turns_once():
     poly = polyline_from_cells([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)], "primal", "circuit")
     assert polyline_cells(poly) == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)}

@@ -10,7 +10,6 @@ from topoasm.pool import (
     RESERVED,
     TOBEAVAILABLE,
     ConnectionPool,
-    PoolConfig,
     PoolError,
 )
 
@@ -25,7 +24,7 @@ LEGAL = {
 
 
 def mk_pool(cap=10):
-    return ConnectionPool(PoolConfig(cap_per_type=cap))
+    return ConnectionPool(cap)
 
 
 def successes(n, kind, t0=10):
@@ -182,7 +181,7 @@ def random_pool_script(seed, steps=60):
             for _ in range(n):
                 batch.append((f"b{box}", kind, Point3(now + rng.randint(-4, 8), rng.randint(0, 30), -6)))
                 box += 1
-            free = pool.config.cap_per_type - pool.reserved_count(kind)
+            free = pool.cap_per_type - pool.reserved_count(kind)
             ids = pool.reserve_connections(batch)
             assert len(ids) == min(n, free)
             # earlier members of the batch are reserved, so they count as live
@@ -216,5 +215,5 @@ def test_random_scripts_state_machine_and_rails(seed):
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 < a2  # intervals never overlap
     assert conservation_holds(pool)
-    assert pool.reserved_count("A") <= pool.config.cap_per_type
-    assert pool.reserved_count("Y") <= pool.config.cap_per_type
+    assert pool.reserved_count("A") <= pool.cap_per_type
+    assert pool.reserved_count("Y") <= pool.cap_per_type

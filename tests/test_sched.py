@@ -8,7 +8,6 @@ import pytest
 from topoasm import sched
 from topoasm.engine import SynthesisConfig
 from topoasm.geom import BOX_EXTENTS, Point3, box_from_extents
-from topoasm.pool import PoolConfig
 from topoasm.route import SOLID_TAGS, World
 from topoasm.sched import (
     PlacementError,
@@ -131,15 +130,24 @@ def test_policy_validation():
         SchedulerPolicy(confidence=0.0)
     with pytest.raises(ValueError):
         SchedulerPolicy(condition=("temporal", 0))
+    # malformed shapes: missing or extra values, unknown names, non-integers
+    for cond in ((), ("temporal",), ("pool",), ("bogus", 3), ("after-round", 5),
+                 ("temporal", 15, 2), ("pool", "3"), ["after-round"]):
+        with pytest.raises(ValueError, match="bad condition"):
+            SchedulerPolicy(condition=cond)
+    for cond in (("after-round",), ("temporal", 1), ("pool", 0)):
+        SchedulerPolicy(condition=cond)
 
 
 def test_config_rejects_unreachable_pool_threshold_and_no_rounds():
-    cap = PoolConfig(cap_per_type=4)
     for threshold in (0, 4):
-        SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool=cap)
+        SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool_cap=4)
     for threshold in (-1, 5):
         with pytest.raises(ValueError):
-            SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool=cap)
+            SynthesisConfig(policy=SchedulerPolicy(condition=("pool", threshold)), pool_cap=4)
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            SynthesisConfig(pool_cap=cap)
     SynthesisConfig(max_rounds=1)
     for rounds in (0, -5):
         with pytest.raises(ValueError):
