@@ -33,21 +33,31 @@ are never popped, are never tested.  The heuristic is updated per
 step, not recomputed: a step towards ``stop`` lowers ``h`` by one, any
 other raises it by one.
 
-Open list by f level: a step keeps ``f = g + h`` or raises it by two,
-so only levels ``f`` and ``f + 2`` are ever open.  The current level is
-a heap of ``(h, cell)``, the next a plain list of ``(h, cell, parent)``
-in push order.  When the heap runs dry, the first list entry of each
-cell not yet queued sets the cell's parent and joins the heap, which
-then holds level ``f + 2``.  A level is drained before the next opens,
-so no queued cell can later get a cheaper path: ``parent``, seeded with
-``start``, marks every queued cell and is the only push test, in place
-of a ``g`` map and a set of popped cells.  The pop order is that of one
-heap keyed ``(f, h, cell)``: within a level, ``(h, cell)`` orders cells
-the same way; every list entry of a cell carries the same ``g``, so its
-first entry is the first push with the least ``g``; and a cell reached
-later at the current level by a step towards ``stop`` is queued, and so
-skipped, before the level switches.  Every free cell thus gets the same
-parent, and the path is the one a check at push time would give.
+Open list by f level: a step keeps ``f = g + h`` or raises it by two, so
+only levels ``f`` and ``f + 2`` are ever open.  The current level is a
+heap of ``(h, cell)``.  While it drains, an expanded cell queues only
+its steps towards ``stop`` (at most one per axis) and is appended to
+``expanded``, the level's expanded cells in pop order.  When the heap
+runs dry, a walk over ``expanded`` makes each cell's steps away from
+``stop``; each one not yet queued gets that cell as its parent and joins
+the heap, which then holds level ``f + 2``.  Most searches end at their
+first level and never make a step away.  A level is drained before the
+next opens, so no queued cell can later get a cheaper path: ``parent``,
+seeded with ``start``, marks every queued cell and is the only push
+test, in place of a ``g`` map and a set of popped cells.  The pop order
+is that of one heap keyed ``(f, h, cell)``: within a level,
+``(h, cell)`` orders cells the same way; every step away into one cell
+carries the same ``g``, so the first in pop order is the first push with
+the least ``g``; and a cell reached at the current level by a step towards
+``stop`` is queued, and so skipped, before the level switches.  Making
+the steps away at the switch rather than at each pop changes no parent:
+a step away already queued when its cell was popped is still queued at
+the switch, since ``parent`` only grows, and the others come in the same
+order, the pop order of their cells.  The order of one cell's steps away
+does not matter, because the heap's keys are unique.  Every free cell
+thus gets the same parent, and the path is the one a check at push time
+would give.  ``searched`` in a :class:`NoPathError` is the number of
+expanded cells summed over the drained levels.
 """
 
 from __future__ import annotations
@@ -262,9 +272,13 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     search (the straight-run rule above).  Otherwise A* drains one f
     level, a heap on ``(h, cell)``, before it opens the next, so a queued
     cell never gets a cheaper path later: ``parent`` marks every queued
-    cell and no ``g`` map or set of popped cells is kept (the module
-    notes give the details).  The spec's own obstacles must already be
-    disabled (the task-set protocol does this).
+    cell and no ``g`` map or set of popped cells is kept.  While a level
+    drains, only steps towards ``stop`` are queued; the steps away that
+    open level ``f + 2`` are made from ``expanded``, the level's expanded
+    cells in pop order, once the level runs dry.  Parents and pop order
+    are those of making them at each pop (the module notes give the
+    details).  The spec's own obstacles must already be disabled (the
+    task-set protocol does this).
     """
     if bounds is None:
         bounds = default_bounds(spec, margin)
@@ -284,10 +298,10 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     st, sx, sy = stop
     parent = {start: None}  # every cell queued at an opened level
     cur = [(abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy), start)]
-    nxt = []  # (h, cell, parent) for the next level, in push order
     settled = 0
     push, pop, is_blocked = heapq.heappush, heapq.heappop, view.is_blocked
     while cur:  # one pass per f level, lowest first
+        expanded = []  # (h, cell) of this level's expanded cells, in pop order
         while cur:
             h, cell = pop(cur)
             if cell == stop:
@@ -299,30 +313,41 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
                 return Path(tuple(out))
             if is_blocked(cell):
                 continue
-            settled += 1
+            expanded.append((h, cell))
+            # A step towards stop stays at level f: one per axis, t, x, y.
             t, x, y = cell
-            # Fixed expansion order: t, x, y, negative direction first; a
-            # step towards stop stays at level f, any other goes to f + 2.
-            for nb, towards in (
-                ((t - 1, x, y), t > st),
-                ((t + 1, x, y), t < st),
-                ((t, x - 1, y), x > sx),
-                ((t, x + 1, y), x < sx),
-                ((t, x, y - 1), y > sy),
-                ((t, x, y + 1), y < sy),
-            ):
+            if t != st:
+                nb = (t - 1, x, y) if t > st else (t + 1, x, y)
                 if nb not in parent:
-                    if towards:
-                        parent[nb] = cell
-                        push(cur, (h - 1, nb))
-                    else:
-                        nxt.append((h + 1, nb, cell))
-        for hb, nb, via in nxt:  # open level f + 2: each cell's first entry
-            if nb not in parent:
-                parent[nb] = via
-                cur.append((hb, nb))
+                    parent[nb] = cell
+                    push(cur, (h - 1, nb))
+            if x != sx:
+                nb = (t, x - 1, y) if x > sx else (t, x + 1, y)
+                if nb not in parent:
+                    parent[nb] = cell
+                    push(cur, (h - 1, nb))
+            if y != sy:
+                nb = (t, x, y - 1) if y > sy else (t, x, y + 1)
+                if nb not in parent:
+                    parent[nb] = cell
+                    push(cur, (h - 1, nb))
+        # Open level f + 2: the steps away from stop of the expanded cells,
+        # in pop order, each in the fixed order t, x, y, negative first.
+        settled += len(expanded)
+        for h, cell in expanded:
+            t, x, y = cell
+            for nb, away in (
+                ((t - 1, x, y), t <= st),
+                ((t + 1, x, y), t >= st),
+                ((t, x - 1, y), x <= sx),
+                ((t, x + 1, y), x >= sx),
+                ((t, x, y - 1), y <= sy),
+                ((t, x, y + 1), y >= sy),
+            ):
+                if away and nb not in parent:
+                    parent[nb] = cell
+                    cur.append((h + 1, nb))
         heapq.heapify(cur)
-        nxt = []
     raise NoPathError(
         spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
         searched=settled, bounds=bounds,

@@ -66,7 +66,9 @@ def eager_plan(s, world, bounds):
     neighbour is pushed, not when it is popped, without the straight-run
     shortcut (A* returns that run anyway), and with a single heap keyed
     ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of the
-    per-level open list.  Returns the path's cells, or
+    per-level open list.  A settled cell pushes all six neighbours at once,
+    where ``plan_segment`` queues only its steps towards stop and makes its
+    steps away when the level runs dry.  Returns the path's cells, or
     ``("nopath", detail, searched)``."""
     start, stop = s.start.as_tuple(), s.stop.as_tuple()
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
@@ -448,6 +450,34 @@ def test_stacked_plates_and_baffles_match_eager_reference():
             outcomes["detour 4+" if len(got) - 1 >= l1 + 4 else "path"] += 1
     # at least two level switches in many worlds, and walled-off stops
     assert outcomes["detour 4+"] >= 20 and outcomes["exhausted"] >= 5, outcomes
+
+
+def test_level_switch_gives_a_cell_its_first_expanded_parent():
+    """In the (t, x) plane, start (3, 3) sits in a pocket with its two
+    neighbours a = (3, 2) and b = (2, 3), walled off but for c = (2, 2).
+    a and b are expanded at the same level, b first, since their keys
+    ``(h, cell)`` tie on h; c is a step away from both, so the level switch
+    must give it b, the first expanded, as its parent.  With stop walled
+    off and start at stop's t, the half t < 6 is reached only by steps
+    away at t = 6 towards lower t, and the exhausted search counts every
+    reachable cell."""
+    bounds = Box3(Point3(0, 0, 0), Point3(8, 8, 1))
+    w = World()
+    for t, x in ((4, 3), (3, 4), (4, 2), (3, 1), (1, 3), (2, 4)):
+        w.claim(f"pocket{t}{x}", cell_box((t, x, 0)), "circuit")
+    s = spec((3, 3, 0), (6, 6, 0))
+    got = planned(s, w, bounds)
+    assert got == eager_plan(s, w, bounds)
+    assert got[:4] == ((3, 3, 0), (2, 3, 0), (2, 2, 0), (1, 2, 0))
+
+    w = World()
+    for t, x in ((5, 6), (7, 6), (6, 5), (6, 7)):
+        w.claim(f"wall{t}{x}", cell_box((t, x, 0)), "circuit")
+    s = spec((6, 1, 0), (6, 6, 0))
+    got = planned(s, w, bounds)
+    assert got == eager_plan(s, w, bounds)
+    # every cell but stop, its four walls and the corner (7, 7) they cut off
+    assert got[0] == "nopath" and got[2] == 8 * 8 - 6
 
 
 # -- compute_taskset protocol ---------------------------------------------------
