@@ -10,7 +10,10 @@ the proactive scheduling condition fires between events:
 3. assign reserved connections to the pending inputs;
 4. list the pool-to-pin drops, rail runs and box-to-rail links, add
    their guards, then specs, obstacles and paths in the order drops +
-   links + runs (``cbe``) or drops + runs + links (``ceb``);
+   links + runs (``cbe``) or drops + runs + links (``ceb``); drops and
+   links are searched, and a rail run is claimed straight, since the
+   rail's guides and the grant-after-sweep rule keep it free
+   (:mod:`topoasm.route`); a failed search or claim ends synthesis;
 5. sweep stale connections back to available and record the step.
 
 Everything is deterministic for a fixed config: box outcomes come from
@@ -50,6 +53,7 @@ from .route import (
     SEG_C,
     SEG_E,
     NoPathError,
+    RouteError,
     SegmentSpec,
     World,
     compute_taskset,
@@ -523,8 +527,9 @@ class Synthesizer:
         # line 21: compute in descending priority, which is list order
         try:
             paths = compute_taskset(specs, self.world)
-        except NoPathError as exc:
-            self.journal.log("no-path", describe_spec(exc.spec))
+        except RouteError as exc:
+            if isinstance(exc, NoPathError):
+                self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
 
         for (segment_class, conn, arg), path in zip(order, paths):

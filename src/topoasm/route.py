@@ -15,15 +15,22 @@ membership of the registry's ``disabled`` set.  A cell is blocked while
 its solid bit is set or its obstacle count exceeds the number of
 disabled obstacles that contain it.  A task set is computed
 in strictly descending priority: disable the active spec's own
-obstacles, plan, commit the path, re-enable the guides and remove the
-occupies.  :func:`compute_taskset` returns each path with the polyline
-its commit claimed, so callers draw exactly what was claimed.
+obstacles, plan (unless it is a rail run), commit the path, re-enable
+the guides and remove the occupies.  :func:`compute_taskset` returns
+each path with the polyline its commit claimed, so callers draw exactly
+what was claimed.
 
-Straight-run rule: when start and stop differ on one axis only, the
-straight run between them is the unique shortest path.  If none of its
-cells is blocked, :func:`plan_segment` returns it without a search;
-otherwise A* runs on the same :class:`BlockedView`.  Either way the path
-is the one A* would return.
+Rail runs: a ``connection_e`` spec only lengthens a connection along its
+own pool rail, from ``start.t`` to ``stop.t`` at the rail's ``x, y``, and
+its path is that straight run, claimed without a search.  Three fences
+keep the run free: every other spec sees the rail's line guide; the
+holder's forward guard fences ``anchor_t + 1 ..`` on the line and the
+strip under it; and a rail is granted again only after its last holder
+is swept and its forward guard removed.  A solid on a run still fails
+loudly in :meth:`World.claim`.  The run's own line guide and forward
+guard are still switched off and on around its commit, because those
+``obstacle-off``/``obstacle-on`` lines are part of the ``--journal``
+export.
 
 Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
@@ -268,11 +275,11 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     The heuristic is the exact L1 distance, so the search is admissible
     and the returned path length equals the L1 distance whenever nothing
     obstructs.  Ties break deterministically by axis order (t, x, y) and
-    lexicographic cell order.  A free straight run is returned without a
-    search (the straight-run rule above).  Otherwise A* drains one f
-    level, a heap on ``(h, cell)``, before it opens the next, so a queued
-    cell never gets a cheaper path later: ``parent`` marks every queued
-    cell and no ``g`` map or set of popped cells is kept.  While a level
+    lexicographic cell order; when ``start == stop`` the first pop is
+    ``stop`` and the path is that one cell.  A* drains one f level, a heap
+    on ``(h, cell)``, before it opens the next, so a queued cell never
+    gets a cheaper path later: ``parent`` marks every queued cell and no
+    ``g`` map or set of popped cells is kept.  While a level
     drains, only steps towards ``stop`` are queued; the steps away that
     open level ``f + 2`` are made from ``expanded``, the level's expanded
     cells in pop order, once the level runs dry.  Parents and pop order
@@ -290,11 +297,6 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
         raise NoPathError(spec, "start cell blocked", bounds=bounds)
     if view.is_blocked(stop):
         raise NoPathError(spec, "stop cell blocked", bounds=bounds)
-    if start == stop:
-        return Path((start,))
-    run = _straight_run(start, stop)
-    if run is not None and not any(map(view.is_blocked, run[1:-1])):
-        return Path(run)
     st, sx, sy = stop
     parent = {start: None}  # every cell queued at an opened level
     cur = [(abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy), start)]
@@ -354,22 +356,6 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     )
 
 
-def _straight_run(start, stop):
-    """The cells from ``start`` to ``stop`` in order when the two differ on
-    one axis only, else None."""
-    axes = [i for i in range(3) if start[i] != stop[i]]
-    if len(axes) != 1:
-        return None
-    axis = axes[0]
-    step = 1 if stop[axis] > start[axis] else -1
-    cells = []
-    for v in range(start[axis], stop[axis] + step, step):
-        cell = list(start)
-        cell[axis] = v
-        cells.append(tuple(cell))
-    return tuple(cells)
-
-
 def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) -> list[Path]:
     """Compute the segments of one event-handling pass under the obstacle
     protocol.
@@ -377,8 +363,11 @@ def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) ->
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled, the segment is
     planned, the path is committed to the world, the guide obstacles are
-    re-enabled and the occupy obstacles are removed.  Committed paths are
-    therefore mutually disjoint and disjoint from all prior geometry.
+    re-enabled and the occupy obstacles are removed.  A rail run is not
+    planned: its path is the cells ``(t, x, y)`` for ``t`` from
+    ``start.t`` to ``stop.t`` (the module notes say why they are free).
+    Committed paths are mutually disjoint and disjoint from all prior
+    geometry: a claim that overlaps a solid raises :class:`RouteError`.
     Each returned path carries the polyline its commit claimed.
     """
     prios = [s.priority for s in specs]
@@ -388,7 +377,11 @@ def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) ->
     for spec in sorted(specs, key=lambda s: -s.priority):
         for oid in spec.obstacles:
             world.obstacles.disable(oid)
-        path = plan_segment(spec, world, margin=margin)
+        if spec.segment_class == SEG_E:
+            (t0, x, y), t1 = spec.start, spec.stop.t
+            path = Path(tuple((t, x, y) for t in range(t0, t1 + 1)))
+        else:
+            path = plan_segment(spec, world, margin=margin)
         path.polyline = _commit_path(spec, path, world)
         for oid in spec.obstacles:
             if world.obstacles.get(oid).kind == GUIDE:

@@ -1,8 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
 
-from topoasm import fixtures
+from topoasm import fixtures, route
 from topoasm.engine import (
     EngineError,
     OutcomeSource,
@@ -12,9 +13,9 @@ from topoasm.engine import (
     read_outcome_script,
     synthesize,
 )
-from topoasm.geom import global_bounding_box, plumbing_volume
+from topoasm.geom import Point3, cell_box, global_bounding_box, plumbing_volume
 from topoasm.icm import magic_events, parse_icm
-from topoasm.pool import AVAILABLE, ASSIGNED, RESERVED, TOBEAVAILABLE
+from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
 from topoasm.sched import SchedulerPolicy
 
 from conftest import (
@@ -341,6 +342,45 @@ def test_random_circuits_synthesize_soundly(seed):
         counts[cell] += 1
     assert not [c for c, n in counts.items() if n > 1]
     assert set(asm.deliveries) == expected
+
+
+# -- rail runs -------------------------------------------------------------------
+
+
+def test_solid_on_a_rail_run_fails_with_the_journal(toffoli):
+    """A rail run is claimed straight, never detoured: a solid on it ends
+    synthesis with a SynthesisFailure naming the overlap."""
+    s = Synthesizer(toffoli, scripted_config())
+    # rail 0's line at t=75, inside the run connection_e.c29 claims at step 21
+    s.world.claim("blocker", cell_box(Point3(75, 1, POOL_GAP)), "circuit")
+    with pytest.raises(SynthesisFailure, match=r"claim connection_e\.c29\.\S+ overlaps \['blocker'\]") as info:
+        s.run()
+    assert info.value.journal is s.journal
+    assert "no-path" not in journal_ops(s.journal, 21)
+
+
+def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monkeypatch):
+    """Oracle for the straight claim: just before each rail run is
+    committed, with its own obstacles switched off, A* on the same world
+    returns exactly the run's cells."""
+    commit = route._commit_path
+    checked = []
+
+    def checked_commit(spec, path, world):
+        if spec.segment_class == route.SEG_E:
+            assert route.plan_segment(spec, world).cells == path.cells, route.describe_spec(spec)
+            checked.append(spec)
+        return commit(spec, path, world)
+
+    monkeypatch.setattr(route, "_commit_path", checked_commit)
+    for circuit in (toffoli, toffoli_unopt):
+        for kind in ("spiral", "alap", "asap"):
+            synthesize(circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+    for seed in range(6):
+        circuit = random_icm_circuit(random.Random(seed * 131 + 17))
+        for optimize in (True, False):
+            synthesize(circuit, SynthesisConfig(seed=seed, optimize_wires=optimize))
+    assert len(checked) > 2000
 
 
 def test_alternate_segment_compute_order(toffoli):

@@ -63,8 +63,7 @@ def axis_box(axis, along, on_b, on_c):
 
 def eager_plan(s, world, bounds):
     """Reference router: ``plan_segment`` with the blocked check made when a
-    neighbour is pushed, not when it is popped, without the straight-run
-    shortcut (A* returns that run anyway), and with a single heap keyed
+    neighbour is pushed, not when it is popped, and with a single heap keyed
     ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of the
     per-level open list.  A settled cell pushes all six neighbours at once,
     where ``plan_segment`` queues only its steps towards stop and makes its
@@ -253,8 +252,8 @@ def test_walled_off_stop_raises():
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("blocker", ["free", "solid", "obstacle", "disabled-obstacle"])
 def test_single_axis_spec_matches_bfs(axis, direction, blocker):
-    """Single-axis specs take the straight run when it is free and detour
-    around whatever blocks it, always as short as the BFS oracle."""
+    """On single-axis specs A* returns the straight run when it is free and
+    detours around whatever blocks it, always as short as the BFS oracle."""
     start = (10, 10, 10)
     stop = tuple(c + 6 * direction if i == axis else c for i, c in enumerate(start))
     mid = tuple(c + 3 * direction if i == axis else c for i, c in enumerate(start))
