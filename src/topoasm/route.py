@@ -10,15 +10,16 @@ enabled obstacles.  Obstacles come in two kinds:
   the segments computed before the owner's and evaporate afterwards.
 
 Every obstacle stays counted in the spatial index from ``add`` to
-``remove``; switching it off or on only flips its flag and its
-membership of the registry's ``disabled`` set.  A cell is blocked while
-its solid bit is set or its obstacle count exceeds the number of
-disabled obstacles that contain it.  A task set is computed
-in strictly descending priority: disable the active spec's own
-obstacles, plan (unless it is a rail run), commit the path, re-enable
-the guides and remove the occupies.  :func:`compute_taskset` returns
-each path with the polyline its commit claimed, so callers draw exactly
-what was claimed.
+``remove``, in its bucket planes or, when it is long and thin, as t
+spans of its ``(x, y)`` columns; switching it off or on only flips its
+flag and its membership of the registry's ``disabled`` set.  A cell is
+blocked while its solid bit is set or its obstacle count, planes plus
+column spans, exceeds the number of disabled obstacles that contain it.
+A task set is computed in strictly descending priority: disable the
+active spec's own obstacles, plan (unless it is a rail run), commit the
+path, re-enable the guides and remove the occupies.
+:func:`compute_taskset` returns each path with the polyline its commit
+claimed, so callers draw exactly what was claimed.
 
 Rail runs: a ``connection_e`` spec only lengthens a connection along its
 own pool rail, from ``start.t`` to ``stop.t`` at the rail's ``x, y``, and
@@ -228,12 +229,15 @@ class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
     blocked when it lies outside ``bounds``, is solid, or lies inside an
     enabled obstacle.  A query reads the cell's bucket record in the
-    spatial index: its solid bit, then its obstacle count less the
-    disabled obstacles that contain it, whose rows are looked up once
-    here.  A* queries a cell when it pops it."""
+    spatial index, its solid bit and its plane count, adds the spans of
+    the cell's ``(x, y)`` column that contain its ``t`` (checked whether
+    or not the bucket has a record), and subtracts the disabled
+    obstacles that contain it, whose rows are looked up once here.  A*
+    queries a cell when it pops it."""
 
     def __init__(self, world: World, bounds: Box3):
         self._records = world.index.records
+        self._columns = world.index.columns
         rows = world.index.rows
         self._exempt = [rows[oid] for oid in world.obstacles.disabled]
         self._lo, self._hi = bounds
@@ -243,15 +247,19 @@ class BlockedView:
         lo, hi = self._lo, self._hi
         if not (lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]):
             return True
-        rec = self._records.get((t >> SHIFT, x >> SHIFT, y >> SHIFT))
-        if rec is None:
-            return False
-        bit = (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
-        if rec[0] >> bit & 1:
-            return True
         count = 0
-        for i in range(len(rec) - 1, 0, -1):
-            count = count << 1 | rec[i] >> bit & 1
+        rec = self._records.get((t >> SHIFT, x >> SHIFT, y >> SHIFT))
+        if rec is not None:
+            bit = (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
+            if rec[0] >> bit & 1:
+                return True
+            for i in range(len(rec) - 1, 0, -1):
+                count = count << 1 | rec[i] >> bit & 1
+        spans = self._columns.get((x, y))
+        if spans:
+            for lt, ht in spans:
+                if lt <= t < ht:
+                    count += 1
         if count:
             for lt, lx, ly, ht, hx, hy in self._exempt:
                 if lt <= t < ht and lx <= x < hx and ly <= y < hy:

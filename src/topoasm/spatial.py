@@ -9,8 +9,8 @@ edge, keyed ``(t >> SHIFT, x >> SHIFT, y >> SHIFT)`` (floor division,
 negative coordinates included); a cell's bit in its bucket is
 ``(t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW``.
 
-Each bucket keeps one record, a ``list[int]`` of bit masks over its
-cells:
+Boxes live in one of two stores.  Each bucket keeps one record, a
+``list[int]`` of bit masks over its cells:
 
 * Entry 0 holds the **solid** cells (circuit, box and connection
   claims).  Solids are permanent: they are never removed and never
@@ -22,10 +22,25 @@ cells:
   borrow; a zero top plane is popped, and a record with no bits left is
   dropped.
 
-Inserts, overlap probes and cell tests are therefore bit operations.
-:attr:`BoxIndex.rows` keeps each obstacle's row ``lo + hi``, so a
-blocked-cell query can subtract the obstacles it exempts.  ``hits``
-scans every entry; only clash messages and tests need it.
+The other store, :attr:`BoxIndex.columns`, holds the **long thin
+obstacles**: an obstacle whose x-y cross-section is at most 2 cells and
+whose t length exceeds ``COLUMN_T`` (4 buckets) is kept as one t span
+``(lo.t, hi.t)`` in the list of each ``(x, y)`` column it covers, and
+touches no bucket.  These are the pool rails' guides and the forward
+guards that run from a connection's anchor to the end of time; in the
+planes each would ripple through every bucket it spans, so their cost
+would grow with the circuit's length.  A cell's obstacle count is its
+plane count plus the spans of its column that contain its ``t``
+(interval stabbing, de Berg et al., *Computational Geometry*, ch. 10).
+The length threshold keeps the many short pin guards out of the
+columns, so a column holds only long spans and a linear scan reads it.  An emptied column is
+deleted, as an empty bucket record is.
+
+Inserts, overlap probes and cell tests are therefore bit operations or
+short scans.  :attr:`BoxIndex.rows` keeps each obstacle's row
+``lo + hi``, whichever store holds it, so a blocked-cell query can
+subtract the obstacles it exempts.  ``hits`` scans every entry; only
+clash messages and tests need it.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ BUCKET = 8  # lattice units per bucket edge; a power of two
 SHIFT = BUCKET.bit_length() - 1  # bucket key of a coordinate: c >> SHIFT
 LOW = BUCKET - 1  # a coordinate's offset in its bucket: c & LOW
 T_SHIFT = 2 * SHIFT  # a cell's bit: (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
+COLUMN_T = 4 * BUCKET  # an obstacle of at most 2 x-y cells longer than this in t is column spans
 
 
 def _span_table(stride: int) -> list[list[int]]:
@@ -72,6 +88,15 @@ def _box_masks(box: Box3) -> list[tuple[tuple[int, int, int], int]]:
     return [((bt, bx, by), xy * tm) for bt, tm in ts for bx, by, xy in xys]
 
 
+def _columns(box: Box3) -> list[tuple[int, int]]:
+    """The ``(x, y)`` columns that hold ``box`` as a t span, or ``[]``
+    when its obstacle belongs in the bucket planes."""
+    (lt, lx, ly), (ht, hx, hy) = box
+    if ht - lt <= COLUMN_T or (hx - lx) * (hy - ly) > 2:
+        return []
+    return [(x, y) for x in range(lx, hx) for y in range(ly, hy)]
+
+
 class DuplicateEntryError(Exception):
     pass
 
@@ -92,13 +117,15 @@ class IndexEntry(NamedTuple):
 
 class BoxIndex:
     """Bucketed box index: one record per bucket, its solid cells and the
-    bit planes of its obstacle counts."""
+    bit planes of its obstacle counts, plus the t spans of the long thin
+    obstacles per ``(x, y)`` column (the module notes give the rule)."""
 
     bucket_size = BUCKET
 
     def __init__(self):
         self._entries: dict[str, IndexEntry] = {}
         self.records: dict[tuple[int, int, int], list[int]] = {}  # bucket -> [solid, planes...]
+        self.columns: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (x, y) -> [(lo.t, hi.t)]
         self.rows: dict[str, tuple] = {}  # obstacle id -> (lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
 
     def __len__(self) -> int:
@@ -106,12 +133,14 @@ class BoxIndex:
 
     def insert(self, entry: IndexEntry, solid: bool = False) -> None:
         """Index ``entry``; a ``solid`` entry is permanent and may share no
-        cell with another solid (:class:`SolidOverlapError`, index unchanged)."""
+        cell with another solid (:class:`SolidOverlapError`, index unchanged).
+        An obstacle is counted in the bucket planes, or kept as a t span of
+        each of its columns when it is long and thin."""
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
         records = self.records
-        masks = _box_masks(entry.box)
         if solid:
+            masks = _box_masks(entry.box)
             for key, mask in masks:
                 rec = records.get(key)
                 if rec is not None and rec[0] & mask:
@@ -123,7 +152,11 @@ class BoxIndex:
                 else:
                     rec[0] |= mask
         else:
-            for key, carry in masks:
+            lo, hi = entry.box
+            columns = _columns(entry.box)
+            for xy in columns:
+                self.columns.setdefault(xy, []).append((lo.t, hi.t))
+            for key, carry in () if columns else _box_masks(entry.box):
                 rec = records.setdefault(key, [0])
                 for i in range(1, len(rec)):
                     plane = rec[i]
@@ -133,7 +166,6 @@ class BoxIndex:
                         break
                 else:
                     rec.append(carry)
-            lo, hi = entry.box
             self.rows[entry.id] = lo + hi
         self._entries[entry.id] = entry
 
@@ -143,8 +175,16 @@ class BoxIndex:
             if eid in self._entries:
                 raise ValueError(f"solid entry {eid} is permanent")
             raise UnknownEntryError(eid)
+        box = self._entries.pop(eid).box
+        columns = _columns(box)
+        span = (box.lo.t, box.hi.t)
+        for xy in columns:
+            spans = self.columns[xy]
+            spans.remove(span)
+            if not spans:
+                del self.columns[xy]
         records = self.records
-        for key, borrow in _box_masks(self._entries.pop(eid).box):
+        for key, borrow in () if columns else _box_masks(box):
             rec = records[key]
             i = 1
             while borrow:

@@ -6,7 +6,7 @@ import pytest
 from topoasm.geom import Box3, Point3, box_from_extents
 from topoasm.route import SOLID_TAGS, BlockedView, RouteError, World
 from topoasm.spatial import (
-    LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
+    COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
     UnknownEntryError,
 )
 
@@ -203,15 +203,23 @@ def plane_count(idx, cell):
     return sum((plane >> bit & 1) << i for i, plane in enumerate(rec[1:]))
 
 
+def index_count(idx, cell):
+    """The obstacle count of ``cell`` as the index holds it: its bucket's
+    bit planes plus the spans of its ``(x, y)`` column that contain ``t``."""
+    t, x, y = cell
+    return plane_count(idx, cell) + sum(lt <= t < ht for lt, ht in idx.columns.get((x, y), ()))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
     """Under seeded add/remove scripts of registry obstacles (negative
     corners, long rods, and up to 5 obstacles stacked on one cell, so a
     carry reaches a third plane) among a few solids, every probed cell's
-    count read from the planes equals the number of live obstacles that
-    contain it, and ``is_blocked`` agrees with brute force with none and
-    with a random subset of them disabled.  Once all are removed, every
-    bucket's record is just its solid bits, or gone."""
+    count read from the index (planes plus column spans) equals the
+    number of live obstacles that contain it, and ``is_blocked`` agrees
+    with brute force with none and with a random subset of them
+    disabled.  Once all are removed, every bucket's record is just its
+    solid bits, or gone, and no column is left."""
     rng = random.Random(3000 + seed)
     w = World()
     idx, reg = w.index, w.obstacles
@@ -247,7 +255,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
         covering = []
         for cell in cells:
             covers = {oid for oid, box in live.items() if box.contains_cell(cell)}
-            assert plane_count(idx, cell) == len(covers), (seed, step, cell)
+            assert index_count(idx, cell) == len(covers), (seed, step, cell)
             covering.append((cell, covers, any(b.contains_cell(cell) for b in solids)))
         for exempt in (set(), set(rng.sample(sorted(live), len(live) // 2))):
             for oid in exempt:
@@ -263,6 +271,71 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
         reg.remove(oid)
     assert len(idx) == len(solids)
     assert all(len(rec) == 1 and rec[0] for rec in idx.records.values())
+    assert not idx.columns
+
+
+# x-y cross-section of a thin obstacle -> whether it is kept as column
+# spans once it is longer than COLUMN_T in t
+THIN_SHAPES = {(1, 1): True, (1, 2): True, (2, 1): True, (1, 3): False, (2, 2): False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_thin_obstacles_at_the_column_threshold_match_brute_force(seed):
+    """Add/remove scripts of thin registry obstacles, ``COLUMN_T`` and
+    ``COLUMN_T + 1`` long in t, of every cross-section in
+    ``THIN_SHAPES``, with negative corners, removed in random order, and
+    with many stacked, overlapping or equal spans on one shared column.
+    After every op each obstacle sits in the store its shape names: the
+    column spans are exactly those of the live column obstacles, and the
+    planes count exactly the others.  ``is_blocked`` agrees with brute
+    force with no obstacle and with a random subset disabled."""
+    rng = random.Random(4000 + seed)
+    w = World()
+    idx, reg = w.index, w.obstacles
+    home = (rng.randint(-12, -1), rng.randint(-12, -1))  # the shared column
+    live = {}  # oid -> (box, in a column)
+    deepest = 0
+    for step in range(100):
+        if rng.random() < 0.7 or not live:
+            shape = rng.choice(sorted(THIN_SHAPES))
+            length = COLUMN_T + rng.randint(0, 1)
+            if rng.random() < 0.5:
+                lo = Point3(rng.randint(-40, -36), *home)
+            else:
+                lo = Point3(rng.randint(-50, 30), rng.randint(-12, 12), rng.randint(-12, 12))
+            box = box_from_extents(lo, (length, *shape))
+            live[reg.add(box, "guide", step, "x").oid] = (box, THIN_SHAPES[shape]
+                                                           and length > COLUMN_T)
+        else:
+            oid = rng.choice(sorted(live))
+            reg.remove(oid)
+            del live[oid]
+        want = {}
+        for box, column in live.values():
+            if column:
+                for xy in itertools.product(range(box.lo.x, box.hi.x), range(box.lo.y, box.hi.y)):
+                    want.setdefault(xy, []).append((box.lo.t, box.hi.t))
+        assert {xy: sorted(spans) for xy, spans in idx.columns.items()} == {
+            xy: sorted(spans) for xy, spans in want.items()}, (seed, step)
+        deepest = max(deepest, len(idx.columns.get(home, ())))
+        cells = [(rng.randint(-52, 66), *home) for _ in range(10)]
+        for (lt, lx, ly), (ht, hx, hy) in (box for box, _ in live.values()):
+            cells += [(lt, lx, ly), (ht - 1, hx - 1, hy - 1), (lt - 1, lx, ly), (ht, lx, ly),
+                      (rng.randrange(lt, ht), hx, ly), (rng.randrange(lt, ht), lx, hy)]
+        covering = []
+        for cell in cells:
+            covers = {oid for oid, (box, _) in live.items() if box.contains_cell(cell)}
+            in_planes = sum(not column for oid, (_, column) in live.items() if oid in covers)
+            assert plane_count(idx, cell) == in_planes, (seed, step, cell)
+            covering.append((cell, covers))
+        for exempt in (set(), set(rng.sample(sorted(live), rng.randint(0, len(live))))):
+            view = view_of(w, exempt)
+            for cell, covers in covering:
+                assert view.is_blocked(cell) is bool(covers - exempt), (seed, step, cell)
+    assert deepest >= 3
+    for oid in rng.sample(sorted(live), len(live)):
+        reg.remove(oid)
+    assert not idx.columns and not idx.records and not idx.rows
 
 
 # -- solids: permanent bit-mask cells --------------------------------------
