@@ -11,8 +11,9 @@ the proactive scheduling condition fires between events:
 4. list the pool-to-pin drops, rail runs and box-to-rail links, add
    their guards, then specs, obstacles and paths in the order drops +
    links + runs (``cbe``) or drops + runs + links (``ceb``); drops and
-   links are searched, and a rail run is claimed straight, since the
-   rail's guides and the grant-after-sweep rule keep it free
+   links are searched, and a rail run is claimed straight as one box,
+   since the rail's guides and the grant-after-sweep rule keep it free,
+   with its guides' switch lines logged but no guide switched
    (:mod:`topoasm.route`); a failed search or claim ends synthesis;
 5. sweep stale connections back to available and record the step.
 

@@ -16,22 +16,26 @@ flag and its membership of the registry's ``disabled`` set.  A cell is
 blocked while its solid bit is set or its obstacle count, planes plus
 column spans, exceeds the number of disabled obstacles that contain it.
 A task set is computed in strictly descending priority: disable the
-active spec's own obstacles, plan (unless it is a rail run), commit the
-path, re-enable the guides and remove the occupies.
+active spec's own obstacles, plan, commit the path, re-enable the guides
+and remove the occupies; a rail run only logs those switches (below).
 :func:`compute_taskset` returns each path with the polyline its commit
 claimed, so callers draw exactly what was claimed.
 
 Rail runs: a ``connection_e`` spec only lengthens a connection along its
 own pool rail, from ``start.t`` to ``stop.t`` at the rail's ``x, y``, and
-its path is that straight run, claimed without a search.  Three fences
-keep the run free: every other spec sees the rail's line guide; the
-holder's forward guard fences ``anchor_t + 1 ..`` on the line and the
-strip under it; and a rail is granted again only after its last holder
-is swept and its forward guard removed.  A solid on a run still fails
-loudly in :meth:`World.claim`.  The run's own line guide and forward
-guard are still switched off and on around its commit, because those
-``obstacle-off``/``obstacle-on`` lines are part of the ``--journal``
-export.
+its path is that straight run, claimed as one box from the polyline of
+its two ends, without a search and without a walk over its cells.  Three
+fences keep the run free: every other spec sees the rail's line guide;
+the holder's forward guard fences ``anchor_t + 1 ..`` on the line and
+the strip under it; and a rail is granted again only after its last
+holder is swept and its forward guard removed.  A solid on a run still
+fails loudly in :meth:`World.claim`.  The run's own obstacles, that line
+guide and forward guard, are not switched: no search reads the blocked
+set around the claim.  Between specs no obstacle is disabled, so both
+are enabled, and :meth:`ObstacleRegistry.log_switches` writes the
+``obstacle-off`` lines before the claim and the ``obstacle-on`` lines
+after it that switching them would write; those lines are part of the
+``--journal`` export.
 
 Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
@@ -121,7 +125,7 @@ class SegmentSpec:
 
     start: Point3
     stop: Point3
-    obstacles: tuple = ()  # obstacle ids owned by this spec (disabled while planning)
+    obstacles: tuple = ()  # ids owned by this spec: off for its search (a rail run only logs it)
     priority: int = 0
     segment_class: str = SEG_C
     owner: str = ""
@@ -130,7 +134,7 @@ class SegmentSpec:
 @dataclass
 class Path:
     cells: tuple
-    polyline: DefectPolyline | None = None  # what the commit claimed, when committed
+    polyline: DefectPolyline | None = None  # what its commit claims; given up front for a rail run
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -187,8 +191,16 @@ class ObstacleRegistry:
                 self.disabled.discard(oid)
             else:
                 self.disabled.add(oid)
-            if self.journal:
-                self.journal.log("obstacle-on" if on else "obstacle-off", oid)
+            self.log_switches((oid,), on)
+
+    def log_switches(self, oids, on: bool) -> None:
+        """Write the ``obstacle-on`` or ``obstacle-off`` line of each of
+        ``oids``, the line a switch writes; a rail run writes its lines
+        here without switching."""
+        if self.journal:
+            op = "obstacle-on" if on else "obstacle-off"
+            for oid in oids:
+                self.journal.log(op, oid)
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
@@ -372,8 +384,10 @@ def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) ->
     its own guide and occupy obstacles are disabled, the segment is
     planned, the path is committed to the world, the guide obstacles are
     re-enabled and the occupy obstacles are removed.  A rail run is not
-    planned: its path is the cells ``(t, x, y)`` for ``t`` from
-    ``start.t`` to ``stop.t`` (the module notes say why they are free).
+    planned and switches nothing: its path is the cells ``(t, x, y)`` for
+    ``t`` from ``start.t`` to ``stop.t``, claimed as one box, and the
+    ``obstacle-off`` and ``obstacle-on`` lines of its two guides are
+    logged around the claim (the module notes say why this is exact).
     Committed paths are mutually disjoint and disjoint from all prior
     geometry: a claim that overlaps a solid raises :class:`RouteError`.
     Each returned path carries the polyline its commit claimed.
@@ -381,28 +395,37 @@ def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) ->
     prios = [s.priority for s in specs]
     if len(set(prios)) != len(prios):
         raise RouteError(f"task set priorities must be distinct, got {sorted(prios)}")
+    registry = world.obstacles
     paths = []
     for spec in sorted(specs, key=lambda s: -s.priority):
-        for oid in spec.obstacles:
-            world.obstacles.disable(oid)
         if spec.segment_class == SEG_E:
-            (t0, x, y), t1 = spec.start, spec.stop.t
-            path = Path(tuple((t, x, y) for t in range(t0, t1 + 1)))
+            start, stop = spec.start, spec.stop
+            path = Path(
+                tuple((t, start.x, start.y) for t in range(start.t, stop.t + 1)),
+                DefectPolyline("primal", SEG_E, [start] if start == stop else [start, stop]),
+            )
+            registry.log_switches(spec.obstacles, False)
+            _commit_path(spec, path, world)
+            registry.log_switches(spec.obstacles, True)
         else:
+            for oid in spec.obstacles:
+                registry.disable(oid)
             path = plan_segment(spec, world, margin=margin)
-        path.polyline = _commit_path(spec, path, world)
-        for oid in spec.obstacles:
-            if world.obstacles.get(oid).kind == GUIDE:
-                world.obstacles.enable(oid)
-            else:
-                world.obstacles.remove(oid)
+            path.polyline = _commit_path(spec, path, world)
+            for oid in spec.obstacles:
+                if registry.get(oid).kind == GUIDE:
+                    registry.enable(oid)
+                else:
+                    registry.remove(oid)
         paths.append(path)
     return paths
 
 
 def _commit_path(spec: SegmentSpec, path: Path, world: World) -> DefectPolyline:
-    """Claim the path's cells and return the polyline that covers them."""
-    poly = polyline_from_cells(path.cells, "primal", spec.segment_class)
+    """Claim the path's cells and return the polyline that covers them: the
+    path's own polyline when it has one (a rail run), else one collapsed
+    from its cells."""
+    poly = path.polyline or polyline_from_cells(path.cells, "primal", spec.segment_class)
     seq = next(world._commit_seq)
     for i, box in enumerate(poly.claim_boxes()):
         world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, "connection")

@@ -158,19 +158,31 @@ def place_spiral_layer(
     Calibration walks the innermost ring until the first collision-free
     position; every further box continues the same walk from where the
     previous one stopped, so the layout densifies counter-clockwise.
+
+    A candidate is probed as its footprint grown by ``SPIRAL_GAP`` in x
+    and y.  A probe whose x-y rectangle overlaps the box placed just
+    before it is skipped unasked: every box of the round starts at
+    ``trigger_time``, so that box is a solid over the probe's first t
+    slice and the index would answer "not free".
     """
     layer = DistillationLayer(round_id, trigger_time)
     walk = _spiral_positions(channel)
     kinds = ["A"] * n_a + ["Y"] * n_y
+    t0, gap = trigger_time, SPIRAL_GAP
+    near = None  # x-y extent (x0, x1, y0, y1) of the box placed last, grown by the gap
     for i, kind in enumerate(kinds):
         dt, dx, dy = BOX_EXTENTS[kind]
         while True:
             cx, cy = next(walk)
-            lo = Point3(trigger_time, cx - dx // 2, cy - dy // 2)
-            footprint = box_from_extents(lo, (dt, dx, dy))
-            probe = footprint.inflated(0, SPIRAL_GAP, SPIRAL_GAP)
+            x0, y0 = cx - dx // 2, cy - dy // 2
+            x1, y1 = x0 + dx, y0 + dy
+            if near and x0 < near[1] and near[0] < x1 and y0 < near[3] and near[2] < y1:
+                continue
+            probe = Box3(Point3(t0, x0 - gap, y0 - gap), Point3(t0 + dt, x1 + gap, y1 + gap))
             if world.is_free(probe):
                 break
+        near = (x0 - gap, x1 + gap, y0 - gap, y1 + gap)
+        footprint = Box3(Point3(t0, x0, y0), Point3(t0 + dt, x1, y1))
         box = _mk_box(f"r{round_id}.{kind}{i}", kind, footprint)
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)

@@ -346,3 +346,37 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     finally:
         t.uninstall()
     assert t.missing == []
+
+
+@pytest.mark.parametrize(
+    "scheduler, order, digest",
+    [
+        ("spiral", "cbe", "0b33c16a9161afd987ef94bb423e9bc35da886ed4ad562d9f957f5ed3439cf70"),
+        ("alap", "ceb", "a859043b21716466f7126a3c69a3ecf068814d118f7da674ef187b500cab1fc0"),
+    ],
+    ids=["spiral-cbe", "alap-ceb"],
+)
+def test_long_chain_digests(tmp_path, monkeypatch, capsys, scheduler, order, digest):
+    """A 16-Toffoli sequential chain (``topobench/compose.py``, recycling on)
+    through the CLI with every exporter: long rail runs, long guides and
+    many spiral rounds, which the single-Toffoli rows barely reach.  One
+    sha256 over the geometry, stats and journal exports and stdout."""
+    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
+    import compose
+
+    circuit = tmp_path / "chain.icm"
+    circuit.write_text(compose.compose(fixtures.toffoli_text(), 16, sequential=True))
+    paths = [tmp_path / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
+    code = main([
+        "--circuit", str(circuit), "--scheduler", scheduler, "--seed", "0",
+        "--segment-order", order,
+        "--export-geometry", str(paths[0]),
+        "--export-stats", str(paths[1]),
+        "--journal", str(paths[2]),
+    ])
+    assert code == 0
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.read_bytes())
+    h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest

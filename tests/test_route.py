@@ -5,6 +5,7 @@ from collections import Counter, deque
 
 import pytest
 
+from topoasm.engine import Journal
 from topoasm.geom import Box3, Point3, box_from_extents, cell_box, merge_boxes
 from topoasm.route import (
     GUIDE,
@@ -13,6 +14,7 @@ from topoasm.route import (
     SEG_E,
     BlockedView,
     NoPathError,
+    ObstacleRegistry,
     Path,
     RouteError,
     SegmentSpec,
@@ -565,6 +567,38 @@ def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
             w.index.get(occupy.oid)
     assert w.obstacles.get(magenta.oid).enabled
     assert w.index.get(magenta.oid).tag == "obstacle"
+
+
+@pytest.mark.parametrize("stop_t", [9, 4], ids=["run", "one-cell"])
+def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, stop_t):
+    """A rail run never switches an obstacle: it writes the off and on
+    lines of its line guide and forward guard around one claim: the box
+    spanning ``[start.t, stop.t + 1)`` on the rail's one ``(x, y)`` cell."""
+    w = World(journal=Journal())
+    line = w.obstacles.add(Box3(Point3(0, 3, 4), Point3(40, 4, 5)), GUIDE, 0, "rail0")
+    fwd = w.obstacles.add(Box3(Point3(5, 3, 3), Point3(40, 4, 5)), GUIDE, 0, "c1")
+
+    def refuse(self, oid):
+        raise AssertionError(f"switched {oid}")
+
+    monkeypatch.setattr(ObstacleRegistry, "disable", refuse)
+    monkeypatch.setattr(ObstacleRegistry, "enable", refuse)
+    run = spec((4, 3, 4), (stop_t, 3, 4), seg=SEG_E, owner="c1", obstacles=(line.oid, fwd.oid))
+    (path,) = compute_taskset([run], w)
+    assert not w.obstacles.disabled
+    assert w.obstacles.get(line.oid).enabled and w.obstacles.get(fwd.oid).enabled
+    box = Box3(Point3(4, 3, 4), Point3(stop_t + 1, 4, 5))
+    assert w.journal.lines[2:] == [
+        f"0 obstacle-off {line.oid}",
+        f"0 obstacle-off {fwd.oid}",
+        f"0 claim connection connection_e.c1.c0.0 4 3 4 {stop_t + 1} 4 5",
+        f"0 obstacle-on {line.oid}",
+        f"0 obstacle-on {fwd.oid}",
+    ]
+    assert w.index.hits(box.inflated(1, 1, 1), tags=("connection",)) == {"connection_e.c1.c0.0"}
+    assert w.index.get("connection_e.c1.c0.0").box == box
+    assert path.polyline.claim_boxes() == [box]
+    assert path.cells == tuple((t, 3, 4) for t in range(4, stop_t + 1))
 
 
 def random_taskset(rng, prios):

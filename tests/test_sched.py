@@ -10,6 +10,7 @@ from topoasm.engine import SynthesisConfig
 from topoasm.geom import BOX_EXTENTS, Point3, box_from_extents
 from topoasm.route import SOLID_TAGS, World
 from topoasm.sched import (
+    DistillationLayer,
     PlacementError,
     SPIRAL_GAP,
     SchedulerPolicy,
@@ -221,6 +222,78 @@ def test_spiral_exhaustion_raises(monkeypatch):
     channel = unit_channel()
     with pytest.raises(PlacementError):
         place_spiral_layer(64, 64, 0, w, channel)
+
+
+def reference_spiral_layer(n_a, n_y, trigger_time, world, channel, round_id=0):
+    """The spiral placer that sends every candidate to the index, kept as
+    the reference for the one that skips probes beside the box just
+    placed.  Returns the layer and each probe it sent with the footprint
+    of the box placed before it in the round (None for the first box)."""
+    layer = DistillationLayer(round_id, trigger_time)
+    walk = sched._spiral_positions(channel)
+    probes = []
+    for i, kind in enumerate(["A"] * n_a + ["Y"] * n_y):
+        dt, dx, dy = BOX_EXTENTS[kind]
+        previous = layer.boxes[-1].footprint if layer.boxes else None
+        while True:
+            cx, cy = next(walk)
+            lo = Point3(trigger_time, cx - dx // 2, cy - dy // 2)
+            footprint = box_from_extents(lo, (dt, dx, dy))
+            probe = footprint.inflated(0, SPIRAL_GAP, SPIRAL_GAP)
+            probes.append((probe, previous))
+            if world.is_free(probe):
+                break
+        box = sched._mk_box(f"r{round_id}.{kind}{i}", kind, footprint)
+        world.claim(box.box_id, box.footprint, "box")
+        layer.boxes.append(box)
+    return layer, probes
+
+
+def overlaps_xy(a, b):
+    return a.lo.x < b.hi.x and b.lo.x < a.hi.x and a.lo.y < b.hi.y and b.lo.y < a.hi.y
+
+
+def test_spiral_skips_exactly_the_probes_beside_the_box_just_placed():
+    """On random worlds (solids claimed around a channel, several rounds
+    whose boxes overlap in t), the spiral placer places the reference's
+    boxes and sends the index exactly the reference's probes less those
+    whose x-y rectangle overlaps the box placed just before."""
+    rng = random.Random(23)
+    skipped = blocked_elsewhere = 0
+    for trial in range(30):
+        channel = box_from_extents(
+            Point3(0, rng.randint(-4, 4), rng.randint(-4, 4)),
+            (rng.randint(8, 40), rng.randint(1, 24), rng.randint(1, 12)),
+        )
+        ref_world, world = World(), World()
+        sent = []
+
+        def recording_is_free(box, _orig=world.is_free):
+            sent.append(box)
+            return _orig(box)
+
+        world.is_free = recording_is_free
+        solids = [channel]
+        for _ in range(rng.randint(0, 25)):
+            lo = Point3(rng.randint(0, 30), rng.randint(-30, 40), rng.randint(-30, 30))
+            solids.append(box_from_extents(lo, (rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 6))))
+        for i, box in enumerate(solids):
+            if not ref_world.index.hits(box, tags=SOLID_TAGS):
+                for w in (ref_world, world):
+                    w.claim(f"solid{i}", box, "circuit")
+        for round_id in range(rng.randint(1, 4)):
+            n_a, n_y = rng.randint(0, 6), rng.randint(0, 9)
+            trigger = rng.randint(0, 12)
+            want, probes = reference_spiral_layer(n_a, n_y, trigger, ref_world, channel, round_id)
+            del sent[:]
+            got = place_spiral_layer(n_a, n_y, trigger, world, channel, round_id)
+            assert [(b.box_id, b.kind, b.footprint, b.port) for b in got.boxes] == [
+                (b.box_id, b.kind, b.footprint, b.port) for b in want.boxes
+            ]
+            assert sent == [p for p, prev in probes if prev is None or not overlaps_xy(p, prev)]
+            skipped += len(probes) - len(sent)
+            blocked_elsewhere += len(sent) - len(got.boxes)
+    assert skipped > 500 and blocked_elsewhere > 50
 
 
 def test_asap_stack_before_circuit_start():
