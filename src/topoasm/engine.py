@@ -141,7 +141,7 @@ class Assembly:
     records: list[StepRecord]
     bbox: Box3  # global bounding box of the geometry
     journal: Journal
-    deliveries: dict = field(default_factory=dict)  # input key -> (conn id, path)
+    deliveries: dict = field(default_factory=dict)  # input key -> (conn id, delivered polyline)
 
     @property
     def volume(self) -> int:
@@ -239,8 +239,7 @@ class Synthesizer:
         """
         for m in self.circuit.magic_inputs:
             cell = cell_box(pin_cell(m))
-            obs = self.world.obstacles.add(cell, GUIDE, 0, f"pin:{m.key}")
-            self.pin_guards[m.key] = obs.oid
+            self.pin_guards[m.key] = self.world.obstacles.add(cell, GUIDE, 0, f"pin:{m.key}")
         for lt in self.circuit.lifetimes():
             row, start, end = corridor_span(lt, self.t_ceiling)
             if end > start:
@@ -527,21 +526,21 @@ class Synthesizer:
 
         # line 21: compute in descending priority, which is list order
         try:
-            paths = compute_taskset(specs, self.world)
+            polys = compute_taskset(specs, self.world)
         except RouteError as exc:
             if isinstance(exc, NoPathError):
                 self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
 
-        for (segment_class, conn, arg), path in zip(order, paths):
-            self.journal.log("path", segment_class, conn.id, len(path))
+        for (segment_class, conn, arg), poly in zip(order, polys):
+            self.journal.log("path", segment_class, conn.id, len(poly))
             if segment_class == SEG_E:
-                self._extend_rail_polyline(conn, path)
+                self._extend_rail_polyline(conn, poly)
                 self.pool.apply_extension(conn, arg[1])
             else:
-                self.geometry.defects.append(path.polyline)
+                self.geometry.defects.append(poly)
             if segment_class == SEG_C:
-                self.deliveries[arg.key] = (conn.id, path)
+                self.deliveries[arg.key] = (conn.id, poly)
 
         # line 22: sweep; freed rails shed their forward guards so new
         # occupants can land beyond the old stretch
@@ -557,18 +556,14 @@ class Synthesizer:
             x, y = self.pool.rail_position(conn.rail)
             for guards, gy in ((self.rail_line_guards, y), (self.rail_under_guards, y - 1)):
                 strip = Box3(Point3(self.t_floor, x, gy), Point3(self.t_ceiling, x + 1, gy + 1))
-                guards[conn.rail] = self.world.obstacles.add(
-                    strip, GUIDE, 0, f"rail{conn.rail}"
-                ).oid
+                guards[conn.rail] = self.world.obstacles.add(strip, GUIDE, 0, f"rail{conn.rail}")
         if conn.id not in self.conn_fwd_guards:
             # Fences the connection's forward rail stretch (line and
             # under-strip) against everything except its own extensions and
             # final drop.
             x, y = self.pool.rail_position(conn.rail)
             region = Box3(Point3(conn.anchor_t + 1, x, y - 1), Point3(self.t_ceiling, x + 1, y + 1))
-            self.conn_fwd_guards[conn.id] = self.world.obstacles.add(
-                region, GUIDE, 0, conn.id
-            ).oid
+            self.conn_fwd_guards[conn.id] = self.world.obstacles.add(region, GUIDE, 0, conn.id)
 
     def _spec(self, segment_class, conn, arg, prio) -> SegmentSpec:
         """The segment's spec; a drop or link also mints its occupy obstacle,
@@ -590,16 +585,16 @@ class Synthesizer:
             occupy = Box3(conn.port, conn.port.shifted(1, 1, 1))
             start, goal = conn.port, Point3(conn.anchor_t, x, y)
             guards = (self.rail_line_guards[conn.rail],)
-        oid = self.world.obstacles.add(occupy, OCCUPY, prio, conn.id).oid
+        oid = self.world.obstacles.add(occupy, OCCUPY, prio, conn.id)
         return SegmentSpec(start, goal, (oid, *guards), prio, segment_class, conn.id)
 
-    def _extend_rail_polyline(self, conn, path) -> None:
+    def _extend_rail_polyline(self, conn, run) -> None:
         poly = self._rail_polylines.get(conn.id)
         if poly is None:
-            self.geometry.defects.append(path.polyline)
-            self._rail_polylines[conn.id] = path.polyline
+            self.geometry.defects.append(run)
+            self._rail_polylines[conn.id] = run
         else:
-            poly.extend_last(Point3(*path.cells[-1]))
+            poly.extend_last(run.vertices[-1])
 
 
 def synthesize(circuit: ICMCircuit, config: SynthesisConfig) -> Assembly:

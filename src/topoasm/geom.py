@@ -152,6 +152,11 @@ class DefectPolyline:
         for a, b in zip(self.vertices, self.vertices[1:]):
             _axis_of(a, b)  # raises on diagonal or zero-length segments
 
+    def __len__(self) -> int:
+        """The number of cells covered: the first vertex, plus each segment's length."""
+        v = self.vertices
+        return 1 + sum(abs(b.t - a.t) + abs(b.x - a.x) + abs(b.y - a.y) for a, b in zip(v, v[1:]))
+
     def segments(self) -> list[tuple[Point3, Point3]]:
         return list(zip(self.vertices, self.vertices[1:]))
 

@@ -18,13 +18,14 @@ column spans, exceeds the number of disabled obstacles that contain it.
 A task set is computed in strictly descending priority: disable the
 active spec's own obstacles, plan, commit the path, re-enable the guides
 and remove the occupies; a rail run only logs those switches (below).
-:func:`compute_taskset` returns each path with the polyline its commit
-claimed, so callers draw exactly what was claimed.
+A committed segment is the :class:`DefectPolyline` its claim covers:
+:func:`compute_taskset` returns those polylines, so callers draw exactly
+what was claimed.
 
 Rail runs: a ``connection_e`` spec only lengthens a connection along its
 own pool rail, from ``start.t`` to ``stop.t`` at the rail's ``x, y``, and
-its path is that straight run, claimed as one box from the polyline of
-its two ends, without a search and without a walk over its cells.  Three
+its segment is that straight run, the polyline of its two ends, claimed
+as one box without a search and without a walk over its cells.  Three
 fences keep the run free: every other spec sees the rail's line guide;
 the holder's forward guard fences ``anchor_t + 1 ..`` on the line and
 the strip under it; and a rail is granted again only after its last
@@ -131,23 +132,6 @@ class SegmentSpec:
     owner: str = ""
 
 
-@dataclass
-class Path:
-    cells: tuple
-    polyline: DefectPolyline | None = None  # what its commit claims; given up front for a rail run
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    @property
-    def start(self) -> tuple[int, int, int]:
-        return self.cells[0]
-
-    @property
-    def stop(self) -> tuple[int, int, int]:
-        return self.cells[-1]
-
-
 class ObstacleRegistry:
     """Owns all obstacles, each indexed from ``add`` until ``remove``;
     ``disable`` and ``enable`` only flip :attr:`Obstacle.enabled` and
@@ -160,11 +144,11 @@ class ObstacleRegistry:
         self.disabled: set[str] = set()
         self._seq = itertools.count()
 
-    def add(self, region: Box3, kind: str, priority: int, owner: str) -> Obstacle:
-        """Index a new enabled obstacle; ``priority`` and ``owner`` go to the journal."""
+    def add(self, region: Box3, kind: str, priority: int, owner: str) -> str:
+        """Index a new enabled obstacle and return its id; ``priority`` and
+        ``owner`` go to the journal."""
         oid = f"obs{next(self._seq)}"
-        obs = Obstacle(oid, kind)
-        self.by_id[oid] = obs
+        self.by_id[oid] = Obstacle(oid, kind)
         self.index.insert(IndexEntry(oid, region, "obstacle"))
         if self.journal:
             lo, hi = region.lo, region.hi
@@ -172,7 +156,7 @@ class ObstacleRegistry:
                 "obstacle-add", oid, kind, priority, owner,
                 lo.t, lo.x, lo.y, hi.t, hi.x, hi.y,
             )
-        return obs
+        return oid
 
     def get(self, oid: str) -> Obstacle:
         return self.by_id[oid]
@@ -289,8 +273,9 @@ def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
 
 
 def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
-                 margin: int = 10) -> Path:
-    """Shortest axis-aligned path from start to stop under the blocked set.
+                 margin: int = 10) -> tuple:
+    """Shortest axis-aligned path from start to stop under the blocked set,
+    as the tuple of its cells ``(t, x, y)`` from start to stop.
 
     The heuristic is the exact L1 distance, so the search is admissible
     and the returned path length equals the L1 distance whenever nothing
@@ -332,7 +317,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
                     out.append(cell)
                     cell = parent[cell]
                 out.reverse()
-                return Path(tuple(out))
+                return tuple(out)
             if is_blocked(cell):
                 continue
             expanded.append((h, cell))
@@ -376,57 +361,52 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     )
 
 
-def compute_taskset(specs: list[SegmentSpec], world: World, margin: int = 10) -> list[Path]:
+def compute_taskset(specs: list[SegmentSpec], world: World,
+                    margin: int = 10) -> list[DefectPolyline]:
     """Compute the segments of one event-handling pass under the obstacle
-    protocol.
+    protocol and return, in the order computed, the polyline each claimed.
 
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled, the segment is
-    planned, the path is committed to the world, the guide obstacles are
-    re-enabled and the occupy obstacles are removed.  A rail run is not
-    planned and switches nothing: its path is the cells ``(t, x, y)`` for
-    ``t`` from ``start.t`` to ``stop.t``, claimed as one box, and the
-    ``obstacle-off`` and ``obstacle-on`` lines of its two guides are
-    logged around the claim (the module notes say why this is exact).
-    Committed paths are mutually disjoint and disjoint from all prior
-    geometry: a claim that overlaps a solid raises :class:`RouteError`.
-    Each returned path carries the polyline its commit claimed.
+    planned, the polyline its cells collapse to is committed to the
+    world, the guide obstacles are re-enabled and the occupy obstacles
+    are removed.  A rail run is not planned and switches nothing: its
+    polyline is ``[start, stop]`` (``[start]`` when they coincide),
+    claimed as one box, and the ``obstacle-off`` and ``obstacle-on``
+    lines of its two guides are logged around the claim (the module
+    notes say why this is exact).  Committed segments are mutually
+    disjoint and disjoint from all prior geometry: a claim that overlaps
+    a solid raises :class:`RouteError`.
     """
     prios = [s.priority for s in specs]
     if len(set(prios)) != len(prios):
         raise RouteError(f"task set priorities must be distinct, got {sorted(prios)}")
     registry = world.obstacles
-    paths = []
+    polys = []
     for spec in sorted(specs, key=lambda s: -s.priority):
         if spec.segment_class == SEG_E:
             start, stop = spec.start, spec.stop
-            path = Path(
-                tuple((t, start.x, start.y) for t in range(start.t, stop.t + 1)),
-                DefectPolyline("primal", SEG_E, [start] if start == stop else [start, stop]),
-            )
+            poly = DefectPolyline("primal", SEG_E, [start] if start == stop else [start, stop])
             registry.log_switches(spec.obstacles, False)
-            _commit_path(spec, path, world)
+            _commit_path(spec, poly, world)
             registry.log_switches(spec.obstacles, True)
         else:
             for oid in spec.obstacles:
                 registry.disable(oid)
-            path = plan_segment(spec, world, margin=margin)
-            path.polyline = _commit_path(spec, path, world)
+            cells = plan_segment(spec, world, margin=margin)
+            poly = polyline_from_cells(cells, "primal", spec.segment_class)
+            _commit_path(spec, poly, world)
             for oid in spec.obstacles:
                 if registry.get(oid).kind == GUIDE:
                     registry.enable(oid)
                 else:
                     registry.remove(oid)
-        paths.append(path)
-    return paths
+        polys.append(poly)
+    return polys
 
 
-def _commit_path(spec: SegmentSpec, path: Path, world: World) -> DefectPolyline:
-    """Claim the path's cells and return the polyline that covers them: the
-    path's own polyline when it has one (a rail run), else one collapsed
-    from its cells."""
-    poly = path.polyline or polyline_from_cells(path.cells, "primal", spec.segment_class)
+def _commit_path(spec: SegmentSpec, poly: DefectPolyline, world: World) -> None:
+    """Claim the cells ``poly`` covers, one solid box per segment."""
     seq = next(world._commit_seq)
     for i, box in enumerate(poly.claim_boxes()):
         world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, "connection")
-    return poly

@@ -34,6 +34,7 @@ from conftest import (
     box_cells,
     conservation_holds,
     enabled_obstacles,
+    polyline_cells,
     scripted_config,
     solid_cells,
 )
@@ -223,14 +224,14 @@ def test_criterion_7_obstacle_protocol():
     t0 = time.monotonic()
     w, ts, (magenta, orange, yellow) = test_route.three_connection_scenario()
     paths = compute_taskset(ts, w, margin=16)
-    cells = [set(p.cells) for p in paths]
+    cells = [polyline_cells(p) for p in paths]
     assert cells[0].isdisjoint(cells[1])
     assert cells[0].isdisjoint(cells[2])
     assert cells[1].isdisjoint(cells[2])
     assert len(paths[2]) == 8  # the lowest-priority connection stays direct
     enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
-    assert magenta.oid in enabled
-    assert orange.oid not in enabled and yellow.oid not in enabled
+    assert magenta in enabled
+    assert orange not in enabled and yellow not in enabled
 
     rng = random.Random(808)
     for trial in range(50):
@@ -272,8 +273,8 @@ def test_criterion_9_non_overlap_and_completeness(toffoli, seed_sweep):
             assert not [c for c, n in counts.items() if n > 1]
             assert set(assembly.deliveries) == {m.key for m in toffoli.magic_inputs}
             pins = dict(assembly.geometry.pins)
-            for key, (cid, path) in assembly.deliveries.items():
-                assert path.stop == pins[key].as_tuple()
+            for key, (cid, poly) in assembly.deliveries.items():
+                assert poly.vertices[-1] == pins[key]
             runs += 1
     elapsed = time.monotonic() - t0
     assert seed_sweep["elapsed"] + elapsed < 120.0

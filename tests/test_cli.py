@@ -332,20 +332,29 @@ def test_compare_mode_prints_medians(workdir, capsys):
     assert "smaller" in out
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     """topobench's tracer looks library names up by string, so deleting or
-    renaming one it wraps lands in ``Tracer.missing`` instead of failing."""
+    renaming one it wraps lands in ``Tracer.missing`` instead of failing.
+    Its hooks also read what the wrapped calls return (``len`` of
+    ``plan_segment``'s result), so a traced Toffoli synthesis must run,
+    keep the untraced volume and count the searched segments and cells."""
     import topoasm.cli
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "topobench"))
     import tracer
 
+    untraced = synthesize(toffoli, scripted_config()).volume
     t = tracer.Tracer()
     try:
         t.install(topoasm)
+        traced = topoasm.engine.synthesize(toffoli, scripted_config()).volume
     finally:
         t.uninstall()
     assert t.missing == []
+    assert traced == untraced
+    count = t.snapshot()["count"]
+    # the benchmark reports these as route.path_cells and route.segments
+    assert count["route.path_cells"] > 0 and count["route.astar"] > 0
 
 
 @pytest.mark.parametrize(

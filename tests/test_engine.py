@@ -13,7 +13,13 @@ from topoasm.engine import (
     read_outcome_script,
     synthesize,
 )
-from topoasm.geom import Point3, cell_box, global_bounding_box, plumbing_volume
+from topoasm.geom import (
+    Point3,
+    cell_box,
+    global_bounding_box,
+    plumbing_volume,
+    polyline_from_cells,
+)
 from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
 from topoasm.sched import SchedulerPolicy
@@ -100,8 +106,8 @@ def test_scripted_toffoli_trace_shape(scripted_assembly):
 def test_scripted_toffoli_all_inputs_delivered(toffoli, scripted_assembly):
     assert set(scripted_assembly.deliveries) == {m.key for m in toffoli.magic_inputs}
     pins = dict(scripted_assembly.geometry.pins)
-    for key, (cid, path) in scripted_assembly.deliveries.items():
-        assert path.stop == pins[key].as_tuple()
+    for key, (cid, poly) in scripted_assembly.deliveries.items():
+        assert poly.vertices[-1] == pins[key]
 
 
 def test_every_reservation_gets_a_box_link(toffoli):
@@ -363,21 +369,23 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
     """Oracle for the straight claim: just before each rail run is
     committed, no obstacle is switched off (so logging the run's switches
     without making them is exact), and with its own obstacles switched off
-    A* on the same world returns exactly the run's cells."""
+    A* on the same world returns exactly the cells the run's polyline
+    covers, collapsed to the same polyline."""
     commit = route._commit_path
     checked = []
 
-    def checked_commit(spec, path, world):
+    def checked_commit(spec, poly, world):
         if spec.segment_class == route.SEG_E:
             registry = world.obstacles
             assert not registry.disabled, route.describe_spec(spec)
             for oid in spec.obstacles:
                 registry.disable(oid)
-            assert route.plan_segment(spec, world).cells == path.cells, route.describe_spec(spec)
+            found = polyline_from_cells(route.plan_segment(spec, world), "primal", route.SEG_E)
+            assert found == poly, route.describe_spec(spec)
             for oid in spec.obstacles:
                 registry.enable(oid)
             checked.append(spec)
-        return commit(spec, path, world)
+        return commit(spec, poly, world)
 
     monkeypatch.setattr(route, "_commit_path", checked_commit)
     for circuit in (toffoli, toffoli_unopt):

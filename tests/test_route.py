@@ -6,7 +6,15 @@ from collections import Counter, deque
 import pytest
 
 from topoasm.engine import Journal
-from topoasm.geom import Box3, Point3, box_from_extents, cell_box, merge_boxes
+from topoasm.geom import (
+    Box3,
+    DefectPolyline,
+    Point3,
+    box_from_extents,
+    cell_box,
+    merge_boxes,
+    polyline_from_cells,
+)
 from topoasm.route import (
     GUIDE,
     OCCUPY,
@@ -15,7 +23,6 @@ from topoasm.route import (
     BlockedView,
     NoPathError,
     ObstacleRegistry,
-    Path,
     RouteError,
     SegmentSpec,
     World,
@@ -115,7 +122,7 @@ def eager_plan(s, world, bounds):
 def planned(s, world, bounds=None, margin=10):
     """``plan_segment``'s outcome in ``eager_plan``'s form."""
     try:
-        return plan_segment(s, world, bounds=bounds, margin=margin).cells
+        return plan_segment(s, world, bounds=bounds, margin=margin)
     except NoPathError as exc:
         return ("nopath", exc.detail, exc.searched)
 
@@ -139,8 +146,8 @@ def test_guide_outranks_occupy():
 
 def test_disabled_obstacles_do_not_block():
     w = World()
-    obs = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
-    w.obstacles.disable(obs.oid)
+    oid = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
+    w.obstacles.disable(oid)
     assert not BlockedView(w, BOUNDS).is_blocked((1, 0, 0))
 
 
@@ -184,7 +191,7 @@ def test_blocked_view_matches_rasterized_live_boxes():
             lo = Point3(rng.randint(-2, 11), rng.randint(-2, 11), rng.randint(-2, 11))
             box = box_from_extents(lo, (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)))
             kind = GUIDE if rng.random() < 0.5 else OCCUPY
-            obstacles[w.obstacles.add(box, kind, rng.randint(0, 9), "x").oid] = box
+            obstacles[w.obstacles.add(box, kind, rng.randint(0, 9), "x")] = box
         live.update(obstacles)
         for oid, box in obstacles.items():
             roll = rng.random()
@@ -214,7 +221,7 @@ def test_blocked_view_matches_rasterized_live_boxes():
 def test_straight_path_unobstructed():
     w = World()
     path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w, bounds=BOUNDS)
-    assert path.cells == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
+    assert path == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
 
 
 def test_detour_matches_bfs_oracle():
@@ -265,25 +272,25 @@ def test_single_axis_spec_matches_bfs(axis, direction, blocker):
         w.claim("wall", box_from_extents(Point3(*mid), (1, 1, 1)), "circuit")
         blocked.add(mid)
     elif blocker != "free":
-        obs = w.obstacles.add(box_from_extents(Point3(*mid), (1, 1, 1)), GUIDE, 0, "other")
+        oid = w.obstacles.add(box_from_extents(Point3(*mid), (1, 1, 1)), GUIDE, 0, "other")
         if blocker == "obstacle":
             blocked.add(mid)
         else:
-            w.obstacles.disable(obs.oid)
+            w.obstacles.disable(oid)
     path = plan_segment(spec(start, stop), w, bounds=BOUNDS)
-    assert path.start == start and path.stop == stop
-    assert not blocked & set(path.cells)
-    for a, b in zip(path.cells, path.cells[1:]):
+    assert path[0] == start and path[-1] == stop
+    assert not blocked & set(path)
+    for a, b in zip(path, path[1:]):
         assert sum(abs(u - v) for u, v in zip(a, b)) == 1
     assert len(path) == bfs_length(start, stop, blocked.__contains__, BOUNDS)
     if not blocked:
-        assert len(path) == 7 and mid in path.cells
+        assert len(path) == 7 and mid in path
 
 
 def test_zero_length_segment_is_a_single_cell():
     w = World()
     path = plan_segment(spec((4, 4, 4), (4, 4, 4), seg=SEG_E), w, bounds=BOUNDS)
-    assert path.cells == ((4, 4, 4),)
+    assert path == ((4, 4, 4),)
 
 
 def test_random_instances_match_bfs():
@@ -316,9 +323,9 @@ def test_random_instances_match_bfs():
             continue
         assert want is not None and len(path) == want
         # path validity: adjacency, no repeats, endpoint match
-        assert path.start == start and path.stop == stop
-        assert len(set(path.cells)) == len(path.cells)
-        for a, b in zip(path.cells, path.cells[1:]):
+        assert path[0] == start and path[-1] == stop
+        assert len(set(path)) == len(path)
+        for a, b in zip(path, path[1:]):
             assert sum(abs(u - v) for u, v in zip(a, b)) == 1
         solved += 1
     assert solved > 100
@@ -345,9 +352,9 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
         for _ in range(rng.randint(1, 8)):
             lo = Point3(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11))
             box = box_from_extents(lo, (rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 12)))
-            obs = w.obstacles.add(box, GUIDE, 0, "g")
+            oid = w.obstacles.add(box, GUIDE, 0, "g")
             if rng.random() < 0.4:
-                w.obstacles.disable(obs.oid)
+                w.obstacles.disable(oid)
         if rng.random() < 0.5:  # a guide wall across the whole volume
             axis, at = rng.randrange(3), rng.randint(1, 10)
             lo = Point3(*(at if i == axis else -4 for i in range(3)))
@@ -432,9 +439,9 @@ def test_stacked_plates_and_baffles_match_eager_reference():
                 if solid:
                     w.claim(f"p{n}.{i}", box, "circuit")
                 else:
-                    obs = w.obstacles.add(box, rng.choice((GUIDE, OCCUPY)), 0, "plate")
+                    oid = w.obstacles.add(box, rng.choice((GUIDE, OCCUPY)), 0, "plate")
                     if rng.random() < 0.1:
-                        w.obstacles.disable(obs.oid)
+                        w.obstacles.disable(oid)
         ends = [[rng.randrange(20) for _ in range(3)] for _ in range(2)]
         ends[0][axis] = rng.randint(0, plates[0] - 1)
         ends[1][axis] = rng.randint(plates[-1] + 1, 19)
@@ -489,9 +496,8 @@ def test_single_spec_taskset_equals_plan():
     s = spec((0, 0, 0), (6, 0, 0))
     alone = plan_segment(s, w1, bounds=BOUNDS)
     (committed,) = compute_taskset([spec((0, 0, 0), (6, 0, 0))], w2)
-    assert committed.cells == alone.cells
-    assert alone.polyline is None
-    assert polyline_cells(committed.polyline) == set(alone.cells)
+    assert committed == polyline_from_cells(alone, "primal", SEG_C)
+    assert polyline_cells(committed) == set(alone)
 
 
 def test_taskset_requires_distinct_priorities():
@@ -518,9 +524,9 @@ def three_connection_scenario():
     # white's guide fences a far corner, like a pool rail would
     magenta = w.obstacles.add(Box3(Point3(10, 14, -12), Point3(16, 16, 13)), GUIDE, 255, "white")
 
-    white = spec((0, 2, 0), (15, 2, 0), prio=255, owner="white", obstacles=(magenta.oid,))
-    grey = spec((0, 5, 0), (15, 5, 0), prio=128, owner="grey", obstacles=(orange.oid,))
-    black = spec((5, 0, 0), (5, 7, 0), prio=0, owner="black", obstacles=(yellow.oid,))
+    white = spec((0, 2, 0), (15, 2, 0), prio=255, owner="white", obstacles=(magenta,))
+    grey = spec((0, 5, 0), (15, 5, 0), prio=128, owner="grey", obstacles=(orange,))
+    black = spec((5, 0, 0), (5, 7, 0), prio=0, owner="black", obstacles=(yellow,))
     return w, [white, grey, black], (magenta, orange, yellow)
 
 
@@ -528,7 +534,7 @@ def test_three_connection_scenario_routes_disjoint():
     w, ts, (magenta, orange, yellow) = three_connection_scenario()
     paths = compute_taskset(ts, w, margin=16)
     assert len(paths) == 3
-    cells = [set(p.cells) for p in paths]
+    cells = [polyline_cells(p) for p in paths]
     assert cells[0] & cells[1] == set()
     assert cells[0] & cells[2] == set()
     assert cells[1] & cells[2] == set()
@@ -544,8 +550,8 @@ def test_protocol_reenables_only_guides():
     w, ts, (magenta, orange, yellow) = three_connection_scenario()
     compute_taskset(ts, w, margin=16)
     enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
-    assert magenta.oid in enabled
-    assert orange.oid not in enabled and yellow.oid not in enabled
+    assert magenta in enabled
+    assert orange not in enabled and yellow not in enabled
 
 
 def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
@@ -562,11 +568,21 @@ def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
     assert all(before == after for before, after in sizes)
     for occupy in (orange, yellow):
         with pytest.raises(KeyError):
-            w.obstacles.get(occupy.oid)
+            w.obstacles.get(occupy)
         with pytest.raises(UnknownEntryError):
-            w.index.get(occupy.oid)
-    assert w.obstacles.get(magenta.oid).enabled
-    assert w.index.get(magenta.oid).tag == "obstacle"
+            w.index.get(occupy)
+    assert w.obstacles.get(magenta).enabled
+    assert w.index.get(magenta).tag == "obstacle"
+
+
+def rail_run_world(stop_t):
+    """A world with rail 0's line guide and connection c1's forward guard,
+    and c1's rail run from t = 4 to ``stop_t`` on that rail."""
+    w = World(journal=Journal())
+    line = w.obstacles.add(Box3(Point3(0, 3, 4), Point3(40, 4, 5)), GUIDE, 0, "rail0")
+    fwd = w.obstacles.add(Box3(Point3(5, 3, 3), Point3(40, 4, 5)), GUIDE, 0, "c1")
+    run = spec((4, 3, 4), (stop_t, 3, 4), seg=SEG_E, owner="c1", obstacles=(line, fwd))
+    return w, line, fwd, run
 
 
 @pytest.mark.parametrize("stop_t", [9, 4], ids=["run", "one-cell"])
@@ -574,31 +590,67 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
     """A rail run never switches an obstacle: it writes the off and on
     lines of its line guide and forward guard around one claim: the box
     spanning ``[start.t, stop.t + 1)`` on the rail's one ``(x, y)`` cell."""
-    w = World(journal=Journal())
-    line = w.obstacles.add(Box3(Point3(0, 3, 4), Point3(40, 4, 5)), GUIDE, 0, "rail0")
-    fwd = w.obstacles.add(Box3(Point3(5, 3, 3), Point3(40, 4, 5)), GUIDE, 0, "c1")
+    w, line, fwd, run = rail_run_world(stop_t)
 
     def refuse(self, oid):
         raise AssertionError(f"switched {oid}")
 
     monkeypatch.setattr(ObstacleRegistry, "disable", refuse)
     monkeypatch.setattr(ObstacleRegistry, "enable", refuse)
-    run = spec((4, 3, 4), (stop_t, 3, 4), seg=SEG_E, owner="c1", obstacles=(line.oid, fwd.oid))
-    (path,) = compute_taskset([run], w)
+    (poly,) = compute_taskset([run], w)
     assert not w.obstacles.disabled
-    assert w.obstacles.get(line.oid).enabled and w.obstacles.get(fwd.oid).enabled
+    assert w.obstacles.get(line).enabled and w.obstacles.get(fwd).enabled
     box = Box3(Point3(4, 3, 4), Point3(stop_t + 1, 4, 5))
     assert w.journal.lines[2:] == [
-        f"0 obstacle-off {line.oid}",
-        f"0 obstacle-off {fwd.oid}",
+        f"0 obstacle-off {line}",
+        f"0 obstacle-off {fwd}",
         f"0 claim connection connection_e.c1.c0.0 4 3 4 {stop_t + 1} 4 5",
-        f"0 obstacle-on {line.oid}",
-        f"0 obstacle-on {fwd.oid}",
+        f"0 obstacle-on {line}",
+        f"0 obstacle-on {fwd}",
     ]
     assert w.index.hits(box.inflated(1, 1, 1), tags=("connection",)) == {"connection_e.c1.c0.0"}
     assert w.index.get("connection_e.c1.c0.0").box == box
-    assert path.polyline.claim_boxes() == [box]
-    assert path.cells == tuple((t, 3, 4) for t in range(4, stop_t + 1))
+    assert poly.claim_boxes() == [box]
+    assert poly.vertices == ([run.start] if stop_t == 4 else [run.start, run.stop])
+    assert polyline_cells(poly) == {(t, 3, 4) for t in range(4, stop_t + 1)}
+
+
+def self_avoiding_walk(rng, runs):
+    """A walk of unit steps in ``runs`` straight runs of 1 to 4 cells along
+    random axes; a run stops short where it would revisit a cell."""
+    cells = [(0, 0, 0)]
+    seen = set(cells)
+    for _ in range(runs):
+        axis, sign = rng.randrange(3), rng.choice((-1, 1))
+        for _ in range(rng.randint(1, 4)):
+            nb = tuple(c + sign if i == axis else c for i, c in enumerate(cells[-1]))
+            if nb in seen:
+                break
+            cells.append(nb)
+            seen.add(nb)
+    return cells
+
+
+def test_polyline_len_counts_its_cells():
+    """``len`` of a polyline is the number of cells it covers: for random
+    walks with turns, collapsed to their turn points, for a single vertex,
+    and for the rail runs of the straight-claim test above."""
+    rng = random.Random(24)
+    turns = Counter()
+    for trial in range(300):
+        cells = self_avoiding_walk(rng, rng.randint(0, 12))
+        poly = polyline_from_cells(cells, "primal", SEG_C)
+        assert len(poly) == len(cells) == len(polyline_cells(poly)), trial
+        turns[min(len(poly.vertices) - 2, 3)] += 1
+    assert turns[3] >= 100, turns  # most walks turn at least three times
+
+    assert len(DefectPolyline("primal", SEG_C, [Point3(3, -4, 5)])) == 1
+    assert len(polyline_from_cells([(3, -4, 5)], "primal", SEG_C)) == 1
+
+    for stop_t in (9, 4):
+        w, _, _, run = rail_run_world(stop_t)
+        (poly,) = compute_taskset([run], w)
+        assert len(poly) == run.stop.t - run.start.t + 1
 
 
 def random_taskset(rng, prios):
@@ -617,11 +669,11 @@ def random_taskset(rng, prios):
         if rng.random() < 0.7:
             lo = Point3(rng.randint(0, 12), rng.randint(0, 12), 0)
             kind = GUIDE if rng.random() < 0.4 else OCCUPY
-            obs = w.obstacles.add(
+            oid = w.obstacles.add(
                 box_from_extents(lo, (rng.randint(1, 4), rng.randint(1, 4), 1)),
                 kind, prio, f"conn{i}",
             )
-            own.append(obs.oid)
+            own.append(oid)
         specs.append(
             SegmentSpec(Point3(*start), Point3(*stop), tuple(own), prio, SEG_C, f"conn{i}")
         )
@@ -630,7 +682,7 @@ def random_taskset(rng, prios):
 
 def run_outcome(w, ts):
     try:
-        return [p.cells for p in compute_taskset(ts, w, margin=6)]
+        return compute_taskset(ts, w, margin=6)
     except NoPathError as exc:
         return ("nopath", exc.spec.owner)
 
@@ -657,6 +709,7 @@ def test_committed_paths_disjoint_random_tasksets():
         if isinstance(out, tuple):
             continue
         seen = set()
-        for cells in out:
+        for poly in out:
+            cells = polyline_cells(poly)
             assert seen.isdisjoint(cells)
             seen.update(cells)

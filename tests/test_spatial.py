@@ -242,7 +242,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
                 box = rand_rod(rng)
             else:
                 box = rand_box(rng, span=30, max_ext=12)
-            live[reg.add(box, "guide", step, "x").oid] = box
+            live[reg.add(box, "guide", step, "x")] = box
         else:
             oid = rng.choice(sorted(live))
             reg.remove(oid)
@@ -304,7 +304,7 @@ def test_thin_obstacles_at_the_column_threshold_match_brute_force(seed):
             else:
                 lo = Point3(rng.randint(-50, 30), rng.randint(-12, 12), rng.randint(-12, 12))
             box = box_from_extents(lo, (length, *shape))
-            live[reg.add(box, "guide", step, "x").oid] = (box, THIN_SHAPES[shape]
+            live[reg.add(box, "guide", step, "x")] = (box, THIN_SHAPES[shape]
                                                            and length > COLUMN_T)
         else:
             oid = rng.choice(sorted(live))
