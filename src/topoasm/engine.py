@@ -9,12 +9,14 @@ the proactive scheduling condition fires between events:
 2. emit circuit geometry up to the earliest future magic input;
 3. assign reserved connections to the pending inputs;
 4. list the pool-to-pin drops, rail runs and box-to-rail links, add
-   their guards, then specs, obstacles and paths in the order drops +
-   links + runs (``cbe``) or drops + runs + links (``ceb``); drops and
-   links are searched, and a rail run is claimed straight as one box,
-   since the rail's guides and the grant-after-sweep rule keep it free,
-   with its guides' switch lines logged but no guide switched
-   (:mod:`topoasm.route`); a failed search or claim ends synthesis;
+   their guards, then mint the drops' and links' specs and occupies, and
+   claim in the order drops + links + runs (``cbe``) or drops + runs +
+   links (``ceb``): each block of drops and links is searched as one
+   task set, and each rail run is claimed straight as one box by
+   :func:`~topoasm.route.claim_run`, with no spec, since the rail's
+   guides and the grant-after-sweep rule keep it free; its guides'
+   switch lines are logged but no guide switched; a failed search or
+   claim ends synthesis;
 5. sweep stale connections back to available and record the step.
 
 Everything is deterministic for a fixed config: box outcomes come from
@@ -24,6 +26,7 @@ are explicit.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +35,7 @@ from .geom import (
     BOX_DEPTH,
     BRAID_DEPTH,
     Box3,
+    DefectPolyline,
     GeometryBuilder,
     GeometrySet,
     Point3,
@@ -57,6 +61,7 @@ from .route import (
     RouteError,
     SegmentSpec,
     World,
+    claim_run,
     compute_taskset,
     describe_spec,
 )
@@ -515,30 +520,45 @@ class Synthesizer:
         for _, conn, _ in drops + runs + links:
             self._ensure_guards(conn)
 
-        # line 20: the compute order concatenates the lists; each spec mints
-        # its occupy, and priorities descend along the order
+        # line 20: the compute order concatenates the lists; each searched
+        # spec mints its occupy, and priorities descend along the order
         if self.config.segment_order == "cbe":
             order = drops + links + runs
         else:
             order = drops + runs + links
         n = len(order)
-        specs = [self._spec(*seg, n - i) for i, seg in enumerate(order)]
+        specs = [None if seg[0] == SEG_E else self._spec(*seg, n - i)
+                 for i, seg in enumerate(order)]
 
-        # line 21: compute in descending priority, which is list order
+        # line 21: compute in descending priority, which is list order: each
+        # block of searched specs as one task set, each rail run as a claim;
+        # done holds a segment's polyline, or a run's rail position
+        done = []
         try:
-            polys = compute_taskset(specs, self.world)
+            blocks = itertools.groupby(zip(order, specs), key=lambda p: p[1] is not None)
+            for searched, block in blocks:
+                if searched:
+                    done += compute_taskset([spec for _, spec in block], self.world)
+                    continue
+                for (_, conn, (first, last)), _ in block:
+                    xy = self.pool.rail_position(conn.rail)
+                    own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
+                    claim_run(self.world, conn.id, first, last, *xy, own)
+                    done.append(xy)
         except RouteError as exc:
             if isinstance(exc, NoPathError):
                 self.journal.log("no-path", describe_spec(exc.spec))
             raise SynthesisFailure(str(exc), self.journal) from exc
 
-        for (segment_class, conn, arg), poly in zip(order, polys):
-            self.journal.log("path", segment_class, conn.id, len(poly))
+        for (segment_class, conn, arg), poly in zip(order, done):
             if segment_class == SEG_E:
-                self._extend_rail_polyline(conn, poly)
-                self.pool.apply_extension(conn, arg[1])
-            else:
-                self.geometry.defects.append(poly)
+                first, last = arg
+                self.journal.log("path", SEG_E, conn.id, last - first + 1)
+                self._extend_rail_polyline(conn, first, last, *poly)
+                self.pool.apply_extension(conn, last)
+                continue
+            self.journal.log("path", segment_class, conn.id, len(poly))
+            self.geometry.defects.append(poly)
             if segment_class == SEG_C:
                 self.deliveries[arg.key] = (conn.id, poly)
 
@@ -566,13 +586,9 @@ class Synthesizer:
             self.conn_fwd_guards[conn.id] = self.world.obstacles.add(region, GUIDE, 0, conn.id)
 
     def _spec(self, segment_class, conn, arg, prio) -> SegmentSpec:
-        """The segment's spec; a drop or link also mints its occupy obstacle,
-        the drop shaft or the box port."""
+        """The searched segment's spec, a drop or a link, with the occupy
+        obstacle it mints, the drop shaft or the box port."""
         x, y = self.pool.rail_position(conn.rail)
-        if segment_class == SEG_E:
-            first, last = arg
-            own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
-            return SegmentSpec(Point3(first, x, y), Point3(last, x, y), own, prio, SEG_E, conn.id)
         if segment_class == SEG_C:
             pin = pin_cell(arg)
             occupy = Box3(Point3(pin.t, pin.x, 0), Point3(pin.t + 1, pin.x + 1, POOL_GAP - 1))
@@ -588,13 +604,18 @@ class Synthesizer:
         oid = self.world.obstacles.add(occupy, OCCUPY, prio, conn.id)
         return SegmentSpec(start, goal, (oid, *guards), prio, segment_class, conn.id)
 
-    def _extend_rail_polyline(self, conn, run) -> None:
+    def _extend_rail_polyline(self, conn, first, last, x, y) -> None:
+        """Draw the rail run ``first .. last``: the connection's first run
+        starts its rail polyline, a later one moves the polyline's end."""
         poly = self._rail_polylines.get(conn.id)
+        stop = Point3(last, x, y)
         if poly is None:
-            self.geometry.defects.append(run)
-            self._rail_polylines[conn.id] = run
+            start = Point3(first, x, y)
+            poly = DefectPolyline("primal", SEG_E, [start] if first == last else [start, stop])
+            self.geometry.defects.append(poly)
+            self._rail_polylines[conn.id] = poly
         else:
-            poly.extend_last(run.vertices[-1])
+            poly.extend_last(stop)
 
 
 def synthesize(circuit: ICMCircuit, config: SynthesisConfig) -> Assembly:

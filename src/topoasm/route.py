@@ -17,23 +17,24 @@ blocked while its solid bit is set or its obstacle count, planes plus
 column spans, exceeds the number of disabled obstacles that contain it.
 A task set is computed in strictly descending priority: disable the
 active spec's own obstacles, plan, commit the path, re-enable the guides
-and remove the occupies; a rail run only logs those switches (below).
-A committed segment is the :class:`DefectPolyline` its claim covers:
-:func:`compute_taskset` returns those polylines, so callers draw exactly
-what was claimed.
+and remove the occupies; a rail run is claimed outside any task set and
+only logs those switches (below).  A committed segment is the
+:class:`DefectPolyline` its claim covers: :func:`compute_taskset`
+returns those polylines, so callers draw exactly what was claimed.
 
-Rail runs: a ``connection_e`` spec only lengthens a connection along its
-own pool rail, from ``start.t`` to ``stop.t`` at the rail's ``x, y``, and
-its segment is that straight run, the polyline of its two ends, claimed
-as one box without a search and without a walk over its cells.  Three
-fences keep the run free: every other spec sees the rail's line guide;
-the holder's forward guard fences ``anchor_t + 1 ..`` on the line and
-the strip under it; and a rail is granted again only after its last
-holder is swept and its forward guard removed.  A solid on a run still
-fails loudly in :meth:`World.claim`.  The run's own obstacles, that line
-guide and forward guard, are not switched: no search reads the blocked
-set around the claim.  Between specs no obstacle is disabled, so both
-are enabled, and :meth:`ObstacleRegistry.log_switches` writes the
+Rail runs: a ``connection_e`` segment only lengthens a connection along
+its own pool rail, from ``first`` to ``last`` in t at the rail's ``x, y``,
+and its segment is that straight run.  It is no task-set spec:
+:func:`claim_run` claims it as one box, with no search, no spec and no
+polyline, and the caller draws it.  Three fences keep the run free:
+every other spec sees the rail's line guide; the holder's forward guard
+fences ``anchor_t + 1 ..`` on the line and the strip under it; and a
+rail is granted again only after its last holder is swept and its
+forward guard removed.  A solid on a run still fails loudly in
+:meth:`World.claim`.  The run's own obstacles, that line guide and
+forward guard, are not switched: no search reads the blocked set around
+the claim.  Between task sets no obstacle is disabled, so both are
+enabled, and :meth:`ObstacleRegistry.log_switches` writes the
 ``obstacle-off`` lines before the claim and the ``obstacle-on`` lines
 after it that switching them would write; those lines are part of the
 ``--journal`` export.
@@ -126,7 +127,7 @@ class SegmentSpec:
 
     start: Point3
     stop: Point3
-    obstacles: tuple = ()  # ids owned by this spec: off for its search (a rail run only logs it)
+    obstacles: tuple = ()  # ids owned by this spec: off for its search
     priority: int = 0
     segment_class: str = SEG_C
     owner: str = ""
@@ -218,7 +219,7 @@ class World:
     def is_free(self, box: Box3) -> bool:
         """Whether no solid cell lies in ``box`` (obstacles do not count):
         a bit-mask probe of the buckets the box touches."""
-        return not self.index.overlaps_solid(box)
+        return not self.index.solid_rows(box)
 
 
 class BlockedView:
@@ -363,20 +364,17 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
 
 def compute_taskset(specs: list[SegmentSpec], world: World,
                     margin: int = 10) -> list[DefectPolyline]:
-    """Compute the segments of one event-handling pass under the obstacle
-    protocol and return, in the order computed, the polyline each claimed.
+    """Compute the searched segments of one event-handling pass under the
+    obstacle protocol and return, in the order computed, the polyline
+    each claimed.
 
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled, the segment is
     planned, the polyline its cells collapse to is committed to the
     world, the guide obstacles are re-enabled and the occupy obstacles
-    are removed.  A rail run is not planned and switches nothing: its
-    polyline is ``[start, stop]`` (``[start]`` when they coincide),
-    claimed as one box, and the ``obstacle-off`` and ``obstacle-on``
-    lines of its two guides are logged around the claim (the module
-    notes say why this is exact).  Committed segments are mutually
-    disjoint and disjoint from all prior geometry: a claim that overlaps
-    a solid raises :class:`RouteError`.
+    are removed.  Rail runs are no specs; :func:`claim_run` claims them.
+    Committed segments are mutually disjoint and disjoint from all prior
+    geometry: a claim that overlaps a solid raises :class:`RouteError`.
     """
     prios = [s.priority for s in specs]
     if len(set(prios)) != len(prios):
@@ -384,23 +382,16 @@ def compute_taskset(specs: list[SegmentSpec], world: World,
     registry = world.obstacles
     polys = []
     for spec in sorted(specs, key=lambda s: -s.priority):
-        if spec.segment_class == SEG_E:
-            start, stop = spec.start, spec.stop
-            poly = DefectPolyline("primal", SEG_E, [start] if start == stop else [start, stop])
-            registry.log_switches(spec.obstacles, False)
-            _commit_path(spec, poly, world)
-            registry.log_switches(spec.obstacles, True)
-        else:
-            for oid in spec.obstacles:
-                registry.disable(oid)
-            cells = plan_segment(spec, world, margin=margin)
-            poly = polyline_from_cells(cells, "primal", spec.segment_class)
-            _commit_path(spec, poly, world)
-            for oid in spec.obstacles:
-                if registry.get(oid).kind == GUIDE:
-                    registry.enable(oid)
-                else:
-                    registry.remove(oid)
+        for oid in spec.obstacles:
+            registry.disable(oid)
+        cells = plan_segment(spec, world, margin=margin)
+        poly = polyline_from_cells(cells, "primal", spec.segment_class)
+        _commit_path(spec, poly, world)
+        for oid in spec.obstacles:
+            if registry.get(oid).kind == GUIDE:
+                registry.enable(oid)
+            else:
+                registry.remove(oid)
         polys.append(poly)
     return polys
 
@@ -410,3 +401,16 @@ def _commit_path(spec: SegmentSpec, poly: DefectPolyline, world: World) -> None:
     seq = next(world._commit_seq)
     for i, box in enumerate(poly.claim_boxes()):
         world.claim(f"{spec.segment_class}.{spec.owner}.c{seq}.{i}", box, "connection")
+
+
+def claim_run(world: World, owner: str, first: int, last: int, x: int, y: int,
+              obstacles: tuple) -> None:
+    """Claim connection ``owner``'s rail run, the cells ``first .. last`` in
+    t at ``(x, y)``, as one box, with the ``obstacle-off`` and
+    ``obstacle-on`` lines of its own ``obstacles`` logged around the claim
+    and none switched (the module notes say why this is exact)."""
+    registry = world.obstacles
+    registry.log_switches(obstacles, False)
+    world.claim(f"{SEG_E}.{owner}.c{next(world._commit_seq)}.0",
+                Box3(Point3(first, x, y), Point3(last + 1, x + 1, y + 1)), "connection")
+    registry.log_switches(obstacles, True)

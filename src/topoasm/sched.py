@@ -241,6 +241,16 @@ def place_alap_layer(
     Boxes stack upward in a wall beside the channel; when slabs of
     consecutive events overlap in time the wall marches away from the
     circuit, which is what stretches these assemblies sideways.
+
+    Each box takes the lowest ``dy`` free rows at or above ``y`` in its
+    column, or opens the next column.  The free rows are read from one
+    :meth:`~topoasm.spatial.BoxIndex.solid_rows` mask per column and box
+    kind, taken on entering the column (or on the kind's first box in it)
+    over the slab a box of that kind could fill, and no position is
+    probed.  The mask stays exact while the column fills: within a column
+    ``y`` only grows, so this round's boxes claimed since the mask was
+    taken lie below ``y``, and nothing else writes the index while the
+    round is placed.  :meth:`World.claim` still rejects an overlap loudly.
     """
     t0 = demand_time - BOX_DEPTH - 1
     layer = DistillationLayer(round_id, t0)
@@ -248,30 +258,36 @@ def place_alap_layer(
     base_x = channel.lo.x - 1
     floor_y = ALAP_WALL_FLOOR
     top_y = floor_y + ALAP_WALL_HEIGHT
+    wall = (1 << ALAP_WALL_HEIGHT) - 1
     y = floor_y
     col_width = 0
     x_col = base_x
+    taken = None  # the (column, kind) whose free runs ``fits`` holds
     for i, kind in enumerate(kinds):
         dt, dx, dy = BOX_EXTENTS[kind]
-        placed = None
-        while placed is None:
-            if y + dy > top_y:
-                y = floor_y
-                x_col -= (col_width + 1) if col_width else (dx + 1)
-                col_width = 0
-                # Each box opens at most one column; 96 more make room to
-                # march past the walls of earlier rounds.
-                if x_col < base_x - (96 + len(kinds)) * (dx + 1):
-                    raise PlacementError("alap wall ran away from the channel")
-            lo = Point3(t0, x_col - dx, y)
-            footprint = box_from_extents(lo, (dt, dx, dy))
-            if world.is_free(footprint):
-                placed = footprint
-                y += dy + 1
-                col_width = max(col_width, dx)
-            else:
-                y += 1
-        box = _mk_box(f"r{round_id}.{kind}{i}", kind, placed)
+        while True:
+            if taken != (x_col, kind):
+                taken = (x_col, kind)
+                slab = Box3(Point3(t0, x_col - dx, floor_y), Point3(t0 + dt, x_col, top_y))
+                # bit r of fits: rows r .. r + dy - 1 of the wall are free
+                fits = free_rows = ~world.index.solid_rows(slab) & wall
+                for k in range(1, dy):
+                    fits &= free_rows >> k
+            free = fits >> (y - floor_y)
+            if free:
+                break
+            y = floor_y
+            x_col -= (col_width + 1) if col_width else (dx + 1)
+            col_width = 0
+            # Each box opens at most one column; 96 more make room to
+            # march past the walls of earlier rounds.
+            if x_col < base_x - (96 + len(kinds)) * (dx + 1):
+                raise PlacementError("alap wall ran away from the channel")
+        y += (free & -free).bit_length() - 1
+        box = _mk_box(f"r{round_id}.{kind}{i}", kind,
+                      box_from_extents(Point3(t0, x_col - dx, y), (dt, dx, dy)))
         world.claim(box.box_id, box.footprint, "box")
         layer.boxes.append(box)
+        y += dy + 1
+        col_width = max(col_width, dx)
     return layer

@@ -36,6 +36,15 @@ The length threshold keeps the many short pin guards out of the
 columns, so a column holds only long spans and a linear scan reads it.  An emptied column is
 deleted, as an empty bucket record is.
 
+A box's mask in a bucket is the product of its axes' masks there.  An
+axis's ``(bucket offset, mask)`` spans depend only on the box's offset
+in its first bucket and its length, ``(lo & LOW, hi - lo)``, so one memo
+per axis, shared by every index since a key's spans never change, builds
+them once per key; long thin obstacles stay out of the planes, so t
+lengths stay short and the memos small (a few hundred keys on a
+14-Toffoli chain).  :meth:`BoxIndex.solid_rows` folds a slab's
+solid cells over t and x onto its rows, for the alap wall.
+
 Inserts, overlap probes and cell tests are therefore bit operations or
 short scans.  :attr:`BoxIndex.rows` keeps each obstacle's row
 ``lo + hi``, whichever store holds it, so a blocked-cell query can
@@ -56,36 +65,44 @@ T_SHIFT = 2 * SHIFT  # a cell's bit: (t & LOW) << T_SHIFT | (x & LOW) << SHIFT |
 COLUMN_T = 4 * BUCKET  # an obstacle of at most 2 x-y cells longer than this in t is column spans
 
 
-def _span_table(stride: int) -> list[list[int]]:
-    """``table[lo][hi]`` has the bits ``stride * c`` for ``lo <= c < hi``."""
-    return [[sum(1 << (stride * c) for c in range(lo, hi)) for hi in range(BUCKET + 1)]
-            for lo in range(BUCKET + 1)]
+class _AxisSpans(dict):
+    """One axis's spans, memoized: ``spans[lo & LOW, hi - lo]`` holds
+    ``(bucket offset, mask)`` for every bucket that ``[lo, hi)`` touches,
+    the offset counted from ``lo >> SHIFT``; a mask has the bits
+    ``stride * c`` of the cells ``c`` it covers in its bucket."""
+
+    def __init__(self, stride: int):
+        super().__init__()
+        self.stride = stride
+
+    def __missing__(self, key: tuple[int, int]) -> tuple:
+        lo, hi = key[0], key[0] + key[1]
+        spans = tuple((b, sum(1 << self.stride * c for c in range(max(lo - b * BUCKET, 0),
+                                                                  min(hi - b * BUCKET, BUCKET))))
+                      for b in range(((hi - 1) >> SHIFT) + 1))
+        self[key] = spans
+        return spans
 
 
-# A box's mask in one bucket is Y * X * T: the product of disjoint
-# single-bit sums places one bit per cell and never carries.
-_T_SPAN = _span_table(BUCKET * BUCKET)
-_X_SPAN = _span_table(BUCKET)
-_Y_SPAN = _span_table(1)
-
-
-def _axis_spans(lo: int, hi: int, table) -> list[tuple[int, int]]:
-    """``(bucket, mask)`` for every bucket that ``[lo, hi)`` touches on one axis."""
-    first, last = lo >> SHIFT, (hi - 1) >> SHIFT
-    if first == last:
-        return [(first, table[lo & LOW][hi - (first << SHIFT)])]
-    full = table[0][BUCKET]
-    return ([(first, table[lo & LOW][BUCKET])] + [(b, full) for b in range(first + 1, last)]
-            + [(last, table[0][hi - (last << SHIFT)])])
+# Y * X * T, the product of disjoint single-bit sums, places one bit per
+# cell and never carries.
+_T_SPANS = _AxisSpans(BUCKET * BUCKET)
+_X_SPANS = _AxisSpans(BUCKET)
+_Y_SPANS = _AxisSpans(1)
+# Shifts that fold a bucket mask's t slices, then its x rows, onto the y
+# bits of its first row, which _Y_BITS keeps.
+_FOLD = tuple(BUCKET ** 3 >> k for k in range(1, 2 * SHIFT + 1))
+_Y_BITS = (1 << BUCKET) - 1
 
 
 def _box_masks(box: Box3) -> list[tuple[tuple[int, int, int], int]]:
     """``(bucket key, cell mask)`` for every bucket the box touches."""
     (lt, lx, ly), (ht, hx, hy) = box
-    ts = _axis_spans(lt, ht, _T_SPAN)
-    xys = [(bx, by, xm * ym) for bx, xm in _axis_spans(lx, hx, _X_SPAN)
-           for by, ym in _axis_spans(ly, hy, _Y_SPAN)]
-    return [((bt, bx, by), xy * tm) for bt, tm in ts for bx, by, xy in xys]
+    bt, bx, by = lt >> SHIFT, lx >> SHIFT, ly >> SHIFT
+    xys = [(bx + dx, by + dy, xm * ym) for dx, xm in _X_SPANS[lx & LOW, hx - lx]
+           for dy, ym in _Y_SPANS[ly & LOW, hy - ly]]
+    return [((bt + dt, x, y), xy * tm) for dt, tm in _T_SPANS[lt & LOW, ht - lt]
+            for x, y, xy in xys]
 
 
 def _columns(box: Box3) -> list[tuple[int, int]]:
@@ -203,20 +220,32 @@ class BoxIndex:
         except KeyError:
             raise UnknownEntryError(eid) from None
 
-    def overlaps_solid(self, box: Box3) -> bool:
-        """Whether any cell of ``box`` is solid; a bucket's mask is built
-        only when the bucket holds solid cells."""
+    def solid_rows(self, slab: Box3) -> int:
+        """The rows of ``slab`` that hold a solid cell, as a bit mask: bit
+        ``y - slab.lo.y`` is set when some solid cell of the slab has that
+        ``y``, so the mask is 0 when no cell of the slab is solid.  Each
+        bucket's solid cells in the slab fold over t and x onto its ``y``
+        bits; a bucket's mask is built only when it holds solid cells."""
         records = self.records
-        (lt, lx, ly), (ht, hx, hy) = box
-        xs = _axis_spans(lx, hx, _X_SPAN)
-        ys = _axis_spans(ly, hy, _Y_SPAN)
-        for bt, tm in _axis_spans(lt, ht, _T_SPAN):
-            for bx, xm in xs:
-                for by, ym in ys:
-                    rec = records.get((bt, bx, by))
-                    if rec and rec[0] and rec[0] & ym * xm * tm:
-                        return True
-        return False
+        (lt, lx, ly), (ht, hx, hy) = slab
+        bt, bx, by = lt >> SHIFT, lx >> SHIFT, ly >> SHIFT
+        ts = _T_SPANS[lt & LOW, ht - lt]
+        xs = _X_SPANS[lx & LOW, hx - lx]
+        rows = 0
+        for dy, ym in _Y_SPANS[ly & LOW, hy - ly]:
+            m = 0
+            for dt, tm in ts:
+                for dx, xm in xs:
+                    rec = records.get((bt + dt, bx + dx, by + dy))
+                    if rec and rec[0]:
+                        m |= rec[0] & ym * xm * tm
+            if m:
+                for shift in _FOLD:
+                    m |= m >> shift
+                m &= _Y_BITS
+                base = ((by + dy) << SHIFT) - ly
+                rows |= m << base if base >= 0 else m >> -base
+        return rows
 
     def hits(self, probe: Box3, tags=None) -> set[str]:
         """Ids of all entries whose boxes overlap the probe.

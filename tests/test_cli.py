@@ -362,8 +362,10 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     [
         ("spiral", "cbe", "0b33c16a9161afd987ef94bb423e9bc35da886ed4ad562d9f957f5ed3439cf70"),
         ("alap", "ceb", "a859043b21716466f7126a3c69a3ecf068814d118f7da674ef187b500cab1fc0"),
+        ("spiral", "ceb", "d4ffb4b77b838356c8fd90706d17d4d3290530784a952fdb40f88efd07e6ac24"),
+        ("alap", "cbe", "b54f88e381439ee07559aae70dea1cea6392b574a2ead07807ac52c262546e24"),
     ],
-    ids=["spiral-cbe", "alap-ceb"],
+    ids=["spiral-cbe", "alap-ceb", "spiral-ceb", "alap-cbe"],
 )
 def test_long_chain_digests(tmp_path, monkeypatch, capsys, scheduler, order, digest):
     """A 16-Toffoli sequential chain (``topobench/compose.py``, recycling on)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from topoasm import fixtures, route
+from topoasm import engine, fixtures, route
 from topoasm.engine import (
     EngineError,
     OutcomeSource,
@@ -18,7 +18,6 @@ from topoasm.geom import (
     cell_box,
     global_bounding_box,
     plumbing_volume,
-    polyline_from_cells,
 )
 from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
@@ -367,27 +366,29 @@ def test_solid_on_a_rail_run_fails_with_the_journal(toffoli):
 
 def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monkeypatch):
     """Oracle for the straight claim: just before each rail run is
-    committed, no obstacle is switched off (so logging the run's switches
+    claimed, no obstacle is switched off (so logging the run's switches
     without making them is exact), and with its own obstacles switched off
-    A* on the same world returns exactly the cells the run's polyline
-    covers, collapsed to the same polyline."""
-    commit = route._commit_path
+    A* on the same world, given the equivalent ``connection_e`` spec,
+    returns exactly the cells of the straight run that is claimed."""
+    claim = engine.claim_run
     checked = []
 
-    def checked_commit(spec, poly, world):
-        if spec.segment_class == route.SEG_E:
-            registry = world.obstacles
-            assert not registry.disabled, route.describe_spec(spec)
-            for oid in spec.obstacles:
-                registry.disable(oid)
-            found = polyline_from_cells(route.plan_segment(spec, world), "primal", route.SEG_E)
-            assert found == poly, route.describe_spec(spec)
-            for oid in spec.obstacles:
-                registry.enable(oid)
-            checked.append(spec)
-        return commit(spec, poly, world)
+    def checked_claim(world, owner, first, last, x, y, obstacles):
+        registry = world.obstacles
+        spec = route.SegmentSpec(
+            Point3(first, x, y), Point3(last, x, y), obstacles, 0, route.SEG_E, owner,
+        )
+        assert not registry.disabled, route.describe_spec(spec)
+        for oid in obstacles:
+            registry.disable(oid)
+        found = route.plan_segment(spec, world)
+        assert found == tuple((t, x, y) for t in range(first, last + 1)), route.describe_spec(spec)
+        for oid in obstacles:
+            registry.enable(oid)
+        checked.append(spec)
+        return claim(world, owner, first, last, x, y, obstacles)
 
-    monkeypatch.setattr(route, "_commit_path", checked_commit)
+    monkeypatch.setattr(engine, "claim_run", checked_claim)
     for circuit in (toffoli, toffoli_unopt):
         for kind in ("spiral", "alap", "asap"):
             synthesize(circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))

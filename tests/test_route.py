@@ -26,6 +26,7 @@ from topoasm.route import (
     RouteError,
     SegmentSpec,
     World,
+    claim_run,
     compute_taskset,
     default_bounds,
     plan_segment,
@@ -575,29 +576,28 @@ def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
     assert w.index.get(magenta).tag == "obstacle"
 
 
-def rail_run_world(stop_t):
-    """A world with rail 0's line guide and connection c1's forward guard,
-    and c1's rail run from t = 4 to ``stop_t`` on that rail."""
+def rail_run_world():
+    """A world with rail 0's line guide and connection c1's forward guard;
+    c1's rail run starts at t = 4 on that rail, at ``(x, y) = (3, 4)``."""
     w = World(journal=Journal())
     line = w.obstacles.add(Box3(Point3(0, 3, 4), Point3(40, 4, 5)), GUIDE, 0, "rail0")
     fwd = w.obstacles.add(Box3(Point3(5, 3, 3), Point3(40, 4, 5)), GUIDE, 0, "c1")
-    run = spec((4, 3, 4), (stop_t, 3, 4), seg=SEG_E, owner="c1", obstacles=(line, fwd))
-    return w, line, fwd, run
+    return w, line, fwd
 
 
 @pytest.mark.parametrize("stop_t", [9, 4], ids=["run", "one-cell"])
 def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, stop_t):
     """A rail run never switches an obstacle: it writes the off and on
     lines of its line guide and forward guard around one claim: the box
-    spanning ``[start.t, stop.t + 1)`` on the rail's one ``(x, y)`` cell."""
-    w, line, fwd, run = rail_run_world(stop_t)
+    spanning ``[first, last + 1)`` on the rail's one ``(x, y)`` cell."""
+    w, line, fwd = rail_run_world()
 
     def refuse(self, oid):
         raise AssertionError(f"switched {oid}")
 
     monkeypatch.setattr(ObstacleRegistry, "disable", refuse)
     monkeypatch.setattr(ObstacleRegistry, "enable", refuse)
-    (poly,) = compute_taskset([run], w)
+    assert claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd)) is None
     assert not w.obstacles.disabled
     assert w.obstacles.get(line).enabled and w.obstacles.get(fwd).enabled
     box = Box3(Point3(4, 3, 4), Point3(stop_t + 1, 4, 5))
@@ -610,9 +610,20 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
     ]
     assert w.index.hits(box.inflated(1, 1, 1), tags=("connection",)) == {"connection_e.c1.c0.0"}
     assert w.index.get("connection_e.c1.c0.0").box == box
-    assert poly.claim_boxes() == [box]
-    assert poly.vertices == ([run.start] if stop_t == 4 else [run.start, run.stop])
-    assert polyline_cells(poly) == {(t, 3, 4) for t in range(4, stop_t + 1)}
+    assert set(box_cells(box)) == {(t, 3, 4) for t in range(4, stop_t + 1)}
+
+
+def test_rail_run_ids_follow_the_commit_sequence():
+    """A run's claim id takes the next number of the world's commit
+    sequence, shared with searched segments, so ids never repeat."""
+    w, line, fwd = rail_run_world()
+    compute_taskset([spec((0, 0, 0), (2, 0, 0), owner="c0")], w)
+    claim_run(w, "c1", 4, 9, 3, 4, (line, fwd))
+    claim_run(w, "c1", 10, 10, 3, 4, (line, fwd))
+    ids = [ln.split()[3] for ln in w.journal.lines if ln.split()[1] == "claim"]
+    assert ids == ["connection_c.c0.c0.0", "connection_e.c1.c1.0", "connection_e.c1.c2.0"]
+    with pytest.raises(RouteError, match=r"connection_e\.c1\.c3\.0 overlaps"):
+        claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
 
 
 def self_avoiding_walk(rng, runs):
@@ -634,7 +645,8 @@ def self_avoiding_walk(rng, runs):
 def test_polyline_len_counts_its_cells():
     """``len`` of a polyline is the number of cells it covers: for random
     walks with turns, collapsed to their turn points, for a single vertex,
-    and for the rail runs of the straight-claim test above."""
+    and for the rail polylines of the runs the straight-claim test above
+    claims, whose one box each covers as many cells."""
     rng = random.Random(24)
     turns = Counter()
     for trial in range(300):
@@ -648,9 +660,13 @@ def test_polyline_len_counts_its_cells():
     assert len(polyline_from_cells([(3, -4, 5)], "primal", SEG_C)) == 1
 
     for stop_t in (9, 4):
-        w, _, _, run = rail_run_world(stop_t)
-        (poly,) = compute_taskset([run], w)
-        assert len(poly) == run.stop.t - run.start.t + 1
+        w, line, fwd = rail_run_world()
+        claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd))
+        box = w.index.get("connection_e.c1.c0.0").box
+        vertices = [Point3(4, 3, 4)] + [Point3(stop_t, 3, 4)] * (stop_t > 4)
+        poly = DefectPolyline("primal", SEG_E, vertices)
+        assert poly.claim_boxes() == [box]
+        assert len(poly) == stop_t - 4 + 1 == len(list(box_cells(box)))
 
 
 def random_taskset(rng, prios):

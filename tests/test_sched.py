@@ -315,6 +315,91 @@ def test_alap_layer_ends_before_demand():
     assert no_pairwise_overlap(everything)
 
 
+def reference_alap_layer(n_a, n_y, demand_time, world, channel, round_id=0):
+    """The alap placer that probes every candidate row with
+    ``World.is_free``, one row up after each miss, kept as the reference
+    for the one that reads a column's free rows from the index."""
+    t0 = demand_time - sched.BOX_DEPTH - 1
+    layer = DistillationLayer(round_id, t0)
+    kinds = ["A"] * n_a + ["Y"] * n_y
+    base_x = channel.lo.x - 1
+    floor_y = sched.ALAP_WALL_FLOOR
+    top_y = floor_y + sched.ALAP_WALL_HEIGHT
+    y, col_width, x_col = floor_y, 0, base_x
+    for i, kind in enumerate(kinds):
+        dt, dx, dy = BOX_EXTENTS[kind]
+        placed = None
+        while placed is None:
+            if y + dy > top_y:
+                y = floor_y
+                x_col -= (col_width + 1) if col_width else (dx + 1)
+                col_width = 0
+                if x_col < base_x - (96 + len(kinds)) * (dx + 1):
+                    raise PlacementError("alap wall ran away from the channel")
+            footprint = box_from_extents(Point3(t0, x_col - dx, y), (dt, dx, dy))
+            if world.is_free(footprint):
+                placed = footprint
+                y += dy + 1
+                col_width = max(col_width, dx)
+            else:
+                y += 1
+        box = sched._mk_box(f"r{round_id}.{kind}{i}", kind, placed)
+        world.claim(box.box_id, box.footprint, "box")
+        layer.boxes.append(box)
+    return layer
+
+
+def test_alap_row_masks_place_the_probing_reference_boxes():
+    """On random worlds (solid blocks and thin committed connections across
+    the wall, several rounds whose slabs overlap in t), the alap placer
+    places exactly the boxes of the reference that probes row by row, and
+    sends the index no ``is_free`` probe."""
+    rng = random.Random(25)
+    columns = placed = 0
+    misses = []
+    for trial in range(30):
+        channel = box_from_extents(
+            Point3(0, rng.randint(-4, 4), rng.randint(-4, 4)),
+            (rng.randint(8, 40), rng.randint(1, 24), rng.randint(1, 12)),
+        )
+        ref_world, world = World(), World()
+
+        def counted_is_free(box, _orig=ref_world.is_free):
+            free = _orig(box)
+            if not free:
+                misses.append(box)
+            return free
+
+        ref_world.is_free = counted_is_free
+        world.is_free = lambda box: pytest.fail(f"probed {box}")
+        x0 = channel.lo.x - 1
+        solids = []
+        for _ in range(rng.randint(0, 12)):
+            lo = Point3(rng.randint(0, 30), rng.randint(x0 - 30, x0), rng.randint(-4, 30))
+            solids.append(box_from_extents(lo, (rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 6))))
+        for _ in range(rng.randint(0, 12)):
+            # a connection one cell thick, running along x, y or t through the wall
+            t, x, y = rng.randint(0, 30), rng.randint(x0 - 30, x0), rng.randint(-3, 30)
+            ext = [1, 1, 1]
+            ext[rng.randrange(3)] = rng.randint(5, 40)
+            solids.append(box_from_extents(Point3(t, x, y), tuple(ext)))
+        for i, box in enumerate(solids):
+            if not ref_world.index.hits(box, tags=SOLID_TAGS):
+                for w in (ref_world, world):
+                    w.claim(f"solid{i}", box, "connection")
+        for round_id in range(rng.randint(1, 5)):
+            n_a, n_y = rng.randint(0, 12), rng.randint(0, 16)
+            demand = rng.randint(8, 30)
+            want = reference_alap_layer(n_a, n_y, demand, ref_world, channel, round_id)
+            got = place_alap_layer(n_a, n_y, demand, world, channel, round_id)
+            assert [(b.box_id, b.kind, b.footprint, b.port) for b in got.boxes] == [
+                (b.box_id, b.kind, b.footprint, b.port) for b in want.boxes
+            ]
+            columns += len({b.footprint.hi.x for b in got.boxes})
+            placed += len(got.boxes)
+    assert placed > 1000 and columns > 150 and len(misses) > 1500
+
+
 def test_baseline_placements():
     w = World()
     channel = unit_channel()

@@ -1,9 +1,14 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from topoasm import fixtures, spatial
+from topoasm.engine import SynthesisConfig, synthesize
 from topoasm.geom import Box3, Point3, box_from_extents
+from topoasm.icm import parse_icm
+from topoasm.sched import SchedulerPolicy
 from topoasm.route import SOLID_TAGS, BlockedView, RouteError, World
 from topoasm.spatial import (
     COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
@@ -226,7 +231,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
     solids = []
     for n in range(6):
         box = solid_box(rng)
-        if not idx.overlaps_solid(box):
+        if not idx.solid_rows(box):
             w.claim(f"s{n}", box, "box")
             solids.append(box)
     stack = Point3(rng.randint(-20, -1), rng.randint(-20, -1), rng.randint(-20, -1))
@@ -388,14 +393,14 @@ class SolidOracle:
             del self.live[eid]
 
     def check(self, probes, cells, exempts):
-        """Compare ``overlaps_solid``, ``hits`` (with and without tags)
-        and ``BlockedView.is_blocked`` (with each exempt set of obstacles
-        disabled) against brute force."""
+        """Compare whether ``solid_rows`` is 0, ``hits`` (with and without
+        tags) and ``BlockedView.is_blocked`` (with each exempt set of
+        obstacles disabled) against brute force."""
         assert len(self.idx) == len(self.live)
         live = self.live.values()
         for probe in probes:
             over = {e.id for e in live if e.box.intersects(probe)}
-            assert self.idx.overlaps_solid(probe) is bool(over & self.solid), probe
+            assert bool(self.idx.solid_rows(probe)) is bool(over & self.solid), probe
             assert self.idx.hits(probe) == over, probe
             for tags in (SOLID_TAGS, ("box", "obstacle"), ("connection",)):
                 want = {eid for eid in over if self.live[eid].tag in tags}
@@ -453,7 +458,7 @@ def random_solid_ops(rng, n, solid_share=0.55, obstacle_share=0.3):
 @pytest.mark.parametrize("seed", range(6))
 def test_solid_index_matches_brute_force_under_random_scripts(seed):
     """Solid inserts are accepted exactly when they share no cell with a
-    live solid, solids cannot be removed, and ``overlaps_solid``,
+    live solid, solids cannot be removed, and ``solid_rows``,
     ``BlockedView.is_blocked`` and ``hits`` agree with brute force after every op."""
     rng = random.Random(1000 + seed)
     oracle = run_solid_script(random_solid_ops(rng, 60), rng)
@@ -504,7 +509,7 @@ def test_rejected_solid_insert_leaves_the_index_unchanged():
         idx.insert(IndexEntry("b", late, "connection"), solid=True)
     assert state() == before
     assert idx.hits(late, tags=SOLID_TAGS) == {"a"}
-    assert not idx.overlaps_solid(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
+    assert not idx.solid_rows(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
 
 
 def test_removing_a_solid_raises_and_keeps_it():
@@ -531,3 +536,87 @@ def test_world_claim_clash_names_every_solid_it_overlaps():
         w.claim("link", late, "connection")
     assert str(err.value) == "claim link overlaps ['box.a', 'pin.b']"
     assert len(w.index) == 3
+
+
+def test_solid_rows_folds_the_slab_onto_its_rows():
+    """Bit ``y - slab.lo.y`` of ``solid_rows`` is set exactly when a solid
+    cell of the slab has that ``y``: brute force over the cells of random
+    solids, for slabs with negative corners that span several buckets on
+    every axis, beside obstacles that must not count."""
+    rng = random.Random(25)
+    set_bits = 0
+    for trial in range(40):
+        w = World()
+        cells = set()
+        for i in range(rng.randint(0, 30)):
+            box = solid_box(rng)
+            if w.is_free(box):
+                w.claim(f"s{i}", box, "connection")
+                cells.update(cells_of(box))
+            else:
+                w.obstacles.add(box, "guide", 0, "x")
+        for _ in range(25):
+            lo = Point3(rng.randint(-24, 12), rng.randint(-24, 12), rng.randint(-24, 12))
+            slab = box_from_extents(lo, (rng.randint(1, 26), rng.randint(1, 26), rng.randint(1, 34)))
+            want = 0
+            for t, x, y in cells:
+                if slab.contains_cell((t, x, y)):
+                    want |= 1 << (y - lo.y)
+            assert w.index.solid_rows(slab) == want, (trial, slab)
+            set_bits += bin(want).count("1")
+    assert set_bits > 3000
+
+
+def reference_box_masks(box):
+    """The per-bucket masks of ``box`` built afresh on each call, the
+    direct product of the three axes' spans, kept as the reference for
+    the memoized spans."""
+    def table(stride):
+        return [[sum(1 << (stride * c) for c in range(lo, hi)) for hi in range(spatial.BUCKET + 1)]
+                for lo in range(spatial.BUCKET + 1)]
+
+    def axis_spans(lo, hi, table):
+        first, last = lo >> SHIFT, (hi - 1) >> SHIFT
+        if first == last:
+            return [(first, table[lo & LOW][hi - (first << SHIFT)])]
+        full = table[0][spatial.BUCKET]
+        return ([(first, table[lo & LOW][spatial.BUCKET])]
+                + [(b, full) for b in range(first + 1, last)]
+                + [(last, table[0][hi - (last << SHIFT)])])
+
+    (lt, lx, ly), (ht, hx, hy) = box
+    size = spatial.BUCKET
+    ts = axis_spans(lt, ht, table(size * size))
+    xys = [(bx, by, xm * ym) for bx, xm in axis_spans(lx, hx, table(size))
+           for by, ym in axis_spans(ly, hy, table(1))]
+    return [((bt, bx, by), xy * tm) for bt, tm in ts for bx, by, xy in xys]
+
+
+def test_box_masks_equal_the_direct_product():
+    """``_box_masks`` with memoized axis spans equals the direct product on
+    random boxes with negative corners, many of them straddling buckets."""
+    rng = random.Random(2025)
+    straddling = 0
+    for trial in range(2000):
+        lo = Point3(rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(-40, 40))
+        box = box_from_extents(lo, tuple(rng.choice((1, 2, 3, 7, 8, 9, 17, 30)) for _ in range(3)))
+        got = spatial._box_masks(box)
+        assert got == reference_box_masks(box), box
+        straddling += len(got) > 1
+    assert straddling > 1500
+
+
+def test_span_memos_stay_small_on_the_chain(monkeypatch):
+    """The axis span memos, each keyed by a span's offset in its first
+    bucket and its length, stay small after the benchmark's 14-Toffoli
+    chain under spiral and alap."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "topobench"))
+    import compose
+
+    memos = [spatial._AxisSpans(spatial.BUCKET ** k) for k in (2, 1, 0)]
+    for name, memo in zip(("_T_SPANS", "_X_SPANS", "_Y_SPANS"), memos):
+        monkeypatch.setattr(spatial, name, memo)
+    circuit = parse_icm(compose.compose(fixtures.toffoli_text(), 14, sequential=True))
+    for kind in ("spiral", "alap"):
+        synthesize(circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+    assert all(0 < len(memo) < 1000 for memo in memos), [len(memo) for memo in memos]
