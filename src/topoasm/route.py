@@ -90,8 +90,6 @@ SEG_C = "connection_c"  # pool -> circuit pin
 SEG_B = "connection_b"  # box output -> pool rail
 SEG_E = "connection_e"  # extension along a pool rail
 
-SOLID_TAGS = ("circuit", "box", "connection")
-
 
 class RouteError(Exception):
     pass
@@ -150,7 +148,7 @@ class ObstacleRegistry:
         ``owner`` go to the journal."""
         oid = f"obs{next(self._seq)}"
         self.by_id[oid] = Obstacle(oid, kind)
-        self.index.insert(IndexEntry(oid, region, "obstacle"))
+        self.index.insert(IndexEntry(oid, region))
         if self.journal:
             lo, hi = region.lo, region.hi
             self.journal.log(
@@ -204,14 +202,21 @@ class World:
         self._commit_seq = itertools.count()
 
     def claim(self, eid: str, box: Box3, tag: str) -> None:
-        """Commit permanent solid cells (``tag`` is one of :data:`SOLID_TAGS`)
-        as one solid index insert; a claim that shares a cell with an
-        earlier solid is a hard fault naming every solid it overlaps."""
+        """Commit permanent solid cells (``tag``: circuit, box or connection)
+        as one solid index insert, which keeps only their bits, and log its
+        journal ``claim`` line.  A claim that shares a cell with an earlier
+        solid is a hard fault naming, sorted, the ids of the journal's
+        ``claim`` lines whose boxes meet ``box``, or with no journal the box."""
         try:
-            self.index.insert(IndexEntry(eid, box, tag), solid=True)
+            self.index.insert(IndexEntry(eid, box), solid=True)
         except SolidOverlapError:
-            clash = self.index.hits(box, tags=SOLID_TAGS)
-            raise RouteError(f"claim {eid} overlaps {sorted(clash)}") from None
+            if not self.journal:
+                raise RouteError(f"claim {eid} overlaps a solid in "
+                                 f"{box.lo.as_tuple()}..{box.hi.as_tuple()}") from None
+            clash = sorted(p[3] for p in map(str.split, self.journal.lines) if p[1] == "claim"
+                           and box.intersects(Box3(Point3(*map(int, p[4:7])),
+                                                   Point3(*map(int, p[7:])))))
+            raise RouteError(f"claim {eid} overlaps {clash}") from None
         if self.journal:
             lo, hi = box.lo, box.hi
             self.journal.log("claim", tag, eid, lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
@@ -229,14 +234,15 @@ class BlockedView:
     spatial index, its solid bit and its plane count, adds the spans of
     the cell's ``(x, y)`` column that contain its ``t`` (checked whether
     or not the bucket has a record), and subtracts the disabled
-    obstacles that contain it, whose rows are looked up once here.  A*
+    obstacles that contain it, whose boxes are looked up once here.  A*
     queries a cell when it pops it."""
 
     def __init__(self, world: World, bounds: Box3):
-        self._records = world.index.records
-        self._columns = world.index.columns
-        rows = world.index.rows
-        self._exempt = [rows[oid] for oid in world.obstacles.disabled]
+        index = world.index
+        self._records = index.records
+        self._columns = index.columns
+        self._exempt = [lo + hi for lo, hi in (index.get(oid).box
+                                                for oid in world.obstacles.disabled)]
         self._lo, self._hi = bounds
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:

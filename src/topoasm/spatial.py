@@ -1,8 +1,8 @@
 """Spatial index over axis-aligned boxes in the space-time volume.
 
-The index answers which registered boxes intersect a probe box, whether
-a box holds a solid cell, and how many obstacles cover a cell.
-Intersection follows the inclusive-exclusive convention of
+The index answers whether a box holds a solid cell, how many obstacles
+cover a cell, and which obstacles intersect a probe box.  Intersection
+follows the inclusive-exclusive convention of
 :class:`topoasm.geom.Box3`, so boxes that merely share a face do not
 collide.  Cells are hashed into lattice buckets of ``BUCKET`` cells per
 edge, keyed ``(t >> SHIFT, x >> SHIFT, y >> SHIFT)`` (floor division,
@@ -13,8 +13,9 @@ Boxes live in one of two stores.  Each bucket keeps one record, a
 ``list[int]`` of bit masks over its cells:
 
 * Entry 0 holds the **solid** cells (circuit, box and connection
-  claims).  Solids are permanent: they are never removed and never
-  exempt from a blocked-cell query, and no two of them share a cell.
+  claims).  Solids are bits only, with no entry: they are never removed
+  and never exempt from a blocked-cell query, no two of them share a
+  cell, and the claim journal, not the index, names who claimed one.
 * The entries after it are the bit planes, low bit first, of a per-cell
   count of the removable **obstacles** that cover the cell (bit-sliced
   counters, Knuth, *TAOCP* 4A, 7.1.3).  An obstacle insert ripples a
@@ -46,10 +47,10 @@ lengths stay short and the memos small (a few hundred keys on a
 solid cells over t and x onto its rows, for the alap wall.
 
 Inserts, overlap probes and cell tests are therefore bit operations or
-short scans.  :attr:`BoxIndex.rows` keeps each obstacle's row
-``lo + hi``, whichever store holds it, so a blocked-cell query can
-subtract the obstacles it exempts.  ``hits`` scans every entry; only
-clash messages and tests need it.
+short scans.  Only obstacles keep an :class:`IndexEntry`, whichever
+store holds them, so ``remove`` finds their cells and a blocked-cell
+query can subtract the obstacles it exempts.  ``hits`` scans those
+entries; only tests and the tracer need it.
 """
 
 from __future__ import annotations
@@ -129,32 +130,28 @@ class SolidOverlapError(Exception):
 class IndexEntry(NamedTuple):
     id: str
     box: Box3
-    tag: str  # circuit | box | connection | obstacle
 
 
 class BoxIndex:
     """Bucketed box index: one record per bucket, its solid cells and the
     bit planes of its obstacle counts, plus the t spans of the long thin
-    obstacles per ``(x, y)`` column (the module notes give the rule)."""
+    obstacles per ``(x, y)`` column; only obstacles keep an entry."""
 
     bucket_size = BUCKET
 
     def __init__(self):
-        self._entries: dict[str, IndexEntry] = {}
+        self._entries: dict[str, IndexEntry] = {}  # live obstacles by id
         self.records: dict[tuple[int, int, int], list[int]] = {}  # bucket -> [solid, planes...]
         self.columns: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (x, y) -> [(lo.t, hi.t)]
-        self.rows: dict[str, tuple] = {}  # obstacle id -> (lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def insert(self, entry: IndexEntry, solid: bool = False) -> None:
-        """Index ``entry``; a ``solid`` entry is permanent and may share no
-        cell with another solid (:class:`SolidOverlapError`, index unchanged).
-        An obstacle is counted in the bucket planes, or kept as a t span of
-        each of its columns when it is long and thin."""
-        if entry.id in self._entries:
-            raise DuplicateEntryError(entry.id)
+        """Index ``entry``: a ``solid`` only sets its cells' bits and may share
+        no cell with another solid (:class:`SolidOverlapError`, index
+        unchanged); an obstacle with a new id is counted in the bucket
+        planes, or kept as a t span of each column when long and thin."""
         records = self.records
         if solid:
             masks = _box_masks(entry.box)
@@ -168,31 +165,30 @@ class BoxIndex:
                     records[key] = [mask]
                 else:
                     rec[0] |= mask
-        else:
-            lo, hi = entry.box
-            columns = _columns(entry.box)
-            for xy in columns:
-                self.columns.setdefault(xy, []).append((lo.t, hi.t))
-            for key, carry in () if columns else _box_masks(entry.box):
-                rec = records.setdefault(key, [0])
-                for i in range(1, len(rec)):
-                    plane = rec[i]
-                    rec[i] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    rec.append(carry)
-            self.rows[entry.id] = lo + hi
+            return
+        if entry.id in self._entries:
+            raise DuplicateEntryError(entry.id)
+        lo, hi = entry.box
+        columns = _columns(entry.box)
+        for xy in columns:
+            self.columns.setdefault(xy, []).append((lo.t, hi.t))
+        for key, carry in () if columns else _box_masks(entry.box):
+            rec = records.setdefault(key, [0])
+            for i in range(1, len(rec)):
+                plane = rec[i]
+                rec[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                rec.append(carry)
         self._entries[entry.id] = entry
 
     def remove(self, eid: str) -> None:
-        """Unindex an obstacle; solids are permanent (``ValueError``)."""
-        if self.rows.pop(eid, None) is None:
-            if eid in self._entries:
-                raise ValueError(f"solid entry {eid} is permanent")
-            raise UnknownEntryError(eid)
-        box = self._entries.pop(eid).box
+        """Unindex a live obstacle; any other id, a solid's included, is
+        :class:`UnknownEntryError`, so a solid's bits are never cleared."""
+        box = self.get(eid).box
+        del self._entries[eid]
         columns = _columns(box)
         span = (box.lo.t, box.hi.t)
         for xy in columns:
@@ -247,11 +243,6 @@ class BoxIndex:
                 rows |= m << base if base >= 0 else m >> -base
         return rows
 
-    def hits(self, probe: Box3, tags=None) -> set[str]:
-        """Ids of all entries whose boxes overlap the probe.
-
-        ``tags`` optionally restricts the result to entries with one of
-        the given tags.
-        """
-        return {eid for eid, e in self._entries.items()
-                if (tags is None or e.tag in tags) and e.box.intersects(probe)}
+    def hits(self, probe: Box3) -> set[str]:
+        """Ids of all obstacles whose boxes overlap the probe."""
+        return {eid for eid, e in self._entries.items() if e.box.intersects(probe)}

@@ -5,6 +5,7 @@ import pytest
 
 from topoasm import fixtures
 from topoasm.engine import SynthesisConfig, synthesize
+from topoasm.geom import Box3, Point3
 from topoasm.icm import parse_icm
 from topoasm.pool import RESERVED
 from topoasm.sched import SchedulerPolicy
@@ -96,6 +97,19 @@ def journal_ops(journal, step):
     """The ops logged at ``step``, in order."""
     prefix = f"{step} "
     return [ln.split(" ", 2)[1] for ln in journal.lines if ln.startswith(prefix)]
+
+
+def journal_claims(journal):
+    """``(tag, id, box)`` of each ``claim`` line of the journal, in order;
+    the index keeps solids as bits only, so this is their only record."""
+    out = []
+    for ln in journal.lines:
+        _, op, *args = ln.split()
+        if op == "claim":
+            tag, eid, *c = args
+            c = [int(v) for v in c]
+            out.append((tag, eid, Box3(Point3(*c[:3]), Point3(*c[3:]))))
+    return out
 
 
 def enabled_obstacles(registry):

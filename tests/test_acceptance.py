@@ -187,7 +187,7 @@ def test_criterion_6_spatial_equivalence():
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", _random_index_box(rng), "box")
+        e = IndexEntry(f"e{i}", _random_index_box(rng))
         idx.insert(e)
         entries.append(e)
     for _ in range(100):
@@ -198,7 +198,7 @@ def test_criterion_6_spatial_equivalence():
     live = {}
     for n in range(500):
         if rng.random() < 0.6 or not live:
-            e = IndexEntry(f"s{n}", _random_index_box(rng), "obstacle")
+            e = IndexEntry(f"s{n}", _random_index_box(rng))
             idx2.insert(e)
             live[e.id] = e
         else:

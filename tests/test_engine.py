@@ -26,6 +26,7 @@ from topoasm.sched import SchedulerPolicy
 from conftest import (
     box_cells,
     conservation_holds,
+    journal_claims,
     journal_ops,
     polyline_cells,
     scripted_config,
@@ -260,18 +261,18 @@ def test_round_bound_failure_names_rounds_and_reservations(toffoli):
 @pytest.mark.parametrize("kind", ["scripted", "spiral", "alap", "asap"])
 def test_connection_geometry_equals_index_claims(toffoli, kind):
     """The connection polylines cover exactly the cells their commits
-    claimed in the index, rail extensions included, each cell once."""
+    claimed, as the journal's ``claim connection`` lines record them, rail
+    extensions included, each cell once, and the index holds each solid."""
     if kind == "scripted":
         cfg = scripted_config()
     else:
         cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind))
     s = Synthesizer(toffoli, cfg)
     asm = s.run()
-    index = s.world.index
     claimed = Counter(
         cell
-        for eid in index.hits(global_bounding_box(asm.geometry), tags=("connection",))
-        for cell in box_cells(index.get(eid).box)
+        for tag, _, box in journal_claims(s.journal) if tag == "connection"
+        for cell in box_cells(box)
     )
     drawn = Counter(
         cell
@@ -280,6 +281,9 @@ def test_connection_geometry_equals_index_claims(toffoli, kind):
     )
     assert claimed and max(claimed.values()) == 1 and max(drawn.values()) == 1
     assert claimed == drawn
+    assert not any(s.world.is_free(cell_box(cell)) for cell in claimed)
+    # solids keep no entry: the index holds exactly the live obstacles
+    assert len(s.world.index) == len(s.world.obstacles.by_id)
 
 
 @pytest.mark.parametrize("kind", ["spiral", "alap"])
@@ -347,6 +351,34 @@ def test_random_circuits_synthesize_soundly(seed):
         counts[cell] += 1
     assert not [c for c, n in counts.items() if n > 1]
     assert set(asm.deliveries) == expected
+
+
+def test_journal_claim_ids_are_unique(toffoli, toffoli_unopt):
+    """The index keeps no entry for a solid, so no duplicate-id check
+    guards solid ids: they are unique by construction.  Every ``claim`` id
+    in the journal is distinct on both fixtures under each scheduler and
+    the scripted config, and on random circuits (seeds 0-19, recycling on
+    and off), a failed run's journal read up to its failure."""
+    import random as _random
+
+    runs = [(toffoli, scripted_config())] + [
+        (circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+        for circuit in (toffoli, toffoli_unopt) for kind in ("spiral", "alap", "asap")
+    ] + [
+        (random_icm_circuit(_random.Random(seed * 131 + 17)),
+         SynthesisConfig(seed=seed, optimize_wires=recycle))
+        for seed in range(20) for recycle in (True, False)
+    ]
+    claims = failed = 0
+    for circuit, cfg in runs:
+        try:
+            journal = synthesize(circuit, cfg).journal
+        except SynthesisFailure as exc:
+            journal, failed = exc.journal, failed + 1
+        ids = [eid for _, eid, _ in journal_claims(journal)]
+        assert len(set(ids)) == len(ids), [eid for eid, n in Counter(ids).items() if n > 1]
+        claims += len(ids)
+    assert claims > 10000 and failed
 
 
 # -- rail runs -------------------------------------------------------------------

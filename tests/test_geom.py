@@ -22,7 +22,7 @@ from topoasm.geom import (
 )
 from topoasm.icm import ICMCircuit, ICMOp, parse_icm
 
-from conftest import box_cells, polyline_cells, solid_cells
+from conftest import box_cells, journal_claims, polyline_cells, solid_cells
 
 
 def test_box_requires_positive_extent():
@@ -317,6 +317,32 @@ def test_emit_colliding_templates_flagged():
     builder = GeometryBuilder(circuit, g, claim=world.claim)
     with pytest.raises(TemplateCollisionError):
         builder.emit_until(10)
+
+
+def test_template_collision_names_its_owner_through_the_journal():
+    """A CNOT template that meets an earlier solid names it: through the
+    journal's ``claim`` lines when the world keeps a journal (the wire
+    corridors claimed beside it are left out), and as the one-line box
+    text when it keeps none.  ``_emit_braid`` re-tags every exception as
+    a template fault, so only the text shows that the lookup worked."""
+    from topoasm.engine import Journal
+    from topoasm.geom import TemplateCollisionError
+    from topoasm.route import World
+
+    circuit = ICMCircuit(2, [ICMOp("init", 0, (0,), "0"), ICMOp("init", 0, (1,), "0"),
+                             ICMOp("cnot", 3, (0, 1))])
+    xl, xr = template_rows(circuit.cnots()[0])
+    head = rf"^CNOT template at t=3 rows \[{xl},{xr}\] collides: claim braid\.t3#\d+ overlaps "
+    for journal, tail in ((Journal(), r"\['blocker'\]$"),
+                          (None, rf"a solid in \(3, {xl}, 1\)\.\.\(4, {xr + 1}, 2\)$")):
+        world = World(journal)
+        world.claim("blocker", cell_box(Point3(3, xl, 1)), "circuit")
+        builder = GeometryBuilder(circuit, GeometrySet(), claim=world.claim)
+        with pytest.raises(TemplateCollisionError, match=head + tail):
+            builder.emit_until(10)
+        if journal:  # the blocker and both wire corridors, which the braid misses
+            assert [eid for _, eid, _ in journal_claims(journal)] == [
+                "blocker", "wire0.0#1", "wire1.1#2"]
 
 
 def test_emit_is_idempotent_and_monotone():

@@ -33,7 +33,7 @@ from topoasm.route import (
 )
 from topoasm.spatial import UnknownEntryError
 
-from conftest import box_cells, enabled_obstacles, polyline_cells
+from conftest import box_cells, enabled_obstacles, journal_claims, polyline_cells
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
 
@@ -572,8 +572,7 @@ def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
             w.obstacles.get(occupy)
         with pytest.raises(UnknownEntryError):
             w.index.get(occupy)
-    assert w.obstacles.get(magenta).enabled
-    assert w.index.get(magenta).tag == "obstacle"
+    assert w.obstacles.get(magenta).enabled and w.index.get(magenta).id == magenta
 
 
 def rail_run_world():
@@ -608,9 +607,12 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
         f"0 obstacle-on {line}",
         f"0 obstacle-on {fwd}",
     ]
-    assert w.index.hits(box.inflated(1, 1, 1), tags=("connection",)) == {"connection_e.c1.c0.0"}
-    assert w.index.get("connection_e.c1.c0.0").box == box
+    assert journal_claims(w.journal) == [("connection", "connection_e.c1.c0.0", box)]
     assert set(box_cells(box)) == {(t, 3, 4) for t in range(4, stop_t + 1)}
+    # the claim is bits only: exactly the box's cells turn solid, no entry is kept
+    around = box.inflated(1, 1, 1)
+    assert w.index.solid_rows(around) == 0b010 and len(w.index) == 2
+    assert [c for c in box_cells(around) if not w.is_free(cell_box(c))] == list(box_cells(box))
 
 
 def test_rail_run_ids_follow_the_commit_sequence():
@@ -662,7 +664,8 @@ def test_polyline_len_counts_its_cells():
     for stop_t in (9, 4):
         w, line, fwd = rail_run_world()
         claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd))
-        box = w.index.get("connection_e.c1.c0.0").box
+        [(_, eid, box)] = journal_claims(w.journal)
+        assert eid == "connection_e.c1.c0.0"
         vertices = [Point3(4, 3, 4)] + [Point3(stop_t, 3, 4)] * (stop_t > 4)
         poly = DefectPolyline("primal", SEG_E, vertices)
         assert poly.claim_boxes() == [box]

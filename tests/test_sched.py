@@ -6,9 +6,9 @@ from math import comb
 import pytest
 
 from topoasm import sched
-from topoasm.engine import SynthesisConfig
+from topoasm.engine import Journal, SynthesisConfig
 from topoasm.geom import BOX_EXTENTS, Point3, box_from_extents
-from topoasm.route import SOLID_TAGS, World
+from topoasm.route import World
 from topoasm.sched import (
     DistillationLayer,
     PlacementError,
@@ -19,6 +19,8 @@ from topoasm.sched import (
     place_spiral_layer,
     required_round_size,
 )
+
+from conftest import journal_claims
 
 
 # -- round sizing ---------------------------------------------------------------
@@ -278,7 +280,7 @@ def test_spiral_skips_exactly_the_probes_beside_the_box_just_placed():
             lo = Point3(rng.randint(0, 30), rng.randint(-30, 40), rng.randint(-30, 30))
             solids.append(box_from_extents(lo, (rng.randint(1, 8), rng.randint(1, 6), rng.randint(1, 6))))
         for i, box in enumerate(solids):
-            if not ref_world.index.hits(box, tags=SOLID_TAGS):
+            if ref_world.is_free(box):
                 for w in (ref_world, world):
                     w.claim(f"solid{i}", box, "circuit")
         for round_id in range(rng.randint(1, 4)):
@@ -384,7 +386,7 @@ def test_alap_row_masks_place_the_probing_reference_boxes():
             ext[rng.randrange(3)] = rng.randint(5, 40)
             solids.append(box_from_extents(Point3(t, x, y), tuple(ext)))
         for i, box in enumerate(solids):
-            if not ref_world.index.hits(box, tags=SOLID_TAGS):
+            if World.is_free(ref_world, box):  # unpatched: no miss counted
                 for w in (ref_world, world):
                     w.claim(f"solid{i}", box, "connection")
         for round_id in range(rng.randint(1, 5)):
@@ -411,7 +413,7 @@ def test_baseline_placements():
 
 def test_placements_never_hit_existing_world():
     rng = random.Random(2)
-    w = World()
+    w = World(journal=Journal())
     channel = box_from_extents(Point3(0, -2, -2), (60, 20, 10))
     for i in range(30):
         lo = Point3(rng.randint(0, 50), rng.randint(-2, 14), rng.randint(-2, 6))
@@ -421,5 +423,5 @@ def test_placements_never_hit_existing_world():
             pass
     layer = place_spiral_layer(5, 5, 4, w, channel)
     for box in layer.boxes:
-        hits = w.index.hits(box.footprint, tags=SOLID_TAGS)
+        hits = {eid for _, eid, b in journal_claims(w.journal) if b.intersects(box.footprint)}
         assert hits == {box.box_id}

@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from topoasm import fixtures, spatial
-from topoasm.engine import SynthesisConfig, synthesize
+from topoasm.engine import Journal, SynthesisConfig, synthesize
 from topoasm.geom import Box3, Point3, box_from_extents
 from topoasm.icm import parse_icm
 from topoasm.sched import SchedulerPolicy
-from topoasm.route import SOLID_TAGS, BlockedView, RouteError, World
+from topoasm.route import BlockedView, RouteError, World
 from topoasm.spatial import (
     COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
     UnknownEntryError,
@@ -40,7 +40,7 @@ def test_insert_and_point_query():
     w = World()
     idx = w.index
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
-    idx.insert(IndexEntry("a", box, "circuit"))
+    idx.insert(IndexEntry("a", box))
     assert len(idx) == 1
     assert idx.hits(box) == {"a"}
     assert view_of(w).is_blocked(box.lo) and not view_of(w, {"a"}).is_blocked(box.lo)
@@ -50,15 +50,15 @@ def test_insert_and_point_query():
 def test_duplicate_id_rejected():
     idx = BoxIndex()
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
-    idx.insert(IndexEntry("a", box, "circuit"))
+    idx.insert(IndexEntry("a", box))
     with pytest.raises(DuplicateEntryError):
-        idx.insert(IndexEntry("a", box_from_extents(Point3(5, 0, 0), (1, 1, 1)), "circuit"))
+        idx.insert(IndexEntry("a", box_from_extents(Point3(5, 0, 0), (1, 1, 1))))
 
 
 def test_remove_then_empty():
     idx = BoxIndex()
     box = box_from_extents(Point3(3, 3, 3), (2, 2, 2))
-    idx.insert(IndexEntry("a", box, "box"))
+    idx.insert(IndexEntry("a", box))
     idx.remove("a")
     assert len(idx) == 0
     assert idx.hits(box) == set()
@@ -68,7 +68,7 @@ def test_remove_then_empty():
 
 def test_face_touching_is_not_a_hit():
     idx = BoxIndex()
-    idx.insert(IndexEntry("a", box_from_extents(Point3(0, 0, 0), (2, 2, 2)), "box"))
+    idx.insert(IndexEntry("a", box_from_extents(Point3(0, 0, 0), (2, 2, 2))))
     assert idx.hits(box_from_extents(Point3(2, 0, 0), (2, 2, 2))) == set()
 
 
@@ -77,7 +77,7 @@ def test_thousand_boxes_all_retrievable_by_point_probe():
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", rand_box(rng), "box")
+        e = IndexEntry(f"e{i}", rand_box(rng))
         idx.insert(e)
         entries.append(e)
     for e in entries:
@@ -92,7 +92,7 @@ def test_random_probes_match_brute_force():
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", rand_box(rng), "connection")
+        e = IndexEntry(f"e{i}", rand_box(rng))
         idx.insert(e)
         entries.append(e)
     for _ in range(100):
@@ -108,7 +108,7 @@ def test_interleaved_script_replays_to_same_hit_set():
     for _ in range(500):
         op = rng.random()
         if op < 0.6 or not live:
-            e = IndexEntry(f"s{counter}", rand_box(rng), "obstacle")
+            e = IndexEntry(f"s{counter}", rand_box(rng))
             counter += 1
             idx.insert(e)
             live[e.id] = e
@@ -129,7 +129,7 @@ def test_query_independent_of_insertion_order():
     def build(order):
         idx = BoxIndex()
         for i in order:
-            idx.insert(IndexEntry(f"e{i}", boxes[i], "box"))
+            idx.insert(IndexEntry(f"e{i}", boxes[i]))
         return [frozenset(idx.hits(p)) for p in probes]
 
     forward = build(range(200))
@@ -138,14 +138,17 @@ def test_query_independent_of_insertion_order():
     assert build(shuffled) == forward
 
 
-def test_tag_filtered_hits():
-    idx = BoxIndex()
+def test_hits_names_obstacles_only():
+    """A solid keeps no entry: ``hits`` and ``len`` count only the
+    obstacles, and the solid's cells stay blocked with them exempt."""
+    w = World()
+    idx = w.index
     b = box_from_extents(Point3(0, 0, 0), (4, 4, 4))
-    idx.insert(IndexEntry("solid", b, "circuit"))
-    idx.insert(IndexEntry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4)), "obstacle"))
+    idx.insert(IndexEntry("solid", b), solid=True)
+    idx.insert(IndexEntry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4))))
     probe = box_from_extents(Point3(0, 0, 0), (8, 8, 8))
-    assert idx.hits(probe) == {"solid", "obs"}
-    assert idx.hits(probe, tags=("circuit", "box")) == {"solid"}
+    assert idx.hits(probe) == {"obs"} and len(idx) == 1
+    assert idx.solid_rows(probe) == 0b1111 and view_of(w, {"obs"}).is_blocked(b.lo)
 
 
 def rand_rod(rng, span=40):
@@ -173,7 +176,7 @@ def test_covering_matches_brute_force_under_random_scripts():
                 roll = rng.random()
                 box = (rand_rod(rng) if roll < 0.2
                        else rand_box(rng, span=40, max_ext=30 if roll < 0.45 else 4))
-                e = IndexEntry(f"s{step}", box, "obstacle")
+                e = IndexEntry(f"s{step}", box)
                 idx.insert(e)
                 live[e.id] = e
             else:
@@ -274,7 +277,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
     assert tallest >= 3
     for oid in sorted(live):
         reg.remove(oid)
-    assert len(idx) == len(solids)
+    assert len(idx) == 0
     assert all(len(rec) == 1 and rec[0] for rec in idx.records.values())
     assert not idx.columns
 
@@ -340,7 +343,7 @@ def test_thin_obstacles_at_the_column_threshold_match_brute_force(seed):
     assert deepest >= 3
     for oid in rng.sample(sorted(live), len(live)):
         reg.remove(oid)
-    assert not idx.columns and not idx.records and not idx.rows
+    assert not idx.columns and not idx.records and len(idx) == 0
 
 
 # -- solids: permanent bit-mask cells --------------------------------------
@@ -358,27 +361,39 @@ def solid_box(rng):
     return box_from_extents(lo, tuple(rng.choice((1, 1, 2, 3, 5, 9, 13, 19)) for _ in range(3)))
 
 
+# the tags World.claim logs on a solid's journal line
+CLAIM_TAGS = ("circuit", "box", "connection")
+
+
+def brute_rows(boxes, probe):
+    """The ``solid_rows`` mask of ``probe`` over the solid ``boxes``: each
+    box that meets the probe sets the rows of their common part."""
+    rows = 0
+    for (_, _, ly), (_, _, hy) in (b for b in boxes if b.intersects(probe)):
+        for y in range(max(ly, probe.lo.y), min(hy, probe.hi.y)):
+            rows |= 1 << (y - probe.lo.y)
+    return rows
+
+
 class SolidOracle:
-    """Brute force over the live boxes, replayed next to a ``BoxIndex``."""
+    """Brute force over the live boxes, replayed next to a world whose
+    solids are claimed through ``World.claim`` with a journal."""
 
     def __init__(self):
-        self.world = World()
+        self.world = World(journal=Journal())
         self.idx = self.world.index
-        self.live = {}  # id -> IndexEntry
-        self.solid = set()
+        self.live = {}  # obstacle id -> IndexEntry
+        self.solid = {}  # solid id -> box
 
-    def insert_solid(self, e):
-        want = not any(self.live[s].box.intersects(e.box) for s in self.solid)
+    def insert_solid(self, eid, box, tag):
+        clash = sorted(s for s, b in self.solid.items() if b.intersects(box))
         try:
-            self.idx.insert(e, solid=True)
-        except SolidOverlapError:
-            got = False
+            self.world.claim(eid, box, tag)
+        except RouteError as err:
+            assert clash and str(err) == f"claim {eid} overlaps {clash}", eid
         else:
-            got = True
-        assert got is want, e
-        if got:
-            self.live[e.id] = e
-            self.solid.add(e.id)
+            assert not clash, eid
+            self.solid[eid] = box
 
     def insert_obstacle(self, e):
         self.idx.insert(e)
@@ -386,30 +401,27 @@ class SolidOracle:
 
     def remove(self, eid):
         if eid in self.solid:
-            with pytest.raises(ValueError):
+            with pytest.raises(UnknownEntryError):
                 self.idx.remove(eid)
         else:
             self.idx.remove(eid)
             del self.live[eid]
 
     def check(self, probes, cells, exempts):
-        """Compare whether ``solid_rows`` is 0, ``hits`` (with and without
-        tags) and ``BlockedView.is_blocked`` (with each exempt set of
-        obstacles disabled) against brute force."""
+        """Compare ``solid_rows`` and ``hits`` over each probe, and
+        ``BlockedView.is_blocked`` (with each exempt set of obstacles
+        disabled) over each cell, against brute force."""
         assert len(self.idx) == len(self.live)
-        live = self.live.values()
+        live, solids = self.live.values(), self.solid.values()
         for probe in probes:
-            over = {e.id for e in live if e.box.intersects(probe)}
-            assert bool(self.idx.solid_rows(probe)) is bool(over & self.solid), probe
-            assert self.idx.hits(probe) == over, probe
-            for tags in (SOLID_TAGS, ("box", "obstacle"), ("connection",)):
-                want = {eid for eid in over if self.live[eid].tag in tags}
-                assert self.idx.hits(probe, tags=tags) == want, (probe, tags)
-        covering = [(cell, {e.id for e in live if e.box.contains_cell(cell)}) for cell in cells]
+            assert self.idx.solid_rows(probe) == brute_rows(solids, probe), probe
+            assert self.idx.hits(probe) == {e.id for e in live if e.box.intersects(probe)}, probe
+        covering = [(cell, any(b.contains_cell(cell) for b in solids),
+                     {e.id for e in live if e.box.contains_cell(cell)}) for cell in cells]
         for exempt in exempts:
             view = view_of(self.world, exempt)
-            for cell, covers in covering:
-                want = bool(covers & self.solid or covers - exempt)
+            for cell, solid, covers in covering:
+                want = solid or bool(covers - exempt)
                 assert view.is_blocked(cell) is want, (cell, sorted(exempt))
 
 
@@ -420,23 +432,24 @@ def run_solid_script(ops, rng):
     oracle = SolidOracle()
     for n, op in enumerate(ops):
         if op[0] == "remove":
-            if oracle.live:
-                ids = sorted(oracle.live)
+            ids = sorted(oracle.live.keys() | oracle.solid.keys())
+            if ids:
                 oracle.remove(ids[op[1] % len(ids)])
         elif op[0] == "solid":
-            oracle.insert_solid(IndexEntry(f"s{n}", op[1], op[2]))
+            oracle.insert_solid(f"s{n}", op[1], op[2])
         else:
-            oracle.insert_obstacle(IndexEntry(f"o{n}", op[1], "obstacle"))
-        ids = sorted(oracle.live)
+            oracle.insert_obstacle(IndexEntry(f"o{n}", op[1]))
+        ids = sorted(oracle.live.keys() | oracle.solid.keys())
         # a solid is never a registry obstacle, so it is never disabled
-        exempts = [ex - oracle.solid
+        exempts = [ex - oracle.solid.keys()
                    for ex in (set(), set(ids), set(rng.sample(ids, len(ids) // 2)))]
         cells = [tuple(rng.randint(-24, 36) for _ in range(3)) for _ in range(20)]
-        for e in oracle.live.values():
-            (lt, lx, ly), (ht, hx, hy) = e.box
+        for box in [e.box for e in oracle.live.values()] + list(oracle.solid.values()):
+            (lt, lx, ly), (ht, hx, hy) = box
             cells += [(lt, lx, ly), (ht - 1, hx - 1, hy - 1), (ht, lx, ly), (lt, hx, ly),
                       (lt, lx, hy), (lt - 1, lx, ly), (lt, lx - 1, ly), (lt, lx, ly - 1)]
-        probes = [solid_box(rng) for _ in range(4)] + [e.box for e in oracle.live.values()]
+        probes = ([solid_box(rng) for _ in range(4)] + [e.box for e in oracle.live.values()]
+                  + list(oracle.solid.values()))
         oracle.check(probes, cells, exempts)
     return oracle
 
@@ -447,7 +460,7 @@ def random_solid_ops(rng, n, solid_share=0.55, obstacle_share=0.3):
     for _ in range(n):
         roll = rng.random()
         if roll < solid_share:
-            ops.append(("solid", solid_box(rng), rng.choice(SOLID_TAGS)))
+            ops.append(("solid", solid_box(rng), rng.choice(CLAIM_TAGS)))
         elif roll < solid_share + obstacle_share:
             ops.append(("obstacle", solid_box(rng), "obstacle"))
         else:
@@ -457,12 +470,13 @@ def random_solid_ops(rng, n, solid_share=0.55, obstacle_share=0.3):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_solid_index_matches_brute_force_under_random_scripts(seed):
-    """Solid inserts are accepted exactly when they share no cell with a
-    live solid, solids cannot be removed, and ``solid_rows``,
-    ``BlockedView.is_blocked`` and ``hits`` agree with brute force after every op."""
+    """Solid claims are accepted exactly when they share no cell with a
+    live solid, and a refused one names every solid it meets; solids
+    cannot be removed; and ``solid_rows``, ``BlockedView.is_blocked``
+    and ``hits`` agree with brute force after every op."""
     rng = random.Random(1000 + seed)
     oracle = run_solid_script(random_solid_ops(rng, 60), rng)
-    assert oracle.solid and len(oracle.live) > len(oracle.solid)
+    assert oracle.solid and oracle.live
 
 
 @pytest.mark.parametrize("solid_share, obstacle_share", [(0.9, 0.05), (0.2, 0.4)],
@@ -481,7 +495,7 @@ def test_every_cell_of_a_solid_box_is_covered_and_no_other():
     corners, is blocked; the cells one step outside each face are not."""
     w = World()
     box = box_from_extents(Point3(-11, -3, 5), (19, 10, 12))
-    w.index.insert(IndexEntry("s", box, "box"), solid=True)
+    w.index.insert(IndexEntry("s", box), solid=True)
     inside = set(cells_of(box))
     (lt, lx, ly), (ht, hx, hy) = box
     around = itertools.product(range(lt - 1, ht + 1), range(lx - 1, hx + 1), range(ly - 1, hy + 1))
@@ -496,37 +510,41 @@ def test_rejected_solid_insert_leaves_the_index_unchanged():
     w = World()
     idx = w.index
     first = box_from_extents(Point3(0, 0, 0), (2, 2, 2))
-    idx.insert(IndexEntry("a", first, "circuit"), solid=True)
-    idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3)), "obstacle"))
+    idx.insert(IndexEntry("a", first), solid=True)
+    idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3))))
     late = box_from_extents(Point3(-9, -9, -9), (11, 11, 11))
 
     def state():
         view = view_of(w)
-        return len(idx), idx.hits(late), [view.is_blocked(c) for c in cells_of(late)]
+        return (len(idx), idx.hits(late), idx.solid_rows(late),
+                [view.is_blocked(c) for c in cells_of(late)])
 
     before = state()
     with pytest.raises(SolidOverlapError):
-        idx.insert(IndexEntry("b", late, "connection"), solid=True)
+        idx.insert(IndexEntry("b", late), solid=True)
     assert state() == before
-    assert idx.hits(late, tags=SOLID_TAGS) == {"a"}
+    assert idx.solid_rows(late) == 0b11 << 9  # only a's rows, y = 0 and 1
     assert not idx.solid_rows(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
 
 
 def test_removing_a_solid_raises_and_keeps_it():
+    """A solid keeps no entry, so removing it is an unknown id, and every
+    one of its cells stays blocked."""
     w = World()
     idx = w.index
     box = box_from_extents(Point3(3, -5, 7), (4, 9, 2))
-    idx.insert(IndexEntry("s", box, "box"), solid=True)
-    with pytest.raises(ValueError):
+    idx.insert(IndexEntry("s", box), solid=True)
+    with pytest.raises(UnknownEntryError):
         idx.remove("s")
-    assert len(idx) == 1 and idx.get("s").box == box
-    assert idx.hits(box) == {"s"} and view_of(w).is_blocked(box.lo)
+    assert len(idx) == 0 and idx.solid_rows(box) == 0b11
+    view = view_of(w)
+    assert all(view.is_blocked(c) for c in cells_of(box))
 
 
 def test_world_claim_clash_names_every_solid_it_overlaps():
-    """The clash text lists the overlapped solids in sorted order and
-    leaves out obstacles under the same cells."""
-    w = World()
+    """The clash text lists, in sorted order, the journal's claims that
+    the new box overlaps and leaves out obstacles under the same cells."""
+    w = World(journal=Journal())
     w.claim("pin.b", box_from_extents(Point3(0, 0, 0), (2, 2, 2)), "circuit")
     w.claim("box.a", box_from_extents(Point3(0, 6, 0), (2, 4, 2)), "box")
     w.obstacles.add(box_from_extents(Point3(0, 0, 0), (2, 12, 2)), "guide", 1, "x")
@@ -535,7 +553,7 @@ def test_world_claim_clash_names_every_solid_it_overlaps():
     with pytest.raises(RouteError) as err:
         w.claim("link", late, "connection")
     assert str(err.value) == "claim link overlaps ['box.a', 'pin.b']"
-    assert len(w.index) == 3
+    assert len(w.index) == 1
 
 
 def test_solid_rows_folds_the_slab_onto_its_rows():
