@@ -92,15 +92,16 @@ class SynthesisFailure(EngineError):
 
 
 class Journal:
-    """Append-only diagnosis log of `<step> <op> <args...>` lines."""
+    """Append-only diagnosis log of `<step> <op> <args...>` lines.  Each call
+    site formats its `<op> <args...>` in one f-string, one space between
+    non-empty fields; :meth:`log` prefixes the step, one call per line."""
 
     def __init__(self):
         self.lines: list[str] = []
         self.step = 0
 
-    def log(self, op: str, *args) -> None:
-        tail = " ".join(map(str, args))
-        self.lines.append(f"{self.step} {op} {tail}".rstrip())
+    def log(self, text: str) -> None:
+        self.lines.append(f"{self.step} {text}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -300,7 +301,7 @@ class Synthesizer:
                 f"reserved at t={trigger_time}",
                 self.journal,
             )
-        self.journal.log("round", round_id, trigger_time, n_a, n_y)
+        self.journal.log(f"round {round_id} {trigger_time} {n_a} {n_y}")
         try:
             if pol.kind == "asap":
                 layer = place_asap_stack(
@@ -324,7 +325,8 @@ class Synthesizer:
             bits = self.outcomes.draw(len(layer.boxes))
         except EngineError as exc:
             raise SynthesisFailure(str(exc), self.journal) from exc
-        self.journal.log("simulate", round_id, "".join("1" if ok else "0" for ok in bits))
+        # never empty: a round fires only on a demand of at least one state
+        self.journal.log(f"simulate {round_id} {''.join('1' if ok else '0' for ok in bits)}")
         self._pending_links.extend(self.pool.reserve_connections(
             [(box.box_id, box.kind, box.port) for box, ok in zip(layer.boxes, bits) if ok]
         ))
@@ -386,7 +388,7 @@ class Synthesizer:
     def run(self) -> Assembly:
         cfg = self.config
         events = self.events
-        self.journal.log("begin", cfg.policy.kind, cfg.seed)
+        self.journal.log(f"begin {cfg.policy.kind} {cfg.seed}")
 
         if cfg.policy.kind == "asap":
             while self._insufficient(self.demand_totals):
@@ -406,7 +408,7 @@ class Synthesizer:
                 step_time, inputs = events[k]
 
             counts = Counter(m.basis for m in inputs)
-            self.journal.log("step-begin", step_time, counts["A"], counts["Y"])
+            self.journal.log(f"step-begin {step_time} {counts['A']} {counts['Y']}")
             for basis in MAGIC_BASES:
                 self.demand_max[basis] = max(self.demand_max[basis], counts[basis])
 
@@ -418,7 +420,7 @@ class Synthesizer:
                 frontier = events[k + 1][0]
             else:
                 frontier = self.circuit.last_timestep + 1
-            self.journal.log("geometry", frontier)
+            self.journal.log(f"geometry {frontier}")
             self._emit(frontier)
 
             # line 15: assign connections to this step's inputs
@@ -440,9 +442,7 @@ class Synthesizer:
                 1 if fired else 0,
             )
             self.records.append(rec)
-            self.journal.log(
-                "record", rec.nr_a, rec.nr_y, rec.a_pool, rec.y_pool, rec.sched_round
-            )
+            self.journal.log(f"record {rec.nr_a} {rec.nr_y} {rec.a_pool} {rec.y_pool} {rec.sched_round}")
 
             if not standalone:
                 k += 1
@@ -450,7 +450,7 @@ class Synthesizer:
         # final flush: emit the tail of the circuit and settle the pool
         self.journal.step = step + 1
         final_frontier = self.circuit.last_timestep + 1
-        self.journal.log("geometry", final_frontier)
+        self.journal.log(f"geometry {final_frontier}")
         self._emit(final_frontier)
         self._connect_step(final_frontier, [])
 
@@ -460,7 +460,7 @@ class Synthesizer:
                 self.journal,
             )
         bbox = global_bounding_box(self.geometry)
-        self.journal.log("volume", plumbing_volume(bbox))
+        self.journal.log(f"volume {plumbing_volume(bbox)}")
         return Assembly(
             geometry=self.geometry,
             layers=self.layers,
@@ -474,7 +474,7 @@ class Synthesizer:
         try:
             self.builder.emit_until(frontier)
         except TemplateCollisionError as exc:
-            self.journal.log("template-collision", str(exc))
+            self.journal.log(f"template-collision {exc}")
             raise SynthesisFailure(str(exc), self.journal) from exc
 
     # -- segment determination and computation --------------------------------
@@ -489,7 +489,7 @@ class Synthesizer:
         # line 16: pool -> circuit drops for the assigned inputs
         drops = [(SEG_C, conn, m) for m, conn in assigned]
         for _, conn, m in drops:
-            self.journal.log("spec-c", conn.id, m.key)
+            self.journal.log(f"spec-c {conn.id} {m.key}")
 
         # line 17: delivered connections leave the pool
         self.pool.mark_tobeavailable([conn.id for _, conn in assigned])
@@ -503,7 +503,7 @@ class Synthesizer:
         runs += [(SEG_E, conn, (a, b)) for conn, a, b in self.pool.extension_targets(frontier)]
         runs.sort(key=by_rail)
         for _, conn, (first, last) in runs:
-            self.journal.log("spec-e", conn.id, first, last)
+            self.journal.log(f"spec-e {conn.id} {first} {last}")
 
         # line 19: box -> pool links for this step's reservations, by rail,
         # whether or not they were already consumed by this step's inputs
@@ -513,7 +513,7 @@ class Synthesizer:
         )
         self._pending_links.clear()
         for _, conn, _ in links:
-            self.journal.log("spec-b", conn.id, conn.source_box)
+            self.journal.log(f"spec-b {conn.id} {conn.source_box}")
 
         # line 20 starts here: every connection touched this step gets its
         # guides before the per-spec occupies are minted
@@ -547,17 +547,17 @@ class Synthesizer:
                     done.append(xy)
         except RouteError as exc:
             if isinstance(exc, NoPathError):
-                self.journal.log("no-path", describe_spec(exc.spec))
+                self.journal.log(f"no-path {describe_spec(exc.spec)}")
             raise SynthesisFailure(str(exc), self.journal) from exc
 
         for (segment_class, conn, arg), poly in zip(order, done):
             if segment_class == SEG_E:
                 first, last = arg
-                self.journal.log("path", SEG_E, conn.id, last - first + 1)
+                self.journal.log(f"path {SEG_E} {conn.id} {last - first + 1}")
                 self._extend_rail_polyline(conn, first, last, *poly)
                 self.pool.apply_extension(conn, last)
                 continue
-            self.journal.log("path", segment_class, conn.id, len(poly))
+            self.journal.log(f"path {segment_class} {conn.id} {len(poly)}")
             self.geometry.defects.append(poly)
             if segment_class == SEG_C:
                 self.deliveries[arg.key] = (conn.id, poly)

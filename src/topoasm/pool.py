@@ -62,6 +62,8 @@ class ConnectionPool:
     ``rails[i]`` lists the connections rail ``i`` was granted to, in grant
     order.  A rail is granted only when its last holder is ``available``
     and ended before the new anchor, so only the last holder can be live.
+    ``reserved_count`` reads a per-kind count that a reservation raises
+    and a move out of ``reserved`` lowers, with no rail scan.
     """
 
     def __init__(self, cap_per_type: int, journal=None):
@@ -74,6 +76,7 @@ class ConnectionPool:
         self.offered = {"A": 0, "Y": 0}
         self.discarded = {"A": 0, "Y": 0}
         self.assigned_out = {"A": 0, "Y": 0}
+        self._reserved = {"A": 0, "Y": 0}
         self._seq = 0
 
     # -- state machine plumbing -------------------------------------------
@@ -82,6 +85,8 @@ class ConnectionPool:
         edge = (conn.state, state)
         if edge not in _LEGAL_EDGES:
             raise PoolError(f"illegal transition {edge} for {conn.id}")
+        if conn.state == RESERVED:
+            self._reserved[conn.kind] -= 1
         self.transitions.append((conn.id, conn.state, state))
         conn.state = state
 
@@ -106,7 +111,7 @@ class ConnectionPool:
                 yield holders[-1]
 
     def reserved_count(self, kind: str) -> int:
-        return sum(1 for c in self._holders(RESERVED) if c.kind == kind)
+        return self._reserved[kind]
 
     def counts(self) -> tuple[int, int]:
         return (self.reserved_count("A"), self.reserved_count("Y"))
@@ -126,7 +131,7 @@ class ConnectionPool:
             if self.reserved_count(kind) >= self.cap_per_type:
                 self.discarded[kind] += 1
                 if self.journal:
-                    self.journal.log("discard", kind, box_id)
+                    self.journal.log(f"discard {kind} {box_id}")
                 continue
             anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
@@ -136,6 +141,7 @@ class ConnectionPool:
             self.rails[rail].append(conn)
             self._move(conn, RESERVED)
             conn.kind = kind
+            self._reserved[kind] += 1
             conn.rail = rail
             conn.source_box = box_id
             conn.port = port
@@ -143,7 +149,7 @@ class ConnectionPool:
             conn.extended_to = anchor_t
             reserved.append(conn.id)
             if self.journal:
-                self.journal.log("reserve", conn.id, kind, rail, box_id)
+                self.journal.log(f"reserve {conn.id} {kind} {rail} {box_id}")
         return reserved
 
     def assign_to_input(self, input_key: str, kind: str):
@@ -158,7 +164,7 @@ class ConnectionPool:
         self._move(conn, ASSIGNED)
         self.assigned_out[kind] += 1
         if self.journal:
-            self.journal.log("assign", conn.id, input_key)
+            self.journal.log(f"assign {conn.id} {input_key}")
         return conn.id
 
     def mark_tobeavailable(self, conn_ids) -> None:
@@ -166,7 +172,7 @@ class ConnectionPool:
             conn = self.connections[cid]
             self._move(conn, TOBEAVAILABLE)
             if self.journal:
-                self.journal.log("mark-tobeavailable", cid)
+                self.journal.log(f"mark-tobeavailable {cid}")
 
     def extension_targets(self, now: int):
         """Rail stretches needed so every reserved connection reaches ``now``.
@@ -199,5 +205,5 @@ class ConnectionPool:
             conn.port = None
             freed.append(conn.id)
             if self.journal:
-                self.journal.log("sweep-available", conn.id)
+                self.journal.log(f"sweep-available {conn.id}")
         return freed

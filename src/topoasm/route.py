@@ -151,10 +151,8 @@ class ObstacleRegistry:
         self.index.insert(IndexEntry(oid, region))
         if self.journal:
             lo, hi = region.lo, region.hi
-            self.journal.log(
-                "obstacle-add", oid, kind, priority, owner,
-                lo.t, lo.x, lo.y, hi.t, hi.x, hi.y,
-            )
+            self.journal.log(f"obstacle-add {oid} {kind} {priority} {owner} "
+                             f"{lo.t} {lo.x} {lo.y} {hi.t} {hi.x} {hi.y}")
         return oid
 
     def get(self, oid: str) -> Obstacle:
@@ -183,7 +181,7 @@ class ObstacleRegistry:
         if self.journal:
             op = "obstacle-on" if on else "obstacle-off"
             for oid in oids:
-                self.journal.log(op, oid)
+                self.journal.log(f"{op} {oid}")
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
@@ -219,7 +217,7 @@ class World:
             raise RouteError(f"claim {eid} overlaps {clash}") from None
         if self.journal:
             lo, hi = box.lo, box.hi
-            self.journal.log("claim", tag, eid, lo.t, lo.x, lo.y, hi.t, hi.x, hi.y)
+            self.journal.log(f"claim {tag} {eid} {lo.t} {lo.x} {lo.y} {hi.t} {hi.x} {hi.y}")
 
     def is_free(self, box: Box3) -> bool:
         """Whether no solid cell lies in ``box`` (obstacles do not count):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -379,6 +380,43 @@ def test_journal_claim_ids_are_unique(toffoli, toffoli_unopt):
         assert len(set(ids)) == len(ids), [eid for eid, n in Counter(ids).items() if n > 1]
         claims += len(ids)
     assert claims > 10000 and failed
+
+
+JOURNAL_LINE = re.compile(r"^\d+ [a-z-]+( [^ ]+)*$")
+
+
+def test_journal_lines_have_one_space_between_non_empty_fields(toffoli, toffoli_unopt):
+    """Each call site formats its own line and nothing strips it, so every
+    line of these journals is a step, an op and non-empty fields split by
+    single spaces: both fixtures under each scheduler, the scripted config
+    and a failed run's journal, which ends in a free-text
+    ``template-collision`` line.  A ``simulate`` line's bits are never
+    empty: asap and the reactive backstop fire only while some demand
+    exceeds the reserved count, alap only on a step that has inputs, and
+    spiral sizes by the largest step demand seen, at least 1 from step 1
+    (an event) on; ``required_round_size`` never returns less than its
+    demand.  The ``simulate r`` line that follows each ``round r n_a n_y``
+    after its box claims has ``n_a + n_y >= 1`` bits."""
+    runs = [(toffoli, scripted_config())] + [
+        (circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+        for circuit in (toffoli, toffoli_unopt) for kind in ("spiral", "alap", "asap")
+    ]
+    journals = [synthesize(circuit, cfg).journal for circuit, cfg in runs]
+    with pytest.raises(SynthesisFailure) as info:
+        synthesize(random_icm_circuit(random.Random(11 * 131 + 17)), SynthesisConfig(seed=11))
+    journals.append(info.value.journal)
+    assert info.value.journal.lines[-1].split()[1] == "template-collision"
+    rounds = 0
+    for journal in journals:
+        for line in journal.lines:
+            assert JOURNAL_LINE.match(line), repr(line)
+            _, op, *args = line.split(" ")
+            if op == "round":
+                r, size = args[0], int(args[2]) + int(args[3])
+            elif op == "simulate":
+                assert args[0] == r and len(args) == 2 and len(args[1]) == size >= 1
+                rounds += 1
+    assert rounds > 50
 
 
 # -- rail runs -------------------------------------------------------------------

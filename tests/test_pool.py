@@ -163,10 +163,21 @@ def expected_rail(pool, granted, anchor_t):
     return len(rails)
 
 
+def assert_reserved_counts(pool):
+    """``reserved_count`` keeps its count as the pool moves; it equals a
+    brute-force count of the rails' last holders, and of all connections,
+    reserved with each kind."""
+    for kind in "AY":
+        last = sum(1 for h in pool.rails if h[-1].state == RESERVED and h[-1].kind == kind)
+        every = sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
+        assert pool.reserved_count(kind) == last == every
+
+
 def random_pool_script(seed, steps=60):
     """Drive a pool through a random but legal op sequence; return it with
     the rails and transition log intact.  Every reservation's rail is
-    checked against ``expected_rail``."""
+    checked against ``expected_rail``, and the reserved counts against
+    ``assert_reserved_counts`` after every operation."""
     rng = random.Random(seed)
     pool = mk_pool(cap=rng.randint(2, 6))
     granted = {}  # connection id -> rail, as the grant rule gives it
@@ -183,6 +194,7 @@ def random_pool_script(seed, steps=60):
                 box += 1
             free = pool.cap_per_type - pool.reserved_count(kind)
             ids = pool.reserve_connections(batch)
+            assert_reserved_counts(pool)
             assert len(ids) == min(n, free)
             # earlier members of the batch are reserved, so they count as live
             for cid, (box_id, _, port) in zip(ids, batch):
@@ -194,13 +206,16 @@ def random_pool_script(seed, steps=60):
         elif roll < 0.7:
             kind = rng.choice("AY")
             cid = pool.assign_to_input(f"w{box}@t{now}", kind)
+            assert_reserved_counts(pool)
             if cid is not None:
                 pool.mark_tobeavailable([cid])
         else:
             now += rng.randint(1, 6)
             for conn, _, last in pool.extension_targets(now):
                 pool.apply_extension(conn, last)
+                assert_reserved_counts(pool)
             pool.sweep(now)
+        assert_reserved_counts(pool)
         assert conservation_holds(pool)
     return pool
 
