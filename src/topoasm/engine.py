@@ -12,12 +12,16 @@ the proactive scheduling condition fires between events:
    their guards, then mint the drops' and links' specs and occupies, and
    claim in the order drops + links + runs (``cbe``) or drops + runs +
    links (``ceb``): each block of drops and links is searched as one
-   task set, and each rail run is claimed straight as one box by
+   task set, and each rail run is claimed straight by
    :func:`~topoasm.route.claim_run`, with no spec, since the rail's
    guides and the grant-after-sweep rule keep it free; its guides'
-   switch lines are logged but no guide switched; a failed search or
-   claim ends synthesis;
-5. sweep stale connections back to available and record the step.
+   switch lines are logged but no guide switched, and it joins its
+   rail's pending stretch, which turns solid as one box before a box
+   link on that rail is searched; a failed search or claim ends
+   synthesis;
+5. sweep stale connections back to available, their stretches turning
+   solid, and record the step; the stretches still pending turn solid
+   at the end.
 
 Everything is deterministic for a fixed config: box outcomes come from
 a seeded generator or a scripted bitmap list, and all iteration orders
@@ -453,6 +457,8 @@ class Synthesizer:
         self.journal.log(f"geometry {final_frontier}")
         self._emit(final_frontier)
         self._connect_step(final_frontier, [])
+        for xy in list(self.world.pending):
+            self._flush(xy)
 
         if len(self.deliveries) != len(self.circuit.magic_inputs):
             raise SynthesisFailure(
@@ -538,7 +544,13 @@ class Synthesizer:
             blocks = itertools.groupby(zip(order, specs), key=lambda p: p[1] is not None)
             for searched, block in blocks:
                 if searched:
-                    done += compute_taskset([spec for _, spec in block], self.world)
+                    batch = [spec for _, spec in block]
+                    # a box link exempts its rail's line guide, so the
+                    # runs on that rail must be solid before it is searched
+                    for spec in batch:
+                        if spec.segment_class == SEG_B:
+                            self.world.flush(spec.stop.x, spec.stop.y)
+                    done += compute_taskset(batch, self.world)
                     continue
                 for (_, conn, (first, last)), _ in block:
                     xy = self.pool.rail_position(conn.rail)
@@ -562,12 +574,20 @@ class Synthesizer:
             if segment_class == SEG_C:
                 self.deliveries[arg.key] = (conn.id, poly)
 
-        # line 22: sweep; freed rails shed their forward guards so new
-        # occupants can land beyond the old stretch
+        # line 22: sweep; a freed connection's stretch turns solid, and its
+        # rail sheds the forward guard so new occupants can land beyond it;
+        # the rails are read first, since the sweep clears them
+        rails = {cid: self.pool.connections[cid].rail for cid in self.conn_fwd_guards}
         for cid in self.pool.sweep(frontier):
-            oid = self.conn_fwd_guards.pop(cid, None)
-            if oid is not None:
-                self.world.obstacles.remove(oid)
+            self._flush(self.pool.rail_position(rails[cid]))
+            self.world.obstacles.remove(self.conn_fwd_guards.pop(cid))
+
+    def _flush(self, xy) -> None:
+        """Turn rail ``xy``'s pending stretch solid; a clash ends synthesis."""
+        try:
+            self.world.flush(*xy)
+        except RouteError as exc:
+            raise SynthesisFailure(str(exc), self.journal) from exc
 
     def _ensure_guards(self, conn) -> None:
         """Add the line and under guides of the connection's rail, once per

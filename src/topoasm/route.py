@@ -25,19 +25,25 @@ returns those polylines, so callers draw exactly what was claimed.
 Rail runs: a ``connection_e`` segment only lengthens a connection along
 its own pool rail, from ``first`` to ``last`` in t at the rail's ``x, y``,
 and its segment is that straight run.  It is no task-set spec:
-:func:`claim_run` claims it as one box, with no search, no spec and no
-polyline, and the caller draws it.  Three fences keep the run free:
-every other spec sees the rail's line guide; the holder's forward guard
-fences ``anchor_t + 1 ..`` on the line and the strip under it; and a
-rail is granted again only after its last holder is swept and its
-forward guard removed.  A solid on a run still fails loudly in
-:meth:`World.claim`.  The run's own obstacles, that line guide and
-forward guard, are not switched: no search reads the blocked set around
-the claim.  Between task sets no obstacle is disabled, so both are
-enabled, and :meth:`ObstacleRegistry.log_switches` writes the
-``obstacle-off`` lines before the claim and the ``obstacle-on`` lines
-after it that switching them would write; those lines are part of the
-``--journal`` export.
+:func:`claim_run` logs its ``claim`` line and adds it to the rail's
+pending stretch in the world, with no search, no spec, no polyline and
+no index insert, and the caller draws it.  A stretch turns solid as one
+box when :meth:`World.flush` is called for its rail: the engine flushes
+a rail before it searches a box link on that rail, at its holder's
+sweep and at the end of synthesis.  Until then three fences keep the
+stretch free: every other spec sees the rail's line guide (a box link
+exempts it, which is why its rail is flushed first); the holder's
+forward guard fences ``anchor_t + 1 ..`` on the line and the strip
+under it; and a rail is granted again only after its last holder is
+swept and its forward guard removed.  A solid on a run fails loudly at
+the flush, named after the stretch's first run.  The run's own
+obstacles, that line guide and forward guard, are not switched: no
+search reads the blocked set around the run.  Between task sets no
+obstacle is disabled, so both are enabled, and
+:meth:`ObstacleRegistry.log_switches` writes the ``obstacle-off`` lines
+before the ``claim`` line and the ``obstacle-on`` lines after it that
+switching them would write; those lines are part of the ``--journal``
+export.
 
 Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
@@ -191,37 +197,85 @@ class ObstacleRegistry:
 
 
 class World:
-    """Shared picture of the space-time volume: solids plus obstacles."""
+    """Shared picture of the space-time volume: solids plus obstacles, and
+    the rail runs not yet solid.  ``pending[x, y]`` is rail ``(x, y)``'s
+    stretch of consecutive runs, which :meth:`flush` turns solid as one
+    box: ``[lo.t, hi.t, first run id, journal index of its claim line]``."""
 
     def __init__(self, journal=None):
         self.index = BoxIndex()
         self.journal = journal
         self.obstacles = ObstacleRegistry(self.index, journal)
+        self.pending: dict[tuple[int, int], list] = {}
         self._commit_seq = itertools.count()
 
     def claim(self, eid: str, box: Box3, tag: str) -> None:
         """Commit permanent solid cells (``tag``: circuit, box or connection)
         as one solid index insert, which keeps only their bits, and log its
         journal ``claim`` line.  A claim that shares a cell with an earlier
-        solid is a hard fault naming, sorted, the ids of the journal's
-        ``claim`` lines whose boxes meet ``box``, or with no journal the box."""
+        solid is a hard fault (:meth:`_overlap`)."""
         try:
-            self.index.insert(IndexEntry(eid, box), solid=True)
+            self.index.insert_solid(box)
         except SolidOverlapError:
-            if not self.journal:
-                raise RouteError(f"claim {eid} overlaps a solid in "
-                                 f"{box.lo.as_tuple()}..{box.hi.as_tuple()}") from None
-            clash = sorted(p[3] for p in map(str.split, self.journal.lines) if p[1] == "claim"
-                           and box.intersects(Box3(Point3(*map(int, p[4:7])),
-                                                   Point3(*map(int, p[7:])))))
-            raise RouteError(f"claim {eid} overlaps {clash}") from None
+            raise self._overlap(eid, box) from None
         if self.journal:
-            lo, hi = box.lo, box.hi
-            self.journal.log(f"claim {tag} {eid} {lo.t} {lo.x} {lo.y} {hi.t} {hi.x} {hi.y}")
+            (lt, lx, ly), (ht, hx, hy) = box
+            self.journal.log(f"claim {tag} {eid} {lt} {lx} {ly} {ht} {hx} {hy}")
+
+    def claim_later(self, eid: str, first: int, last: int, x: int, y: int) -> None:
+        """Log rail run ``eid``'s ``claim`` line, the cells ``first .. last``
+        in t at ``(x, y)``, and add them to that rail's pending stretch,
+        with no index insert; a run that does not continue the stretch
+        flushes it first."""
+        stretch = self.pending.get((x, y))
+        if stretch is not None and stretch[1] != first:
+            self.flush(x, y)
+            stretch = None
+        if stretch is None:
+            since = len(self.journal.lines) if self.journal else 0
+            self.pending[x, y] = [first, last + 1, eid, since]
+        else:
+            stretch[1] = last + 1
+        if self.journal:
+            self.journal.log(f"claim connection {eid} {first} {x} {y} {last + 1} {x + 1} {y + 1}")
+
+    def flush(self, x: int, y: int) -> None:
+        """Turn rail ``(x, y)``'s pending stretch, if any, solid as one
+        insert; a clash is a hard fault named after its first run."""
+        stretch = self.pending.get((x, y))
+        if stretch is None:
+            return
+        lo, hi, eid, _ = stretch
+        box = Box3(Point3(lo, x, y), Point3(hi, x + 1, y + 1))
+        try:
+            self.index.insert_solid(box)
+        except SolidOverlapError:
+            raise self._overlap(eid, box) from None
+        del self.pending[x, y]
+
+    def _overlap(self, eid: str, box: Box3) -> RouteError:
+        """The fault of claim ``eid``, whose ``box`` meets a solid: it names,
+        sorted, the ids of the journal's ``claim`` lines whose boxes meet
+        ``box``, or with no journal the box.  It leaves out the runs still
+        pending, a stretch's runs being the rail runs logged on its rail
+        from its first run's line on."""
+        if not self.journal:
+            return RouteError(f"claim {eid} overlaps a solid in "
+                              f"{box.lo.as_tuple()}..{box.hi.as_tuple()}")
+        lines = self.journal.lines
+        since = {xy: stretch[3] for xy, stretch in self.pending.items()}
+        clash = []
+        for i, p in enumerate(map(str.split, lines)):
+            if p[1] == "claim":
+                lt, lx, ly, ht, hx, hy = map(int, p[4:])
+                pending = p[3].startswith(f"{SEG_E}.") and i >= since.get((lx, ly), len(lines))
+                if not pending and box.intersects(Box3(Point3(lt, lx, ly), Point3(ht, hx, hy))):
+                    clash.append(p[3])
+        return RouteError(f"claim {eid} overlaps {sorted(clash)}")
 
     def is_free(self, box: Box3) -> bool:
-        """Whether no solid cell lies in ``box`` (obstacles do not count):
-        a bit-mask probe of the buckets the box touches."""
+        """Whether no solid cell lies in ``box`` (obstacles and pending runs
+        do not count): a bit-mask probe of the buckets the box touches."""
         return not self.index.solid_rows(box)
 
 
@@ -410,11 +464,11 @@ def _commit_path(spec: SegmentSpec, poly: DefectPolyline, world: World) -> None:
 def claim_run(world: World, owner: str, first: int, last: int, x: int, y: int,
               obstacles: tuple) -> None:
     """Claim connection ``owner``'s rail run, the cells ``first .. last`` in
-    t at ``(x, y)``, as one box, with the ``obstacle-off`` and
-    ``obstacle-on`` lines of its own ``obstacles`` logged around the claim
-    and none switched (the module notes say why this is exact)."""
+    t at ``(x, y)``, into the rail's pending stretch (:meth:`World.claim_later`),
+    with the ``obstacle-off`` and ``obstacle-on`` lines of its own
+    ``obstacles`` logged around its ``claim`` line and none switched (the
+    module notes say why this is exact)."""
     registry = world.obstacles
     registry.log_switches(obstacles, False)
-    world.claim(f"{SEG_E}.{owner}.c{next(world._commit_seq)}.0",
-                Box3(Point3(first, x, y), Point3(last + 1, x + 1, y + 1)), "connection")
+    world.claim_later(f"{SEG_E}.{owner}.c{next(world._commit_seq)}.0", first, last, x, y)
     registry.log_switches(obstacles, True)

@@ -15,6 +15,7 @@ clears the requested confidence.  Placement comes in three flavours:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +33,11 @@ class PlacementError(Exception):
     """The scheduler ran out of collision-free positions."""
 
 
+@functools.cache
 def required_round_size(k_needed: int, p_fail: float, confidence: float) -> int:
-    """Smallest n with P[Binomial(n, 1 - p_fail) >= k_needed] >= confidence."""
+    """Smallest n with P[Binomial(n, 1 - p_fail) >= k_needed] >= confidence;
+    memoized, since it depends on nothing else and a run asks for few
+    distinct arguments."""
     if k_needed < 1:
         raise ValueError("k_needed must be at least 1")
     if not (0.0 <= p_fail < 1.0):

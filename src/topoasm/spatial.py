@@ -13,9 +13,12 @@ Boxes live in one of two stores.  Each bucket keeps one record, a
 ``list[int]`` of bit masks over its cells:
 
 * Entry 0 holds the **solid** cells (circuit, box and connection
-  claims).  Solids are bits only, with no entry: they are never removed
-  and never exempt from a blocked-cell query, no two of them share a
-  cell, and the claim journal, not the index, names who claimed one.
+  claims).  Solids are bits only, with no entry:
+  :meth:`BoxIndex.insert_solid` takes the bare box and sets its bits in
+  one pass over its buckets, undoing them on a clash.  They are never
+  removed and never exempt from a blocked-cell query, no two of them
+  share a cell, and the claim journal, not the index, names who claimed
+  one.
 * The entries after it are the bit planes, low bit first, of a per-cell
   count of the removable **obstacles** that cover the cell (bit-sliced
   counters, Knuth, *TAOCP* 4A, 7.1.3).  An obstacle insert ripples a
@@ -43,14 +46,18 @@ in its first bucket and its length, ``(lo & LOW, hi - lo)``, so one memo
 per axis, shared by every index since a key's spans never change, builds
 them once per key; long thin obstacles stay out of the planes, so t
 lengths stay short and the memos small (a few hundred keys on a
-14-Toffoli chain).  :meth:`BoxIndex.solid_rows` folds a slab's
+14-Toffoli chain).  A t length above ``COLUMN_T``, such as a merged
+rail stretch's, is built afresh at each use and not kept: such lengths
+take about as many values as a circuit has timesteps, and each span
+tuple grows with its length.  :meth:`BoxIndex.solid_rows` folds a slab's
 solid cells over t and x onto its rows, for the alap wall.
 
 Inserts, overlap probes and cell tests are therefore bit operations or
-short scans.  Only obstacles keep an :class:`IndexEntry`, whichever
-store holds them, so ``remove`` finds their cells and a blocked-cell
-query can subtract the obstacles it exempts.  ``hits`` scans those
-entries; only tests and the tracer need it.
+short scans.  Only obstacles, which :meth:`BoxIndex.insert` takes, keep
+an :class:`IndexEntry`, whichever store holds them, so ``remove`` finds
+their cells and a blocked-cell query can subtract the obstacles it
+exempts.  ``hits`` scans those entries; only tests and the tracer need
+it.
 """
 
 from __future__ import annotations
@@ -67,27 +74,31 @@ COLUMN_T = 4 * BUCKET  # an obstacle of at most 2 x-y cells longer than this in 
 
 
 class _AxisSpans(dict):
-    """One axis's spans, memoized: ``spans[lo & LOW, hi - lo]`` holds
-    ``(bucket offset, mask)`` for every bucket that ``[lo, hi)`` touches,
-    the offset counted from ``lo >> SHIFT``; a mask has the bits
-    ``stride * c`` of the cells ``c`` it covers in its bucket."""
+    """One axis's spans, memoized up to length ``longest``:
+    ``spans[lo & LOW, hi - lo]`` holds ``(bucket offset, mask)`` for every
+    bucket that ``[lo, hi)`` touches, the offset counted from
+    ``lo >> SHIFT``; a mask has the bits ``stride * c`` of the cells ``c``
+    it covers in its bucket, ``cells[a][b]`` for the cells ``a .. b - 1``."""
 
-    def __init__(self, stride: int):
+    def __init__(self, stride: int, longest: float = float("inf")):
         super().__init__()
-        self.stride = stride
+        self.longest = longest
+        self.cells = [[sum(1 << stride * c for c in range(a, b)) for b in range(BUCKET + 1)]
+                      for a in range(BUCKET + 1)]
 
     def __missing__(self, key: tuple[int, int]) -> tuple:
         lo, hi = key[0], key[0] + key[1]
-        spans = tuple((b, sum(1 << self.stride * c for c in range(max(lo - b * BUCKET, 0),
-                                                                  min(hi - b * BUCKET, BUCKET))))
+        cells = self.cells
+        spans = tuple((b, cells[max(lo - b * BUCKET, 0)][min(hi - b * BUCKET, BUCKET)])
                       for b in range(((hi - 1) >> SHIFT) + 1))
-        self[key] = spans
+        if key[1] <= self.longest:
+            self[key] = spans
         return spans
 
 
 # Y * X * T, the product of disjoint single-bit sums, places one bit per
 # cell and never carries.
-_T_SPANS = _AxisSpans(BUCKET * BUCKET)
+_T_SPANS = _AxisSpans(BUCKET * BUCKET, COLUMN_T)
 _X_SPANS = _AxisSpans(BUCKET)
 _Y_SPANS = _AxisSpans(1)
 # Shifts that fold a bucket mask's t slices, then its x rows, onto the y
@@ -147,25 +158,34 @@ class BoxIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def insert(self, entry: IndexEntry, solid: bool = False) -> None:
-        """Index ``entry``: a ``solid`` only sets its cells' bits and may share
-        no cell with another solid (:class:`SolidOverlapError`, index
-        unchanged); an obstacle with a new id is counted in the bucket
-        planes, or kept as a t span of each column when long and thin."""
+    def insert_solid(self, box: Box3) -> None:
+        """Set the solid bits of ``box``'s cells, in one pass over its
+        buckets.  A box that shares a cell with an indexed solid is
+        :class:`SolidOverlapError`: the bits set before the clash are
+        cleared, so the index is unchanged."""
         records = self.records
-        if solid:
-            masks = _box_masks(entry.box)
-            for key, mask in masks:
-                rec = records.get(key)
-                if rec is not None and rec[0] & mask:
-                    raise SolidOverlapError(entry.id)
-            for key, mask in masks:
-                rec = records.get(key)
-                if rec is None:
-                    records[key] = [mask]
-                else:
-                    rec[0] |= mask
-            return
+        masks = _box_masks(box)
+        for key, mask in masks:
+            rec = records.get(key)
+            if rec is None:
+                records[key] = [mask]
+            elif rec[0] & mask:
+                for done, m in masks:
+                    if done == key:
+                        break
+                    rec = records[done]
+                    rec[0] ^= m
+                    if len(rec) == 1 and not rec[0]:
+                        del records[done]
+                raise SolidOverlapError(box)
+            else:
+                rec[0] |= mask
+
+    def insert(self, entry: IndexEntry) -> None:
+        """Index the obstacle ``entry``, whose id must be new: count it in
+        the bucket planes, or keep it as a t span of each column when long
+        and thin."""
+        records = self.records
         if entry.id in self._entries:
             raise DuplicateEntryError(entry.id)
         lo, hi = entry.box

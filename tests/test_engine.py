@@ -15,6 +15,7 @@ from topoasm.engine import (
     synthesize,
 )
 from topoasm.geom import (
+    Box3,
     Point3,
     cell_box,
     global_bounding_box,
@@ -22,7 +23,9 @@ from topoasm.geom import (
 )
 from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
+from topoasm.route import World
 from topoasm.sched import SchedulerPolicy
+from topoasm.spatial import BoxIndex
 
 from conftest import (
     box_cells,
@@ -423,27 +426,87 @@ def test_journal_lines_have_one_space_between_non_empty_fields(toffoli, toffoli_
 
 
 def test_solid_on_a_rail_run_fails_with_the_journal(toffoli):
-    """A rail run is claimed straight, never detoured: a solid on it ends
-    synthesis with a SynthesisFailure naming the overlap."""
+    """A rail run is claimed straight, never detoured, and turns solid when
+    its rail is flushed: a solid on it ends synthesis at that flush with a
+    SynthesisFailure naming the overlap under the stretch's first run.
+    c29 is still reserved after the last step, so its stretch, logged
+    from step 17 to step 21, is flushed at the end, in step 22."""
     s = Synthesizer(toffoli, scripted_config())
     # rail 0's line at t=75, inside the run connection_e.c29 claims at step 21
     s.world.claim("blocker", cell_box(Point3(75, 1, POOL_GAP)), "circuit")
-    with pytest.raises(SynthesisFailure, match=r"claim connection_e\.c29\.\S+ overlaps \['blocker'\]") as info:
+    with pytest.raises(SynthesisFailure,
+                       match=r"^claim connection_e\.c29\.c204\.0 overlaps \['blocker'\]$") as info:
         s.run()
     assert info.value.journal is s.journal
-    assert "no-path" not in journal_ops(s.journal, 21)
+    runs = [(ln.split()[0], eid, box.lo.t, box.hi.t) for ln, (_, eid, box)
+            in zip([ln for ln in s.journal.lines if ln.split()[1] == "claim"],
+                   journal_claims(s.journal)) if eid.startswith("connection_e.c29.")]
+    assert runs[0] == ("17", "connection_e.c29.c204.0", 58, 60)
+    assert runs[-1] == ("21", "connection_e.c29.c277.0", 72, 81)
+    assert len(s.records) == 21 and s.journal.lines[-1] == "22 geometry 81"
+    assert s.world.pending[1, POOL_GAP][:2] == [58, 81]
+    assert "no-path" not in journal_ops(s.journal, 21) + journal_ops(s.journal, 22)
 
 
 def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monkeypatch):
-    """Oracle for the straight claim: just before each rail run is
-    claimed, no obstacle is switched off (so logging the run's switches
-    without making them is exact), and with its own obstacles switched off
-    A* on the same world, given the equivalent ``connection_e`` spec,
-    returns exactly the cells of the straight run that is claimed."""
-    claim = engine.claim_run
+    """Oracle for the straight, lazy claim, over both fixtures under each
+    scheduler and segment order, and random circuits (under ``ceb``, alap
+    and asap search links on rails whose runs the step just logged):
+
+    * just before each rail run is claimed, no obstacle is switched off
+      (so logging the run's switches without making them is exact), and
+      with its own obstacles switched off A* on the same world, given the
+      equivalent ``connection_e`` spec, returns exactly the cells of the
+      straight run that is claimed;
+    * each flush inserts one box, the union of the ``claim`` boxes the
+      journal logged for that rail's runs since its last flush, and a
+      flush of a rail with none logged inserts nothing;
+    * no ``World.is_free`` or ``BoxIndex.solid_rows`` probe meets a
+      pending stretch, the logged runs not yet flushed;
+    * at every ``plan_segment``, each pending cell inside the search
+      bounds lies in an enabled obstacle the spec does not own, and a box
+      link's own rail has no pending run;
+    * no run is pending once its connection's ``sweep-available`` line
+      is logged, and none at the end."""
+    claim, plan, flush = engine.claim_run, route.plan_segment, route.World.flush
+    insert_solid, solid_rows, is_free = BoxIndex.insert_solid, BoxIndex.solid_rows, World.is_free
     checked = []
+    worlds = {}  # id(world.index) -> world
+    runs = {}  # (id(world), x, y) -> (id, box) of each run logged since the rail's last flush
+    swept = {}  # id(world) -> the connections swept so far
+    read = Counter()  # id(world) -> journal lines folded into runs and swept
+    inserted = []
+    seen = Counter()
+
+    def pending(world):
+        """Fold the run claims and sweeps logged since the last look into
+        ``runs`` and ``swept``, and return the boxes of ``world``'s runs
+        not yet flushed."""
+        worlds[id(world.index)] = world
+        lines = world.journal.lines
+        for ln in lines[read[id(world)]:]:
+            _, op, *args = ln.split()
+            if op == "claim" and args[1].startswith(route.SEG_E + "."):
+                c = [int(v) for v in args[2:]]
+                runs.setdefault((id(world), c[1], c[2]), []).append(
+                    (args[1], Box3(Point3(*c[:3]), Point3(*c[3:]))))
+            elif op == "sweep-available":
+                swept.setdefault(id(world), set()).add(args[0])
+        read[id(world)] = len(lines)
+        mine = [run for (wid, _, _), rs in runs.items() if wid == id(world) for run in rs]
+        return [box for _, box in mine]
+
+    def settled(world):
+        """``pending(world)``, once no pending run's connection is swept
+        (``connection_e.<connection>.c<seq>.0``): its sweep flushed it."""
+        boxes = pending(world)
+        gone = swept.get(id(world), set())
+        assert not [eid for (wid, _, _), rs in runs.items() if wid == id(world)
+                    for eid, _ in rs if eid.split(".")[1] in gone]
+        return boxes
 
     def checked_claim(world, owner, first, last, x, y, obstacles):
+        settled(world)
         registry = world.obstacles
         spec = route.SegmentSpec(
             Point3(first, x, y), Point3(last, x, y), obstacles, 0, route.SEG_E, owner,
@@ -451,22 +514,84 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         assert not registry.disabled, route.describe_spec(spec)
         for oid in obstacles:
             registry.disable(oid)
-        found = route.plan_segment(spec, world)
+        found = plan(spec, world)
         assert found == tuple((t, x, y) for t in range(first, last + 1)), route.describe_spec(spec)
         for oid in obstacles:
             registry.enable(oid)
         checked.append(spec)
         return claim(world, owner, first, last, x, y, obstacles)
 
+    def checked_flush(world, x, y):
+        pending(world)
+        logged = sorted(box for _, box in runs.pop((id(world), x, y), []))
+        inserted.clear()
+        flush(world, x, y)
+        if logged:
+            assert all(a.hi.t == b.lo.t for a, b in zip(logged, logged[1:])), logged
+            assert inserted == [Box3(logged[0].lo, logged[-1].hi)], (x, y, logged)
+            seen["merged runs"] += len(logged)
+            seen["flushes"] += 1
+        else:
+            assert not inserted, (x, y)
+
+    def recorded_insert(index, box):
+        inserted.append(box)
+        return insert_solid(index, box)
+
+    def checked_rows(index, slab):
+        world = worlds.get(id(index))
+        if world is not None:  # else no run was claimed in its world yet
+            assert not [b for b in settled(world) if b.intersects(slab)], slab
+            seen["probes"] += 1
+        return solid_rows(index, slab)
+
+    def checked_free(world, box):
+        assert not [b for b in settled(world) if b.intersects(box)], box
+        return is_free(world, box)
+
+    def checked_plan(spec, world, bounds=None, margin=10):
+        if bounds is None:
+            bounds = route.default_bounds(spec, margin)
+        cells = [cell for b in settled(world) if b.intersects(bounds)
+                 for cell in box_cells(b) if bounds.contains_cell(cell)]
+        if spec.segment_class == route.SEG_B:
+            assert not runs.get((id(world), spec.stop.x, spec.stop.y)), route.describe_spec(spec)
+            seen["links"] += 1
+        if cells:
+            registry = world.obstacles
+            fences = [world.index.get(oid).box for oid, obs in registry.by_id.items()
+                      if obs.enabled and oid not in spec.obstacles]
+            for cell in cells:
+                assert any(f.contains_cell(cell) for f in fences), (route.describe_spec(spec), cell)
+            seen["fenced cells"] += len(cells)
+        return plan(spec, world, bounds, margin)
+
     monkeypatch.setattr(engine, "claim_run", checked_claim)
+    monkeypatch.setattr(route.World, "flush", checked_flush)
+    monkeypatch.setattr(route.World, "is_free", checked_free)
+    monkeypatch.setattr(BoxIndex, "insert_solid", recorded_insert)
+    monkeypatch.setattr(BoxIndex, "solid_rows", checked_rows)
+    monkeypatch.setattr(route, "plan_segment", checked_plan)
+
+    def run(circuit, cfg):
+        s = Synthesizer(circuit, cfg)
+        s.run()
+        assert not s.world.pending and not settled(s.world)
+        seen["swept"] += len(swept[id(s.world)])
+
     for circuit in (toffoli, toffoli_unopt):
         for kind in ("spiral", "alap", "asap"):
-            synthesize(circuit, SynthesisConfig(policy=SchedulerPolicy(kind=kind)))
+            for order in ("cbe", "ceb"):
+                cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), segment_order=order)
+                run(circuit, cfg)
     for seed in range(6):
         circuit = random_icm_circuit(random.Random(seed * 131 + 17))
         for optimize in (True, False):
-            synthesize(circuit, SynthesisConfig(seed=seed, optimize_wires=optimize))
-    assert len(checked) > 2000
+            run(circuit, SynthesisConfig(seed=seed, optimize_wires=optimize))
+    assert len(checked) > 4000
+    assert seen["merged runs"] > seen["flushes"] > 100, seen
+    assert seen["probes"] > 1000 and seen["fenced cells"] > 1000, seen
+    assert seen["links"] > 600 and seen["swept"] > 250, seen
 
 
 def test_alternate_segment_compute_order(toffoli):

@@ -587,8 +587,10 @@ def rail_run_world():
 @pytest.mark.parametrize("stop_t", [9, 4], ids=["run", "one-cell"])
 def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, stop_t):
     """A rail run never switches an obstacle: it writes the off and on
-    lines of its line guide and forward guard around one claim: the box
-    spanning ``[first, last + 1)`` on the rail's one ``(x, y)`` cell."""
+    lines of its line guide and forward guard around one claim line: the
+    box spanning ``[first, last + 1)`` on the rail's one ``(x, y)`` cell.
+    The box joins the rail's pending stretch, and its bits appear only
+    when the rail is flushed."""
     w, line, fwd = rail_run_world()
 
     def refuse(self, oid):
@@ -609,23 +611,47 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
     ]
     assert journal_claims(w.journal) == [("connection", "connection_e.c1.c0.0", box)]
     assert set(box_cells(box)) == {(t, 3, 4) for t in range(4, stop_t + 1)}
-    # the claim is bits only: exactly the box's cells turn solid, no entry is kept
     around = box.inflated(1, 1, 1)
+    # the stretch keeps its first run's id and the index of its claim line
+    assert w.pending == {(3, 4): [4, stop_t + 1, "connection_e.c1.c0.0", 4]}
+    assert w.index.solid_rows(around) == 0 and w.is_free(box)
+    # the flush is bits only: exactly the box's cells turn solid, no entry is kept
+    w.flush(3, 4)
+    assert not w.pending and len(w.journal.lines) == 7
     assert w.index.solid_rows(around) == 0b010 and len(w.index) == 2
     assert [c for c in box_cells(around) if not w.is_free(cell_box(c))] == list(box_cells(box))
+    with pytest.raises(RouteError, match=r"^claim late overlaps \['connection_e\.c1\.c0\.0'\]$"):
+        w.claim("late", box, "connection")
 
 
 def test_rail_run_ids_follow_the_commit_sequence():
     """A run's claim id takes the next number of the world's commit
-    sequence, shared with searched segments, so ids never repeat."""
+    sequence, shared with searched segments, so ids never repeat.  Runs
+    that continue each other make one pending stretch; a run that does
+    not flushes it first, and a stretch that meets a solid fails at its
+    flush under its first run's id, naming the solids it meets but not
+    its own runs, which no clash names while they are pending."""
     w, line, fwd = rail_run_world()
     compute_taskset([spec((0, 0, 0), (2, 0, 0), owner="c0")], w)
     claim_run(w, "c1", 4, 9, 3, 4, (line, fwd))
     claim_run(w, "c1", 10, 10, 3, 4, (line, fwd))
     ids = [ln.split()[3] for ln in w.journal.lines if ln.split()[1] == "claim"]
     assert ids == ["connection_c.c0.c0.0", "connection_e.c1.c1.0", "connection_e.c1.c2.0"]
-    with pytest.raises(RouteError, match=r"connection_e\.c1\.c3\.0 overlaps"):
-        claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
+    assert w.pending == {(3, 4): [4, 11, "connection_e.c1.c1.0", 5]}
+    assert w.is_free(Box3(Point3(4, 3, 4), Point3(11, 4, 5)))
+    claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
+    assert w.pending == {(3, 4): [8, 12, "connection_e.c1.c3.0", 15]}
+    assert [w.journal.lines[i].split()[3] for i in (5, 15)] == [ids[1], "connection_e.c1.c3.0"]
+    assert w.index.solid_rows(Box3(Point3(0, 3, 4), Point3(40, 4, 5))) == 1
+    assert w.is_free(Box3(Point3(11, 3, 4), Point3(12, 4, 5)))
+    with pytest.raises(RouteError, match=r"^claim connection_e\.c1\.c3\.0 overlaps "
+                       r"\['connection_e\.c1\.c1\.0', 'connection_e\.c1\.c2\.0'\]$"):
+        w.flush(3, 4)
+    assert w.is_free(Box3(Point3(11, 3, 4), Point3(12, 4, 5)))
+    # any other claim's fault leaves out the runs still pending as well
+    with pytest.raises(RouteError, match=r"^claim late overlaps "
+                       r"\['connection_e\.c1\.c1\.0', 'connection_e\.c1\.c2\.0'\]$"):
+        w.claim("late", Box3(Point3(9, 3, 4), Point3(13, 4, 5)), "connection")
 
 
 def self_avoiding_walk(rng, runs):

@@ -6,13 +6,13 @@ import pytest
 
 from topoasm import fixtures, spatial
 from topoasm.engine import Journal, SynthesisConfig, synthesize
-from topoasm.geom import Box3, Point3, box_from_extents
+from topoasm.geom import Box3, Point3, box_from_extents, cell_box
 from topoasm.icm import parse_icm
 from topoasm.sched import SchedulerPolicy
 from topoasm.route import BlockedView, RouteError, World
 from topoasm.spatial import (
-    COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry, SolidOverlapError,
-    UnknownEntryError,
+    BUCKET, COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry,
+    SolidOverlapError, UnknownEntryError,
 )
 
 EVERYWHERE = Box3(Point3(-1000, -1000, -1000), Point3(1000, 1000, 1000))
@@ -144,7 +144,7 @@ def test_hits_names_obstacles_only():
     w = World()
     idx = w.index
     b = box_from_extents(Point3(0, 0, 0), (4, 4, 4))
-    idx.insert(IndexEntry("solid", b), solid=True)
+    idx.insert_solid(b)
     idx.insert(IndexEntry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4))))
     probe = box_from_extents(Point3(0, 0, 0), (8, 8, 8))
     assert idx.hits(probe) == {"obs"} and len(idx) == 1
@@ -495,7 +495,7 @@ def test_every_cell_of_a_solid_box_is_covered_and_no_other():
     corners, is blocked; the cells one step outside each face are not."""
     w = World()
     box = box_from_extents(Point3(-11, -3, 5), (19, 10, 12))
-    w.index.insert(IndexEntry("s", box), solid=True)
+    w.index.insert_solid(box)
     inside = set(cells_of(box))
     (lt, lx, ly), (ht, hx, hy) = box
     around = itertools.product(range(lt - 1, ht + 1), range(lx - 1, hx + 1), range(ly - 1, hy + 1))
@@ -510,7 +510,7 @@ def test_rejected_solid_insert_leaves_the_index_unchanged():
     w = World()
     idx = w.index
     first = box_from_extents(Point3(0, 0, 0), (2, 2, 2))
-    idx.insert(IndexEntry("a", first), solid=True)
+    idx.insert_solid(first)
     idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3))))
     late = box_from_extents(Point3(-9, -9, -9), (11, 11, 11))
 
@@ -521,10 +521,59 @@ def test_rejected_solid_insert_leaves_the_index_unchanged():
 
     before = state()
     with pytest.raises(SolidOverlapError):
-        idx.insert(IndexEntry("b", late), solid=True)
+        idx.insert_solid(late)
     assert state() == before
     assert idx.solid_rows(late) == 0b11 << 9  # only a's rows, y = 0 and 1
     assert not idx.solid_rows(box_from_extents(Point3(-9, -9, -9), (9, 9, 9)))
+
+
+def test_a_refused_solid_clears_the_bits_it_set():
+    """``insert_solid`` sets bits bucket by bucket in one pass and, on a
+    clash, clears what it set: random boxes of up to 3 buckets per axis,
+    whose one clashing cell lies in the last bucket the pass visits (the
+    highest in t, then x, then y), over buckets that already hold other
+    solids and obstacle planes, leave every record as it was."""
+    rng = random.Random(28)
+    undone = 0
+    for trial in range(300):
+        idx = BoxIndex()
+        lo, hi = [], []
+        for _ in range(3):
+            a = rng.randint(-20, 20)
+            lo.append(a)
+            hi.append(a + rng.randint(1, 3 * BUCKET - (a & LOW)))  # up to 3 buckets
+        box = Box3(Point3(*lo), Point3(*hi))
+        last = [rng.randint(max(l, (h - 1) & ~LOW), h - 1) for l, h in zip(lo, hi)]
+        idx.insert_solid(cell_box(Point3(*last)))
+        # other solids beside the box in its buckets, obstacles across it
+        hull = [range(l & ~LOW, ((h - 1) | LOW) + 1) for l, h in zip(lo, hi)]
+        for cell in {Point3(*(rng.choice(r) for r in hull)) for _ in range(6)}:
+            if not box.contains_cell(cell):
+                idx.insert_solid(cell_box(cell))
+        for i in range(rng.randint(0, 3)):
+            corner = Point3(*(rng.choice(r) for r in hull))
+            idx.insert(IndexEntry(f"o{i}", box_from_extents(corner, (rng.randint(1, 12),) * 3)))
+        before = {key: list(rec) for key, rec in idx.records.items()}
+        with pytest.raises(SolidOverlapError):
+            idx.insert_solid(box)
+        assert idx.records == before, (trial, box, last)
+        undone += len(spatial._box_masks(box)) > 1
+    assert undone > 250
+
+
+def test_long_t_spans_are_built_at_each_use_and_not_kept():
+    """A merged rail stretch can be far longer in t than anything in the
+    planes: its t spans are built afresh, so the process-wide t memo keeps
+    no key longer than ``COLUMN_T``, and the stretch's cells, and no
+    others, turn solid."""
+    w = World()
+    box = box_from_extents(Point3(-37, 3, 4), (500, 1, 1))
+    w.index.insert_solid(box)
+    assert all(length <= COLUMN_T for _, length in spatial._T_SPANS)
+    view = view_of(w)
+    assert all(view.is_blocked(c) for c in cells_of(box))
+    assert not view.is_blocked((-38, 3, 4)) and not view.is_blocked((463, 3, 4))
+    assert w.index.solid_rows(box.inflated(2, 2, 2)) == 0b00100
 
 
 def test_removing_a_solid_raises_and_keeps_it():
@@ -533,7 +582,7 @@ def test_removing_a_solid_raises_and_keeps_it():
     w = World()
     idx = w.index
     box = box_from_extents(Point3(3, -5, 7), (4, 9, 2))
-    idx.insert(IndexEntry("s", box), solid=True)
+    idx.insert_solid(box)
     with pytest.raises(UnknownEntryError):
         idx.remove("s")
     assert len(idx) == 0 and idx.solid_rows(box) == 0b11
@@ -631,7 +680,8 @@ def test_span_memos_stay_small_on_the_chain(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "topobench"))
     import compose
 
-    memos = [spatial._AxisSpans(spatial.BUCKET ** k) for k in (2, 1, 0)]
+    memos = [spatial._AxisSpans(spatial.BUCKET ** 2, spatial._T_SPANS.longest),
+             spatial._AxisSpans(spatial.BUCKET), spatial._AxisSpans(1)]
     for name, memo in zip(("_T_SPANS", "_X_SPANS", "_Y_SPANS"), memos):
         monkeypatch.setattr(spatial, name, memo)
     circuit = parse_icm(compose.compose(fixtures.toffoli_text(), 14, sequential=True))
