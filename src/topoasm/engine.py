@@ -61,6 +61,7 @@ from .route import (
     SEG_B,
     SEG_C,
     SEG_E,
+    Journal,
     NoPathError,
     RouteError,
     SegmentSpec,
@@ -90,25 +91,9 @@ class EngineError(Exception):
 class SynthesisFailure(EngineError):
     """Synthesis could not complete; carries the diagnosis journal."""
 
-    def __init__(self, message: str, journal: "Journal"):
+    def __init__(self, message: str, journal: Journal):
         super().__init__(message)
         self.journal = journal
-
-
-class Journal:
-    """Append-only diagnosis log of `<step> <op> <args...>` lines.  Each call
-    site formats its `<op> <args...>` in one f-string, one space between
-    non-empty fields; :meth:`log` prefixes the step, one call per line."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.step = 0
-
-    def log(self, text: str) -> None:
-        self.lines.append(f"{self.step} {text}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -195,10 +180,10 @@ class Synthesizer:
     def __init__(self, circuit: ICMCircuit, config: SynthesisConfig):
         self.config = config
         self.circuit = recycle_wires(circuit) if config.optimize_wires else circuit
-        self.journal = Journal()
-        self.world = World(self.journal)
+        self.world = World()
+        self.journal = self.world.journal
         self.geometry = GeometrySet()
-        self.builder = GeometryBuilder(self.circuit, self.geometry, claim=self.world.claim)
+        self.builder = GeometryBuilder(self.circuit, self.geometry, self.world.claim)
         self.events = magic_events(self.circuit)
         self.demand_totals = Counter(m.basis for m in self.circuit.magic_inputs)
         cap = config.pool_cap
@@ -545,8 +530,8 @@ class Synthesizer:
             for searched, block in blocks:
                 if searched:
                     batch = [spec for _, spec in block]
-                    # a box link exempts its rail's line guide, so the
-                    # runs on that rail must be solid before it is searched
+                    # an invariant no search needs: a link's forward guard
+                    # fences its own runs, and a swept holder's were flushed
                     for spec in batch:
                         if spec.segment_class == SEG_B:
                             self.world.flush(spec.stop.x, spec.stop.y)

@@ -294,10 +294,10 @@ class GeometryBuilder:
     to its end.  A second cursor walks the CNOTs in timestep order.
     """
 
-    def __init__(self, circuit, geometry: GeometrySet, claim=None):
+    def __init__(self, circuit, geometry: GeometrySet, claim):
         self.circuit = circuit
         self.geometry = geometry
-        self.claim = claim or (lambda eid, box, tag: None)
+        self.claim = claim
         self.horizon = None  # exclusive bound of emitted cells
         self._lifetimes = circuit.lifetimes()  # in (start, wire) order
         self._next_lifetime = 0  # lifetimes before it have start < horizon

@@ -66,7 +66,7 @@ class ConnectionPool:
     and a move out of ``reserved`` lowers, with no rail scan.
     """
 
-    def __init__(self, cap_per_type: int, journal=None):
+    def __init__(self, cap_per_type: int, journal):
         self.cap_per_type = cap_per_type
         self.journal = journal
         self.rails: list[list[Connection]] = []
@@ -130,8 +130,7 @@ class ConnectionPool:
             self.offered[kind] += 1
             if self.reserved_count(kind) >= self.cap_per_type:
                 self.discarded[kind] += 1
-                if self.journal:
-                    self.journal.log(f"discard {kind} {box_id}")
+                self.journal.log(f"discard {kind} {box_id}")
                 continue
             anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
@@ -148,8 +147,7 @@ class ConnectionPool:
             conn.anchor_t = anchor_t
             conn.extended_to = anchor_t
             reserved.append(conn.id)
-            if self.journal:
-                self.journal.log(f"reserve {conn.id} {kind} {rail} {box_id}")
+            self.journal.log(f"reserve {conn.id} {kind} {rail} {box_id}")
         return reserved
 
     def assign_to_input(self, input_key: str, kind: str):
@@ -163,16 +161,14 @@ class ConnectionPool:
             return None
         self._move(conn, ASSIGNED)
         self.assigned_out[kind] += 1
-        if self.journal:
-            self.journal.log(f"assign {conn.id} {input_key}")
+        self.journal.log(f"assign {conn.id} {input_key}")
         return conn.id
 
     def mark_tobeavailable(self, conn_ids) -> None:
         for cid in conn_ids:
             conn = self.connections[cid]
             self._move(conn, TOBEAVAILABLE)
-            if self.journal:
-                self.journal.log(f"mark-tobeavailable {cid}")
+            self.journal.log(f"mark-tobeavailable {cid}")
 
     def extension_targets(self, now: int):
         """Rail stretches needed so every reserved connection reaches ``now``.
@@ -204,6 +200,5 @@ class ConnectionPool:
             conn.source_box = None
             conn.port = None
             freed.append(conn.id)
-            if self.journal:
-                self.journal.log(f"sweep-available {conn.id}")
+            self.journal.log(f"sweep-available {conn.id}")
         return freed

@@ -29,17 +29,19 @@ and its segment is that straight run.  It is no task-set spec:
 pending stretch in the world, with no search, no spec, no polyline and
 no index insert, and the caller draws it.  A stretch turns solid as one
 box when :meth:`World.flush` is called for its rail: the engine flushes
-a rail before it searches a box link on that rail, at its holder's
-sweep and at the end of synthesis.  Until then three fences keep the
-stretch free: every other spec sees the rail's line guide (a box link
-exempts it, which is why its rail is flushed first); the holder's
-forward guard fences ``anchor_t + 1 ..`` on the line and the strip
-under it; and a rail is granted again only after its last holder is
-swept and its forward guard removed.  A solid on a run fails loudly at
-the flush, named after the stretch's first run.  The run's own
-obstacles, that line guide and forward guard, are not switched: no
-search reads the blocked set around the run.  Between task sets no
-obstacle is disabled, so both are enabled, and
+a rail before it searches a box link on that rail, at its holder's sweep
+and at the end of synthesis.  Until then three fences keep the stretch
+free: every spec but a box link sees the rail's line guide; the holder's
+forward guard fences ``anchor_t + 1 ..`` on the line and the strip under
+it; and a rail is granted again only after its last holder is swept, its
+stretch flushed and its forward guard removed.  So the flush before a
+box link changes no search (the link's own runs lie under its forward
+guard, and the previous holder's were flushed at its sweep); it keeps
+the invariant that a link's rail has no pending run.  A solid on a run
+fails loudly at the flush, named after the stretch's first run.  The
+run's own obstacles, that line guide and forward guard, are not
+switched: no search reads the blocked set around the run.  Between task
+sets no obstacle is disabled, so both are enabled, and
 :meth:`ObstacleRegistry.log_switches` writes the ``obstacle-off`` lines
 before the ``claim`` line and the ``obstacle-on`` lines after it that
 switching them would write; those lines are part of the ``--journal``
@@ -87,7 +89,7 @@ import itertools
 from dataclasses import dataclass
 
 from .geom import Box3, DefectPolyline, Point3, polyline_from_cells
-from .spatial import LOW, SHIFT, T_SHIFT, BoxIndex, IndexEntry, SolidOverlapError
+from .spatial import LOW, SHIFT, T_SHIFT, BoxIndex, SolidOverlapError
 
 GUIDE = "guide"
 OCCUPY = "occupy"
@@ -95,6 +97,8 @@ OCCUPY = "occupy"
 SEG_C = "connection_c"  # pool -> circuit pin
 SEG_B = "connection_b"  # box output -> pool rail
 SEG_E = "connection_e"  # extension along a pool rail
+
+SEARCH_MARGIN = 10  # cells a segment's search box reaches past its endpoints
 
 
 class RouteError(Exception):
@@ -114,10 +118,29 @@ class NoPathError(RouteError):
         self.bounds = bounds
 
 
+class Journal:
+    """Append-only diagnosis log of `<step> <op> <args...>` lines.  Each call
+    site formats its `<op> <args...>` in one f-string, one space between
+    non-empty fields; :meth:`log` prefixes the step, one call per line."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.step = 0
+
+    def log(self, text: str) -> None:
+        self.lines.append(f"{self.step} {text}")
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
 @dataclass
 class Obstacle:
-    oid: str
+    """A live obstacle: its index entry from ``add`` until ``remove``."""
+
+    id: str
     kind: str  # guide | occupy
+    box: Box3
     enabled: bool = True
 
 
@@ -138,14 +161,14 @@ class SegmentSpec:
 
 
 class ObstacleRegistry:
-    """Owns all obstacles, each indexed from ``add`` until ``remove``;
-    ``disable`` and ``enable`` only flip :attr:`Obstacle.enabled` and
-    keep :attr:`disabled`, the ids of the switched-off obstacles."""
+    """Owns all obstacles, each one :class:`Obstacle` record in the index
+    from ``add`` until ``remove``; ``disable`` and ``enable`` only flip
+    :attr:`Obstacle.enabled` and keep :attr:`disabled`, the ids of the
+    switched-off obstacles."""
 
-    def __init__(self, index: BoxIndex, journal=None):
+    def __init__(self, index: BoxIndex, journal: Journal):
         self.index = index
         self.journal = journal
-        self.by_id: dict[str, Obstacle] = {}  # every obstacle not yet removed
         self.disabled: set[str] = set()
         self._seq = itertools.count()
 
@@ -153,16 +176,15 @@ class ObstacleRegistry:
         """Index a new enabled obstacle and return its id; ``priority`` and
         ``owner`` go to the journal."""
         oid = f"obs{next(self._seq)}"
-        self.by_id[oid] = Obstacle(oid, kind)
-        self.index.insert(IndexEntry(oid, region))
-        if self.journal:
-            lo, hi = region.lo, region.hi
-            self.journal.log(f"obstacle-add {oid} {kind} {priority} {owner} "
-                             f"{lo.t} {lo.x} {lo.y} {hi.t} {hi.x} {hi.y}")
+        self.index.insert(Obstacle(oid, kind, region))
+        lo, hi = region.lo, region.hi
+        self.journal.log(f"obstacle-add {oid} {kind} {priority} {owner} "
+                         f"{lo.t} {lo.x} {lo.y} {hi.t} {hi.x} {hi.y}")
         return oid
 
     def get(self, oid: str) -> Obstacle:
-        return self.by_id[oid]
+        """The live obstacle ``oid``; another id is ``UnknownEntryError``."""
+        return self.index.get(oid)
 
     def disable(self, oid: str) -> None:
         self._switch(oid, False)
@@ -171,7 +193,7 @@ class ObstacleRegistry:
         self._switch(oid, True)
 
     def _switch(self, oid: str, on: bool) -> None:
-        obs = self.by_id[oid]
+        obs = self.index.get(oid)
         if obs.enabled != on:
             obs.enabled = on
             if on:
@@ -184,28 +206,27 @@ class ObstacleRegistry:
         """Write the ``obstacle-on`` or ``obstacle-off`` line of each of
         ``oids``, the line a switch writes; a rail run writes its lines
         here without switching."""
-        if self.journal:
-            op = "obstacle-on" if on else "obstacle-off"
-            for oid in oids:
-                self.journal.log(f"{op} {oid}")
+        op = "obstacle-on" if on else "obstacle-off"
+        for oid in oids:
+            self.journal.log(f"{op} {oid}")
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
-        del self.by_id[oid]
         self.disabled.discard(oid)
         self.index.remove(oid)
 
 
 class World:
-    """Shared picture of the space-time volume: solids plus obstacles, and
-    the rail runs not yet solid.  ``pending[x, y]`` is rail ``(x, y)``'s
-    stretch of consecutive runs, which :meth:`flush` turns solid as one
-    box: ``[lo.t, hi.t, first run id, journal index of its claim line]``."""
+    """Shared picture of the space-time volume: solids plus obstacles, the
+    rail runs not yet solid, and the journal that logs every change to
+    them.  ``pending[x, y]`` is rail ``(x, y)``'s stretch of consecutive
+    runs, which :meth:`flush` turns solid as one box:
+    ``[lo.t, hi.t, first run id, journal index of its claim line]``."""
 
-    def __init__(self, journal=None):
+    def __init__(self):
         self.index = BoxIndex()
-        self.journal = journal
-        self.obstacles = ObstacleRegistry(self.index, journal)
+        self.journal = Journal()
+        self.obstacles = ObstacleRegistry(self.index, self.journal)
         self.pending: dict[tuple[int, int], list] = {}
         self._commit_seq = itertools.count()
 
@@ -218,9 +239,8 @@ class World:
             self.index.insert_solid(box)
         except SolidOverlapError:
             raise self._overlap(eid, box) from None
-        if self.journal:
-            (lt, lx, ly), (ht, hx, hy) = box
-            self.journal.log(f"claim {tag} {eid} {lt} {lx} {ly} {ht} {hx} {hy}")
+        (lt, lx, ly), (ht, hx, hy) = box
+        self.journal.log(f"claim {tag} {eid} {lt} {lx} {ly} {ht} {hx} {hy}")
 
     def claim_later(self, eid: str, first: int, last: int, x: int, y: int) -> None:
         """Log rail run ``eid``'s ``claim`` line, the cells ``first .. last``
@@ -232,12 +252,10 @@ class World:
             self.flush(x, y)
             stretch = None
         if stretch is None:
-            since = len(self.journal.lines) if self.journal else 0
-            self.pending[x, y] = [first, last + 1, eid, since]
+            self.pending[x, y] = [first, last + 1, eid, len(self.journal.lines)]
         else:
             stretch[1] = last + 1
-        if self.journal:
-            self.journal.log(f"claim connection {eid} {first} {x} {y} {last + 1} {x + 1} {y + 1}")
+        self.journal.log(f"claim connection {eid} {first} {x} {y} {last + 1} {x + 1} {y + 1}")
 
     def flush(self, x: int, y: int) -> None:
         """Turn rail ``(x, y)``'s pending stretch, if any, solid as one
@@ -256,12 +274,9 @@ class World:
     def _overlap(self, eid: str, box: Box3) -> RouteError:
         """The fault of claim ``eid``, whose ``box`` meets a solid: it names,
         sorted, the ids of the journal's ``claim`` lines whose boxes meet
-        ``box``, or with no journal the box.  It leaves out the runs still
-        pending, a stretch's runs being the rail runs logged on its rail
-        from its first run's line on."""
-        if not self.journal:
-            return RouteError(f"claim {eid} overlaps a solid in "
-                              f"{box.lo.as_tuple()}..{box.hi.as_tuple()}")
+        ``box``.  It leaves out the runs still pending, a stretch's runs
+        being the rail runs logged on its rail from its first run's line
+        on."""
         lines = self.journal.lines
         since = {xy: stretch[3] for xy, stretch in self.pending.items()}
         clash = []
@@ -322,17 +337,17 @@ class BlockedView:
         return count > 0
 
 
-def default_bounds(spec: SegmentSpec, margin: int) -> Box3:
-    """The box spanning both endpoints, ``margin`` cells wider on every side."""
-    a, b = spec.start, spec.stop
+def default_bounds(spec: SegmentSpec) -> Box3:
+    """The box spanning both endpoints, ``SEARCH_MARGIN`` cells wider on
+    every side."""
+    a, b, m = spec.start, spec.stop, SEARCH_MARGIN
     return Box3(
-        Point3(min(a.t, b.t) - margin, min(a.x, b.x) - margin, min(a.y, b.y) - margin),
-        Point3(max(a.t, b.t) + margin + 1, max(a.x, b.x) + margin + 1, max(a.y, b.y) + margin + 1),
+        Point3(min(a.t, b.t) - m, min(a.x, b.x) - m, min(a.y, b.y) - m),
+        Point3(max(a.t, b.t) + m + 1, max(a.x, b.x) + m + 1, max(a.y, b.y) + m + 1),
     )
 
 
-def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
-                 margin: int = 10) -> tuple:
+def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None) -> tuple:
     """Shortest axis-aligned path from start to stop under the blocked set,
     as the tuple of its cells ``(t, x, y)`` from start to stop.
 
@@ -352,7 +367,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     task-set protocol does this).
     """
     if bounds is None:
-        bounds = default_bounds(spec, margin)
+        bounds = default_bounds(spec)
     start, stop = spec.start, spec.stop
     if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
         raise NoPathError(spec, "endpoint outside search bounds", bounds=bounds)
@@ -420,8 +435,7 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None,
     )
 
 
-def compute_taskset(specs: list[SegmentSpec], world: World,
-                    margin: int = 10) -> list[DefectPolyline]:
+def compute_taskset(specs: list[SegmentSpec], world: World) -> list[DefectPolyline]:
     """Compute the searched segments of one event-handling pass under the
     obstacle protocol and return, in the order computed, the polyline
     each claimed.
@@ -442,7 +456,7 @@ def compute_taskset(specs: list[SegmentSpec], world: World,
     for spec in sorted(specs, key=lambda s: -s.priority):
         for oid in spec.obstacles:
             registry.disable(oid)
-        cells = plan_segment(spec, world, margin=margin)
+        cells = plan_segment(spec, world)
         poly = polyline_from_cells(cells, "primal", spec.segment_class)
         _commit_path(spec, poly, world)
         for oid in spec.obstacles:

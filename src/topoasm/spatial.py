@@ -54,17 +54,20 @@ solid cells over t and x onto its rows, for the alap wall.
 
 Inserts, overlap probes and cell tests are therefore bit operations or
 short scans.  Only obstacles, which :meth:`BoxIndex.insert` takes, keep
-an :class:`IndexEntry`, whichever store holds them, so ``remove`` finds
-their cells and a blocked-cell query can subtract the obstacles it
-exempts.  ``hits`` scans those entries; only tests and the tracer need
-it.
+an entry, their :class:`~topoasm.route.Obstacle` record, whichever store
+holds them, so ``remove`` finds their cells and a blocked-cell query can
+subtract the obstacles it exempts.  ``hits`` scans those entries; only
+tests and the tracer need it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 from .geom import Box3
+
+if TYPE_CHECKING:
+    from .route import Obstacle
 
 BUCKET = 8  # lattice units per bucket edge; a power of two
 SHIFT = BUCKET.bit_length() - 1  # bucket key of a coordinate: c >> SHIFT
@@ -138,11 +141,6 @@ class SolidOverlapError(Exception):
     """A solid insert would share a cell with an indexed solid."""
 
 
-class IndexEntry(NamedTuple):
-    id: str
-    box: Box3
-
-
 class BoxIndex:
     """Bucketed box index: one record per bucket, its solid cells and the
     bit planes of its obstacle counts, plus the t spans of the long thin
@@ -151,7 +149,7 @@ class BoxIndex:
     bucket_size = BUCKET
 
     def __init__(self):
-        self._entries: dict[str, IndexEntry] = {}  # live obstacles by id
+        self._entries: dict[str, Obstacle] = {}  # live obstacles by id
         self.records: dict[tuple[int, int, int], list[int]] = {}  # bucket -> [solid, planes...]
         self.columns: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (x, y) -> [(lo.t, hi.t)]
 
@@ -181,7 +179,7 @@ class BoxIndex:
             else:
                 rec[0] |= mask
 
-    def insert(self, entry: IndexEntry) -> None:
+    def insert(self, entry: Obstacle) -> None:
         """Index the obstacle ``entry``, whose id must be new: count it in
         the bucket planes, or keep it as a t span of each column when long
         and thin."""
@@ -230,7 +228,7 @@ class BoxIndex:
             if len(rec) == 1 and not rec[0]:
                 del records[key]
 
-    def get(self, eid: str) -> IndexEntry:
+    def get(self, eid: str) -> Obstacle:
         try:
             return self._entries[eid]
         except KeyError:

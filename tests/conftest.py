@@ -9,6 +9,7 @@ from topoasm.geom import Box3, Point3
 from topoasm.icm import parse_icm
 from topoasm.pool import RESERVED
 from topoasm.sched import SchedulerPolicy
+from topoasm.spatial import UnknownEntryError
 
 
 @pytest.fixture(scope="session")
@@ -112,5 +113,19 @@ def journal_claims(journal):
     return out
 
 
+def obstacle_records(registry):
+    """``(id, record)`` of each obstacle the registry's journal logs as
+    added, in order; the record is ``None`` once the obstacle is removed."""
+    out = []
+    for ln in registry.journal.lines:
+        _, op, *args = ln.split(" ", 3)
+        if op == "obstacle-add":
+            try:
+                out.append((args[0], registry.get(args[0])))
+            except UnknownEntryError:
+                out.append((args[0], None))
+    return out
+
+
 def enabled_obstacles(registry):
-    return [o for o in registry.by_id.values() if o.enabled]
+    return [o for _, o in obstacle_records(registry) if o is not None and o.enabled]

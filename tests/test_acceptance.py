@@ -18,8 +18,10 @@ from topoasm.engine import synthesize
 from topoasm.geom import Point3, box_from_extents
 from topoasm.icm import magic_events, parse_icm
 from topoasm.route import (
+    GUIDE,
     BlockedView,
     NoPathError,
+    Obstacle,
     RouteError,
     World,
     compute_taskset,
@@ -182,12 +184,12 @@ def test_criterion_5_router_optimality():
 def test_criterion_6_spatial_equivalence():
     t0 = time.monotonic()
     rng = random.Random(777)
-    from topoasm.spatial import BoxIndex, IndexEntry
+    from topoasm.spatial import BoxIndex
 
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", _random_index_box(rng))
+        e = Obstacle(f"e{i}", GUIDE, _random_index_box(rng))
         idx.insert(e)
         entries.append(e)
     for _ in range(100):
@@ -198,7 +200,7 @@ def test_criterion_6_spatial_equivalence():
     live = {}
     for n in range(500):
         if rng.random() < 0.6 or not live:
-            e = IndexEntry(f"s{n}", _random_index_box(rng))
+            e = Obstacle(f"s{n}", GUIDE, _random_index_box(rng))
             idx2.insert(e)
             live[e.id] = e
         else:
@@ -223,13 +225,13 @@ def _random_index_box(rng, max_ext=8):
 def test_criterion_7_obstacle_protocol():
     t0 = time.monotonic()
     w, ts, (magenta, orange, yellow) = test_route.three_connection_scenario()
-    paths = compute_taskset(ts, w, margin=16)
+    paths = compute_taskset(ts, w)
     cells = [polyline_cells(p) for p in paths]
     assert cells[0].isdisjoint(cells[1])
     assert cells[0].isdisjoint(cells[2])
     assert cells[1].isdisjoint(cells[2])
     assert len(paths[2]) == 8  # the lowest-priority connection stays direct
-    enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
+    enabled = {o.id for o in enabled_obstacles(w.obstacles)}
     assert magenta in enabled
     assert orange not in enabled and yellow not in enabled
 

@@ -1,6 +1,9 @@
 import hashlib
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,31 @@ def test_cli_determinism_byte_identical(workdir, circuit, extra, digests):
     first = run("a")
     assert first == run("b")
     assert tuple(hashlib.sha256(b).hexdigest() for b in first) == digests
+
+
+@pytest.mark.parametrize("order", ["cbe", "ceb"])
+@pytest.mark.parametrize("scheduler", ["spiral", "alap", "asap"])
+def test_exports_do_not_depend_on_the_hash_seed(tmp_path, scheduler, order):
+    """Python salts ``str`` hashes per process, so iterating a set or dict
+    of strings could reorder a run between processes, which no in-process
+    rerun shows.  The CLI on the Toffoli in two subprocesses, with
+    ``PYTHONHASHSEED`` 0 and 1, writes the same geometry, stats and
+    journal bytes and prints the same line."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        paths = [tmp_path / f"{seed}.{kind}" for kind in ("geometry", "stats", "journal")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoasm", "--circuit", str(fixtures.fixture_path("toffoli.icm")),
+             "--scheduler", scheduler, "--segment-order", order,
+             "--export-geometry", str(paths[0]), "--export-stats", str(paths[1]),
+             "--journal", str(paths[2])],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True, timeout=120, check=True,
+        )
+        runs.append([p.read_bytes() for p in paths] + [proc.stdout])
+    assert runs[0] == runs[1]
+    assert runs[0][0] and runs[0][2]
 
 
 MATRIX_DIGESTS = [  # (circuit, scheduler, seed, segment order, sha256)

@@ -25,13 +25,14 @@ from topoasm.icm import magic_events, parse_icm
 from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
 from topoasm.route import World
 from topoasm.sched import SchedulerPolicy
-from topoasm.spatial import BoxIndex
+from topoasm.spatial import BoxIndex, UnknownEntryError
 
 from conftest import (
     box_cells,
     conservation_holds,
     journal_claims,
     journal_ops,
+    obstacle_records,
     polyline_cells,
     scripted_config,
     solid_cells,
@@ -286,8 +287,15 @@ def test_connection_geometry_equals_index_claims(toffoli, kind):
     assert claimed and max(claimed.values()) == 1 and max(drawn.values()) == 1
     assert claimed == drawn
     assert not any(s.world.is_free(cell_box(cell)) for cell in claimed)
-    # solids keep no entry: the index holds exactly the live obstacles
-    assert len(s.world.index) == len(s.world.obstacles.by_id)
+    # one record per obstacle: the registry hands out the index's entry,
+    # solids keep none, and a removed id is unknown to both
+    records = obstacle_records(s.world.obstacles)
+    live = [(oid, obs) for oid, obs in records if obs is not None]
+    assert all(obs is s.world.index.get(oid) for oid, obs in live)
+    assert len(live) == len(s.world.index) < len(records)
+    removed = next(oid for oid, obs in records if obs is None)
+    with pytest.raises(UnknownEntryError):
+        s.world.obstacles.get(removed)
 
 
 @pytest.mark.parametrize("kind", ["spiral", "alap"])
@@ -549,9 +557,9 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         assert not [b for b in settled(world) if b.intersects(box)], box
         return is_free(world, box)
 
-    def checked_plan(spec, world, bounds=None, margin=10):
+    def checked_plan(spec, world, bounds=None):
         if bounds is None:
-            bounds = route.default_bounds(spec, margin)
+            bounds = route.default_bounds(spec)
         cells = [cell for b in settled(world) if b.intersects(bounds)
                  for cell in box_cells(b) if bounds.contains_cell(cell)]
         if spec.segment_class == route.SEG_B:
@@ -559,12 +567,12 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
             seen["links"] += 1
         if cells:
             registry = world.obstacles
-            fences = [world.index.get(oid).box for oid, obs in registry.by_id.items()
-                      if obs.enabled and oid not in spec.obstacles]
+            fences = [obs.box for obs in map(registry.get, world.index.hits(bounds))
+                      if obs.enabled and obs.id not in spec.obstacles]
             for cell in cells:
                 assert any(f.contains_cell(cell) for f in fences), (route.describe_spec(spec), cell)
             seen["fenced cells"] += len(cells)
-        return plan(spec, world, bounds, margin)
+        return plan(spec, world, bounds)
 
     monkeypatch.setattr(engine, "claim_run", checked_claim)
     monkeypatch.setattr(route.World, "flush", checked_flush)

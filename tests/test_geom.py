@@ -21,6 +21,7 @@ from topoasm.geom import (
     wire_row,
 )
 from topoasm.icm import ICMCircuit, ICMOp, parse_icm
+from topoasm.route import World
 
 from conftest import box_cells, journal_claims, polyline_cells, solid_cells
 
@@ -259,7 +260,7 @@ def test_global_bounding_box_empty_set_errors():
 
 def _emit(circuit, horizon):
     g = GeometrySet()
-    builder = GeometryBuilder(circuit, g)
+    builder = GeometryBuilder(circuit, g, World().claim)
     builder.emit_until(horizon)
     return g, builder
 
@@ -275,7 +276,7 @@ def test_emit_idle_wire_extent():
 def test_emit_one_shot_equals_incremental(toffoli):
     g, _ = _emit(toffoli, toffoli.last_timestep + 1)
     incremental = GeometrySet()
-    b = GeometryBuilder(toffoli, incremental)
+    b = GeometryBuilder(toffoli, incremental, World().claim)
     for h in range(0, toffoli.last_timestep + 2, 7):
         b.emit_until(h)
     b.emit_until(toffoli.last_timestep + 1)
@@ -310,45 +311,37 @@ def test_emit_colliding_templates_flagged():
     ]
     circuit = ICMCircuit(2, ops)
     from topoasm.geom import TemplateCollisionError
-    from topoasm.route import World
 
-    g = GeometrySet()
-    world = World()
-    builder = GeometryBuilder(circuit, g, claim=world.claim)
+    builder = GeometryBuilder(circuit, GeometrySet(), World().claim)
     with pytest.raises(TemplateCollisionError):
         builder.emit_until(10)
 
 
 def test_template_collision_names_its_owner_through_the_journal():
-    """A CNOT template that meets an earlier solid names it: through the
-    journal's ``claim`` lines when the world keeps a journal (the wire
-    corridors claimed beside it are left out), and as the one-line box
-    text when it keeps none.  ``_emit_braid`` re-tags every exception as
-    a template fault, so only the text shows that the lookup worked."""
-    from topoasm.engine import Journal
+    """A CNOT template that meets an earlier solid names it through the
+    journal's ``claim`` lines (the wire corridors claimed beside it are
+    left out).  ``_emit_braid`` re-tags every exception as a template
+    fault, so only the text shows that the lookup worked."""
     from topoasm.geom import TemplateCollisionError
-    from topoasm.route import World
 
     circuit = ICMCircuit(2, [ICMOp("init", 0, (0,), "0"), ICMOp("init", 0, (1,), "0"),
                              ICMOp("cnot", 3, (0, 1))])
     xl, xr = template_rows(circuit.cnots()[0])
-    head = rf"^CNOT template at t=3 rows \[{xl},{xr}\] collides: claim braid\.t3#\d+ overlaps "
-    for journal, tail in ((Journal(), r"\['blocker'\]$"),
-                          (None, rf"a solid in \(3, {xl}, 1\)\.\.\(4, {xr + 1}, 2\)$")):
-        world = World(journal)
-        world.claim("blocker", cell_box(Point3(3, xl, 1)), "circuit")
-        builder = GeometryBuilder(circuit, GeometrySet(), claim=world.claim)
-        with pytest.raises(TemplateCollisionError, match=head + tail):
-            builder.emit_until(10)
-        if journal:  # the blocker and both wire corridors, which the braid misses
-            assert [eid for _, eid, _ in journal_claims(journal)] == [
-                "blocker", "wire0.0#1", "wire1.1#2"]
+    world = World()
+    world.claim("blocker", cell_box(Point3(3, xl, 1)), "circuit")
+    builder = GeometryBuilder(circuit, GeometrySet(), world.claim)
+    with pytest.raises(TemplateCollisionError, match=rf"^CNOT template at t=3 rows \[{xl},{xr}\] "
+                       r"collides: claim braid\.t3#\d+ overlaps \['blocker'\]$"):
+        builder.emit_until(10)
+    # the blocker and both wire corridors, which the braid misses
+    assert [eid for _, eid, _ in journal_claims(world.journal)] == [
+        "blocker", "wire0.0#1", "wire1.1#2"]
 
 
 def test_emit_is_idempotent_and_monotone():
     circuit = parse_icm("@0 init 0 A\n@0 init 1 0\n@2 cnot 0 1\n@5 measure 0 X\n@9 measure 1 Z\n")
     g1 = GeometrySet()
-    b1 = GeometryBuilder(circuit, g1)
+    b1 = GeometryBuilder(circuit, g1, World().claim)
     b1.emit_until(4)
     cells_4 = {c for d in g1.defects for c in polyline_cells(d)}
     b1.emit_until(4)
@@ -358,7 +351,7 @@ def test_emit_is_idempotent_and_monotone():
     assert cells_4 <= cells_10
 
     g2 = GeometrySet()
-    b2 = GeometryBuilder(circuit, g2)
+    b2 = GeometryBuilder(circuit, g2, World().claim)
     b2.emit_until(10)
     assert {c for d in g2.defects for c in polyline_cells(d)} == cells_10
     with pytest.raises(GeometryError):
@@ -367,7 +360,7 @@ def test_emit_is_idempotent_and_monotone():
 
 def test_emit_pins_appear_with_horizon(toffoli):
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, g)
+    builder = GeometryBuilder(toffoli, g, World().claim)
     first_t = toffoli.magic_inputs[0].timestep
     builder.emit_until(first_t)  # cells strictly before the first inputs
     assert g.pins == []
@@ -379,7 +372,7 @@ def test_emit_pins_appear_with_horizon(toffoli):
 
 def test_emit_magic_pin_cell_left_unclaimed(toffoli):
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, g)
+    builder = GeometryBuilder(toffoli, g, World().claim)
     builder.emit_until(toffoli.last_timestep + 1)
     claimed = {c for d in g.defects for c in polyline_cells(d)}
     for key, pin in g.pins:
@@ -390,7 +383,7 @@ def test_emit_no_cell_claimed_twice(toffoli):
     from collections import Counter
 
     g = GeometrySet()
-    builder = GeometryBuilder(toffoli, g)
+    builder = GeometryBuilder(toffoli, g, World().claim)
     builder.emit_until(toffoli.last_timestep + 1)
     counts = Counter()
     for cell, _ in solid_cells(g):
@@ -476,14 +469,14 @@ def test_emit_random_monotone_horizons_on_a_chain(toffoli, recycle, digests):
     end = chain.last_timestep + 1
     once = GeometrySet()
     once_claims = []
-    GeometryBuilder(chain, once, claim=lambda *a: once_claims.append(a)).emit_until(end + 6)
+    GeometryBuilder(chain, once, lambda *a: once_claims.append(a)).emit_until(end + 6)
     magic = sorted(chain.magic_inputs, key=lambda m: (m.timestep, m.wire))
     got = []
     for seed in range(6):
         rng = random.Random(seed)
         g = GeometrySet()
         claims = []
-        builder = GeometryBuilder(chain, g, claim=lambda *a: claims.append(a))
+        builder = GeometryBuilder(chain, g, lambda *a: claims.append(a))
         h = rng.randint(0, 3)
         while True:
             builder.emit_until(h)

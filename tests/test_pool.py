@@ -12,6 +12,7 @@ from topoasm.pool import (
     ConnectionPool,
     PoolError,
 )
+from topoasm.route import Journal
 
 from conftest import conservation_holds
 
@@ -24,7 +25,7 @@ LEGAL = {
 
 
 def mk_pool(cap=10):
-    return ConnectionPool(cap)
+    return ConnectionPool(cap, Journal())
 
 
 def successes(n, kind, t0=10):

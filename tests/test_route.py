@@ -5,7 +5,6 @@ from collections import Counter, deque
 
 import pytest
 
-from topoasm.engine import Journal
 from topoasm.geom import (
     Box3,
     DefectPolyline,
@@ -20,6 +19,7 @@ from topoasm.route import (
     OCCUPY,
     SEG_C,
     SEG_E,
+    SEARCH_MARGIN,
     BlockedView,
     NoPathError,
     ObstacleRegistry,
@@ -33,7 +33,13 @@ from topoasm.route import (
 )
 from topoasm.spatial import UnknownEntryError
 
-from conftest import box_cells, enabled_obstacles, journal_claims, polyline_cells
+from conftest import (
+    box_cells,
+    enabled_obstacles,
+    journal_claims,
+    obstacle_records,
+    polyline_cells,
+)
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
 
@@ -120,10 +126,10 @@ def eager_plan(s, world, bounds):
     return ("nopath", detail, len(settled))
 
 
-def planned(s, world, bounds=None, margin=10):
+def planned(s, world, bounds=None):
     """``plan_segment``'s outcome in ``eager_plan``'s form."""
     try:
-        return plan_segment(s, world, bounds=bounds, margin=margin)
+        return plan_segment(s, world, bounds=bounds)
     except NoPathError as exc:
         return ("nopath", exc.detail, exc.searched)
 
@@ -161,15 +167,16 @@ def test_disabled_tracks_switched_off_obstacles_under_random_scripts():
         reg = World().obstacles
         for step in range(200):
             roll = rng.random()
-            if roll < 0.3 or not reg.by_id:
+            live = {oid: obs for oid, obs in obstacle_records(reg) if obs is not None}
+            if roll < 0.3 or not live:
                 lo = Point3(rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30))
                 reg.add(box_from_extents(lo, (rng.randint(1, 80), 1, 2)),
                         rng.choice((GUIDE, OCCUPY)), rng.randint(0, 9), "x")
             else:
-                oid = rng.choice(sorted(reg.by_id))
+                oid = rng.choice(sorted(live))
                 op = "disable" if roll < 0.6 else "enable" if roll < 0.85 else "remove"
                 getattr(reg, op)(oid)
-            want = {oid for oid, obs in reg.by_id.items() if not obs.enabled}
+            want = {oid for oid, obs in obstacle_records(reg) if obs and not obs.enabled}
             assert reg.disabled == want, (seed, step)
 
 
@@ -368,11 +375,13 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
         got = planned(s, w, bounds)
         assert got == eager_plan(s, w, bounds), trial
         outcomes["path" if got[0] != "nopath" else "exhausted" if got[2] else "refused"] += 1
-        margin = rng.randint(0, 3)  # default bounds: both endpoints lie on or near its faces
+        margin = rng.randint(0, 3)  # both endpoints lie on or near the faces
         envelope = merge_boxes(cell_box(start), cell_box(stop))
-        assert default_bounds(s, margin) == envelope.inflated(margin, margin, margin)
-        got = planned(s, w, margin=margin)
-        assert got == eager_plan(s, w, default_bounds(s, margin)), (trial, margin)
+        near = envelope.inflated(margin, margin, margin)
+        got = planned(s, w, near)
+        assert got == eager_plan(s, w, near), (trial, margin)
+        m = SEARCH_MARGIN
+        assert default_bounds(s) == envelope.inflated(m, m, m)
     # found paths, searches that exhaust their bounds and refused endpoints all occur
     assert min(outcomes["path"], outcomes["exhausted"], outcomes["refused"]) >= 5, outcomes
 
@@ -533,7 +542,7 @@ def three_connection_scenario():
 
 def test_three_connection_scenario_routes_disjoint():
     w, ts, (magenta, orange, yellow) = three_connection_scenario()
-    paths = compute_taskset(ts, w, margin=16)
+    paths = compute_taskset(ts, w)
     assert len(paths) == 3
     cells = [polyline_cells(p) for p in paths]
     assert cells[0] & cells[1] == set()
@@ -549,8 +558,8 @@ def test_three_connection_scenario_routes_disjoint():
 
 def test_protocol_reenables_only_guides():
     w, ts, (magenta, orange, yellow) = three_connection_scenario()
-    compute_taskset(ts, w, margin=16)
-    enabled = {o.oid for o in enabled_obstacles(w.obstacles)}
+    compute_taskset(ts, w)
+    enabled = {o.id for o in enabled_obstacles(w.obstacles)}
     assert magenta in enabled
     assert orange not in enabled and yellow not in enabled
 
@@ -564,21 +573,21 @@ def test_protocol_keeps_obstacles_indexed_and_removes_occupies(monkeypatch):
             _orig(oid)
             sizes.append((before, len(w.index)))
         monkeypatch.setattr(w.obstacles, name, toggle)
-    compute_taskset(ts, w, margin=16)
+    compute_taskset(ts, w)
     assert len(sizes) == 4  # each spec disables its obstacle; white re-enables its guide
     assert all(before == after for before, after in sizes)
     for occupy in (orange, yellow):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownEntryError):
             w.obstacles.get(occupy)
         with pytest.raises(UnknownEntryError):
             w.index.get(occupy)
-    assert w.obstacles.get(magenta).enabled and w.index.get(magenta).id == magenta
+    assert w.obstacles.get(magenta).enabled and w.obstacles.get(magenta) is w.index.get(magenta)
 
 
 def rail_run_world():
     """A world with rail 0's line guide and connection c1's forward guard;
     c1's rail run starts at t = 4 on that rail, at ``(x, y) = (3, 4)``."""
-    w = World(journal=Journal())
+    w = World()
     line = w.obstacles.add(Box3(Point3(0, 3, 4), Point3(40, 4, 5)), GUIDE, 0, "rail0")
     fwd = w.obstacles.add(Box3(Point3(5, 3, 3), Point3(40, 4, 5)), GUIDE, 0, "c1")
     return w, line, fwd
@@ -727,7 +736,7 @@ def random_taskset(rng, prios):
 
 def run_outcome(w, ts):
     try:
-        return compute_taskset(ts, w, margin=6)
+        return compute_taskset(ts, w)
     except NoPathError as exc:
         return ("nopath", exc.spec.owner)
 

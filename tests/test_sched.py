@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from topoasm import sched
-from topoasm.engine import Journal, SynthesisConfig
+from topoasm.engine import SynthesisConfig
 from topoasm.geom import BOX_EXTENTS, Point3, box_from_extents
 from topoasm.route import World
 from topoasm.sched import (
@@ -413,7 +413,7 @@ def test_baseline_placements():
 
 def test_placements_never_hit_existing_world():
     rng = random.Random(2)
-    w = World(journal=Journal())
+    w = World()
     channel = box_from_extents(Point3(0, -2, -2), (60, 20, 10))
     for i in range(30):
         lo = Point3(rng.randint(0, 50), rng.randint(-2, 14), rng.randint(-2, 6))

@@ -5,14 +5,14 @@ from pathlib import Path
 import pytest
 
 from topoasm import fixtures, spatial
-from topoasm.engine import Journal, SynthesisConfig, synthesize
+from topoasm.engine import SynthesisConfig, synthesize
 from topoasm.geom import Box3, Point3, box_from_extents, cell_box
 from topoasm.icm import parse_icm
 from topoasm.sched import SchedulerPolicy
-from topoasm.route import BlockedView, RouteError, World
+from topoasm.route import GUIDE, BlockedView, Obstacle, RouteError, World
 from topoasm.spatial import (
-    BUCKET, COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, IndexEntry,
-    SolidOverlapError, UnknownEntryError,
+    BUCKET, COLUMN_T, LOW, SHIFT, T_SHIFT, BoxIndex, DuplicateEntryError, SolidOverlapError,
+    UnknownEntryError,
 )
 
 EVERYWHERE = Box3(Point3(-1000, -1000, -1000), Point3(1000, 1000, 1000))
@@ -23,6 +23,11 @@ def rand_box(rng, span=60, max_ext=8):
     return box_from_extents(
         lo, (rng.randint(1, max_ext), rng.randint(1, max_ext), rng.randint(1, max_ext))
     )
+
+
+def entry(eid, box):
+    """An index entry: a guide obstacle's record."""
+    return Obstacle(eid, GUIDE, box)
 
 
 def brute_hits(entries, probe):
@@ -40,7 +45,7 @@ def test_insert_and_point_query():
     w = World()
     idx = w.index
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
-    idx.insert(IndexEntry("a", box))
+    idx.insert(entry("a", box))
     assert len(idx) == 1
     assert idx.hits(box) == {"a"}
     assert view_of(w).is_blocked(box.lo) and not view_of(w, {"a"}).is_blocked(box.lo)
@@ -50,15 +55,15 @@ def test_insert_and_point_query():
 def test_duplicate_id_rejected():
     idx = BoxIndex()
     box = box_from_extents(Point3(0, 0, 0), (1, 1, 1))
-    idx.insert(IndexEntry("a", box))
+    idx.insert(entry("a", box))
     with pytest.raises(DuplicateEntryError):
-        idx.insert(IndexEntry("a", box_from_extents(Point3(5, 0, 0), (1, 1, 1))))
+        idx.insert(entry("a", box_from_extents(Point3(5, 0, 0), (1, 1, 1))))
 
 
 def test_remove_then_empty():
     idx = BoxIndex()
     box = box_from_extents(Point3(3, 3, 3), (2, 2, 2))
-    idx.insert(IndexEntry("a", box))
+    idx.insert(entry("a", box))
     idx.remove("a")
     assert len(idx) == 0
     assert idx.hits(box) == set()
@@ -68,7 +73,7 @@ def test_remove_then_empty():
 
 def test_face_touching_is_not_a_hit():
     idx = BoxIndex()
-    idx.insert(IndexEntry("a", box_from_extents(Point3(0, 0, 0), (2, 2, 2))))
+    idx.insert(entry("a", box_from_extents(Point3(0, 0, 0), (2, 2, 2))))
     assert idx.hits(box_from_extents(Point3(2, 0, 0), (2, 2, 2))) == set()
 
 
@@ -77,7 +82,7 @@ def test_thousand_boxes_all_retrievable_by_point_probe():
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", rand_box(rng))
+        e = entry(f"e{i}", rand_box(rng))
         idx.insert(e)
         entries.append(e)
     for e in entries:
@@ -92,7 +97,7 @@ def test_random_probes_match_brute_force():
     idx = BoxIndex()
     entries = []
     for i in range(1000):
-        e = IndexEntry(f"e{i}", rand_box(rng))
+        e = entry(f"e{i}", rand_box(rng))
         idx.insert(e)
         entries.append(e)
     for _ in range(100):
@@ -108,7 +113,7 @@ def test_interleaved_script_replays_to_same_hit_set():
     for _ in range(500):
         op = rng.random()
         if op < 0.6 or not live:
-            e = IndexEntry(f"s{counter}", rand_box(rng))
+            e = entry(f"s{counter}", rand_box(rng))
             counter += 1
             idx.insert(e)
             live[e.id] = e
@@ -129,7 +134,7 @@ def test_query_independent_of_insertion_order():
     def build(order):
         idx = BoxIndex()
         for i in order:
-            idx.insert(IndexEntry(f"e{i}", boxes[i]))
+            idx.insert(entry(f"e{i}", boxes[i]))
         return [frozenset(idx.hits(p)) for p in probes]
 
     forward = build(range(200))
@@ -145,7 +150,7 @@ def test_hits_names_obstacles_only():
     idx = w.index
     b = box_from_extents(Point3(0, 0, 0), (4, 4, 4))
     idx.insert_solid(b)
-    idx.insert(IndexEntry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4))))
+    idx.insert(entry("obs", box_from_extents(Point3(1, 1, 1), (4, 4, 4))))
     probe = box_from_extents(Point3(0, 0, 0), (8, 8, 8))
     assert idx.hits(probe) == {"obs"} and len(idx) == 1
     assert idx.solid_rows(probe) == 0b1111 and view_of(w, {"obs"}).is_blocked(b.lo)
@@ -176,7 +181,7 @@ def test_covering_matches_brute_force_under_random_scripts():
                 roll = rng.random()
                 box = (rand_rod(rng) if roll < 0.2
                        else rand_box(rng, span=40, max_ext=30 if roll < 0.45 else 4))
-                e = IndexEntry(f"s{step}", box)
+                e = entry(f"s{step}", box)
                 idx.insert(e)
                 live[e.id] = e
             else:
@@ -377,12 +382,12 @@ def brute_rows(boxes, probe):
 
 class SolidOracle:
     """Brute force over the live boxes, replayed next to a world whose
-    solids are claimed through ``World.claim`` with a journal."""
+    solids are claimed through ``World.claim``."""
 
     def __init__(self):
-        self.world = World(journal=Journal())
+        self.world = World()
         self.idx = self.world.index
-        self.live = {}  # obstacle id -> IndexEntry
+        self.live = {}  # obstacle id -> Obstacle
         self.solid = {}  # solid id -> box
 
     def insert_solid(self, eid, box, tag):
@@ -438,7 +443,7 @@ def run_solid_script(ops, rng):
         elif op[0] == "solid":
             oracle.insert_solid(f"s{n}", op[1], op[2])
         else:
-            oracle.insert_obstacle(IndexEntry(f"o{n}", op[1]))
+            oracle.insert_obstacle(entry(f"o{n}", op[1]))
         ids = sorted(oracle.live.keys() | oracle.solid.keys())
         # a solid is never a registry obstacle, so it is never disabled
         exempts = [ex - oracle.solid.keys()
@@ -511,7 +516,7 @@ def test_rejected_solid_insert_leaves_the_index_unchanged():
     idx = w.index
     first = box_from_extents(Point3(0, 0, 0), (2, 2, 2))
     idx.insert_solid(first)
-    idx.insert(IndexEntry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3))))
+    idx.insert(entry("o", box_from_extents(Point3(-4, 0, 0), (3, 3, 3))))
     late = box_from_extents(Point3(-9, -9, -9), (11, 11, 11))
 
     def state():
@@ -552,7 +557,7 @@ def test_a_refused_solid_clears_the_bits_it_set():
                 idx.insert_solid(cell_box(cell))
         for i in range(rng.randint(0, 3)):
             corner = Point3(*(rng.choice(r) for r in hull))
-            idx.insert(IndexEntry(f"o{i}", box_from_extents(corner, (rng.randint(1, 12),) * 3)))
+            idx.insert(entry(f"o{i}", box_from_extents(corner, (rng.randint(1, 12),) * 3)))
         before = {key: list(rec) for key, rec in idx.records.items()}
         with pytest.raises(SolidOverlapError):
             idx.insert_solid(box)
@@ -593,7 +598,7 @@ def test_removing_a_solid_raises_and_keeps_it():
 def test_world_claim_clash_names_every_solid_it_overlaps():
     """The clash text lists, in sorted order, the journal's claims that
     the new box overlaps and leaves out obstacles under the same cells."""
-    w = World(journal=Journal())
+    w = World()
     w.claim("pin.b", box_from_extents(Point3(0, 0, 0), (2, 2, 2)), "circuit")
     w.claim("box.a", box_from_extents(Point3(0, 6, 0), (2, 4, 2)), "box")
     w.obstacles.add(box_from_extents(Point3(0, 0, 0), (2, 12, 2)), "guide", 1, "x")
