@@ -560,11 +560,9 @@ class Synthesizer:
                 self.deliveries[arg.key] = (conn.id, poly)
 
         # line 22: sweep; a freed connection's stretch turns solid, and its
-        # rail sheds the forward guard so new occupants can land beyond it;
-        # the rails are read first, since the sweep clears them
-        rails = {cid: self.pool.connections[cid].rail for cid in self.conn_fwd_guards}
+        # rail sheds the forward guard so new occupants can land beyond it
         for cid in self.pool.sweep(frontier):
-            self._flush(self.pool.rail_position(rails[cid]))
+            self._flush(self.pool.rail_position(self.pool.connections[cid].rail))
             self.world.obstacles.remove(self.conn_fwd_guards.pop(cid))
 
     def _flush(self, xy) -> None:

@@ -13,6 +13,11 @@ rail; so only a rail's last holder can be live.  A ``tobeavailable``
 connection holds its rail until the sweep finds all its cells in the
 past.  Surplus distillation successes beyond the per-type cap are
 discarded, never buffered.
+
+The journal is the pool's ledger: each move writes one line
+(``reserve``, ``assign``, ``mark-tobeavailable``, ``sweep-available``)
+and each discard a ``discard`` line; the pool keeps no second record of
+them beyond the per-kind ``discarded`` counts.
 """
 
 from __future__ import annotations
@@ -46,14 +51,17 @@ class PoolError(Exception):
 
 @dataclass
 class Connection:
+    """One reservation, built whole: every reservation makes a new one,
+    so a swept connection keeps its fields and is never reused."""
+
     id: str
+    kind: str  # "A" | "Y"
+    rail: int
+    source_box: str
+    port: Point3
+    anchor_t: int
+    extended_to: int  # last rail cell claimed so far
     state: str = AVAILABLE
-    kind: str | None = None  # "A" | "Y" once reserved
-    rail: int | None = None
-    source_box: str | None = None
-    port: Point3 | None = None
-    anchor_t: int | None = None
-    extended_to: int | None = None  # last rail cell claimed so far
 
 
 class ConnectionPool:
@@ -71,11 +79,7 @@ class ConnectionPool:
         self.journal = journal
         self.rails: list[list[Connection]] = []
         self.connections: dict[str, Connection] = {}
-        self.transitions: list[tuple[str, str, str]] = []
-        # Conservation bookkeeping, per type.
-        self.offered = {"A": 0, "Y": 0}
         self.discarded = {"A": 0, "Y": 0}
-        self.assigned_out = {"A": 0, "Y": 0}
         self._reserved = {"A": 0, "Y": 0}
         self._seq = 0
 
@@ -87,7 +91,6 @@ class ConnectionPool:
             raise PoolError(f"illegal transition {edge} for {conn.id}")
         if conn.state == RESERVED:
             self._reserved[conn.kind] -= 1
-        self.transitions.append((conn.id, conn.state, state))
         conn.state = state
 
     def rail_position(self, index: int) -> tuple[int, int]:
@@ -127,7 +130,6 @@ class ConnectionPool:
         """
         reserved = []
         for box_id, kind, port in successes:
-            self.offered[kind] += 1
             if self.reserved_count(kind) >= self.cap_per_type:
                 self.discarded[kind] += 1
                 self.journal.log(f"discard {kind} {box_id}")
@@ -135,17 +137,11 @@ class ConnectionPool:
             anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
             self._seq += 1
-            conn = Connection(id=f"c{self._seq}")
+            conn = Connection(f"c{self._seq}", kind, rail, box_id, port, anchor_t, anchor_t)
             self.connections[conn.id] = conn
             self.rails[rail].append(conn)
             self._move(conn, RESERVED)
-            conn.kind = kind
             self._reserved[kind] += 1
-            conn.rail = rail
-            conn.source_box = box_id
-            conn.port = port
-            conn.anchor_t = anchor_t
-            conn.extended_to = anchor_t
             reserved.append(conn.id)
             self.journal.log(f"reserve {conn.id} {kind} {rail} {box_id}")
         return reserved
@@ -160,7 +156,6 @@ class ConnectionPool:
         if conn is None:
             return None
         self._move(conn, ASSIGNED)
-        self.assigned_out[kind] += 1
         self.journal.log(f"assign {conn.id} {input_key}")
         return conn.id
 
@@ -187,18 +182,15 @@ class ConnectionPool:
         conn.extended_to = new_last
 
     def sweep(self, now: int) -> list[str]:
-        """Reset every tobeavailable connection whose rail cells all lie
-        strictly before ``now``; returns the freed connection ids.  The
-        stretch (``extended_to``) stays: the grant rule reads it."""
+        """Make every tobeavailable connection whose rail cells all lie
+        strictly before ``now`` available; returns the freed connection
+        ids.  Its fields stay: the grant rule reads its stretch
+        (``extended_to``), and the caller its rail."""
         freed = []
         for conn in sorted(self._holders(TOBEAVAILABLE), key=lambda c: int(c.id[1:])):
             if conn.extended_to >= now:
                 continue
             self._move(conn, AVAILABLE)
-            conn.kind = None
-            conn.rail = None
-            conn.source_box = None
-            conn.port = None
             freed.append(conn.id)
             self.journal.log(f"sweep-available {conn.id}")
         return freed

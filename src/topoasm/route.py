@@ -12,13 +12,15 @@ enabled obstacles.  Obstacles come in two kinds:
 Every obstacle stays counted in the spatial index from ``add`` to
 ``remove``, in its bucket planes or, when it is long and thin, as t
 spans of its ``(x, y)`` columns; switching it off or on only flips its
-flag and its membership of the registry's ``disabled`` set.  A cell is
+flag and logs the switch.  A search reads only its spec: a cell is
 blocked while its solid bit is set or its obstacle count, planes plus
-column spans, exceeds the number of disabled obstacles that contain it.
-A task set is computed in strictly descending priority: disable the
-active spec's own obstacles, plan, commit the path, re-enable the guides
-and remove the occupies; a rail run is claimed outside any task set and
-only logs those switches (below).  A committed segment is the
+column spans, exceeds the number of the spec's own obstacles that
+contain it, which are exempt whatever their flags.  A task set is
+computed in strictly descending priority: disable the active spec's own
+obstacles, plan, commit the path, re-enable the guides and remove the
+occupies; a rail run is claimed outside any task set and only logs
+those switches (below).  So while a search runs, the obstacles switched
+off are exactly the ones its spec exempts.  A committed segment is the
 :class:`DefectPolyline` its claim covers: :func:`compute_taskset`
 returns those polylines, so callers draw exactly what was claimed.
 
@@ -163,13 +165,13 @@ class SegmentSpec:
 class ObstacleRegistry:
     """Owns all obstacles, each one :class:`Obstacle` record in the index
     from ``add`` until ``remove``; ``disable`` and ``enable`` only flip
-    :attr:`Obstacle.enabled` and keep :attr:`disabled`, the ids of the
-    switched-off obstacles."""
+    :attr:`Obstacle.enabled`, the one on/off record, and log the switch.
+    No search reads the flag: a spec's own obstacles are exempt from its
+    search (:class:`BlockedView`)."""
 
     def __init__(self, index: BoxIndex, journal: Journal):
         self.index = index
         self.journal = journal
-        self.disabled: set[str] = set()
         self._seq = itertools.count()
 
     def add(self, region: Box3, kind: str, priority: int, owner: str) -> str:
@@ -196,10 +198,6 @@ class ObstacleRegistry:
         obs = self.index.get(oid)
         if obs.enabled != on:
             obs.enabled = on
-            if on:
-                self.disabled.discard(oid)
-            else:
-                self.disabled.add(oid)
             self.log_switches((oid,), on)
 
     def log_switches(self, oids, on: bool) -> None:
@@ -212,7 +210,6 @@ class ObstacleRegistry:
 
     def remove(self, oid: str) -> None:
         self._switch(oid, False)
-        self.disabled.discard(oid)
         self.index.remove(oid)
 
 
@@ -296,20 +293,19 @@ class World:
 
 class BlockedView:
     """Blocked-cell predicate for one segment computation: a cell is
-    blocked when it lies outside ``bounds``, is solid, or lies inside an
-    enabled obstacle.  A query reads the cell's bucket record in the
-    spatial index, its solid bit and its plane count, adds the spans of
-    the cell's ``(x, y)`` column that contain its ``t`` (checked whether
-    or not the bucket has a record), and subtracts the disabled
-    obstacles that contain it, whose boxes are looked up once here.  A*
-    queries a cell when it pops it."""
+    blocked when it lies outside ``bounds``, is solid, or lies inside a
+    live obstacle not in ``exempt`` (the spec's own, enabled or not).  A
+    query reads the cell's bucket record in the spatial index, its solid
+    bit and its plane count, adds the spans of the cell's ``(x, y)``
+    column that contain its ``t`` (checked whether or not the bucket has
+    a record), and subtracts the exempt obstacles that contain it, whose
+    boxes are looked up once here.  A* queries a cell when it pops it."""
 
-    def __init__(self, world: World, bounds: Box3):
+    def __init__(self, world: World, bounds: Box3, exempt):
         index = world.index
         self._records = index.records
         self._columns = index.columns
-        self._exempt = [lo + hi for lo, hi in (index.get(oid).box
-                                                for oid in world.obstacles.disabled)]
+        self._exempt = [lo + hi for lo, hi in (index.get(oid).box for oid in exempt)]
         self._lo, self._hi = bounds
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
@@ -347,9 +343,10 @@ def default_bounds(spec: SegmentSpec) -> Box3:
     )
 
 
-def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None) -> tuple:
-    """Shortest axis-aligned path from start to stop under the blocked set,
-    as the tuple of its cells ``(t, x, y)`` from start to stop.
+def plan_segment(spec: SegmentSpec, world: World) -> tuple:
+    """Shortest axis-aligned path from start to stop within
+    :func:`default_bounds` under the blocked set, as the tuple of its
+    cells ``(t, x, y)`` from start to stop.
 
     The heuristic is the exact L1 distance, so the search is admissible
     and the returned path length equals the L1 distance whenever nothing
@@ -363,15 +360,12 @@ def plan_segment(spec: SegmentSpec, world: World, bounds: Box3 | None = None) ->
     open level ``f + 2`` are made from ``expanded``, the level's expanded
     cells in pop order, once the level runs dry.  Parents and pop order
     are those of making them at each pop (the module notes give the
-    details).  The spec's own obstacles must already be disabled (the
-    task-set protocol does this).
+    details).  The spec's own obstacles are exempt, whether or not they
+    are switched off.
     """
-    if bounds is None:
-        bounds = default_bounds(spec)
+    bounds = default_bounds(spec)
     start, stop = spec.start, spec.stop
-    if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
-        raise NoPathError(spec, "endpoint outside search bounds", bounds=bounds)
-    view = BlockedView(world, bounds)
+    view = BlockedView(world, bounds, spec.obstacles)
     if view.is_blocked(start):
         raise NoPathError(spec, "start cell blocked", bounds=bounds)
     if view.is_blocked(stop):
@@ -441,10 +435,11 @@ def compute_taskset(specs: list[SegmentSpec], world: World) -> list[DefectPolyli
     each claimed.
 
     Specs are processed in strictly descending priority.  For each spec:
-    its own guide and occupy obstacles are disabled, the segment is
-    planned, the polyline its cells collapse to is committed to the
-    world, the guide obstacles are re-enabled and the occupy obstacles
-    are removed.  Rail runs are no specs; :func:`claim_run` claims them.
+    its own guide and occupy obstacles are disabled (the switch lines
+    the journal records; the search exempts them by its spec), the
+    segment is planned, the polyline its cells collapse to is committed
+    to the world, the guide obstacles are re-enabled and the occupy
+    obstacles are removed.  Rail runs are no specs; :func:`claim_run` claims them.
     Committed segments are mutually disjoint and disjoint from all prior
     geometry: a claim that overlaps a solid raises :class:`RouteError`.
     """

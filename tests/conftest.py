@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -54,6 +55,9 @@ def seed_sweep(toffoli):
 
 # -- invariant helpers, built on the library's public attributes ---------------
 
+# a box that holds every cell any test touches
+EVERYWHERE = Box3(Point3(-10**6, -10**6, -10**6), Point3(10**6, 10**6, 10**6))
+
 
 def box_cells(box):
     """An iterator over every cell of ``box`` (lo inclusive, hi exclusive), t outermost."""
@@ -82,16 +86,40 @@ def solid_cells(geometry):
             yield cell, box.box_id
 
 
-def conservation_holds(pool):
-    """offered - assigned - discarded == currently reserved, per type.
+LIFECYCLE = ("reserve", "assign", "mark-tobeavailable", "sweep-available")
 
-    The reserved side scans every connection ever made, not the live
-    index the pool's counters read, so the check stays independent of it."""
-    return all(
-        pool.offered[kind] - pool.assigned_out[kind] - pool.discarded[kind]
-        == sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
-        for kind in ("A", "Y")
-    )
+
+def pool_lifecycle(journal):
+    """The pool's ledger as its journal lines tell it: each connection's
+    ``LIFECYCLE`` ops in journal order, the kind its ``reserve`` line
+    names, and the ``discard`` lines per kind."""
+    ops, kinds, discards = {}, {}, {"A": 0, "Y": 0}
+    for ln in journal.lines:
+        _, op, *args = ln.split(" ")
+        if op == "discard":
+            discards[args[0]] += 1
+        elif op in LIFECYCLE:
+            if op == "reserve":
+                kinds[args[0]] = args[1]
+            ops.setdefault(args[0], []).append(op)
+    return ops, kinds, discards
+
+
+def assert_pool_journal(pool):
+    """Check the pool against its journal, independently of the pool's own
+    edge check: each connection's ops are a prefix of ``LIFECYCLE``; per
+    kind, ``reserve`` lines minus ``assign`` lines equal the connections
+    a scan of all connections finds reserved, and the ``discard`` lines
+    equal ``pool.discarded``."""
+    ops, kinds, discards = pool_lifecycle(pool.journal)
+    assert ops.keys() == pool.connections.keys()
+    for cid, seq in ops.items():
+        assert tuple(seq) == LIFECYCLE[:len(seq)], (cid, seq)
+    for kind in "AY":
+        lines = Counter(op for cid, seq in ops.items() if kinds[cid] == kind for op in seq)
+        scanned = sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
+        assert lines["reserve"] - lines["assign"] == scanned, kind
+    assert discards == pool.discarded
 
 
 def journal_ops(journal, step):

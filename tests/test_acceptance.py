@@ -25,6 +25,7 @@ from topoasm.route import (
     RouteError,
     World,
     compute_taskset,
+    default_bounds,
     plan_segment,
 )
 from topoasm.sched import required_round_size
@@ -33,8 +34,8 @@ import test_pool
 import test_route
 import test_sched
 from conftest import (
+    assert_pool_journal,
     box_cells,
-    conservation_holds,
     enabled_obstacles,
     polyline_cells,
     scripted_config,
@@ -131,7 +132,6 @@ def test_criterion_4_volume_ordering(seed_sweep):
 def test_criterion_5_router_optimality():
     t0 = time.monotonic()
     rng = random.Random(4242)
-    bounds = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
     solved = agreed_nopath = 0
     for trial in range(200):
         w = World()
@@ -150,7 +150,8 @@ def test_criterion_5_router_optimality():
             box = box_from_extents(lo, (3, 3, 3))
             w.obstacles.add(box, kind, rng.randint(1, 9), "x")
             taken.update(box_cells(box))
-        free = [cell for cell in itertools.product(range(20), repeat=3) if cell not in taken]
+        # endpoints in the middle of the world keep their search box within 33^3
+        free = [cell for cell in itertools.product(range(4, 16), repeat=3) if cell not in taken]
         start, stop = rng.sample(free, 2)
         if trial % 8 == 0:
             # wall the stop into a sealed shell so the instance is infeasible
@@ -165,10 +166,11 @@ def test_criterion_5_router_optimality():
                 except Exception:
                     pass
         s = test_route.spec(start, stop)
-        view = BlockedView(w, bounds)
+        bounds = default_bounds(s)
+        view = BlockedView(w, bounds, ())
         want = test_route.bfs_length(start, stop, view.is_blocked, bounds)
         try:
-            path = plan_segment(s, w, bounds=bounds)
+            path = plan_segment(s, w)
         except NoPathError:
             assert want is None
             agreed_nopath += 1
@@ -252,13 +254,11 @@ def test_criterion_8_state_machine_conservation():
     t0 = time.monotonic()
     for seed in range(1000):
         pool = test_pool.random_pool_script(seed, steps=30)
-        for cid, a, b in pool.transitions:
-            assert (a, b) in test_pool.LEGAL
         for holders in pool.rails:
             spans = sorted((c.anchor_t, c.extended_to) for c in holders)
             for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
                 assert b1 < a2
-        assert conservation_holds(pool)
+        assert_pool_journal(pool)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     report(8, f"1000 scripts: legal edges, exclusive rails, conserved counts ({elapsed:.1f}s)")

@@ -22,18 +22,20 @@ from topoasm.geom import (
     plumbing_volume,
 )
 from topoasm.icm import magic_events, parse_icm
-from topoasm.pool import AVAILABLE, ASSIGNED, POOL_GAP, RESERVED, TOBEAVAILABLE
+from topoasm.pool import POOL_GAP
 from topoasm.route import World
 from topoasm.sched import SchedulerPolicy
 from topoasm.spatial import BoxIndex, UnknownEntryError
 
 from conftest import (
+    EVERYWHERE,
+    assert_pool_journal,
     box_cells,
-    conservation_holds,
     journal_claims,
     journal_ops,
     obstacle_records,
     polyline_cells,
+    pool_lifecycle,
     scripted_config,
     solid_cells,
 )
@@ -118,7 +120,7 @@ def test_scripted_toffoli_all_inputs_delivered(toffoli, scripted_assembly):
 def test_every_reservation_gets_a_box_link(toffoli):
     s = Synthesizer(toffoli, scripted_config())
     asm = s.run()
-    reserved = sum(s.pool.offered[k] - s.pool.discarded[k] for k in "AY")
+    reserved = len(pool_lifecycle(s.journal)[0])  # one reserve line per connection
     links = sum(1 for d in asm.geometry.defects if d.role == "connection_b")
     assert links == reserved
     drops = sum(1 for d in asm.geometry.defects if d.role == "connection_c")
@@ -203,14 +205,20 @@ def test_journal_spec_lines_present(scripted_assembly):
 def test_pool_conservation_after_synthesis(toffoli):
     s = Synthesizer(toffoli, scripted_config())
     s.run()
-    assert conservation_holds(s.pool)
-    for cid, a, b in s.pool.transitions:
-        assert (a, b) in {
-            (AVAILABLE, RESERVED),
-            (RESERVED, ASSIGNED),
-            (ASSIGNED, TOBEAVAILABLE),
-            (TOBEAVAILABLE, AVAILABLE),
-        }
+    assert_pool_journal(s.pool)
+
+
+@pytest.mark.parametrize("order", ["cbe", "ceb"])
+@pytest.mark.parametrize("kind", ["spiral", "alap", "asap"])
+@pytest.mark.parametrize("fixture", ["toffoli", "toffoli_unopt"])
+def test_pool_journal_holds_under_every_scheduler_and_order(request, fixture, kind, order):
+    """The journal check of the scripted run, on both fixtures under each
+    scheduler and segment order, with the default outcome draws."""
+    cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), segment_order=order)
+    s = Synthesizer(request.getfixturevalue(fixture), cfg)
+    s.run()
+    assert_pool_journal(s.pool)
+    assert s.pool.connections
 
 
 def test_strict_mode_fails_without_proactive_rounds(toffoli):
@@ -463,9 +471,9 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
 
     * just before each rail run is claimed, no obstacle is switched off
       (so logging the run's switches without making them is exact), and
-      with its own obstacles switched off A* on the same world, given the
-      equivalent ``connection_e`` spec, returns exactly the cells of the
-      straight run that is claimed;
+      A* on the same world, given the equivalent ``connection_e`` spec,
+      which exempts the run's own obstacles, returns exactly the cells of
+      the straight run that is claimed;
     * each flush inserts one box, the union of the ``claim`` boxes the
       journal logged for that rail's runs since its last flush, and a
       flush of a rail with none logged inserts nothing;
@@ -519,13 +527,10 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         spec = route.SegmentSpec(
             Point3(first, x, y), Point3(last, x, y), obstacles, 0, route.SEG_E, owner,
         )
-        assert not registry.disabled, route.describe_spec(spec)
-        for oid in obstacles:
-            registry.disable(oid)
+        live = map(registry.get, world.index.hits(EVERYWHERE))
+        assert all(obs.enabled for obs in live), route.describe_spec(spec)
         found = plan(spec, world)
         assert found == tuple((t, x, y) for t in range(first, last + 1)), route.describe_spec(spec)
-        for oid in obstacles:
-            registry.enable(oid)
         checked.append(spec)
         return claim(world, owner, first, last, x, y, obstacles)
 
@@ -557,9 +562,8 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         assert not [b for b in settled(world) if b.intersects(box)], box
         return is_free(world, box)
 
-    def checked_plan(spec, world, bounds=None):
-        if bounds is None:
-            bounds = route.default_bounds(spec)
+    def checked_plan(spec, world):
+        bounds = route.default_bounds(spec)
         cells = [cell for b in settled(world) if b.intersects(bounds)
                  for cell in box_cells(b) if bounds.contains_cell(cell)]
         if spec.segment_class == route.SEG_B:
@@ -572,7 +576,7 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
             for cell in cells:
                 assert any(f.contains_cell(cell) for f in fences), (route.describe_spec(spec), cell)
             seen["fenced cells"] += len(cells)
-        return plan(spec, world, bounds)
+        return plan(spec, world)
 
     monkeypatch.setattr(engine, "claim_run", checked_claim)
     monkeypatch.setattr(route.World, "flush", checked_flush)

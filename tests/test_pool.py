@@ -4,7 +4,6 @@ import pytest
 
 from topoasm.geom import Point3
 from topoasm.pool import (
-    ASSIGNED,
     AVAILABLE,
     KB_LEAD,
     RESERVED,
@@ -14,14 +13,7 @@ from topoasm.pool import (
 )
 from topoasm.route import Journal
 
-from conftest import conservation_holds
-
-LEGAL = {
-    (AVAILABLE, RESERVED),
-    (RESERVED, ASSIGNED),
-    (ASSIGNED, TOBEAVAILABLE),
-    (TOBEAVAILABLE, AVAILABLE),
-}
+from conftest import LIFECYCLE, assert_pool_journal, pool_lifecycle
 
 
 def mk_pool(cap=10):
@@ -48,7 +40,7 @@ def test_cap_discards_surplus():
     assert len(ids) == 2
     assert pool.reserved_count("Y") == 10
     assert pool.discarded["Y"] == 10
-    assert conservation_holds(pool)
+    assert_pool_journal(pool)
 
 
 def test_scripted_reserve_counts():
@@ -102,7 +94,14 @@ def test_tobeavailable_holds_rail_until_past():
     assert pool.sweep(10) == []  # occupancy crosses now
     assert conn.state == TOBEAVAILABLE
     assert pool.sweep(13) == [cid]
-    assert conn.state == AVAILABLE and conn.kind is None and conn.rail is None
+    # a swept connection keeps its record; its rail is granted again to a
+    # new connection once the new anchor lies past its stretch
+    assert conn.state == AVAILABLE and conn.kind == "Y" and conn.rail == 0
+    assert (conn.source_box, conn.anchor_t, conn.extended_to) == ("b", 4, 12)
+    (nxt,) = pool.reserve_connections([("b2", "A", Point3(12, 5, -6))])  # anchor 14
+    assert nxt != cid and pool.connections[nxt].rail == 0
+    assert [h.id for h in pool.rails[0]] == [cid, nxt]
+    assert_pool_journal(pool)
 
 
 def test_extend_and_sweep_composite():
@@ -118,8 +117,8 @@ def test_extend_and_sweep_composite():
     pool.sweep(9)
     # the delivered connection is frozen, the reserved one got stretched
     assert [e[0].id for e in ext] == [b]
-    assert (a, ASSIGNED, TOBEAVAILABLE) in pool.transitions
     # its occupancy ended before now, so the same sweep already freed it
+    assert pool_lifecycle(pool.journal)[0][a] == list(LIFECYCLE)
     assert pool.connections[a].state == AVAILABLE
     assert pool.connections[b].extended_to == 8
 
@@ -176,9 +175,10 @@ def assert_reserved_counts(pool):
 
 def random_pool_script(seed, steps=60):
     """Drive a pool through a random but legal op sequence; return it with
-    the rails and transition log intact.  Every reservation's rail is
-    checked against ``expected_rail``, and the reserved counts against
-    ``assert_reserved_counts`` after every operation."""
+    the rails and journal intact.  Every reservation's rail is checked
+    against ``expected_rail``, the reserved counts against
+    ``assert_reserved_counts`` after every operation, and the journal
+    against ``assert_pool_journal`` after every step."""
     rng = random.Random(seed)
     pool = mk_pool(cap=rng.randint(2, 6))
     granted = {}  # connection id -> rail, as the grant rule gives it
@@ -217,19 +217,17 @@ def random_pool_script(seed, steps=60):
                 assert_reserved_counts(pool)
             pool.sweep(now)
         assert_reserved_counts(pool)
-        assert conservation_holds(pool)
+        assert_pool_journal(pool)
     return pool
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_scripts_state_machine_and_rails(seed):
     pool = random_pool_script(seed)
-    for cid, a, b in pool.transitions:
-        assert (a, b) in LEGAL
     for holders in pool.rails:
         spans = sorted((c.anchor_t, c.extended_to) for c in holders)
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
             assert b1 < a2  # intervals never overlap
-    assert conservation_holds(pool)
+    assert_pool_journal(pool)
     assert pool.reserved_count("A") <= pool.cap_per_type
     assert pool.reserved_count("Y") <= pool.cap_per_type

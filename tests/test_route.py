@@ -77,18 +77,25 @@ def axis_box(axis, along, on_b, on_c):
     return Box3(Point3(*lo), Point3(*hi))
 
 
-def eager_plan(s, world, bounds):
+def search_box(s):
+    """The box both endpoints span, ``SEARCH_MARGIN`` cells wider on every
+    side: the search box ``default_bounds`` must give."""
+    m = SEARCH_MARGIN
+    return merge_boxes(cell_box(s.start.as_tuple()), cell_box(s.stop.as_tuple())).inflated(m, m, m)
+
+
+def eager_plan(s, world):
     """Reference router: ``plan_segment`` with the blocked check made when a
     neighbour is pushed, not when it is popped, and with a single heap keyed
     ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of the
     per-level open list.  A settled cell pushes all six neighbours at once,
     where ``plan_segment`` queues only its steps towards stop and makes its
-    steps away when the level runs dry.  Returns the path's cells, or
+    steps away when the level runs dry.  It searches ``search_box(s)`` and
+    exempts the spec's own obstacles.  Returns the path's cells, or
     ``("nopath", detail, searched)``."""
     start, stop = s.start.as_tuple(), s.stop.as_tuple()
-    if not bounds.contains_cell(start) or not bounds.contains_cell(stop):
-        return ("nopath", "endpoint outside search bounds", 0)
-    view = BlockedView(world, bounds)
+    bounds = search_box(s)
+    view = BlockedView(world, bounds, s.obstacles)
     if view.is_blocked(start):
         return ("nopath", "start cell blocked", 0)
     if view.is_blocked(stop):
@@ -126,10 +133,10 @@ def eager_plan(s, world, bounds):
     return ("nopath", detail, len(settled))
 
 
-def planned(s, world, bounds=None):
+def planned(s, world):
     """``plan_segment``'s outcome in ``eager_plan``'s form."""
     try:
-        return plan_segment(s, world, bounds=bounds)
+        return plan_segment(s, world)
     except NoPathError as exc:
         return ("nopath", exc.detail, exc.searched)
 
@@ -139,7 +146,7 @@ def planned(s, world, bounds=None):
 
 def test_empty_world_nothing_blocked():
     w = World()
-    view = BlockedView(w, BOUNDS)
+    view = BlockedView(w, BOUNDS, ())
     assert not any(view.is_blocked((t, 0, 0)) for t in range(4))
 
 
@@ -148,46 +155,77 @@ def test_guide_outranks_occupy():
     region = box_from_extents(Point3(5, 5, 5), (2, 2, 2))
     w.obstacles.add(region, GUIDE, 3, "other1")
     w.obstacles.add(region, OCCUPY, 1, "other2")
-    assert BlockedView(w, BOUNDS).is_blocked((5, 5, 5))
+    assert BlockedView(w, BOUNDS, ()).is_blocked((5, 5, 5))
 
 
-def test_disabled_obstacles_do_not_block():
+def test_only_the_specs_own_obstacles_are_exempt():
+    """A spec's own obstacles do not block its search, enabled or not; an
+    obstacle switched off in the registry but not owned by the spec still
+    blocks.  The search switches nothing."""
     w = World()
-    oid = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
-    w.obstacles.disable(oid)
-    assert not BlockedView(w, BOUNDS).is_blocked((1, 0, 0))
+    mine = w.obstacles.add(box_from_extents(Point3(1, 0, 0), (1, 1, 1)), OCCUPY, 1, "me")
+    other = w.obstacles.add(box_from_extents(Point3(2, 0, 0), (1, 1, 1)), GUIDE, 0, "other")
+    w.obstacles.disable(other)
+    for mine_on in (True, False):
+        if not mine_on:
+            w.obstacles.disable(mine)
+        view = BlockedView(w, BOUNDS, (mine,))
+        assert not view.is_blocked((1, 0, 0)) and view.is_blocked((2, 0, 0))
+        assert BlockedView(w, BOUNDS, ()).is_blocked((1, 0, 0))
+        # through its own obstacle, straight; around the other one, a detour
+        assert plan_segment(spec((0, 0, 0), (1, 0, 0), obstacles=(mine,)), w) == (
+            (0, 0, 0), (1, 0, 0))
+        path = plan_segment(spec((0, 0, 0), (3, 0, 0), obstacles=(mine,)), w)
+        assert (1, 0, 0) in path and (2, 0, 0) not in path and len(path) == 6
+        path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w)
+        assert not {(1, 0, 0), (2, 0, 0)} & set(path)
+        assert w.obstacles.get(mine).enabled is mine_on
+        assert not w.obstacles.get(other).enabled
 
 
 def test_disabled_tracks_switched_off_obstacles_under_random_scripts():
-    """After every step of seeded add/disable/enable/remove scripts, the
-    registry's ``disabled`` set holds exactly the ids of the obstacles
-    whose ``enabled`` flag is False."""
+    """After every step of seeded add/disable/enable/remove scripts, each
+    live obstacle's ``enabled`` flag is the state the script last set, and
+    a switch writes its ``obstacle-on`` or ``obstacle-off`` line exactly
+    when it flips the flag (a removal switches the obstacle off first)."""
     for seed in range(6):
         rng = random.Random(seed)
         reg = World().obstacles
+        want = {}  # id -> the enabled state last set, of each live obstacle
         for step in range(200):
             roll = rng.random()
-            live = {oid: obs for oid, obs in obstacle_records(reg) if obs is not None}
-            if roll < 0.3 or not live:
+            if roll < 0.3 or not want:
                 lo = Point3(rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30))
-                reg.add(box_from_extents(lo, (rng.randint(1, 80), 1, 2)),
-                        rng.choice((GUIDE, OCCUPY)), rng.randint(0, 9), "x")
+                oid = reg.add(box_from_extents(lo, (rng.randint(1, 80), 1, 2)),
+                              rng.choice((GUIDE, OCCUPY)), rng.randint(0, 9), "x")
+                want[oid] = True
             else:
-                oid = rng.choice(sorted(live))
+                oid = rng.choice(sorted(want))
                 op = "disable" if roll < 0.6 else "enable" if roll < 0.85 else "remove"
+                before = len(reg.journal.lines)
                 getattr(reg, op)(oid)
-            want = {oid for oid, obs in obstacle_records(reg) if obs and not obs.enabled}
-            assert reg.disabled == want, (seed, step)
+                on = op == "enable"
+                flip = [f"0 obstacle-{'on' if on else 'off'} {oid}"] if want[oid] != on else []
+                assert reg.journal.lines[before:] == flip, (seed, step)
+                if op == "remove":
+                    del want[oid]
+                else:
+                    want[oid] = on
+            got = {oid: obs.enabled for oid, obs in obstacle_records(reg) if obs is not None}
+            assert got == want, (seed, step)
 
 
 def test_blocked_view_matches_rasterized_live_boxes():
-    """Independent oracle: rasterize the boxes this test keeps live and
-    enabled, and compare with the view on every cell of the bounds."""
+    """Independent oracle: rasterize the boxes this test keeps live and not
+    exempt, and compare with the view on every cell of the bounds.  The
+    exempt obstacles are a random subset of the live ones, drawn apart
+    from the switches, so a switched-off obstacle that is not exempt
+    still blocks and an exempt one that is enabled does not."""
     rng = random.Random(2024)
     bounds = box_from_extents(Point3(0, 0, 0), (12, 12, 12))
     for trial in range(40):
         w = World()
-        live = {}  # id -> box of every solid and every enabled obstacle
+        live = {}  # id -> box of every solid and every live obstacle
         for i in range(rng.randint(1, 6)):
             lo = Point3(rng.randint(-2, 11), rng.randint(-2, 11), rng.randint(-2, 11))
             box = box_from_extents(lo, (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)))
@@ -205,20 +243,21 @@ def test_blocked_view_matches_rasterized_live_boxes():
             roll = rng.random()
             if roll < 0.3:
                 w.obstacles.disable(oid)
-                del live[oid]
                 then = rng.random()
                 if then < 0.3:
                     w.obstacles.enable(oid)
-                    live[oid] = box
                 elif then < 0.5:
                     w.obstacles.remove(oid)
+                    del live[oid]
             elif roll < 0.5:
                 w.obstacles.remove(oid)
                 del live[oid]
+        exempt = {oid for oid in obstacles if oid in live and rng.random() < 0.4}
         want = set()
-        for box in live.values():
-            want.update(c for c in box_cells(box) if bounds.contains_cell(c))
-        view = BlockedView(w, bounds)
+        for oid, box in live.items():
+            if oid not in exempt:
+                want.update(c for c in box_cells(box) if bounds.contains_cell(c))
+        view = BlockedView(w, bounds, exempt)
         for cell in box_cells(bounds):
             assert view.is_blocked(cell) == (cell in want), (trial, cell)
 
@@ -228,19 +267,23 @@ def test_blocked_view_matches_rasterized_live_boxes():
 
 def test_straight_path_unobstructed():
     w = World()
-    path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w, bounds=BOUNDS)
+    path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w)
     assert path == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
 
 
 def test_detour_matches_bfs_oracle():
     w = World()
-    # slab wall with a single hole far off the straight line
-    w.claim("wall", Box3(Point3(5, 0, 0), Point3(6, 20, 19)), "circuit")
     s = spec((0, 3, 3), (12, 3, 3))
-    path = plan_segment(s, w, bounds=BOUNDS)
-    view = BlockedView(w, BOUNDS)
-    want = bfs_length(s.start.as_tuple(), s.stop.as_tuple(), view.is_blocked, BOUNDS)
+    bounds = default_bounds(s)
+    # slab wall across the search box with a single hole far off the
+    # straight line: the box's last row in y
+    lo, hi = bounds
+    w.claim("wall", Box3(Point3(5, lo.x, lo.y), Point3(6, hi.x, hi.y - 1)), "circuit")
+    path = plan_segment(s, w)
+    view = BlockedView(w, bounds, ())
+    want = bfs_length(s.start.as_tuple(), s.stop.as_tuple(), view.is_blocked, bounds)
     assert len(path) == want
+    assert {c[2] for c in path if c[0] == 5} == {hi.y - 1}
 
 
 def test_walled_off_stop_raises():
@@ -249,55 +292,64 @@ def test_walled_off_stop_raises():
     for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
         cell = stop.shifted(*d)
         w.claim(f"wall{d}", box_from_extents(cell, (1, 1, 1)), "circuit")
+    s = spec((0, 0, 0), (10, 10, 10))
     with pytest.raises(NoPathError) as info:
-        plan_segment(spec((0, 0, 0), (10, 10, 10)), w, bounds=BOUNDS)
+        plan_segment(s, w)
     exc = info.value
-    assert exc.bounds == BOUNDS
-    # everything in the 20^3 bounds but the stop and its six walls is reachable
-    assert exc.searched == 20 ** 3 - 7
+    assert exc.bounds == default_bounds(s) == search_box(s)
+    # everything in the 31^3 search box but the stop and its six walls is reachable
+    assert exc.searched == 31 ** 3 - 7
     assert str(exc) == (
         "no path for segment connection_c[t] (0, 0, 0)->(10, 10, 10) pi=1 "
-        f"searched {20 ** 3 - 7} cells in (0, 0, 0)..(20, 20, 20)"
+        f"searched {31 ** 3 - 7} cells in (-10, -10, -10)..(21, 21, 21)"
     )
+    s = spec((10, 11, 10), (0, 0, 0))
     with pytest.raises(NoPathError) as info:
-        plan_segment(spec((10, 11, 10), (0, 0, 0)), w, bounds=BOUNDS)
-    assert info.value.searched == 0 and info.value.bounds == BOUNDS
+        plan_segment(s, w)
+    assert info.value.searched == 0 and info.value.bounds == default_bounds(s)
     assert info.value.detail == "start cell blocked"
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("direction", [1, -1])
-@pytest.mark.parametrize("blocker", ["free", "solid", "obstacle", "disabled-obstacle"])
+@pytest.mark.parametrize(
+    "blocker", ["free", "solid", "obstacle", "disabled-obstacle", "own-obstacle"])
 def test_single_axis_spec_matches_bfs(axis, direction, blocker):
     """On single-axis specs A* returns the straight run when it is free and
-    detours around whatever blocks it, always as short as the BFS oracle."""
+    detours around whatever blocks it, always as short as the BFS oracle.
+    An obstacle switched off but not the spec's own blocks; the spec's own
+    does not, though enabled."""
     start = (10, 10, 10)
     stop = tuple(c + 6 * direction if i == axis else c for i, c in enumerate(start))
     mid = tuple(c + 3 * direction if i == axis else c for i, c in enumerate(start))
     w = World()
     blocked = set()
+    own = ()
     if blocker == "solid":
         w.claim("wall", box_from_extents(Point3(*mid), (1, 1, 1)), "circuit")
         blocked.add(mid)
     elif blocker != "free":
         oid = w.obstacles.add(box_from_extents(Point3(*mid), (1, 1, 1)), GUIDE, 0, "other")
-        if blocker == "obstacle":
-            blocked.add(mid)
+        if blocker == "own-obstacle":
+            own = (oid,)
         else:
+            blocked.add(mid)
+        if blocker == "disabled-obstacle":
             w.obstacles.disable(oid)
-    path = plan_segment(spec(start, stop), w, bounds=BOUNDS)
+    s = spec(start, stop, obstacles=own)
+    path = plan_segment(s, w)
     assert path[0] == start and path[-1] == stop
     assert not blocked & set(path)
     for a, b in zip(path, path[1:]):
         assert sum(abs(u - v) for u, v in zip(a, b)) == 1
-    assert len(path) == bfs_length(start, stop, blocked.__contains__, BOUNDS)
+    assert len(path) == bfs_length(start, stop, blocked.__contains__, default_bounds(s))
     if not blocked:
         assert len(path) == 7 and mid in path
 
 
 def test_zero_length_segment_is_a_single_cell():
     w = World()
-    path = plan_segment(spec((4, 4, 4), (4, 4, 4), seg=SEG_E), w, bounds=BOUNDS)
+    path = plan_segment(spec((4, 4, 4), (4, 4, 4), seg=SEG_E), w)
     assert path == ((4, 4, 4),)
 
 
@@ -317,14 +369,16 @@ def test_random_instances_match_bfs():
             except RouteError:
                 continue  # overlapping random solids: skip, coverage is what matters
             solid.update(box_cells(box))
-        free = [cell for cell in itertools.product(range(20), repeat=3) if cell not in solid]
+        # endpoints in the middle of the solids keep their search box within 33^3
+        free = [cell for cell in itertools.product(range(4, 16), repeat=3) if cell not in solid]
         start, stop = rng.sample(free, 2)
         s = spec(start, stop)
-        view = BlockedView(w, BOUNDS)
-        want = bfs_length(start, stop, view.is_blocked, BOUNDS)
-        assert planned(s, w, BOUNDS) == eager_plan(s, w, BOUNDS), trial
+        bounds = default_bounds(s)
+        view = BlockedView(w, bounds, ())
+        want = bfs_length(start, stop, view.is_blocked, bounds)
+        assert planned(s, w) == eager_plan(s, w), trial
         try:
-            path = plan_segment(s, w, bounds=BOUNDS)
+            path = plan_segment(s, w)
         except NoPathError:
             assert want is None
             blocked_agree += 1
@@ -341,8 +395,9 @@ def test_random_instances_match_bfs():
 
 
 def test_paths_equal_eager_reference_with_guides_and_faces():
-    """Against guide obstacles, enabled or disabled, and with endpoints
-    on the faces of the search bounds, ``plan_segment`` returns the eager
+    """Against guide obstacles, enabled or switched off, some of them the
+    spec's own, with endpoints on the faces of the populated cube and guide
+    walls across the whole search box, ``plan_segment`` returns the eager
     reference's cells, or fails with its detail and settled count."""
     rng = random.Random(8)
 
@@ -357,32 +412,29 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
             box = box_from_extents(lo, (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)))
             if w.is_free(box):
                 w.claim(f"s{i}", box, "circuit")
+        own = []
         for _ in range(rng.randint(1, 8)):
             lo = Point3(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11))
             box = box_from_extents(lo, (rng.randint(1, 12), rng.randint(1, 3), rng.randint(1, 12)))
             oid = w.obstacles.add(box, GUIDE, 0, "g")
             if rng.random() < 0.4:
                 w.obstacles.disable(oid)
-        if rng.random() < 0.5:  # a guide wall across the whole volume
+            if rng.random() < 0.3:
+                own.append(oid)
+        if rng.random() < 0.5:  # a guide wall across the whole search box
             axis, at = rng.randrange(3), rng.randint(1, 10)
-            lo = Point3(*(at if i == axis else -4 for i in range(3)))
-            w.obstacles.add(box_from_extents(lo, tuple(1 if i == axis else 20 for i in range(3))),
+            lo = Point3(*(at if i == axis else -SEARCH_MARGIN for i in range(3)))
+            extent = 12 + 2 * SEARCH_MARGIN
+            w.obstacles.add(box_from_extents(lo, tuple(1 if i == axis else extent for i in range(3))),
                             GUIDE, 0, "wall")
         cells = [(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11)) for _ in range(2)]
         start, stop = (rng.choice(faces(c)) for c in cells)
-        s = spec(start, stop)
-        bounds = box_from_extents(Point3(0, 0, 0), (12, 12, 12))
-        got = planned(s, w, bounds)
-        assert got == eager_plan(s, w, bounds), trial
+        s = spec(start, stop, obstacles=own)
+        got = planned(s, w)
+        assert got == eager_plan(s, w), trial
         outcomes["path" if got[0] != "nopath" else "exhausted" if got[2] else "refused"] += 1
-        margin = rng.randint(0, 3)  # both endpoints lie on or near the faces
-        envelope = merge_boxes(cell_box(start), cell_box(stop))
-        near = envelope.inflated(margin, margin, margin)
-        got = planned(s, w, near)
-        assert got == eager_plan(s, w, near), (trial, margin)
-        m = SEARCH_MARGIN
-        assert default_bounds(s) == envelope.inflated(m, m, m)
-    # found paths, searches that exhaust their bounds and refused endpoints all occur
+        assert default_bounds(s) == search_box(s)
+    # found paths, searches that exhaust their box and refused endpoints all occur
     assert min(outcomes["path"], outcomes["exhausted"], outcomes["refused"]) >= 5, outcomes
 
 
@@ -403,21 +455,28 @@ def test_detour_away_from_stop_matches_eager_reference(axis, direction):
                                       ((6, 15), (5, 6)), ((6, 15), (15, 16)))):
         w.claim(f"side{i}", axis_box(axis, sides, on_b, on_c), "circuit")
     s = spec(start, stop)
-    got = planned(s, w, BOUNDS)
-    assert got == eager_plan(s, w, BOUNDS)
-    assert len(got) == bfs_length(start, stop, BlockedView(w, BOUNDS).is_blocked, BOUNDS)
+    got = planned(s, w)
+    assert got == eager_plan(s, w)
+    bounds = default_bounds(s)
+    assert len(got) == bfs_length(start, stop, BlockedView(w, bounds, ()).is_blocked, bounds)
     # the path backs out of the cup, away from stop
     assert min(cell[axis] * direction for cell in got) < (start[axis] - 2) * direction
 
 
+# the span, on each axis, of the search box of any two cells in [0, 20)^3
+# whose coordinates off the plates' axis lie in [5, 15)
+PLATE = (5 - SEARCH_MARGIN, 15 + SEARCH_MARGIN)
+
+
 def plate_boxes(axis, at, hole):
-    """The cross-section of ``BOUNDS`` at ``at`` along ``axis``, one cell
-    thick, less the rectangle ``hole`` = ((b0, b1), (c0, c1)) on the two
-    other axes: up to four boxes."""
+    """The cross-section at ``at`` along ``axis``, one cell thick, of the
+    search box of any two cells ``PLATE`` spans, less the rectangle ``hole`` =
+    ((b0, b1), (c0, c1)) on the two other axes: up to four boxes."""
+    lo, hi = PLATE
     (b0, b1), (c0, c1) = hole
     return [axis_box(axis, (at, at + 1), on_b, on_c)
-            for on_b, on_c in (((0, b0), (0, 20)), ((b1, 20), (0, 20)),
-                               ((b0, b1), (0, c0)), ((b0, b1), (c1, 20)))
+            for on_b, on_c in (((lo, b0), (lo, hi)), ((b1, hi), (lo, hi)),
+                               ((b0, b1), (lo, c0)), ((b0, b1), (c1, hi)))
             if on_b[0] < on_b[1] and on_c[0] < on_c[1]]
 
 
@@ -442,8 +501,8 @@ def test_stacked_plates_and_baffles_match_eager_reference():
                 hole = ((b0, b0 + rng.randint(1, 3)), (c0, c0 + rng.randint(1, 3)))
             else:  # a baffle: the plate's low or high part along one axis
                 cut = rng.randint(4, 16)
-                half = (0, cut) if rng.random() < 0.5 else (cut, 20)
-                hole = (half, (0, 20)) if rng.random() < 0.5 else ((0, 20), half)
+                half = (PLATE[0], cut) if rng.random() < 0.5 else (cut, PLATE[1])
+                hole = (half, PLATE) if rng.random() < 0.5 else (PLATE, half)
             solid = rng.random() < 0.6
             for i, box in enumerate(plate_boxes(axis, at, hole)):
                 if solid:
@@ -452,15 +511,17 @@ def test_stacked_plates_and_baffles_match_eager_reference():
                     oid = w.obstacles.add(box, rng.choice((GUIDE, OCCUPY)), 0, "plate")
                     if rng.random() < 0.1:
                         w.obstacles.disable(oid)
-        ends = [[rng.randrange(20) for _ in range(3)] for _ in range(2)]
+        # off the axis, the ends lie in [5, 15): their search box takes in
+        # every hole and stays within the plates
+        ends = [[rng.randrange(5, 15) for _ in range(3)] for _ in range(2)]
         ends[0][axis] = rng.randint(0, plates[0] - 1)
         ends[1][axis] = rng.randint(plates[-1] + 1, 19)
         if rng.random() < 0.5:
             ends.reverse()
         start, stop = map(tuple, ends)
         s = spec(start, stop)
-        got = planned(s, w, BOUNDS)
-        assert got == eager_plan(s, w, BOUNDS), trial
+        got = planned(s, w)
+        assert got == eager_plan(s, w), trial
         if got[0] == "nopath":
             outcomes["exhausted" if got[2] else "refused"] += 1
         else:
@@ -468,6 +529,23 @@ def test_stacked_plates_and_baffles_match_eager_reference():
             outcomes["detour 4+" if len(got) - 1 >= l1 + 4 else "path"] += 1
     # at least two level switches in many worlds, and walled-off stops
     assert outcomes["detour 4+"] >= 20 and outcomes["exhausted"] >= 5, outcomes
+
+
+def plane_world(walls):
+    """A world whose only free cells are those of the 8 x 8 (t, x) plane at
+    y = 0 less the cells ``walls`` names by ``(t, x)``: solid slabs at
+    y = -1 and y = 1 and a solid ring around the plane fence it in within
+    the search box of any two of its cells."""
+    w = World()
+    lo, hi = -SEARCH_MARGIN - 1, 8 + SEARCH_MARGIN + 1
+    for y in (-1, 1):
+        w.claim(f"slab{y}", Box3(Point3(lo, lo, y), Point3(hi, hi, y + 1)), "circuit")
+    for i, (t0, x0, t1, x1) in enumerate(((-1, -1, 0, 9), (8, -1, 9, 9), (0, -1, 8, 0),
+                                          (0, 8, 8, 9))):
+        w.claim(f"ring{i}", Box3(Point3(t0, x0, 0), Point3(t1, x1, 1)), "circuit")
+    for t, x in walls:
+        w.claim(f"wall{t}{x}", cell_box((t, x, 0)), "circuit")
+    return w
 
 
 def test_level_switch_gives_a_cell_its_first_expanded_parent():
@@ -479,21 +557,16 @@ def test_level_switch_gives_a_cell_its_first_expanded_parent():
     off and start at stop's t, the half t < 6 is reached only by steps
     away at t = 6 towards lower t, and the exhausted search counts every
     reachable cell."""
-    bounds = Box3(Point3(0, 0, 0), Point3(8, 8, 1))
-    w = World()
-    for t, x in ((4, 3), (3, 4), (4, 2), (3, 1), (1, 3), (2, 4)):
-        w.claim(f"pocket{t}{x}", cell_box((t, x, 0)), "circuit")
+    w = plane_world(((4, 3), (3, 4), (4, 2), (3, 1), (1, 3), (2, 4)))
     s = spec((3, 3, 0), (6, 6, 0))
-    got = planned(s, w, bounds)
-    assert got == eager_plan(s, w, bounds)
+    got = planned(s, w)
+    assert got == eager_plan(s, w)
     assert got[:4] == ((3, 3, 0), (2, 3, 0), (2, 2, 0), (1, 2, 0))
 
-    w = World()
-    for t, x in ((5, 6), (7, 6), (6, 5), (6, 7)):
-        w.claim(f"wall{t}{x}", cell_box((t, x, 0)), "circuit")
+    w = plane_world(((5, 6), (7, 6), (6, 5), (6, 7)))
     s = spec((6, 1, 0), (6, 6, 0))
-    got = planned(s, w, bounds)
-    assert got == eager_plan(s, w, bounds)
+    got = planned(s, w)
+    assert got == eager_plan(s, w)
     # every cell but stop, its four walls and the corner (7, 7) they cut off
     assert got[0] == "nopath" and got[2] == 8 * 8 - 6
 
@@ -504,7 +577,7 @@ def test_level_switch_gives_a_cell_its_first_expanded_parent():
 def test_single_spec_taskset_equals_plan():
     w1, w2 = World(), World()
     s = spec((0, 0, 0), (6, 0, 0))
-    alone = plan_segment(s, w1, bounds=BOUNDS)
+    alone = plan_segment(s, w1)
     (committed,) = compute_taskset([spec((0, 0, 0), (6, 0, 0))], w2)
     assert committed == polyline_from_cells(alone, "primal", SEG_C)
     assert polyline_cells(committed) == set(alone)
@@ -608,7 +681,6 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
     monkeypatch.setattr(ObstacleRegistry, "disable", refuse)
     monkeypatch.setattr(ObstacleRegistry, "enable", refuse)
     assert claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd)) is None
-    assert not w.obstacles.disabled
     assert w.obstacles.get(line).enabled and w.obstacles.get(fwd).enabled
     box = Box3(Point3(4, 3, 4), Point3(stop_t + 1, 4, 5))
     assert w.journal.lines[2:] == [

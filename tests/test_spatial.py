@@ -15,7 +15,7 @@ from topoasm.spatial import (
     UnknownEntryError,
 )
 
-EVERYWHERE = Box3(Point3(-1000, -1000, -1000), Point3(1000, 1000, 1000))
+from conftest import EVERYWHERE
 
 
 def rand_box(rng, span=60, max_ext=8):
@@ -35,10 +35,9 @@ def brute_hits(entries, probe):
 
 
 def view_of(world, exempt=()):
-    """The blocked-cell view of ``world`` when its registry has disabled
-    exactly the obstacles in ``exempt``, unbounded in practice."""
-    world.obstacles.disabled = set(exempt)
-    return BlockedView(world, EVERYWHERE)
+    """The blocked-cell view of ``world`` for a search that exempts the
+    obstacles in ``exempt``, unbounded in practice."""
+    return BlockedView(world, EVERYWHERE, exempt)
 
 
 def test_insert_and_point_query():
@@ -165,7 +164,7 @@ def rand_rod(rng, span=40):
 
 def test_covering_matches_brute_force_under_random_scripts():
     """``BlockedView.is_blocked(cell)``, with the ``exempt`` obstacles
-    disabled, is True exactly when a live box that is not exempt
+    exempt, is True exactly when a live box that is not exempt
     contains the cell, under seeded insert/remove scripts whose
     boxes often span many buckets or are long thin rods.  Probe cells
     include every live box's low corner, its last cell and the first
@@ -231,7 +230,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
     count read from the index (planes plus column spans) equals the
     number of live obstacles that contain it, and ``is_blocked`` agrees
     with brute force with none and with a random subset of them
-    disabled.  Once all are removed, every bucket's record is just its
+    exempt.  Once all are removed, every bucket's record is just its
     solid bits, or gone, and no column is left."""
     rng = random.Random(3000 + seed)
     w = World()
@@ -271,14 +270,10 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
             assert index_count(idx, cell) == len(covers), (seed, step, cell)
             covering.append((cell, covers, any(b.contains_cell(cell) for b in solids)))
         for exempt in (set(), set(rng.sample(sorted(live), len(live) // 2))):
-            for oid in exempt:
-                reg.disable(oid)
-            view = BlockedView(w, EVERYWHERE)
+            view = view_of(w, exempt)
             for cell, covers, solid in covering:
                 want = solid or bool(covers - exempt)
                 assert view.is_blocked(cell) is want, (seed, step, cell, sorted(exempt))
-            for oid in exempt:
-                reg.enable(oid)
     assert tallest >= 3
     for oid in sorted(live):
         reg.remove(oid)
@@ -301,7 +296,7 @@ def test_thin_obstacles_at_the_column_threshold_match_brute_force(seed):
     After every op each obstacle sits in the store its shape names: the
     column spans are exactly those of the live column obstacles, and the
     planes count exactly the others.  ``is_blocked`` agrees with brute
-    force with no obstacle and with a random subset disabled."""
+    force with no obstacle and with a random subset exempt."""
     rng = random.Random(4000 + seed)
     w = World()
     idx, reg = w.index, w.obstacles
@@ -414,8 +409,8 @@ class SolidOracle:
 
     def check(self, probes, cells, exempts):
         """Compare ``solid_rows`` and ``hits`` over each probe, and
-        ``BlockedView.is_blocked`` (with each exempt set of obstacles
-        disabled) over each cell, against brute force."""
+        ``BlockedView.is_blocked`` (with each exempt set of obstacles)
+        over each cell, against brute force."""
         assert len(self.idx) == len(self.live)
         live, solids = self.live.values(), self.solid.values()
         for probe in probes:
@@ -445,7 +440,7 @@ def run_solid_script(ops, rng):
         else:
             oracle.insert_obstacle(entry(f"o{n}", op[1]))
         ids = sorted(oracle.live.keys() | oracle.solid.keys())
-        # a solid is never a registry obstacle, so it is never disabled
+        # a solid is never a registry obstacle, so it is never exempt
         exempts = [ex - oracle.solid.keys()
                    for ex in (set(), set(ids), set(rng.sample(ids, len(ids) // 2)))]
         cells = [tuple(rng.randint(-24, 36) for _ in range(3)) for _ in range(20)]
