@@ -2,10 +2,10 @@
 
 The pool is a bank of straight rails parallel to the circuit's time
 axis, stacked along x in the plane ``POOL_GAP`` cells above the wire
-rows (y = 0).  A successful distillation output is bound to a rail and
-the resulting connection walks a four-state lifecycle::
+rows (y = 0).  A successful distillation output is bound to a rail as
+a new connection, which starts out reserved and walks the lifecycle::
 
-    available -> reserved(type) -> assigned -> tobeavailable -> available
+    reserved(type) -> assigned -> tobeavailable -> available
 
 A new connection gets the lowest rail whose last holder is back to
 ``available`` with its stretch ended before the new anchor, else a new
@@ -38,7 +38,6 @@ KB_LEAD = 2  # time distance from a box port to its rail anchor
 POOL_GAP = 4
 
 _LEGAL_EDGES = {
-    (AVAILABLE, RESERVED),
     (RESERVED, ASSIGNED),
     (ASSIGNED, TOBEAVAILABLE),
     (TOBEAVAILABLE, AVAILABLE),
@@ -51,8 +50,8 @@ class PoolError(Exception):
 
 @dataclass
 class Connection:
-    """One reservation, built whole: every reservation makes a new one,
-    so a swept connection keeps its fields and is never reused."""
+    """One reservation, built whole and reserved: every reservation makes
+    a new one, so a swept connection keeps its fields and is never reused."""
 
     id: str
     kind: str  # "A" | "Y"
@@ -61,7 +60,7 @@ class Connection:
     port: Point3
     anchor_t: int
     extended_to: int  # last rail cell claimed so far
-    state: str = AVAILABLE
+    state: str
 
 
 class ConnectionPool:
@@ -81,7 +80,6 @@ class ConnectionPool:
         self.connections: dict[str, Connection] = {}
         self.discarded = {"A": 0, "Y": 0}
         self._reserved = {"A": 0, "Y": 0}
-        self._seq = 0
 
     # -- state machine plumbing -------------------------------------------
 
@@ -136,14 +134,13 @@ class ConnectionPool:
                 continue
             anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
-            self._seq += 1
-            conn = Connection(f"c{self._seq}", kind, rail, box_id, port, anchor_t, anchor_t)
-            self.connections[conn.id] = conn
+            cid = f"c{len(self.connections) + 1}"  # connections are never dropped
+            conn = Connection(cid, kind, rail, box_id, port, anchor_t, anchor_t, RESERVED)
+            self.connections[cid] = conn
             self.rails[rail].append(conn)
-            self._move(conn, RESERVED)
             self._reserved[kind] += 1
-            reserved.append(conn.id)
-            self.journal.log(f"reserve {conn.id} {kind} {rail} {box_id}")
+            reserved.append(cid)
+            self.journal.log(f"reserve {cid} {kind} {rail} {box_id}")
         return reserved
 
     def assign_to_input(self, input_key: str, kind: str):

@@ -47,7 +47,10 @@ sets no obstacle is disabled, so both are enabled, and
 :meth:`ObstacleRegistry.log_switches` writes the ``obstacle-off`` lines
 before the ``claim`` line and the ``obstacle-on`` lines after it that
 switching them would write; those lines are part of the ``--journal``
-export.
+export.  A rail's runs are contiguous: each starts one cell past its
+connection's stretch, and a rail is granted again only after its
+holder's stretch is flushed, so a run that does not continue its rail's
+pending stretch is a :class:`RouteError`.
 
 Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
@@ -80,8 +83,8 @@ the switch, since ``parent`` only grows, and the others come in the same
 order, the pop order of their cells.  The order of one cell's steps away
 does not matter, because the heap's keys are unique.  Every free cell
 thus gets the same parent, and the path is the one a check at push time
-would give.  ``searched`` in a :class:`NoPathError` is the number of
-expanded cells summed over the drained levels.
+would give.  The ``searched`` count in a :class:`NoPathError`'s message
+is the number of expanded cells summed over the drained levels.
 """
 
 from __future__ import annotations
@@ -108,16 +111,12 @@ class RouteError(Exception):
 
 
 class NoPathError(RouteError):
-    """Start and stop are disconnected; carries the failing spec, the
-    search bounds and the number of cells the search settled (0 when it
-    never started), for the diagnosis journal."""
+    """Start and stop are disconnected; carries the failing spec for the
+    diagnosis journal, and its message says why."""
 
-    def __init__(self, spec, detail: str = "", searched: int = 0, bounds: Box3 | None = None):
-        super().__init__(f"no path for segment {describe_spec(spec)} {detail}".strip())
+    def __init__(self, spec, reason: str):
+        super().__init__(f"no path for segment {describe_spec(spec)} {reason}")
         self.spec = spec
-        self.detail = detail
-        self.searched = searched
-        self.bounds = bounds
 
 
 class Journal:
@@ -242,12 +241,12 @@ class World:
     def claim_later(self, eid: str, first: int, last: int, x: int, y: int) -> None:
         """Log rail run ``eid``'s ``claim`` line, the cells ``first .. last``
         in t at ``(x, y)``, and add them to that rail's pending stretch,
-        with no index insert; a run that does not continue the stretch
-        flushes it first."""
+        with no index insert.  Runs are contiguous: a run that does not
+        continue the stretch is a :class:`RouteError`."""
         stretch = self.pending.get((x, y))
         if stretch is not None and stretch[1] != first:
-            self.flush(x, y)
-            stretch = None
+            raise RouteError(f"rail run {eid} from {first} does not continue the stretch "
+                             f"at {(x, y)} ending at {stretch[1] - 1}")
         if stretch is None:
             self.pending[x, y] = [first, last + 1, eid, len(self.journal.lines)]
         else:
@@ -367,9 +366,9 @@ def plan_segment(spec: SegmentSpec, world: World) -> tuple:
     start, stop = spec.start, spec.stop
     view = BlockedView(world, bounds, spec.obstacles)
     if view.is_blocked(start):
-        raise NoPathError(spec, "start cell blocked", bounds=bounds)
+        raise NoPathError(spec, "start cell blocked")
     if view.is_blocked(stop):
-        raise NoPathError(spec, "stop cell blocked", bounds=bounds)
+        raise NoPathError(spec, "stop cell blocked")
     st, sx, sy = stop
     parent = {start: None}  # every cell queued at an opened level
     cur = [(abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy), start)]
@@ -423,10 +422,7 @@ def plan_segment(spec: SegmentSpec, world: World) -> tuple:
                     parent[nb] = cell
                     cur.append((h + 1, nb))
         heapq.heapify(cur)
-    raise NoPathError(
-        spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}",
-        searched=settled, bounds=bounds,
-    )
+    raise NoPathError(spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}")
 
 
 def compute_taskset(specs: list[SegmentSpec], world: World) -> list[DefectPolyline]:

@@ -138,6 +138,38 @@ def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extr
     assert journal.exists() and journal.read_text().strip()
 
 
+@pytest.mark.parametrize(
+    "extra, want",
+    [
+        (
+            ["--export-geometry", "{missing}/g"],
+            ["export failed: [Errno 2] No such file or directory: '{missing}/g'"],
+        ),
+        (
+            ["--strict", "--condition", "temporal:15", "--outcomes", "{outcomes}",
+             "--journal", "{missing}/j"],
+            ["synthesis failed: insufficient distilled states in strict mode",
+             "cannot write journal: [Errno 2] No such file or directory: '{missing}/j'"],
+        ),
+        (
+            ["--compare", "1", "--max-rounds", "1"],
+            ["spiral seed 0: FAILED (exceeded max_rounds=1: 1 rounds fired, "
+             "6 A and 5 Y reserved at t=16)"],
+        ),
+    ],
+    ids=["export-into-missing-dir", "strict-journal-into-missing-dir", "compare-max-rounds-1"],
+)
+def test_failure_exits_one_with_its_stderr_lines(workdir, capsys, extra, want):
+    """An export that cannot be written, a failed run whose journal cannot
+    be written, and a failed comparison exit 1 with exactly their lines
+    on stderr, no traceback, and nothing on stdout."""
+    paths = {"missing": workdir / "no-such-dir", "outcomes": workdir / "outcomes.txt"}
+    assert run_cli(workdir, *(a.format(**paths) for a in extra)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line.format(**paths) for line in want]
+    assert captured.out == ""
+
+
 def test_scripted_run_exports(workdir):
     stats = workdir / "stats.csv"
     geom = workdir / "geom.txt"

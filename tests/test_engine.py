@@ -151,6 +151,22 @@ def test_rng_determinism(toffoli):
     assert synthesize(toffoli, SynthesisConfig(seed=7)).journal.lines != a.journal.lines
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"segment_order": "bce"}, "segment_order must be 'cbe' or 'ceb'"),
+        ({"max_rounds": 0}, "max_rounds must be at least 1"),
+        ({"pool_cap": 0}, "pool_cap must be at least 1"),
+        ({"policy": SchedulerPolicy(condition=("pool", 11))}, r"pool threshold must lie in \[0, 10\]"),
+    ],
+    ids=["segment-order", "max-rounds", "pool-cap", "pool-threshold-above-cap"],
+)
+def test_config_rejects_bad_values(kwargs, message):
+    """The library checks what the CLI checks, with no parser in front."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthesisConfig(**kwargs)
+
+
 WORKFLOW = [
     "round", "simulate", "reserve", "geometry", "assign",
     "spec-c", "mark-tobeavailable", "spec-e", "spec-b",

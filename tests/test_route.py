@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -29,6 +30,7 @@ from topoasm.route import (
     claim_run,
     compute_taskset,
     default_bounds,
+    describe_spec,
     plan_segment,
 )
 from topoasm.spatial import UnknownEntryError
@@ -134,11 +136,17 @@ def eager_plan(s, world):
 
 
 def planned(s, world):
-    """``plan_segment``'s outcome in ``eager_plan``'s form."""
+    """``plan_segment``'s outcome in ``eager_plan``'s form: a failure's
+    detail is its message past the spec, and the searched count is parsed
+    from it (0 when the search never started)."""
     try:
         return plan_segment(s, world)
     except NoPathError as exc:
-        return ("nopath", exc.detail, exc.searched)
+        prefix = f"no path for segment {describe_spec(s)} "
+        assert str(exc).startswith(prefix) and exc.spec is s
+        detail = str(exc)[len(prefix):]
+        searched = re.fullmatch(r"searched (\d+) cells in \(.+\)\.\.\(.+\)", detail)
+        return ("nopath", detail, int(searched[1]) if searched else 0)
 
 
 # -- blocked cells ---------------------------------------------------------------
@@ -295,19 +303,18 @@ def test_walled_off_stop_raises():
     s = spec((0, 0, 0), (10, 10, 10))
     with pytest.raises(NoPathError) as info:
         plan_segment(s, w)
-    exc = info.value
-    assert exc.bounds == default_bounds(s) == search_box(s)
+    assert default_bounds(s) == search_box(s) == Box3(Point3(-10, -10, -10), Point3(21, 21, 21))
     # everything in the 31^3 search box but the stop and its six walls is reachable
-    assert exc.searched == 31 ** 3 - 7
-    assert str(exc) == (
+    assert str(info.value) == (
         "no path for segment connection_c[t] (0, 0, 0)->(10, 10, 10) pi=1 "
         f"searched {31 ** 3 - 7} cells in (-10, -10, -10)..(21, 21, 21)"
     )
+    assert info.value.spec is s
     s = spec((10, 11, 10), (0, 0, 0))
     with pytest.raises(NoPathError) as info:
         plan_segment(s, w)
-    assert info.value.searched == 0 and info.value.bounds == default_bounds(s)
-    assert info.value.detail == "start cell blocked"
+    assert str(info.value) == "no path for segment connection_c[t] (10, 11, 10)->(0, 0, 0) pi=1 start cell blocked"
+    assert planned(s, w) == eager_plan(s, w) == ("nopath", "start cell blocked", 0)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -709,9 +716,10 @@ def test_rail_run_ids_follow_the_commit_sequence():
     """A run's claim id takes the next number of the world's commit
     sequence, shared with searched segments, so ids never repeat.  Runs
     that continue each other make one pending stretch; a run that does
-    not flushes it first, and a stretch that meets a solid fails at its
-    flush under its first run's id, naming the solids it meets but not
-    its own runs, which no clash names while they are pending."""
+    not, overlapping it or leaving a gap, is a fault that claims nothing.
+    A stretch that meets a solid fails at its flush under its first run's
+    id, naming the solids it meets but not its own runs, which no clash
+    names while they are pending."""
     w, line, fwd = rail_run_world()
     compute_taskset([spec((0, 0, 0), (2, 0, 0), owner="c0")], w)
     claim_run(w, "c1", 4, 9, 3, 4, (line, fwd))
@@ -720,12 +728,19 @@ def test_rail_run_ids_follow_the_commit_sequence():
     assert ids == ["connection_c.c0.c0.0", "connection_e.c1.c1.0", "connection_e.c1.c2.0"]
     assert w.pending == {(3, 4): [4, 11, "connection_e.c1.c1.0", 5]}
     assert w.is_free(Box3(Point3(4, 3, 4), Point3(11, 4, 5)))
+    for seq, (first, last) in enumerate(((8, 11), (12, 13)), 3):
+        with pytest.raises(RouteError, match=rf"^rail run connection_e\.c1\.c{seq}\.0 from {first} "
+                           r"does not continue the stretch at \(3, 4\) ending at 10$"):
+            claim_run(w, "c1", first, last, 3, 4, (line, fwd))
+    assert [ln.split()[3] for ln in w.journal.lines if ln.split()[1] == "claim"] == ids
+    assert w.pending == {(3, 4): [4, 11, "connection_e.c1.c1.0", 5]}
+    w.flush(3, 4)
     claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
-    assert w.pending == {(3, 4): [8, 12, "connection_e.c1.c3.0", 15]}
-    assert [w.journal.lines[i].split()[3] for i in (5, 15)] == [ids[1], "connection_e.c1.c3.0"]
+    assert w.pending == {(3, 4): [8, 12, "connection_e.c1.c5.0", 19]}
+    assert [w.journal.lines[i].split()[3] for i in (5, 19)] == [ids[1], "connection_e.c1.c5.0"]
     assert w.index.solid_rows(Box3(Point3(0, 3, 4), Point3(40, 4, 5))) == 1
     assert w.is_free(Box3(Point3(11, 3, 4), Point3(12, 4, 5)))
-    with pytest.raises(RouteError, match=r"^claim connection_e\.c1\.c3\.0 overlaps "
+    with pytest.raises(RouteError, match=r"^claim connection_e\.c1\.c5\.0 overlaps "
                        r"\['connection_e\.c1\.c1\.0', 'connection_e\.c1\.c2\.0'\]$"):
         w.flush(3, 4)
     assert w.is_free(Box3(Point3(11, 3, 4), Point3(12, 4, 5)))
