@@ -93,11 +93,6 @@ class Box3(tuple):
         (olt, olx, oly), (oht, ohx, ohy) = other
         return lt < oht and olt < ht and lx < ohx and olx < hx and ly < ohy and oly < hy
 
-    def contains_cell(self, cell: tuple[int, int, int]) -> bool:
-        t, x, y = cell
-        (lt, lx, ly), (ht, hx, hy) = self
-        return lt <= t < ht and lx <= x < hx and ly <= y < hy
-
     def inflated(self, dt: int, dx: int, dy: int) -> "Box3":
         lo, hi = self
         return Box3(lo.shifted(-dt, -dx, -dy), hi.shifted(dt, dx, dy))
@@ -157,9 +152,6 @@ class DefectPolyline:
         v = self.vertices
         return 1 + sum(abs(b.t - a.t) + abs(b.x - a.x) + abs(b.y - a.y) for a, b in zip(v, v[1:]))
 
-    def segments(self) -> list[tuple[Point3, Point3]]:
-        return list(zip(self.vertices, self.vertices[1:]))
-
     def claim_boxes(self) -> list[Box3]:
         """Disjoint unit-thickness boxes covering exactly this polyline's cells.
 
@@ -167,14 +159,18 @@ class DefectPolyline:
         one starts a cell past the turn it shares with the segment before,
         so the turn cell is attributed to the earlier segment only.
         """
-        if len(self.vertices) == 1:
-            return [cell_box(self.vertices[0])]
+        v = self.vertices
+        if len(v) == 1:
+            return [cell_box(v[0])]
         boxes = []
-        for i, (a, b) in enumerate(self.segments()):
-            if i:  # step off the turn cell, one cell toward b
-                a = a.shifted(*[(q > p) - (q < p) for p, q in zip(a, b)])
-            # The ends differ on one axis only, so the ordered min is the low corner.
-            boxes.append(Box3(min(a, b), max(a, b).shifted(1, 1, 1)))
+        off = 0  # 1 past the first segment, which alone keeps its start
+        for (at, ax, ay), (bt, bx, by) in zip(v, v[1:]):
+            # Each axis's first and last cell; the ends differ on one axis only.
+            lt, ht = (at + off, bt) if at < bt else (bt, at - off) if at > bt else (at, at)
+            lx, hx = (ax + off, bx) if ax < bx else (bx, ax - off) if ax > bx else (ax, ax)
+            ly, hy = (ay + off, by) if ay < by else (by, ay - off) if ay > by else (ay, ay)
+            boxes.append(Box3(Point3(lt, lx, ly), Point3(ht + 1, hx + 1, hy + 1)))
+            off = 1
         return boxes
 
     def extend_last(self, new_end: Point3) -> None:
@@ -188,27 +184,6 @@ class DefectPolyline:
         if _axis_of(a, new_end) != _axis_of(a, b):
             raise GeometryError(f"{new_end} is off the axis of segment {a} -> {b}")
         self.vertices[-1] = new_end
-
-
-def polyline_from_cells(cells, kind: str, role: str) -> DefectPolyline:
-    """Collapse an adjacent cell path into a polyline of turn points."""
-    if not cells:
-        raise GeometryError("empty cell path")
-    turns = [cells[0]]
-    run_axis = None
-    for prev, cur in zip(cells, cells[1:]):
-        dt, dx, dy = cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]
-        if (dt != 0) + (dx != 0) + (dy != 0) != 1:
-            raise GeometryError(f"segment {Point3(*prev)} -> {Point3(*cur)} is not axis-aligned")
-        if abs(dt + dx + dy) != 1:
-            raise GeometryError("cells are not adjacent")
-        axis = 0 if dt else 1 if dx else 2
-        if axis == run_axis:
-            turns[-1] = cur
-        else:
-            turns.append(cur)
-            run_axis = axis
-    return DefectPolyline(kind, role, [Point3(*c) for c in turns])
 
 
 @dataclass

@@ -20,8 +20,9 @@ computed in strictly descending priority: disable the active spec's own
 obstacles, plan, commit the path, re-enable the guides and remove the
 occupies; a rail run is claimed outside any task set and only logs
 those switches (below).  So while a search runs, the obstacles switched
-off are exactly the ones its spec exempts.  A committed segment is the
-:class:`DefectPolyline` its claim covers: :func:`compute_taskset`
+off are exactly the ones its spec exempts.  A search returns its path as
+the :class:`DefectPolyline` of its turn cells, and that polyline is
+committed as is, one claim box per straight run: :func:`compute_taskset`
 returns those polylines, so callers draw exactly what was claimed.
 
 Rail runs: a ``connection_e`` segment only lengthens a connection along
@@ -93,7 +94,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .geom import Box3, DefectPolyline, Point3, polyline_from_cells
+from .geom import PRIMAL, Box3, DefectPolyline, Point3
 from .spatial import LOW, SHIFT, T_SHIFT, BoxIndex, SolidOverlapError
 
 GUIDE = "guide"
@@ -305,12 +306,12 @@ class BlockedView:
         self._records = index.records
         self._columns = index.columns
         self._exempt = [lo + hi for lo, hi in (index.get(oid).box for oid in exempt)]
-        self._lo, self._hi = bounds
+        self._bounds = bounds.lo + bounds.hi  # lo.t, lo.x, lo.y, hi.t, hi.x, hi.y
 
     def is_blocked(self, cell: tuple[int, int, int]) -> bool:
         t, x, y = cell
-        lo, hi = self._lo, self._hi
-        if not (lo[0] <= t < hi[0] and lo[1] <= x < hi[1] and lo[2] <= y < hi[2]):
+        lt, lx, ly, ht, hx, hy = self._bounds
+        if not (lt <= t < ht and lx <= x < hx and ly <= y < hy):
             return True
         count = 0
         rec = self._records.get((t >> SHIFT, x >> SHIFT, y >> SHIFT))
@@ -318,8 +319,8 @@ class BlockedView:
             bit = (t & LOW) << T_SHIFT | (x & LOW) << SHIFT | y & LOW
             if rec[0] >> bit & 1:
                 return True
-            for i in range(len(rec) - 1, 0, -1):
-                count = count << 1 | rec[i] >> bit & 1
+            for plane in rec[:0:-1]:  # the planes, top first
+                count = count << 1 | plane >> bit & 1
         spans = self._columns.get((x, y))
         if spans:
             for lt, ht in spans:
@@ -342,10 +343,12 @@ def default_bounds(spec: SegmentSpec) -> Box3:
     )
 
 
-def plan_segment(spec: SegmentSpec, world: World) -> tuple:
+def plan_segment(spec: SegmentSpec, world: World) -> DefectPolyline:
     """Shortest axis-aligned path from start to stop within
-    :func:`default_bounds` under the blocked set, as the tuple of its
-    cells ``(t, x, y)`` from start to stop.
+    :func:`default_bounds` under the blocked set, as the primal
+    :class:`DefectPolyline` of its turn cells from start to stop, with
+    the spec's segment class as its role; its length counts the path's
+    cells.
 
     The heuristic is the exact L1 distance, so the search is admissible
     and the returned path length equals the L1 distance whenever nothing
@@ -360,7 +363,9 @@ def plan_segment(spec: SegmentSpec, world: World) -> tuple:
     cells in pop order, once the level runs dry.  Parents and pop order
     are those of making them at each pop (the module notes give the
     details).  The spec's own obstacles are exempt, whether or not they
-    are switched off.
+    are switched off.  The polyline is built in one walk from ``stop``
+    back through ``parent``, which keeps only the cells where the axis
+    changes, so no cell tuple of the path is made.
     """
     bounds = default_bounds(spec)
     start, stop = spec.start, spec.stop
@@ -378,13 +383,18 @@ def plan_segment(spec: SegmentSpec, world: World) -> tuple:
         expanded = []  # (h, cell) of this level's expanded cells, in pop order
         while cur:
             h, cell = pop(cur)
-            if cell == stop:
-                out = []
-                while cell is not None:
-                    out.append(cell)
-                    cell = parent[cell]
-                out.reverse()
-                return tuple(out)
+            if cell == stop:  # walk back to start, keeping the turn cells
+                turns, axis, nxt = [stop], None, parent[stop]
+                while nxt is not None:
+                    step = 0 if nxt[0] != cell[0] else 1 if nxt[1] != cell[1] else 2
+                    if step == axis:
+                        turns[-1] = nxt
+                    else:
+                        turns.append(nxt)
+                        axis = step
+                    cell, nxt = nxt, parent[nxt]
+                turns.reverse()
+                return DefectPolyline(PRIMAL, spec.segment_class, [Point3(*c) for c in turns])
             if is_blocked(cell):
                 continue
             expanded.append((h, cell))
@@ -433,7 +443,7 @@ def compute_taskset(specs: list[SegmentSpec], world: World) -> list[DefectPolyli
     Specs are processed in strictly descending priority.  For each spec:
     its own guide and occupy obstacles are disabled (the switch lines
     the journal records; the search exempts them by its spec), the
-    segment is planned, the polyline its cells collapse to is committed
+    segment is planned, the polyline the search returns is committed
     to the world, the guide obstacles are re-enabled and the occupy
     obstacles are removed.  Rail runs are no specs; :func:`claim_run` claims them.
     Committed segments are mutually disjoint and disjoint from all prior
@@ -447,8 +457,7 @@ def compute_taskset(specs: list[SegmentSpec], world: World) -> list[DefectPolyli
     for spec in sorted(specs, key=lambda s: -s.priority):
         for oid in spec.obstacles:
             registry.disable(oid)
-        cells = plan_segment(spec, world)
-        poly = polyline_from_cells(cells, "primal", spec.segment_class)
+        poly = plan_segment(spec, world)
         _commit_path(spec, poly, world)
         for oid in spec.obstacles:
             if registry.get(oid).kind == GUIDE:

@@ -162,22 +162,28 @@ class BoxIndex:
         :class:`SolidOverlapError`: the bits set before the clash are
         cleared, so the index is unchanged."""
         records = self.records
-        masks = _box_masks(box)
-        for key, mask in masks:
-            rec = records.get(key)
-            if rec is None:
-                records[key] = [mask]
-            elif rec[0] & mask:
-                for done, m in masks:
-                    if done == key:
-                        break
-                    rec = records[done]
-                    rec[0] ^= m
-                    if len(rec) == 1 and not rec[0]:
-                        del records[done]
-                raise SolidOverlapError(box)
-            else:
-                rec[0] |= mask
+        (lt, lx, ly), (ht, hx, hy) = box
+        bt, bx, by = lt >> SHIFT, lx >> SHIFT, ly >> SHIFT
+        xs, ys = _X_SPANS[lx & LOW, hx - lx], _Y_SPANS[ly & LOW, hy - ly]
+        for dt, tm in _T_SPANS[lt & LOW, ht - lt]:
+            for dx, xm in xs:
+                txm = tm * xm
+                for dy, ym in ys:
+                    key, mask = (bt + dt, bx + dx, by + dy), txm * ym
+                    rec = records.get(key)
+                    if rec is None:
+                        records[key] = [mask]
+                    elif rec[0] & mask:  # _box_masks lists the buckets in this order
+                        for done, m in _box_masks(box):
+                            if done == key:
+                                break
+                            rec = records[done]
+                            rec[0] ^= m
+                            if len(rec) == 1 and not rec[0]:
+                                del records[done]
+                        raise SolidOverlapError(box)
+                    else:
+                        rec[0] |= mask
 
     def insert(self, entry: Obstacle) -> None:
         """Index the obstacle ``entry``, whose id must be new: count it in

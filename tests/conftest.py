@@ -6,7 +6,7 @@ import pytest
 
 from topoasm import fixtures
 from topoasm.engine import SynthesisConfig, synthesize
-from topoasm.geom import Box3, Point3
+from topoasm.geom import Box3, DefectPolyline, GeometryError, Point3
 from topoasm.icm import parse_icm
 from topoasm.pool import RESERVED
 from topoasm.sched import SchedulerPolicy
@@ -65,11 +65,40 @@ def box_cells(box):
     return itertools.product(range(lo.t, hi.t), range(lo.x, hi.x), range(lo.y, hi.y))
 
 
+def contains_cell(box, cell):
+    """Whether ``cell`` lies in ``box`` (lo inclusive, hi exclusive)."""
+    t, x, y = cell
+    (lt, lx, ly), (ht, hx, hy) = box
+    return lt <= t < ht and lx <= x < hx and ly <= y < hy
+
+
+def polyline_from_cells(cells, kind, role):
+    """Collapse an adjacent cell path into a polyline of turn points: the
+    reference the router tests hold ``route.plan_segment``'s polyline to."""
+    if not cells:
+        raise GeometryError("empty cell path")
+    turns = [cells[0]]
+    run_axis = None
+    for prev, cur in zip(cells, cells[1:]):
+        dt, dx, dy = cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2]
+        if (dt != 0) + (dx != 0) + (dy != 0) != 1:
+            raise GeometryError(f"segment {Point3(*prev)} -> {Point3(*cur)} is not axis-aligned")
+        if abs(dt + dx + dy) != 1:
+            raise GeometryError("cells are not adjacent")
+        axis = 0 if dt else 1 if dx else 2
+        if axis == run_axis:
+            turns[-1] = cur
+        else:
+            turns.append(cur)
+            run_axis = axis
+    return DefectPolyline(kind, role, [Point3(*c) for c in turns])
+
+
 def polyline_cells(poly):
     """The set of cells a defect polyline covers: every cell between each
     segment's two ends, ends included."""
     out = {poly.vertices[0].as_tuple()}
-    for a, b in poly.segments():
+    for a, b in zip(poly.vertices, poly.vertices[1:]):
         spans = [range(min(p, q), max(p, q) + 1) for p, q in zip(a.as_tuple(), b.as_tuple())]
         out.update(itertools.product(*spans))
     return out

@@ -38,6 +38,7 @@ from conftest import (
     box_cells,
     enabled_obstacles,
     polyline_cells,
+    polyline_from_cells,
     scripted_config,
     solid_cells,
 )
@@ -175,7 +176,10 @@ def test_criterion_5_router_optimality():
             assert want is None
             agreed_nopath += 1
         else:
-            assert want == len(path)
+            # the polyline of the eager reference's cells, as short as BFS's
+            cells = test_route.eager_plan(s, w)
+            assert path == polyline_from_cells(cells, "primal", s.segment_class)
+            assert want == len(path) == len(cells)
             solved += 1
     elapsed = time.monotonic() - t0
     assert solved + agreed_nopath == 200

@@ -31,10 +31,12 @@ from conftest import (
     EVERYWHERE,
     assert_pool_journal,
     box_cells,
+    contains_cell,
     journal_claims,
     journal_ops,
     obstacle_records,
     polyline_cells,
+    polyline_from_cells,
     pool_lifecycle,
     scripted_config,
     solid_cells,
@@ -488,8 +490,8 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
     * just before each rail run is claimed, no obstacle is switched off
       (so logging the run's switches without making them is exact), and
       A* on the same world, given the equivalent ``connection_e`` spec,
-      which exempts the run's own obstacles, returns exactly the cells of
-      the straight run that is claimed;
+      which exempts the run's own obstacles, returns the polyline of
+      exactly the cells of the straight run that is claimed;
     * each flush inserts one box, the union of the ``claim`` boxes the
       journal logged for that rail's runs since its last flush, and a
       flush of a rail with none logged inserts nothing;
@@ -546,7 +548,9 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         live = map(registry.get, world.index.hits(EVERYWHERE))
         assert all(obs.enabled for obs in live), route.describe_spec(spec)
         found = plan(spec, world)
-        assert found == tuple((t, x, y) for t in range(first, last + 1)), route.describe_spec(spec)
+        run = [(t, x, y) for t in range(first, last + 1)]
+        assert found == polyline_from_cells(run, "primal", route.SEG_E), route.describe_spec(spec)
+        assert len(found) == len(run)
         checked.append(spec)
         return claim(world, owner, first, last, x, y, obstacles)
 
@@ -581,7 +585,7 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
     def checked_plan(spec, world):
         bounds = route.default_bounds(spec)
         cells = [cell for b in settled(world) if b.intersects(bounds)
-                 for cell in box_cells(b) if bounds.contains_cell(cell)]
+                 for cell in box_cells(b) if contains_cell(bounds, cell)]
         if spec.segment_class == route.SEG_B:
             assert not runs.get((id(world), spec.stop.x, spec.stop.y)), route.describe_spec(spec)
             seen["links"] += 1
@@ -590,7 +594,7 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
             fences = [obs.box for obs in map(registry.get, world.index.hits(bounds))
                       if obs.enabled and obs.id not in spec.obstacles]
             for cell in cells:
-                assert any(f.contains_cell(cell) for f in fences), (route.describe_spec(spec), cell)
+                assert any(contains_cell(f, cell) for f in fences), (route.describe_spec(spec), cell)
             seen["fenced cells"] += len(cells)
         return plan(spec, world)
 

@@ -16,14 +16,13 @@ from topoasm.geom import (
     merge_boxes,
     pin_cell,
     plumbing_volume,
-    polyline_from_cells,
     template_rows,
     wire_row,
 )
 from topoasm.icm import ICMCircuit, ICMOp, parse_icm
 from topoasm.route import World
 
-from conftest import box_cells, journal_claims, polyline_cells, solid_cells
+from conftest import box_cells, journal_claims, polyline_cells, polyline_from_cells, solid_cells
 
 
 def test_box_requires_positive_extent():

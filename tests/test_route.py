@@ -13,7 +13,6 @@ from topoasm.geom import (
     box_from_extents,
     cell_box,
     merge_boxes,
-    polyline_from_cells,
 )
 from topoasm.route import (
     GUIDE,
@@ -37,10 +36,12 @@ from topoasm.spatial import UnknownEntryError
 
 from conftest import (
     box_cells,
+    contains_cell,
     enabled_obstacles,
     journal_claims,
     obstacle_records,
     polyline_cells,
+    polyline_from_cells,
 )
 
 BOUNDS = box_from_extents(Point3(0, 0, 0), (20, 20, 20))
@@ -58,7 +59,7 @@ def bfs_length(start, stop, blocked, bounds):
             return n
         for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
             nb = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
-            if nb in seen or not bounds.contains_cell(nb) or blocked(nb):
+            if nb in seen or not contains_cell(bounds, nb) or blocked(nb):
                 continue
             seen.add(nb)
             q.append((nb, n + 1))
@@ -136,9 +137,10 @@ def eager_plan(s, world):
 
 
 def planned(s, world):
-    """``plan_segment``'s outcome in ``eager_plan``'s form: a failure's
-    detail is its message past the spec, and the searched count is parsed
-    from it (0 when the search never started)."""
+    """``plan_segment``'s outcome: its polyline, or a failure in
+    ``eager_plan``'s form, whose detail is its message past the spec and
+    whose searched count is parsed from it (0 when the search never
+    started)."""
     try:
         return plan_segment(s, world)
     except NoPathError as exc:
@@ -147,6 +149,21 @@ def planned(s, world):
         detail = str(exc)[len(prefix):]
         searched = re.fullmatch(r"searched (\d+) cells in \(.+\)\.\.\(.+\)", detail)
         return ("nopath", detail, int(searched[1]) if searched else 0)
+
+
+def same_as_eager(s, world, note=None):
+    """Check ``plan_segment`` against ``eager_plan`` and return the
+    reference's outcome: the same failure, or the polyline of exactly the
+    reference's cells (a polyline's cells are the path's, so equal
+    polylines are equal paths), covering as many cells."""
+    want = eager_plan(s, world)
+    got = planned(s, world)
+    if want[0] == "nopath":
+        assert got == want, note
+    else:
+        assert got == polyline_from_cells(want, "primal", s.segment_class), note
+        assert len(got) == len(want), note
+    return want
 
 
 # -- blocked cells ---------------------------------------------------------------
@@ -181,12 +198,13 @@ def test_only_the_specs_own_obstacles_are_exempt():
         assert not view.is_blocked((1, 0, 0)) and view.is_blocked((2, 0, 0))
         assert BlockedView(w, BOUNDS, ()).is_blocked((1, 0, 0))
         # through its own obstacle, straight; around the other one, a detour
-        assert plan_segment(spec((0, 0, 0), (1, 0, 0), obstacles=(mine,)), w) == (
-            (0, 0, 0), (1, 0, 0))
+        path = plan_segment(spec((0, 0, 0), (1, 0, 0), obstacles=(mine,)), w)
+        assert path.vertices == [(0, 0, 0), (1, 0, 0)] and len(path) == 2
         path = plan_segment(spec((0, 0, 0), (3, 0, 0), obstacles=(mine,)), w)
-        assert (1, 0, 0) in path and (2, 0, 0) not in path and len(path) == 6
+        cells = polyline_cells(path)
+        assert (1, 0, 0) in cells and (2, 0, 0) not in cells and len(path) == len(cells) == 6
         path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w)
-        assert not {(1, 0, 0), (2, 0, 0)} & set(path)
+        assert not {(1, 0, 0), (2, 0, 0)} & polyline_cells(path)
         assert w.obstacles.get(mine).enabled is mine_on
         assert not w.obstacles.get(other).enabled
 
@@ -264,7 +282,7 @@ def test_blocked_view_matches_rasterized_live_boxes():
         want = set()
         for oid, box in live.items():
             if oid not in exempt:
-                want.update(c for c in box_cells(box) if bounds.contains_cell(c))
+                want.update(c for c in box_cells(box) if contains_cell(bounds, c))
         view = BlockedView(w, bounds, exempt)
         for cell in box_cells(bounds):
             assert view.is_blocked(cell) == (cell in want), (trial, cell)
@@ -276,7 +294,8 @@ def test_blocked_view_matches_rasterized_live_boxes():
 def test_straight_path_unobstructed():
     w = World()
     path = plan_segment(spec((0, 0, 0), (3, 0, 0)), w)
-    assert path == ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0))
+    assert path == DefectPolyline("primal", SEG_C, [Point3(0, 0, 0), Point3(3, 0, 0)])
+    assert len(path) == 4
 
 
 def test_detour_matches_bfs_oracle():
@@ -291,7 +310,7 @@ def test_detour_matches_bfs_oracle():
     view = BlockedView(w, bounds, ())
     want = bfs_length(s.start.as_tuple(), s.stop.as_tuple(), view.is_blocked, bounds)
     assert len(path) == want
-    assert {c[2] for c in path if c[0] == 5} == {hi.y - 1}
+    assert {c[2] for c in polyline_cells(path) if c[0] == 5} == {hi.y - 1}
 
 
 def test_walled_off_stop_raises():
@@ -314,7 +333,7 @@ def test_walled_off_stop_raises():
     with pytest.raises(NoPathError) as info:
         plan_segment(s, w)
     assert str(info.value) == "no path for segment connection_c[t] (10, 11, 10)->(0, 0, 0) pi=1 start cell blocked"
-    assert planned(s, w) == eager_plan(s, w) == ("nopath", "start cell blocked", 0)
+    assert same_as_eager(s, w) == ("nopath", "start cell blocked", 0)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -345,19 +364,18 @@ def test_single_axis_spec_matches_bfs(axis, direction, blocker):
             w.obstacles.disable(oid)
     s = spec(start, stop, obstacles=own)
     path = plan_segment(s, w)
-    assert path[0] == start and path[-1] == stop
-    assert not blocked & set(path)
-    for a, b in zip(path, path[1:]):
-        assert sum(abs(u - v) for u, v in zip(a, b)) == 1
+    cells = polyline_cells(path)  # a polyline's segments are axis-aligned
+    assert path.vertices[0] == start and path.vertices[-1] == stop
+    assert not blocked & cells and len(cells) == len(path)
     assert len(path) == bfs_length(start, stop, blocked.__contains__, default_bounds(s))
     if not blocked:
-        assert len(path) == 7 and mid in path
+        assert len(path) == 7 and mid in cells
 
 
 def test_zero_length_segment_is_a_single_cell():
     w = World()
     path = plan_segment(spec((4, 4, 4), (4, 4, 4), seg=SEG_E), w)
-    assert path == ((4, 4, 4),)
+    assert path == DefectPolyline("primal", SEG_E, [Point3(4, 4, 4)]) and len(path) == 1
 
 
 def test_random_instances_match_bfs():
@@ -383,7 +401,7 @@ def test_random_instances_match_bfs():
         bounds = default_bounds(s)
         view = BlockedView(w, bounds, ())
         want = bfs_length(start, stop, view.is_blocked, bounds)
-        assert planned(s, w) == eager_plan(s, w), trial
+        same_as_eager(s, w, trial)
         try:
             path = plan_segment(s, w)
         except NoPathError:
@@ -391,11 +409,9 @@ def test_random_instances_match_bfs():
             blocked_agree += 1
             continue
         assert want is not None and len(path) == want
-        # path validity: adjacency, no repeats, endpoint match
-        assert path[0] == start and path[-1] == stop
-        assert len(set(path)) == len(path)
-        for a, b in zip(path, path[1:]):
-            assert sum(abs(u - v) for u, v in zip(a, b)) == 1
+        # path validity: axis-aligned segments, no repeats, endpoint match
+        assert path.vertices[0] == start and path.vertices[-1] == stop
+        assert len(polyline_cells(path)) == len(path)
         solved += 1
     assert solved > 100
     assert solved + blocked_agree == 200
@@ -404,8 +420,8 @@ def test_random_instances_match_bfs():
 def test_paths_equal_eager_reference_with_guides_and_faces():
     """Against guide obstacles, enabled or switched off, some of them the
     spec's own, with endpoints on the faces of the populated cube and guide
-    walls across the whole search box, ``plan_segment`` returns the eager
-    reference's cells, or fails with its detail and settled count."""
+    walls across the whole search box, ``plan_segment`` returns the polyline
+    of the eager reference's cells, or fails with its detail and settled count."""
     rng = random.Random(8)
 
     def faces(c):
@@ -437,8 +453,7 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
         cells = [(rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 11)) for _ in range(2)]
         start, stop = (rng.choice(faces(c)) for c in cells)
         s = spec(start, stop, obstacles=own)
-        got = planned(s, w)
-        assert got == eager_plan(s, w), trial
+        got = same_as_eager(s, w, trial)
         outcomes["path" if got[0] != "nopath" else "exhausted" if got[2] else "refused"] += 1
         assert default_bounds(s) == search_box(s)
     # found paths, searches that exhaust their box and refused endpoints all occur
@@ -462,8 +477,7 @@ def test_detour_away_from_stop_matches_eager_reference(axis, direction):
                                       ((6, 15), (5, 6)), ((6, 15), (15, 16)))):
         w.claim(f"side{i}", axis_box(axis, sides, on_b, on_c), "circuit")
     s = spec(start, stop)
-    got = planned(s, w)
-    assert got == eager_plan(s, w)
+    got = same_as_eager(s, w)
     bounds = default_bounds(s)
     assert len(got) == bfs_length(start, stop, BlockedView(w, bounds, ()).is_blocked, bounds)
     # the path backs out of the cup, away from stop
@@ -491,8 +505,8 @@ def test_stacked_plates_and_baffles_match_eager_reference():
     """Plates with small holes and half-plate baffles, stacked between
     start and stop, force paths that step away from stop again and again,
     so the search opens several f levels; a plate without a hole walls
-    stop off.  ``plan_segment`` must return the eager reference's cells,
-    or fail with its detail and settled count."""
+    stop off.  ``plan_segment`` must return the polyline of the eager
+    reference's cells, or fail with its detail and settled count."""
     rng = random.Random(18)
     outcomes = Counter()
     for trial in range(80):
@@ -527,8 +541,7 @@ def test_stacked_plates_and_baffles_match_eager_reference():
             ends.reverse()
         start, stop = map(tuple, ends)
         s = spec(start, stop)
-        got = planned(s, w)
-        assert got == eager_plan(s, w), trial
+        got = same_as_eager(s, w, trial)
         if got[0] == "nopath":
             outcomes["exhausted" if got[2] else "refused"] += 1
         else:
@@ -566,14 +579,12 @@ def test_level_switch_gives_a_cell_its_first_expanded_parent():
     reachable cell."""
     w = plane_world(((4, 3), (3, 4), (4, 2), (3, 1), (1, 3), (2, 4)))
     s = spec((3, 3, 0), (6, 6, 0))
-    got = planned(s, w)
-    assert got == eager_plan(s, w)
+    got = same_as_eager(s, w)
     assert got[:4] == ((3, 3, 0), (2, 3, 0), (2, 2, 0), (1, 2, 0))
 
     w = plane_world(((5, 6), (7, 6), (6, 5), (6, 7)))
     s = spec((6, 1, 0), (6, 6, 0))
-    got = planned(s, w)
-    assert got == eager_plan(s, w)
+    got = same_as_eager(s, w)
     # every cell but stop, its four walls and the corner (7, 7) they cut off
     assert got[0] == "nopath" and got[2] == 8 * 8 - 6
 
@@ -586,8 +597,8 @@ def test_single_spec_taskset_equals_plan():
     s = spec((0, 0, 0), (6, 0, 0))
     alone = plan_segment(s, w1)
     (committed,) = compute_taskset([spec((0, 0, 0), (6, 0, 0))], w2)
-    assert committed == polyline_from_cells(alone, "primal", SEG_C)
-    assert polyline_cells(committed) == set(alone)
+    assert committed == alone == polyline_from_cells(eager_plan(s, w1), "primal", SEG_C)
+    assert polyline_cells(committed) == {(t, 0, 0) for t in range(7)}
 
 
 def test_taskset_requires_distinct_priorities():

@@ -15,7 +15,7 @@ from topoasm.spatial import (
     UnknownEntryError,
 )
 
-from conftest import EVERYWHERE
+from conftest import EVERYWHERE, contains_cell
 
 
 def rand_box(rng, span=60, max_ext=8):
@@ -198,7 +198,7 @@ def test_covering_matches_brute_force_under_random_scripts():
                 lo, hi = e.box.lo, e.box.hi
                 probes += [lo.as_tuple(), (hi.t - 1, hi.x - 1, hi.y - 1),
                            (hi.t, lo.x, lo.y), (lo.t, hi.x, lo.y), (lo.t, lo.x, hi.y)]
-            covering = [(cell, {e.id for e in live.values() if e.box.contains_cell(cell)})
+            covering = [(cell, {e.id for e in live.values() if contains_cell(e.box, cell)})
                         for cell in probes]
             for exempt in exempts:
                 view = view_of(w, exempt)
@@ -247,7 +247,7 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
     for step in range(150):
         roll = rng.random()
         if roll < 0.6 or not live:
-            if roll < 0.25 and sum(b.contains_cell(stack) for b in live.values()) < 5:
+            if roll < 0.25 and sum(contains_cell(b, stack) for b in live.values()) < 5:
                 box = box_from_extents(stack.shifted(*(-rng.randint(0, 9) for _ in range(3))),
                                        tuple(rng.randint(10, 19) for _ in range(3)))
             elif roll < 0.35:
@@ -266,9 +266,9 @@ def test_obstacle_counts_match_brute_force_under_random_scripts(seed):
                       (lt, lx, hy)]
         covering = []
         for cell in cells:
-            covers = {oid for oid, box in live.items() if box.contains_cell(cell)}
+            covers = {oid for oid, box in live.items() if contains_cell(box, cell)}
             assert index_count(idx, cell) == len(covers), (seed, step, cell)
-            covering.append((cell, covers, any(b.contains_cell(cell) for b in solids)))
+            covering.append((cell, covers, any(contains_cell(b, cell) for b in solids)))
         for exempt in (set(), set(rng.sample(sorted(live), len(live) // 2))):
             view = view_of(w, exempt)
             for cell, covers, solid in covering:
@@ -332,7 +332,7 @@ def test_thin_obstacles_at_the_column_threshold_match_brute_force(seed):
                       (rng.randrange(lt, ht), hx, ly), (rng.randrange(lt, ht), lx, hy)]
         covering = []
         for cell in cells:
-            covers = {oid for oid, (box, _) in live.items() if box.contains_cell(cell)}
+            covers = {oid for oid, (box, _) in live.items() if contains_cell(box, cell)}
             in_planes = sum(not column for oid, (_, column) in live.items() if oid in covers)
             assert plane_count(idx, cell) == in_planes, (seed, step, cell)
             covering.append((cell, covers))
@@ -416,8 +416,8 @@ class SolidOracle:
         for probe in probes:
             assert self.idx.solid_rows(probe) == brute_rows(solids, probe), probe
             assert self.idx.hits(probe) == {e.id for e in live if e.box.intersects(probe)}, probe
-        covering = [(cell, any(b.contains_cell(cell) for b in solids),
-                     {e.id for e in live if e.box.contains_cell(cell)}) for cell in cells]
+        covering = [(cell, any(contains_cell(b, cell) for b in solids),
+                     {e.id for e in live if contains_cell(e.box, cell)}) for cell in cells]
         for exempt in exempts:
             view = view_of(self.world, exempt)
             for cell, solid, covers in covering:
@@ -548,7 +548,7 @@ def test_a_refused_solid_clears_the_bits_it_set():
         # other solids beside the box in its buckets, obstacles across it
         hull = [range(l & ~LOW, ((h - 1) | LOW) + 1) for l, h in zip(lo, hi)]
         for cell in {Point3(*(rng.choice(r) for r in hull)) for _ in range(6)}:
-            if not box.contains_cell(cell):
+            if not contains_cell(box, cell):
                 idx.insert_solid(cell_box(cell))
         for i in range(rng.randint(0, 3)):
             corner = Point3(*(rng.choice(r) for r in hull))
@@ -627,7 +627,7 @@ def test_solid_rows_folds_the_slab_onto_its_rows():
             slab = box_from_extents(lo, (rng.randint(1, 26), rng.randint(1, 26), rng.randint(1, 34)))
             want = 0
             for t, x, y in cells:
-                if slab.contains_cell((t, x, y)):
+                if contains_cell(slab, (t, x, y)):
                     want |= 1 << (y - lo.y)
             assert w.index.solid_rows(slab) == want, (trial, slab)
             set_bits += bin(want).count("1")
