@@ -197,6 +197,7 @@ class Synthesizer:
             for t, inputs in self.events:
                 for basis, n in sorted(Counter(m.basis for m in inputs).items()):
                     if n > cap:
+                        self.journal.log(f"over-cap {t} {basis} {n} {cap}")
                         raise SynthesisFailure(
                             f"event at t={t} needs {n} {basis} states, above the pool cap "
                             f"of {cap}",

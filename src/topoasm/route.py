@@ -57,40 +57,43 @@ Lazy blocked checks: A* pushes every neighbour not yet queued,
 untested, and asks the view about a cell only when it pops it; a
 blocked cell is dropped there and never expanded.  A cell is queued at
 most once, so it is tested at most once, and most neighbours, which
-are never popped, are never tested.  The heuristic is updated per
-step, not recomputed: a step towards ``stop`` lowers ``h`` by one, any
-other raises it by one.
+are never popped, are never tested.
 
 Open list by f level: a step keeps ``f = g + h`` or raises it by two, so
 only levels ``f`` and ``f + 2`` are ever open.  The current level is a
-heap of ``(h, cell)``.  While it drains, an expanded cell queues only
-its steps towards ``stop`` (at most one per axis) and is appended to
-``expanded``, the level's expanded cells in pop order.  When the heap
-runs dry, a walk over ``expanded`` makes each cell's steps away from
-``stop``; each one not yet queued gets that cell as its parent and joins
-the heap, which then holds level ``f + 2``.  Most searches end at their
-first level and never make a step away.  A level is drained before the
-next opens, so no queued cell can later get a cheaper path: ``parent``,
-seeded with ``start``, marks every queued cell and is the only push
-test, in place of a ``g`` map and a set of popped cells.  The pop order
-is that of one heap keyed ``(f, h, cell)``: within a level,
-``(h, cell)`` orders cells the same way; every step away into one cell
-carries the same ``g``, so the first in pop order is the first push with
-the least ``g``; and a cell reached at the current level by a step towards
-``stop`` is queued, and so skipped, before the level switches.  Making
-the steps away at the switch rather than at each pop changes no parent:
-a step away already queued when its cell was popped is still queued at
-the switch, since ``parent`` only grows, and the others come in the same
-order, the pop order of their cells.  The order of one cell's steps away
-does not matter, because the heap's keys are unique.  Every free cell
-thus gets the same parent, and the path is the one a check at push time
-would give.  The ``searched`` count in a :class:`NoPathError`'s message
-is the number of expanded cells summed over the drained levels.
+list of cells sorted by ``(h, cell)`` descending, popped from its end.
+A level opens with one sort of its seeds, ``start`` or the previous
+level's steps away, keyed by their L1 distance to ``stop``; no ``h`` is
+kept while it drains.  The popped cell is the least queued, so each of
+its steps towards ``stop`` (at most one per axis) has ``h`` one below
+every queued cell's, and pushing them in descending cell order,
+``t + 1``, ``x + 1``, the y step, ``x - 1``, ``t - 1``, keeps the
+list sorted.  An expanded cell is appended to ``expanded``, the level's
+expanded cells in pop order.  When the list runs dry, a walk over
+``expanded`` makes each cell's steps away from ``stop``; each one not
+yet queued gets that cell as its parent and joins the list, whose sort
+opens level ``f + 2``.  Most searches end at their first level and never
+make a step away.  A level is drained before the next opens, so no
+queued cell can later get a cheaper path: ``parent``, seeded with
+``start``, marks every queued cell and is the only push test, in place
+of a ``g`` map and a set of popped cells.  The pop order is that of one
+heap keyed ``(f, h, cell)``: within a level, ``(h, cell)`` orders cells
+the same way; every step away into one cell carries the same ``g``, so
+the first in pop order is the first push with the least ``g``; and a
+cell reached at the current level by a step towards ``stop`` is queued,
+and so skipped, before the level switches.  Making the steps away at the
+switch rather than at each pop changes no parent: a step away already
+queued when its cell was popped is still queued at the switch, since
+``parent`` only grows, and the others come in the same order, the pop
+order of their cells.  The order of one cell's steps away does not
+matter, because the sort's keys are unique.  Every free cell thus gets
+the same parent, and the path is the one a check at push time would
+give.  The ``searched`` count in a :class:`NoPathError`'s message is the
+number of expanded cells summed over the drained levels.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -354,13 +357,16 @@ def plan_segment(spec: SegmentSpec, world: World) -> DefectPolyline:
     and the returned path length equals the L1 distance whenever nothing
     obstructs.  Ties break deterministically by axis order (t, x, y) and
     lexicographic cell order; when ``start == stop`` the first pop is
-    ``stop`` and the path is that one cell.  A* drains one f level, a heap
-    on ``(h, cell)``, before it opens the next, so a queued cell never
-    gets a cheaper path later: ``parent`` marks every queued cell and no
-    ``g`` map or set of popped cells is kept.  While a level
-    drains, only steps towards ``stop`` are queued; the steps away that
-    open level ``f + 2`` are made from ``expanded``, the level's expanded
-    cells in pop order, once the level runs dry.  Parents and pop order
+    ``stop`` and the path is that one cell.  A* drains one f level before
+    it opens the next, so a queued cell never gets a cheaper path later:
+    ``parent`` marks every queued cell and no ``g`` map or set of popped
+    cells is kept.  A level is a list sorted by ``(h, cell)`` descending
+    and popped from its end: it opens with one sort of its seeds, and
+    while it drains only steps towards ``stop`` are queued, each with
+    ``h`` one below every queued cell's, pushed in descending cell order
+    so the list stays sorted.  The steps away that open level ``f + 2``
+    are made from ``expanded``, the level's expanded cells in pop order,
+    once the level runs dry.  Parents and pop order
     are those of making them at each pop (the module notes give the
     details).  The spec's own obstacles are exempt, whether or not they
     are switched off.  The polyline is built in one walk from ``stop``
@@ -376,13 +382,13 @@ def plan_segment(spec: SegmentSpec, world: World) -> DefectPolyline:
         raise NoPathError(spec, "stop cell blocked")
     st, sx, sy = stop
     parent = {start: None}  # every cell queued at an opened level
-    cur = [(abs(start[0] - st) + abs(start[1] - sx) + abs(start[2] - sy), start)]
+    cur = [start]  # the level's queued cells, (h, cell) descending
     settled = 0
-    push, pop, is_blocked = heapq.heappush, heapq.heappop, view.is_blocked
+    pop, push, is_blocked = cur.pop, cur.append, view.is_blocked
     while cur:  # one pass per f level, lowest first
-        expanded = []  # (h, cell) of this level's expanded cells, in pop order
+        expanded = []  # this level's expanded cells, in pop order
         while cur:
-            h, cell = pop(cur)
+            cell = pop()
             if cell == stop:  # walk back to start, keeping the turn cells
                 turns, axis, nxt = [stop], None, parent[stop]
                 while nxt is not None:
@@ -397,28 +403,29 @@ def plan_segment(spec: SegmentSpec, world: World) -> DefectPolyline:
                 return DefectPolyline(PRIMAL, spec.segment_class, [Point3(*c) for c in turns])
             if is_blocked(cell):
                 continue
-            expanded.append((h, cell))
-            # A step towards stop stays at level f: one per axis, t, x, y.
+            expanded.append(cell)
+            # A step towards stop stays at level f, its h one below every
+            # queued cell's: pushed in descending cell order, the list stays sorted.
             t, x, y = cell
-            if t != st:
-                nb = (t - 1, x, y) if t > st else (t + 1, x, y)
-                if nb not in parent:
-                    parent[nb] = cell
-                    push(cur, (h - 1, nb))
-            if x != sx:
-                nb = (t, x - 1, y) if x > sx else (t, x + 1, y)
-                if nb not in parent:
-                    parent[nb] = cell
-                    push(cur, (h - 1, nb))
-            if y != sy:
-                nb = (t, x, y - 1) if y > sy else (t, x, y + 1)
-                if nb not in parent:
-                    parent[nb] = cell
-                    push(cur, (h - 1, nb))
+            if t < st and (nb := (t + 1, x, y)) not in parent:
+                parent[nb] = cell
+                push(nb)
+            if x < sx and (nb := (t, x + 1, y)) not in parent:
+                parent[nb] = cell
+                push(nb)
+            if y != sy and (nb := (t, x, y - 1) if y > sy else (t, x, y + 1)) not in parent:
+                parent[nb] = cell
+                push(nb)
+            if x > sx and (nb := (t, x - 1, y)) not in parent:
+                parent[nb] = cell
+                push(nb)
+            if t > st and (nb := (t - 1, x, y)) not in parent:
+                parent[nb] = cell
+                push(nb)
         # Open level f + 2: the steps away from stop of the expanded cells,
         # in pop order, each in the fixed order t, x, y, negative first.
         settled += len(expanded)
-        for h, cell in expanded:
+        for cell in expanded:
             t, x, y = cell
             for nb, away in (
                 ((t - 1, x, y), t <= st),
@@ -430,8 +437,8 @@ def plan_segment(spec: SegmentSpec, world: World) -> DefectPolyline:
             ):
                 if away and nb not in parent:
                     parent[nb] = cell
-                    cur.append((h + 1, nb))
-        heapq.heapify(cur)
+                    push(nb)
+        cur.sort(key=lambda c: (abs(c[0] - st) + abs(c[1] - sx) + abs(c[2] - sy), c), reverse=True)
     raise NoPathError(spec, f"searched {settled} cells in {bounds.lo.as_tuple()}..{bounds.hi.as_tuple()}")
 
 

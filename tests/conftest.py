@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections import Counter
 
@@ -149,6 +150,10 @@ def assert_pool_journal(pool):
         scanned = sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
         assert lines["reserve"] - lines["assign"] == scanned, kind
     assert discards == pool.discarded
+
+
+# a journal line: a step, an op and non-empty fields, one space apart
+JOURNAL_LINE = re.compile(r"^\d+ [a-z-]+( [^ ]+)*$")
 
 
 def journal_ops(journal, step):

@@ -12,7 +12,7 @@ from topoasm import fixtures
 from topoasm.cli import build_parser, export_geometry, main
 from topoasm.engine import synthesize
 
-from conftest import scripted_config
+from conftest import JOURNAL_LINE, scripted_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,12 +119,15 @@ def test_bad_input_exits_two_with_one_line(workdir, capsys, extra):
             "outcome script exhausted at round 3",
         ),
         ("0101\n", [], "outcome script round 1: need 24 bits, got '0101'"),
+        (None, ["--pool-cap", "1"], "event at t=4 needs 2 A states, above the pool cap of 1"),
     ],
-    ids=["strict", "outcomes-too-few-lines", "outcomes-wrong-length"],
+    ids=["strict", "outcomes-too-few-lines", "outcomes-wrong-length", "pool-cap"],
 )
 def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extra, message):
-    """Every exit 1 writes the requested journal; ``script`` replaces the
-    bundled outcome script when given."""
+    """Every exit 1 writes the requested journal, each of its lines a step,
+    an op and single-spaced fields; ``script`` replaces the bundled outcome
+    script when given.  A pool-cap failure is found before the first step,
+    and its journal is the one line naming it."""
     outcomes = workdir / "outcomes.txt"
     if script is not None:
         outcomes.write_text(script)
@@ -135,7 +138,10 @@ def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extr
     )
     assert code == 1
     assert capsys.readouterr().err == f"synthesis failed: {message}\n"
-    assert journal.exists() and journal.read_text().strip()
+    lines = journal.read_text().splitlines()
+    assert lines and all(JOURNAL_LINE.match(line) for line in lines), lines
+    if "--pool-cap" in extra:
+        assert lines == ["0 over-cap 4 A 2 1"]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -29,6 +28,7 @@ from topoasm.spatial import BoxIndex, UnknownEntryError
 
 from conftest import (
     EVERYWHERE,
+    JOURNAL_LINE,
     assert_pool_journal,
     box_cells,
     contains_cell,
@@ -417,9 +417,6 @@ def test_journal_claim_ids_are_unique(toffoli, toffoli_unopt):
         assert len(set(ids)) == len(ids), [eid for eid, n in Counter(ids).items() if n > 1]
         claims += len(ids)
     assert claims > 10000 and failed
-
-
-JOURNAL_LINE = re.compile(r"^\d+ [a-z-]+( [^ ]+)*$")
 
 
 def test_journal_lines_have_one_space_between_non_empty_fields(toffoli, toffoli_unopt):

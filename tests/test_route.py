@@ -90,12 +90,12 @@ def search_box(s):
 def eager_plan(s, world):
     """Reference router: ``plan_segment`` with the blocked check made when a
     neighbour is pushed, not when it is popped, and with a single heap keyed
-    ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of the
-    per-level open list.  A settled cell pushes all six neighbours at once,
-    where ``plan_segment`` queues only its steps towards stop and makes its
-    steps away when the level runs dry.  It searches ``search_box(s)`` and
-    exempts the spec's own obstacles.  Returns the path's cells, or
-    ``("nopath", detail, searched)``."""
+    ``(f, h, cell)``, a ``g`` map and a set of settled cells in place of one
+    list per f level kept sorted by ``(h, cell)``.  A settled cell pushes
+    all six neighbours at once, where ``plan_segment`` queues only its
+    steps towards stop and makes its steps away when the level runs dry.
+    It searches ``search_box(s)`` and exempts the spec's own obstacles.
+    Returns the path's cells, or ``("nopath", detail, searched)``."""
     start, stop = s.start.as_tuple(), s.stop.as_tuple()
     bounds = search_box(s)
     view = BlockedView(world, bounds, s.obstacles)
@@ -164,6 +164,66 @@ def same_as_eager(s, world, note=None):
         assert got == polyline_from_cells(want, "primal", s.segment_class), note
         assert len(got) == len(want), note
     return want
+
+
+def lazy_pops(s, world):
+    """Reference pop order: one lazy heap keyed ``(f, h, cell)``, a ``g``
+    map and a set of settled cells, with the blocked check made when a
+    cell is popped and ``stop`` returned when popped, as ``plan_segment``
+    does.  A popped cell pushes each of its six neighbours whose ``g`` it
+    lowers, blocked or not; an entry whose cell is already settled is
+    stale and skipped.  Returns the cells handed to the blocked check, in
+    order: start, stop, then each pop before stop's, and, for each of
+    those pops, its ``(f, h)`` and its parent's ``h``."""
+    start, stop = s.start.as_tuple(), s.stop.as_tuple()
+    view = BlockedView(world, search_box(s), s.obstacles)
+    checks, keys = [start], []
+    if view.is_blocked(start):
+        return checks, keys
+    checks.append(stop)
+    if view.is_blocked(stop):
+        return checks, keys
+
+    def h(cell):
+        return abs(cell[0] - stop[0]) + abs(cell[1] - stop[1]) + abs(cell[2] - stop[2])
+
+    g, parent_h, settled = {start: 0}, {start: None}, set()
+    heap = [(h(start), h(start), start)]
+    while heap:
+        f, hc, cell = heapq.heappop(heap)
+        if cell in settled:
+            continue
+        if cell == stop:
+            break
+        settled.add(cell)
+        checks.append(cell)
+        keys.append((f, hc, parent_h[cell]))
+        if view.is_blocked(cell):
+            continue
+        for d in ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)):
+            nb = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
+            if nb not in settled and g[cell] + 1 < g.get(nb, 1 << 30):
+                g[nb], parent_h[nb] = g[cell] + 1, hc
+                heapq.heappush(heap, (g[nb] + h(nb), h(nb), nb))
+    return checks, keys
+
+
+def same_pops(s, world, monkeypatch, note=None):
+    """Check that the cells ``plan_segment`` hands to
+    ``BlockedView.is_blocked`` are ``lazy_pops``'s, in its order, whether
+    it finds a path or not, and return the reference's pop keys."""
+    want, keys = lazy_pops(s, world)
+    cells, is_blocked = [], BlockedView.is_blocked
+
+    def record(view, cell):
+        cells.append(cell)
+        return is_blocked(view, cell)
+
+    with monkeypatch.context() as m:
+        m.setattr(BlockedView, "is_blocked", record)
+        planned(s, world)
+    assert cells == want, note
+    return keys
 
 
 # -- blocked cells ---------------------------------------------------------------
@@ -378,7 +438,7 @@ def test_zero_length_segment_is_a_single_cell():
     assert path == DefectPolyline("primal", SEG_E, [Point3(4, 4, 4)]) and len(path) == 1
 
 
-def test_random_instances_match_bfs():
+def test_random_instances_match_bfs(monkeypatch):
     rng = random.Random(99)
     solved = 0
     blocked_agree = 0
@@ -402,6 +462,7 @@ def test_random_instances_match_bfs():
         view = BlockedView(w, bounds, ())
         want = bfs_length(start, stop, view.is_blocked, bounds)
         same_as_eager(s, w, trial)
+        same_pops(s, w, monkeypatch, trial)
         try:
             path = plan_segment(s, w)
         except NoPathError:
@@ -417,11 +478,12 @@ def test_random_instances_match_bfs():
     assert solved + blocked_agree == 200
 
 
-def test_paths_equal_eager_reference_with_guides_and_faces():
+def test_paths_equal_eager_reference_with_guides_and_faces(monkeypatch):
     """Against guide obstacles, enabled or switched off, some of them the
     spec's own, with endpoints on the faces of the populated cube and guide
     walls across the whole search box, ``plan_segment`` returns the polyline
-    of the eager reference's cells, or fails with its detail and settled count."""
+    of the eager reference's cells, or fails with its detail and settled
+    count, and makes the lazy reference's blocked checks in its order."""
     rng = random.Random(8)
 
     def faces(c):
@@ -454,6 +516,7 @@ def test_paths_equal_eager_reference_with_guides_and_faces():
         start, stop = (rng.choice(faces(c)) for c in cells)
         s = spec(start, stop, obstacles=own)
         got = same_as_eager(s, w, trial)
+        same_pops(s, w, monkeypatch, trial)
         outcomes["path" if got[0] != "nopath" else "exhausted" if got[2] else "refused"] += 1
         assert default_bounds(s) == search_box(s)
     # found paths, searches that exhaust their box and refused endpoints all occur
@@ -501,12 +564,13 @@ def plate_boxes(axis, at, hole):
             if on_b[0] < on_b[1] and on_c[0] < on_c[1]]
 
 
-def test_stacked_plates_and_baffles_match_eager_reference():
+def test_stacked_plates_and_baffles_match_eager_reference(monkeypatch):
     """Plates with small holes and half-plate baffles, stacked between
     start and stop, force paths that step away from stop again and again,
     so the search opens several f levels; a plate without a hole walls
     stop off.  ``plan_segment`` must return the polyline of the eager
-    reference's cells, or fail with its detail and settled count."""
+    reference's cells, or fail with its detail and settled count, and
+    make the lazy reference's blocked checks in its order."""
     rng = random.Random(18)
     outcomes = Counter()
     for trial in range(80):
@@ -542,6 +606,7 @@ def test_stacked_plates_and_baffles_match_eager_reference():
         start, stop = map(tuple, ends)
         s = spec(start, stop)
         got = same_as_eager(s, w, trial)
+        same_pops(s, w, monkeypatch, trial)
         if got[0] == "nopath":
             outcomes["exhausted" if got[2] else "refused"] += 1
         else:
@@ -587,6 +652,23 @@ def test_level_switch_gives_a_cell_its_first_expanded_parent():
     got = same_as_eager(s, w)
     # every cell but stop, its four walls and the corner (7, 7) they cut off
     assert got[0] == "nopath" and got[2] == 8 * 8 - 6
+
+
+def test_level_seeds_at_three_h_values_pop_in_reference_order(monkeypatch):
+    """In the (t, x) plane, a wall at x = 2 for t < 3 stands between start
+    (1, 0) and stop (0, 4).  Level 5 expands (1, 0), (0, 0), (0, 1) and
+    (1, 1), at h 5, 4, 3 and 4, so level 7 opens with seeds at h 4, 5 and
+    6 in one sort; there the seed (2, 1), at h 5, steps towards stop onto
+    the wall cell (2, 2), at h 4, a seed's h.  The cells ``plan_segment``
+    checks must be the lazy reference's pops, in order."""
+    w = plane_world(((0, 2), (1, 2), (2, 2)))
+    s = spec((1, 0, 0), (0, 4, 0))
+    keys = same_pops(s, w, monkeypatch)
+    seeds = {h for f, h, up in keys if f == 7 and up == h - 1}
+    dives = {h for f, h, up in keys if f == 7 and up == h + 1}
+    assert seeds == {4, 5, 6} and dives == {4}, (seeds, dives)
+    got = same_as_eager(s, w)  # round the wall's end at t = 3: two steps away
+    assert (3, 2, 0) in got and len(got) == 5 + 2 * 2 + 1
 
 
 # -- compute_taskset protocol ---------------------------------------------------
