@@ -11,9 +11,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .engine import (
-    Assembly, EngineError, SynthesisConfig, SynthesisFailure, read_outcome_script, synthesize,
-)
+from .engine import Assembly, SynthesisConfig, SynthesisFailure, read_outcome_script, synthesize
 from .icm import ICMError, parse_icm
 from .sched import SchedulerPolicy
 
@@ -134,7 +132,7 @@ def run_compare(circuit, args, n_seeds: int) -> int:
             config = config_from_args(args, scheduler=kind, seed=seed)
             try:
                 assembly = synthesize(circuit, config)
-            except EngineError as exc:
+            except SynthesisFailure as exc:
                 print(f"{kind} seed {seed}: FAILED ({exc})", file=sys.stderr)
                 return 1
             volumes.append(assembly.volume)

@@ -16,12 +16,15 @@ the proactive scheduling condition fires between events:
    :func:`~topoasm.route.claim_run`, with no spec, since the rail's
    guides and the grant-after-sweep rule keep it free; its guides'
    switch lines are logged but no guide switched, and it joins its
-   rail's pending stretch, which turns solid as one box before a box
-   link on that rail is searched; a failed search or claim ends
-   synthesis;
+   rail's pending stretch;
 5. sweep stale connections back to available, their stretches turning
    solid, and record the step; the stretches still pending turn solid
-   at the end.
+   at the end, so a stretch turns solid only at these two points.
+
+A fault in any of these steps (a placement, search, claim clash,
+template collision or outcome script) ends synthesis:
+:meth:`Synthesizer.run` is the one place that turns it into a
+:class:`SynthesisFailure` carrying the journal.
 
 Everything is deterministic for a fixed config: box outcomes come from
 a seeded generator or a scripted bitmap list, and all iteration orders
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from .geom import (
     BOX_DEPTH,
     BRAID_DEPTH,
+    PRIMAL,
     Box3,
     DefectPolyline,
     GeometryBuilder,
@@ -292,29 +296,23 @@ class Synthesizer:
                 self.journal,
             )
         self.journal.log(f"round {round_id} {trigger_time} {n_a} {n_y}")
-        try:
-            if pol.kind == "asap":
-                layer = place_asap_stack(
-                    n_a, n_y, self.world,
-                    stack_width=wire_row(self.circuit.wire_count - 1) + 4,
-                    round_id=round_id,
-                )
-            elif pol.kind == "alap":
-                layer = place_alap_layer(
-                    n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
-                )
-            else:
-                layer = place_spiral_layer(
-                    n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
-                )
-        except PlacementError as exc:
-            raise SynthesisFailure(f"placement failed: {exc}", self.journal) from exc
+        if pol.kind == "asap":
+            layer = place_asap_stack(
+                n_a, n_y, self.world,
+                stack_width=wire_row(self.circuit.wire_count - 1) + 4,
+                round_id=round_id,
+            )
+        elif pol.kind == "alap":
+            layer = place_alap_layer(
+                n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
+            )
+        else:
+            layer = place_spiral_layer(
+                n_a, n_y, trigger_time, self.world, self.channel(), round_id=round_id,
+            )
         self.layers.append(layer)
         self.geometry.boxes.extend(layer.boxes)
-        try:
-            bits = self.outcomes.draw(len(layer.boxes))
-        except EngineError as exc:
-            raise SynthesisFailure(str(exc), self.journal) from exc
+        bits = self.outcomes.draw(len(layer.boxes))
         # never empty: a round fires only on a demand of at least one state
         self.journal.log(f"simulate {round_id} {''.join('1' if ok else '0' for ok in bits)}")
         self._pending_links.extend(self.pool.reserve_connections(
@@ -376,6 +374,23 @@ class Synthesizer:
     # -- the main loop --------------------------------------------------------
 
     def run(self) -> Assembly:
+        """Run the work flow; any fault in it leaves as one
+        :class:`SynthesisFailure`, logged first if its kind has a journal op."""
+        try:
+            return self._run()
+        except SynthesisFailure:
+            raise
+        except (PlacementError, TemplateCollisionError, RouteError, EngineError) as exc:
+            message = str(exc)
+            if isinstance(exc, NoPathError):
+                self.journal.log(f"no-path {describe_spec(exc.spec)}")
+            elif isinstance(exc, TemplateCollisionError):
+                self.journal.log(f"template-collision {exc}")
+            elif isinstance(exc, PlacementError):
+                message = f"placement failed: {exc}"
+            raise SynthesisFailure(message, self.journal) from exc
+
+    def _run(self) -> Assembly:
         cfg = self.config
         events = self.events
         self.journal.log(f"begin {cfg.policy.kind} {cfg.seed}")
@@ -411,7 +426,7 @@ class Synthesizer:
             else:
                 frontier = self.circuit.last_timestep + 1
             self.journal.log(f"geometry {frontier}")
-            self._emit(frontier)
+            self.builder.emit_until(frontier)
 
             # line 15: assign connections to this step's inputs
             assigned = []
@@ -441,10 +456,10 @@ class Synthesizer:
         self.journal.step = step + 1
         final_frontier = self.circuit.last_timestep + 1
         self.journal.log(f"geometry {final_frontier}")
-        self._emit(final_frontier)
+        self.builder.emit_until(final_frontier)
         self._connect_step(final_frontier, [])
         for xy in list(self.world.pending):
-            self._flush(xy)
+            self.world.flush(*xy)
 
         if len(self.deliveries) != len(self.circuit.magic_inputs):
             raise SynthesisFailure(
@@ -461,13 +476,6 @@ class Synthesizer:
             journal=self.journal,
             deliveries=self.deliveries,
         )
-
-    def _emit(self, frontier: int) -> None:
-        try:
-            self.builder.emit_until(frontier)
-        except TemplateCollisionError as exc:
-            self.journal.log(f"template-collision {exc}")
-            raise SynthesisFailure(str(exc), self.journal) from exc
 
     # -- segment determination and computation --------------------------------
 
@@ -523,30 +531,20 @@ class Synthesizer:
                  for i, seg in enumerate(order)]
 
         # line 21: compute in descending priority, which is list order: each
-        # block of searched specs as one task set, each rail run as a claim;
-        # done holds a segment's polyline, or a run's rail position
+        # block of searched specs as one task set, each rail run as a claim
+        # into its rail's pending stretch (solid at its holder's sweep or the
+        # end); done holds a segment's polyline, or a run's rail position
         done = []
-        try:
-            blocks = itertools.groupby(zip(order, specs), key=lambda p: p[1] is not None)
-            for searched, block in blocks:
-                if searched:
-                    batch = [spec for _, spec in block]
-                    # an invariant no search needs: a link's forward guard
-                    # fences its own runs, and a swept holder's were flushed
-                    for spec in batch:
-                        if spec.segment_class == SEG_B:
-                            self.world.flush(spec.stop.x, spec.stop.y)
-                    done += compute_taskset(batch, self.world)
-                    continue
-                for (_, conn, (first, last)), _ in block:
-                    xy = self.pool.rail_position(conn.rail)
-                    own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
-                    claim_run(self.world, conn.id, first, last, *xy, own)
-                    done.append(xy)
-        except RouteError as exc:
-            if isinstance(exc, NoPathError):
-                self.journal.log(f"no-path {describe_spec(exc.spec)}")
-            raise SynthesisFailure(str(exc), self.journal) from exc
+        blocks = itertools.groupby(zip(order, specs), key=lambda p: p[1] is not None)
+        for searched, block in blocks:
+            if searched:
+                done += compute_taskset([spec for _, spec in block], self.world)
+                continue
+            for (_, conn, (first, last)), _ in block:
+                xy = self.pool.rail_position(conn.rail)
+                own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
+                claim_run(self.world, conn.id, first, last, *xy, own)
+                done.append(xy)
 
         for (segment_class, conn, arg), poly in zip(order, done):
             if segment_class == SEG_E:
@@ -563,15 +561,8 @@ class Synthesizer:
         # line 22: sweep; a freed connection's stretch turns solid, and its
         # rail sheds the forward guard so new occupants can land beyond it
         for cid in self.pool.sweep(frontier):
-            self._flush(self.pool.rail_position(self.pool.connections[cid].rail))
+            self.world.flush(*self.pool.rail_position(self.pool.connections[cid].rail))
             self.world.obstacles.remove(self.conn_fwd_guards.pop(cid))
-
-    def _flush(self, xy) -> None:
-        """Turn rail ``xy``'s pending stretch solid; a clash ends synthesis."""
-        try:
-            self.world.flush(*xy)
-        except RouteError as exc:
-            raise SynthesisFailure(str(exc), self.journal) from exc
 
     def _ensure_guards(self, conn) -> None:
         """Add the line and under guides of the connection's rail, once per
@@ -615,7 +606,7 @@ class Synthesizer:
         stop = Point3(last, x, y)
         if poly is None:
             start = Point3(first, x, y)
-            poly = DefectPolyline("primal", SEG_E, [start] if first == last else [start, stop])
+            poly = DefectPolyline(PRIMAL, SEG_E, [start] if first == last else [start, stop])
             self.geometry.defects.append(poly)
             self._rail_polylines[conn.id] = poly
         else:

@@ -31,17 +31,16 @@ and its segment is that straight run.  It is no task-set spec:
 :func:`claim_run` logs its ``claim`` line and adds it to the rail's
 pending stretch in the world, with no search, no spec, no polyline and
 no index insert, and the caller draws it.  A stretch turns solid as one
-box when :meth:`World.flush` is called for its rail: the engine flushes
-a rail before it searches a box link on that rail, at its holder's sweep
-and at the end of synthesis.  Until then three fences keep the stretch
-free: every spec but a box link sees the rail's line guide; the holder's
-forward guard fences ``anchor_t + 1 ..`` on the line and the strip under
-it; and a rail is granted again only after its last holder is swept, its
-stretch flushed and its forward guard removed.  So the flush before a
-box link changes no search (the link's own runs lie under its forward
-guard, and the previous holder's were flushed at its sweep); it keeps
-the invariant that a link's rail has no pending run.  A solid on a run
-fails loudly at the flush, named after the stretch's first run.  The
+box when :meth:`World.flush` is called for its rail, which the engine
+does at two points only: its holder's sweep and the end of synthesis.
+Until then three fences keep the stretch free: every spec but a box link
+sees the rail's line guide; the holder's forward guard fences
+``anchor_t + 1 ..`` on the line and the strip under it, and a box link's
+spec does not exempt it, so a link sees its own rail's runs as blocked;
+and a rail is granted again only after its last holder is swept, its
+stretch flushed and its forward guard removed.  No placement probe
+reaches a rail cell either.  A solid on a run fails loudly at the
+flush, named after the stretch's first run.  The
 run's own obstacles, that line guide and forward guard, are not
 switched: no search reads the blocked set around the run.  Between task
 sets no obstacle is disabled, so both are enabled, and
