@@ -111,7 +111,7 @@ def config_from_args(args, scheduler=None, seed=None) -> SynthesisConfig:
     )
     script = None
     if args.outcomes:
-        script = read_outcome_script(Path(args.outcomes).read_text(encoding="utf-8"))
+        script = read_outcome_script(Path(args.outcomes).read_text(encoding="utf-8-sig"))
     return SynthesisConfig(
         policy=policy,
         pool_cap=args.pool_cap,
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        text = Path(args.circuit).read_text(encoding="utf-8")
+        text = Path(args.circuit).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read circuit: {exc}", file=sys.stderr)
         return 2
@@ -186,13 +186,13 @@ def main(argv=None) -> int:
                 print(f"cannot write journal: {io_exc}", file=sys.stderr)
         return 1
 
-    try:
+    try:  # the journal first, so a failed export still leaves it
+        if args.journal:
+            export_journal(assembly, args.journal)
         if args.export_geometry:
             export_geometry(assembly, args.export_geometry)
         if args.export_stats:
             export_stats(assembly, args.export_stats)
-        if args.journal:
-            export_journal(assembly, args.journal)
     except OSError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return 1

@@ -58,7 +58,7 @@ from .geom import (
     wire_row,
 )
 from .icm import MAGIC_BASES, ICMCircuit, magic_events, recycle_wires
-from .pool import POOL_GAP, ConnectionPool
+from .pool import POOL_GAP, Connection, ConnectionPool
 from .route import (
     GUIDE,
     OCCUPY,
@@ -223,7 +223,7 @@ class Synthesizer:
         self.rail_under_guards: dict[int, str] = {}  # rail index -> y=POOL_GAP-1 guide
         self.conn_fwd_guards: dict[str, str] = {}  # conn id -> forward-stretch guide
         self.pin_guards: dict[str, str] = {}  # input key -> guide obstacle id
-        self._pending_links: list[str] = []  # reservations awaiting their box link
+        self._pending_links: list[Connection] = []  # reservations awaiting their box link
         self._rail_polylines: dict[str, object] = {}
         self.t_floor = -(BOX_DEPTH + 12)
         self.t_ceiling = self.circuit.last_timestep + 24
@@ -431,12 +431,12 @@ class Synthesizer:
             # line 15: assign connections to this step's inputs
             assigned = []
             for m in inputs:
-                cid = self.pool.assign_to_input(m.key, m.basis)
-                if cid is None:
+                conn = self.pool.assign_to_input(m.key, m.basis)
+                if conn is None:
                     raise SynthesisFailure(
                         f"no reserved {m.basis} connection for {m.key}", self.journal
                     )
-                assigned.append((m, self.pool.connections[cid]))
+                assigned.append((m, conn))
 
             # lines 16-22
             self._connect_step(frontier, assigned)
@@ -492,7 +492,7 @@ class Synthesizer:
             self.journal.log(f"spec-c {conn.id} {m.key}")
 
         # line 17: delivered connections leave the pool
-        self.pool.mark_tobeavailable([conn.id for _, conn in assigned])
+        self.pool.mark_tobeavailable([conn for _, conn in assigned])
 
         # line 18: rail runs, by rail; delivered ones get their final stretch
         runs = [
@@ -508,7 +508,7 @@ class Synthesizer:
         # line 19: box -> pool links for this step's reservations, by rail,
         # whether or not they were already consumed by this step's inputs
         links = sorted(
-            ((SEG_B, self.pool.connections[cid], None) for cid in self._pending_links),
+            ((SEG_B, conn, None) for conn in self._pending_links),
             key=by_rail,
         )
         self._pending_links.clear()
@@ -560,9 +560,9 @@ class Synthesizer:
 
         # line 22: sweep; a freed connection's stretch turns solid, and its
         # rail sheds the forward guard so new occupants can land beyond it
-        for cid in self.pool.sweep(frontier):
-            self.world.flush(*self.pool.rail_position(self.pool.connections[cid].rail))
-            self.world.obstacles.remove(self.conn_fwd_guards.pop(cid))
+        for conn in self.pool.sweep(frontier):
+            self.world.flush(*self.pool.rail_position(conn.rail))
+            self.world.obstacles.remove(self.conn_fwd_guards.pop(conn.id))
 
     def _ensure_guards(self, conn) -> None:
         """Add the line and under guides of the connection's rail, once per

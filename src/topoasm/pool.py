@@ -7,9 +7,10 @@ a new connection, which starts out reserved and walks the lifecycle::
 
     reserved(type) -> assigned -> tobeavailable -> available
 
-A new connection gets the lowest rail whose last holder is back to
+A new connection gets the lowest rail whose holder is back to
 ``available`` with its stretch ended before the new anchor, else a new
-rail; so only a rail's last holder can be live.  A ``tobeavailable``
+rail, and replaces that holder: ``rails[i]`` is rail ``i``'s current
+holder, the only connection on it that can be live.  A ``tobeavailable``
 connection holds its rail until the sweep finds all its cells in the
 past.  Surplus distillation successes beyond the per-type cap are
 discarded, never buffered.
@@ -17,11 +18,13 @@ discarded, never buffered.
 The journal is the pool's ledger: each move writes one line
 (``reserve``, ``assign``, ``mark-tobeavailable``, ``sweep-available``)
 and each discard a ``discard`` line; the pool keeps no second record of
-them beyond the per-kind ``discarded`` counts.
+them beyond the per-kind ``discarded`` counts and each rail's holder;
+connections travel as objects, and their ids only name them there.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .geom import Point3
@@ -66,9 +69,9 @@ class Connection:
 class ConnectionPool:
     """Single-writer connection manager.
 
-    ``rails[i]`` lists the connections rail ``i`` was granted to, in grant
-    order.  A rail is granted only when its last holder is ``available``
-    and ended before the new anchor, so only the last holder can be live.
+    ``rails[i]`` is rail ``i``'s current holder.  A rail is granted only
+    when its holder is ``available`` and ended before the new anchor, and
+    the new connection replaces it, so earlier holders need no record.
     ``reserved_count`` reads a per-kind count that a reservation raises
     and a move out of ``reserved`` lowers, with no rail scan.
     """
@@ -76,8 +79,8 @@ class ConnectionPool:
     def __init__(self, cap_per_type: int, journal):
         self.cap_per_type = cap_per_type
         self.journal = journal
-        self.rails: list[list[Connection]] = []
-        self.connections: dict[str, Connection] = {}
+        self.rails: list[Connection] = []
+        self._ids = itertools.count(1)  # c1, c2, ... in reservation order
         self.discarded = {"A": 0, "Y": 0}
         self._reserved = {"A": 0, "Y": 0}
 
@@ -97,19 +100,15 @@ class ConnectionPool:
         return (index * RAIL_PITCH + 1, POOL_GAP)
 
     def _grab_rail(self, anchor_t: int) -> int:
-        # Earlier holders ended before the last one began, so it decides.
-        for index, holders in enumerate(self.rails):
-            last = holders[-1]
-            if last.state == AVAILABLE and last.extended_to < anchor_t:
+        # Earlier holders ended before the current one began, so it decides.
+        for index, holder in enumerate(self.rails):
+            if holder.state == AVAILABLE and holder.extended_to < anchor_t:
                 return index
-        self.rails.append([])
-        return len(self.rails) - 1
+        return len(self.rails)
 
     def _holders(self, state: str):
-        """The rails' last holders in ``state``, in rail order."""
-        for holders in self.rails:
-            if holders[-1].state == state:
-                yield holders[-1]
+        """The rails' holders in ``state``, in rail order."""
+        return (c for c in self.rails if c.state == state)
 
     def reserved_count(self, kind: str) -> int:
         return self._reserved[kind]
@@ -119,8 +118,9 @@ class ConnectionPool:
 
     # -- operations --------------------------------------------------------
 
-    def reserve_connections(self, successes) -> list[str]:
-        """Bind each success to a free rail, lowest index first.
+    def reserve_connections(self, successes) -> list[Connection]:
+        """Bind each success to a free rail, lowest index first; returns
+        the new connections.
 
         ``successes`` is a list of (box_id, kind, port).  Successes beyond
         the per-type cap are discarded silently (the box output is simply
@@ -134,19 +134,18 @@ class ConnectionPool:
                 continue
             anchor_t = port.t + KB_LEAD
             rail = self._grab_rail(anchor_t)
-            cid = f"c{len(self.connections) + 1}"  # connections are never dropped
+            cid = f"c{next(self._ids)}"
             conn = Connection(cid, kind, rail, box_id, port, anchor_t, anchor_t, RESERVED)
-            self.connections[cid] = conn
-            self.rails[rail].append(conn)
+            self.rails[rail:rail + 1] = [conn]  # replaces the holder, or opens the rail
             self._reserved[kind] += 1
-            reserved.append(cid)
+            reserved.append(conn)
             self.journal.log(f"reserve {cid} {kind} {rail} {box_id}")
         return reserved
 
     def assign_to_input(self, input_key: str, kind: str):
         """Assign the reserved connection of matching type on the lowest rail.
 
-        Returns the connection id, or None when nothing of that type is
+        Returns the connection, or None when nothing of that type is
         reserved (the insufficient-states signal; never an exception).
         """
         conn = next((c for c in self._holders(RESERVED) if c.kind == kind), None)
@@ -154,13 +153,12 @@ class ConnectionPool:
             return None
         self._move(conn, ASSIGNED)
         self.journal.log(f"assign {conn.id} {input_key}")
-        return conn.id
+        return conn
 
-    def mark_tobeavailable(self, conn_ids) -> None:
-        for cid in conn_ids:
-            conn = self.connections[cid]
+    def mark_tobeavailable(self, conns) -> None:
+        for conn in conns:
             self._move(conn, TOBEAVAILABLE)
-            self.journal.log(f"mark-tobeavailable {cid}")
+            self.journal.log(f"mark-tobeavailable {conn.id}")
 
     def extension_targets(self, now: int):
         """Rail stretches needed so every reserved connection reaches ``now``.
@@ -178,16 +176,16 @@ class ConnectionPool:
             raise PoolError(f"stretch of {conn.id} may only grow")
         conn.extended_to = new_last
 
-    def sweep(self, now: int) -> list[str]:
+    def sweep(self, now: int) -> list[Connection]:
         """Make every tobeavailable connection whose rail cells all lie
-        strictly before ``now`` available; returns the freed connection
-        ids.  Its fields stay: the grant rule reads its stretch
-        (``extended_to``), and the caller its rail."""
+        strictly before ``now`` available, in reservation order; returns
+        the freed connections.  Its fields stay: the grant rule reads its
+        stretch (``extended_to``), and the caller its rail."""
         freed = []
         for conn in sorted(self._holders(TOBEAVAILABLE), key=lambda c: int(c.id[1:])):
             if conn.extended_to >= now:
                 continue
             self._move(conn, AVAILABLE)
-            freed.append(conn.id)
+            freed.append(conn)
             self.journal.log(f"sweep-available {conn.id}")
         return freed

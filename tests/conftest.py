@@ -9,7 +9,7 @@ from topoasm import fixtures
 from topoasm.engine import SynthesisConfig, synthesize
 from topoasm.geom import Box3, DefectPolyline, GeometryError, Point3
 from topoasm.icm import parse_icm
-from topoasm.pool import RESERVED
+from topoasm.pool import ASSIGNED, AVAILABLE, RESERVED, TOBEAVAILABLE
 from topoasm.sched import SchedulerPolicy
 from topoasm.spatial import UnknownEntryError
 
@@ -117,6 +117,7 @@ def solid_cells(geometry):
 
 
 LIFECYCLE = ("reserve", "assign", "mark-tobeavailable", "sweep-available")
+STATES = (RESERVED, ASSIGNED, TOBEAVAILABLE, AVAILABLE)  # the state each op reaches
 
 
 def pool_lifecycle(journal):
@@ -135,20 +136,38 @@ def pool_lifecycle(journal):
     return ops, kinds, discards
 
 
+def rail_grants(journal):
+    """Each rail's connections as its ``reserve`` lines name them, in
+    grant order; the pool itself keeps only the last."""
+    grants = {}
+    for ln in journal.lines:
+        _, op, *args = ln.split(" ")
+        if op == "reserve":
+            grants.setdefault(int(args[2]), []).append(args[0])
+    return grants
+
+
 def assert_pool_journal(pool):
     """Check the pool against its journal, independently of the pool's own
-    edge check: each connection's ops are a prefix of ``LIFECYCLE``; per
-    kind, ``reserve`` lines minus ``assign`` lines equal the connections
-    a scan of all connections finds reserved, and the ``discard`` lines
-    equal ``pool.discarded``."""
+    edge check: the ``reserve`` lines name ``c1``, ``c2``, ... in order;
+    each connection's ops are a prefix of ``LIFECYCLE``; ``rails[i]`` is
+    the connection rail ``i``'s last ``reserve`` line names, in the state
+    its last op reached; per kind, ``reserve`` lines minus ``assign``
+    lines equal ``reserved_count`` and the rails' reserved holders, and
+    the ``discard`` lines equal ``pool.discarded``."""
     ops, kinds, discards = pool_lifecycle(pool.journal)
-    assert ops.keys() == pool.connections.keys()
+    assert list(ops) == [f"c{i}" for i in range(1, len(ops) + 1)]
     for cid, seq in ops.items():
         assert tuple(seq) == LIFECYCLE[:len(seq)], (cid, seq)
+    grants = rail_grants(pool.journal)
+    assert sorted(grants) == list(range(len(pool.rails)))
+    for rail, holder in enumerate(pool.rails):
+        assert holder.id == grants[rail][-1] and holder.rail == rail
+        assert holder.state == STATES[len(ops[holder.id]) - 1], (holder.id, holder.state)
     for kind in "AY":
         lines = Counter(op for cid, seq in ops.items() if kinds[cid] == kind for op in seq)
-        scanned = sum(1 for c in pool.connections.values() if c.state == RESERVED and c.kind == kind)
-        assert lines["reserve"] - lines["assign"] == scanned, kind
+        held = sum(1 for c in pool.rails if c.state == RESERVED and c.kind == kind)
+        assert lines["reserve"] - lines["assign"] == pool.reserved_count(kind) == held, kind
     assert discards == pool.discarded
 
 

@@ -257,11 +257,8 @@ def test_criterion_7_obstacle_protocol():
 def test_criterion_8_state_machine_conservation():
     t0 = time.monotonic()
     for seed in range(1000):
-        pool = test_pool.random_pool_script(seed, steps=30)
-        for holders in pool.rails:
-            spans = sorted((c.anchor_t, c.extended_to) for c in holders)
-            for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-                assert b1 < a2
+        pool, granted = test_pool.random_pool_script(seed, steps=30)
+        test_pool.assert_exclusive_rails(granted)
         assert_pool_journal(pool)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

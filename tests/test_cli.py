@@ -152,6 +152,10 @@ def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extr
             ["export failed: [Errno 2] No such file or directory: '{missing}/g'"],
         ),
         (
+            ["--export-geometry", "{missing}/g", "--journal", "{journal}"],
+            ["export failed: [Errno 2] No such file or directory: '{missing}/g'"],
+        ),
+        (
             ["--strict", "--condition", "temporal:15", "--outcomes", "{outcomes}",
              "--journal", "{missing}/j"],
             ["synthesis failed: insufficient distilled states in strict mode",
@@ -163,17 +167,27 @@ def test_synthesis_failure_exit_one_writes_journal(workdir, capsys, script, extr
              "6 A and 5 Y reserved at t=16)"],
         ),
     ],
-    ids=["export-into-missing-dir", "strict-journal-into-missing-dir", "compare-max-rounds-1"],
+    ids=["export-into-missing-dir", "export-into-missing-dir-with-journal",
+         "strict-journal-into-missing-dir", "compare-max-rounds-1"],
 )
 def test_failure_exits_one_with_its_stderr_lines(workdir, capsys, extra, want):
     """An export that cannot be written, a failed run whose journal cannot
     be written, and a failed comparison exit 1 with exactly their lines
-    on stderr, no traceback, and nothing on stdout."""
-    paths = {"missing": workdir / "no-such-dir", "outcomes": workdir / "outcomes.txt"}
+    on stderr, no traceback, and nothing on stdout.  A journal requested
+    beside a failed export is still written whole, byte for byte the
+    journal of the same run without that export."""
+    paths = {
+        "missing": workdir / "no-such-dir",
+        "outcomes": workdir / "outcomes.txt",
+        "journal": workdir / "run.journal",
+    }
     assert run_cli(workdir, *(a.format(**paths) for a in extra)) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [line.format(**paths) for line in want]
     assert captured.out == ""
+    if "{journal}" in extra:
+        assert run_cli(workdir, "--journal", str(workdir / "ok.journal")) == 0
+        assert paths["journal"].read_bytes() == (workdir / "ok.journal").read_bytes()
 
 
 def test_scripted_run_exports(workdir):
@@ -196,6 +210,29 @@ def test_scripted_run_exports(workdir):
     assert data[0] == "1,2,1,6,6,1"
     assert lines[-1].startswith("volume,")
     assert journal.read_text().splitlines()
+
+
+def test_byte_order_mark_is_ignored(workdir, capsys):
+    """A circuit and an outcome script that start with a UTF-8 byte-order
+    mark give the same stdout and export bytes as the plain files."""
+    for name in ("toffoli.icm", "outcomes.txt"):
+        plain = workdir / name
+        (workdir / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+
+    def run(prefix):
+        paths = [workdir / f"{prefix}out.{kind}" for kind in ("geometry", "stats", "journal")]
+        code = main([
+            "--circuit", str(workdir / f"{prefix}toffoli.icm"), "--condition", "temporal:15",
+            "--outcomes", str(workdir / f"{prefix}outcomes.txt"),
+            "--export-geometry", str(paths[0]),
+            "--export-stats", str(paths[1]),
+            "--journal", str(paths[2]),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        return captured.out, [p.read_bytes() for p in paths]
+
+    assert run("bom-") == run("")
 
 
 def test_geometry_roundtrip(toffoli, tmp_path):

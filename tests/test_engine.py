@@ -236,7 +236,7 @@ def test_pool_journal_holds_under_every_scheduler_and_order(request, fixture, ki
     s = Synthesizer(request.getfixturevalue(fixture), cfg)
     s.run()
     assert_pool_journal(s.pool)
-    assert s.pool.connections
+    assert s.pool.rails
 
 
 def test_strict_mode_fails_without_proactive_rounds(toffoli):
