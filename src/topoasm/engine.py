@@ -16,7 +16,8 @@ the proactive scheduling condition fires between events:
    :func:`~topoasm.route.claim_run`, with no spec, since the rail's
    guides and the grant-after-sweep rule keep it free; its guides'
    switch lines are logged but no guide switched, and it joins its
-   rail's pending stretch;
+   rail's pending stretch, one polyline that the stretch's first run
+   opens and hands back to be drawn and that each later run lengthens;
 5. sweep stale connections back to available, their stretches turning
    solid, and record the step; the stretches still pending turn solid
    at the end, so a stretch turns solid only at these two points.
@@ -41,9 +42,7 @@ from dataclasses import dataclass, field
 from .geom import (
     BOX_DEPTH,
     BRAID_DEPTH,
-    PRIMAL,
     Box3,
-    DefectPolyline,
     GeometryBuilder,
     GeometrySet,
     Point3,
@@ -224,7 +223,6 @@ class Synthesizer:
         self.conn_fwd_guards: dict[str, str] = {}  # conn id -> forward-stretch guide
         self.pin_guards: dict[str, str] = {}  # input key -> guide obstacle id
         self._pending_links: list[Connection] = []  # reservations awaiting their box link
-        self._rail_polylines: dict[str, object] = {}
         self.t_floor = -(BOX_DEPTH + 12)
         self.t_ceiling = self.circuit.last_timestep + 24
         self._reserve_circuit_footprint()
@@ -533,7 +531,8 @@ class Synthesizer:
         # line 21: compute in descending priority, which is list order: each
         # block of searched specs as one task set, each rail run as a claim
         # into its rail's pending stretch (solid at its holder's sweep or the
-        # end); done holds a segment's polyline, or a run's rail position
+        # end); done holds a segment's polyline, or for a run the stretch's
+        # polyline if the run opened it and None if it moved its end
         done = []
         blocks = itertools.groupby(zip(order, specs), key=lambda p: p[1] is not None)
         for searched, block in blocks:
@@ -543,14 +542,14 @@ class Synthesizer:
             for (_, conn, (first, last)), _ in block:
                 xy = self.pool.rail_position(conn.rail)
                 own = (self.rail_line_guards[conn.rail], self.conn_fwd_guards[conn.id])
-                claim_run(self.world, conn.id, first, last, *xy, own)
-                done.append(xy)
+                done.append(claim_run(self.world, conn.id, first, last, *xy, own))
 
         for (segment_class, conn, arg), poly in zip(order, done):
             if segment_class == SEG_E:
                 first, last = arg
                 self.journal.log(f"path {SEG_E} {conn.id} {last - first + 1}")
-                self._extend_rail_polyline(conn, first, last, *poly)
+                if poly is not None:
+                    self.geometry.defects.append(poly)
                 self.pool.apply_extension(conn, last)
                 continue
             self.journal.log(f"path {segment_class} {conn.id} {len(poly)}")
@@ -598,19 +597,6 @@ class Synthesizer:
             guards = (self.rail_line_guards[conn.rail],)
         oid = self.world.obstacles.add(occupy, OCCUPY, prio, conn.id)
         return SegmentSpec(start, goal, (oid, *guards), prio, segment_class, conn.id)
-
-    def _extend_rail_polyline(self, conn, first, last, x, y) -> None:
-        """Draw the rail run ``first .. last``: the connection's first run
-        starts its rail polyline, a later one moves the polyline's end."""
-        poly = self._rail_polylines.get(conn.id)
-        stop = Point3(last, x, y)
-        if poly is None:
-            start = Point3(first, x, y)
-            poly = DefectPolyline(PRIMAL, SEG_E, [start] if first == last else [start, stop])
-            self.geometry.defects.append(poly)
-            self._rail_polylines[conn.id] = poly
-        else:
-            poly.extend_last(stop)
 
 
 def synthesize(circuit: ICMCircuit, config: SynthesisConfig) -> Assembly:

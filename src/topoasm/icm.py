@@ -243,9 +243,13 @@ def recycle_wires(circuit: ICMCircuit) -> ICMCircuit:
     reuse a wire whose previous occupant was measured strictly before
     the new initialisation.  On interval structures this is a minimal
     colouring, so the result never uses more wires than necessary.  The
-    op multiset and all timesteps are unchanged; only wire names move.
+    output wires are then numbered by the lowest input wire among the
+    lifetimes each carries, so circuits side by side keep their wires
+    apart instead of interleaving them by start time.  The op multiset
+    and all timesteps are unchanged; only wire names move.
     """
     wire_free_at: list[int | None] = []  # per output wire: last occupant's end, None while live
+    lowest: list[int] = []  # per output wire: the lowest input wire it carries
     slot_map: dict[tuple[int, int], int] = {}  # (wire, timestep) -> output wire
     for lt in circuit.lifetimes():
         placed = next(
@@ -254,11 +258,14 @@ def recycle_wires(circuit: ICMCircuit) -> ICMCircuit:
         )
         if placed == len(wire_free_at):
             wire_free_at.append(None)
+            lowest.append(lt.wire)
         wire_free_at[placed] = lt.end
+        lowest[placed] = min(lowest[placed], lt.wire)
         for op in lt.ops:
             slot_map[(lt.wire, op.timestep)] = placed
+    rank = {w: i for i, w in enumerate(sorted(range(len(lowest)), key=lowest.__getitem__))}
     new_ops = [
-        replace(op, wires=tuple(slot_map[(w, op.timestep)] for w in op.wires))
+        replace(op, wires=tuple(rank[slot_map[(w, op.timestep)]] for w in op.wires))
         for op in circuit.ops
     ]
     return ICMCircuit(max(len(wire_free_at), 1), new_ops)

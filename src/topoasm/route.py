@@ -29,10 +29,13 @@ Rail runs: a ``connection_e`` segment only lengthens a connection along
 its own pool rail, from ``first`` to ``last`` in t at the rail's ``x, y``,
 and its segment is that straight run.  It is no task-set spec:
 :func:`claim_run` logs its ``claim`` line and adds it to the rail's
-pending stretch in the world, with no search, no spec, no polyline and
-no index insert, and the caller draws it.  A stretch turns solid as one
-box when :meth:`World.flush` is called for its rail, which the engine
-does at two points only: its holder's sweep and the end of synthesis.
+pending stretch in the world, with no search, no spec and no index
+insert.  A stretch is one record, the :class:`DefectPolyline` the caller
+draws: its first run opens the polyline and hands it to the caller, and
+each later run moves its end.  The stretch turns solid as that
+polyline's one claim box when :meth:`World.flush` is called for its
+rail, so what is drawn is what is claimed; the engine flushes at two
+points only: the holder's sweep and the end of synthesis.
 Until then three fences keep the stretch free: every spec but a box link
 sees the rail's line guide; the holder's forward guard fences
 ``anchor_t + 1 ..`` on the line and the strip under it, and a box link's
@@ -220,13 +223,14 @@ class World:
     rail runs not yet solid, and the journal that logs every change to
     them.  ``pending[x, y]`` is rail ``(x, y)``'s stretch of consecutive
     runs, which :meth:`flush` turns solid as one box:
-    ``[lo.t, hi.t, first run id, journal index of its claim line]``."""
+    ``(polyline, first run id, journal index of its claim line)``, the
+    polyline being the one the geometry draws."""
 
     def __init__(self):
         self.index = BoxIndex()
         self.journal = Journal()
         self.obstacles = ObstacleRegistry(self.index, self.journal)
-        self.pending: dict[tuple[int, int], list] = {}
+        self.pending: dict[tuple[int, int], tuple[DefectPolyline, str, int]] = {}
         self._commit_seq = itertools.count()
 
     def claim(self, eid: str, box: Box3, tag: str) -> None:
@@ -234,41 +238,27 @@ class World:
         as one solid index insert, which keeps only their bits, and log its
         journal ``claim`` line.  A claim that shares a cell with an earlier
         solid is a hard fault (:meth:`_overlap`)."""
-        try:
-            self.index.insert_solid(box)
-        except SolidOverlapError:
-            raise self._overlap(eid, box) from None
+        self._insert_solid(eid, box)
         (lt, lx, ly), (ht, hx, hy) = box
         self.journal.log(f"claim {tag} {eid} {lt} {lx} {ly} {ht} {hx} {hy}")
 
-    def claim_later(self, eid: str, first: int, last: int, x: int, y: int) -> None:
-        """Log rail run ``eid``'s ``claim`` line, the cells ``first .. last``
-        in t at ``(x, y)``, and add them to that rail's pending stretch,
-        with no index insert.  Runs are contiguous: a run that does not
-        continue the stretch is a :class:`RouteError`."""
-        stretch = self.pending.get((x, y))
-        if stretch is not None and stretch[1] != first:
-            raise RouteError(f"rail run {eid} from {first} does not continue the stretch "
-                             f"at {(x, y)} ending at {stretch[1] - 1}")
-        if stretch is None:
-            self.pending[x, y] = [first, last + 1, eid, len(self.journal.lines)]
-        else:
-            stretch[1] = last + 1
-        self.journal.log(f"claim connection {eid} {first} {x} {y} {last + 1} {x + 1} {y + 1}")
-
     def flush(self, x: int, y: int) -> None:
         """Turn rail ``(x, y)``'s pending stretch, if any, solid as one
-        insert; a clash is a hard fault named after its first run."""
+        insert, its polyline's one claim box; a clash is a hard fault named
+        after its first run."""
         stretch = self.pending.get((x, y))
         if stretch is None:
             return
-        lo, hi, eid, _ = stretch
-        box = Box3(Point3(lo, x, y), Point3(hi, x + 1, y + 1))
+        poly, eid, _ = stretch
+        self._insert_solid(eid, poly.claim_boxes()[0])
+        del self.pending[x, y]
+
+    def _insert_solid(self, eid: str, box: Box3) -> None:
+        """Set ``box``'s solid bits; a clash is claim ``eid``'s fault."""
         try:
             self.index.insert_solid(box)
         except SolidOverlapError:
             raise self._overlap(eid, box) from None
-        del self.pending[x, y]
 
     def _overlap(self, eid: str, box: Box3) -> RouteError:
         """The fault of claim ``eid``, whose ``box`` meets a solid: it names,
@@ -277,7 +267,7 @@ class World:
         being the rail runs logged on its rail from its first run's line
         on."""
         lines = self.journal.lines
-        since = {xy: stretch[3] for xy, stretch in self.pending.items()}
+        since = {xy: stretch[2] for xy, stretch in self.pending.items()}
         clash = []
         for i, p in enumerate(map(str.split, lines)):
             if p[1] == "claim":
@@ -482,13 +472,28 @@ def _commit_path(spec: SegmentSpec, poly: DefectPolyline, world: World) -> None:
 
 
 def claim_run(world: World, owner: str, first: int, last: int, x: int, y: int,
-              obstacles: tuple) -> None:
+              obstacles: tuple) -> DefectPolyline | None:
     """Claim connection ``owner``'s rail run, the cells ``first .. last`` in
-    t at ``(x, y)``, into the rail's pending stretch (:meth:`World.claim_later`),
-    with the ``obstacle-off`` and ``obstacle-on`` lines of its own
-    ``obstacles`` logged around its ``claim`` line and none switched (the
-    module notes say why this is exact)."""
+    t at ``(x, y)``, into the rail's pending stretch in ``world``, with no
+    index insert, with the ``obstacle-off`` and ``obstacle-on`` lines of its
+    own ``obstacles`` logged around its ``claim`` line and none switched
+    (the module notes say why this is exact).  A stretch's first run opens
+    its polyline and returns it, for the caller to draw; a later run moves
+    the polyline's end and returns ``None``.  Runs are contiguous: a run
+    that does not continue the stretch is a :class:`RouteError`."""
     registry = world.obstacles
     registry.log_switches(obstacles, False)
-    world.claim_later(f"{SEG_E}.{owner}.c{next(world._commit_seq)}.0", first, last, x, y)
+    eid = f"{SEG_E}.{owner}.c{next(world._commit_seq)}.0"
+    stretch = world.pending.get((x, y))
+    if stretch is None:  # one vertex for a one-cell run
+        opened = DefectPolyline(PRIMAL, SEG_E, [Point3(t, x, y) for t in sorted({first, last})])
+        world.pending[x, y] = (opened, eid, len(world.journal.lines))
+    else:
+        opened, end = None, stretch[0].vertices[-1].t
+        if end + 1 != first:
+            raise RouteError(f"rail run {eid} from {first} does not continue the stretch "
+                             f"at {(x, y)} ending at {end}")
+        stretch[0].extend_last(Point3(last, x, y))
+    world.journal.log(f"claim connection {eid} {first} {x} {y} {last + 1} {x + 1} {y + 1}")
     registry.log_switches(obstacles, True)
+    return opened

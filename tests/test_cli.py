@@ -460,6 +460,38 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     assert count["route.path_cells"] > 0 and count["route.astar"] > 0
 
 
+@pytest.mark.parametrize("order", ["cbe", "ceb"])
+@pytest.mark.parametrize("scheduler", ["spiral", "alap", "asap"])
+@pytest.mark.parametrize("circuit", ["toffoli.icm", "toffoli_unopt.icm", "parallel-x2"])
+def test_cli_exports_pass_the_independent_checker(tmp_path, monkeypatch, capsys,
+                                                  circuit, scheduler, order):
+    """Every exporter's output, through the CLI, passes ``topobench/check.py``,
+    which reads the ICM source and the exports alone: both fixtures and two
+    Toffolis side by side with recycling on (``parallel-x2``), under each
+    scheduler and segment order."""
+    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
+    import check
+    import compose
+
+    if circuit == "parallel-x2":
+        source = compose.compose(fixtures.toffoli_text(), 2, sequential=False)
+    else:
+        source = fixtures.fixture_path(circuit).read_text(encoding="utf-8")
+    path = tmp_path / "circuit.icm"
+    path.write_text(source)
+    paths = [tmp_path / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
+    code = main([
+        "--circuit", str(path), "--scheduler", scheduler, "--seed", "0",
+        "--segment-order", order,
+        "--export-geometry", str(paths[0]),
+        "--export-stats", str(paths[1]),
+        "--journal", str(paths[2]),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert check.check_request(source, *(p.read_text() for p in paths), stdout=out) == []
+
+
 @pytest.mark.parametrize(
     "scheduler, order, digest",
     [

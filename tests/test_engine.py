@@ -461,7 +461,8 @@ def test_solid_on_a_rail_run_fails_with_the_journal(toffoli):
     its rail is flushed: a solid on it ends synthesis at that flush with a
     SynthesisFailure naming the overlap under the stretch's first run.
     c29 is still reserved after the last step, so its stretch, logged
-    from step 17 to step 21, is flushed at the end, in step 22."""
+    from step 17 to step 21, is flushed at the end, in step 22; its one
+    pending record is the polyline the geometry draws."""
     s = Synthesizer(toffoli, scripted_config())
     # rail 0's line at t=75, inside the run connection_e.c29 claims at step 21
     s.world.claim("blocker", cell_box(Point3(75, 1, POOL_GAP)), "circuit")
@@ -475,7 +476,10 @@ def test_solid_on_a_rail_run_fails_with_the_journal(toffoli):
     assert runs[0] == ("17", "connection_e.c29.c204.0", 58, 60)
     assert runs[-1] == ("21", "connection_e.c29.c277.0", 72, 81)
     assert len(s.records) == 21 and s.journal.lines[-1] == "22 geometry 81"
-    assert s.world.pending[1, POOL_GAP][:2] == [58, 81]
+    poly, eid, _ = s.world.pending[1, POOL_GAP]
+    assert eid == "connection_e.c29.c204.0"
+    assert poly.claim_boxes() == [Box3(Point3(58, 1, POOL_GAP), Point3(81, 2, POOL_GAP + 1))]
+    assert [d for d in s.geometry.defects if d is poly] == [poly]
     assert "no-path" not in journal_ops(s.journal, 21) + journal_ops(s.journal, 22)
 
 
@@ -513,8 +517,12 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
       which exempts the run's own obstacles, returns the polyline of
       exactly the cells of the straight run that is claimed;
     * each flush inserts one box, the union of the ``claim`` boxes the
-      journal logged for that rail's runs since its last flush, and a
-      flush of a rail with none logged inserts nothing;
+      journal logged for that rail's runs since its last flush, which is
+      the one claim box of the stretch's polyline, the one its first run
+      returned; a flush of a rail with none logged inserts nothing;
+    * each ``connection_e`` polyline the geometry draws is one a run
+      returned, drawn once, and one straight run whose claim box is the
+      union of the boxes its connection's runs logged;
     * no ``World.is_free`` or ``BoxIndex.solid_rows`` probe meets a
       pending stretch, the logged runs not yet flushed;
     * at every ``plan_segment``, each pending cell inside the search
@@ -531,6 +539,7 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
     swept = {}  # id(world) -> the connections swept so far
     read = Counter()  # id(world) -> journal lines folded into runs and swept
     inserted = []
+    opened = {}  # id(polyline) -> owner, for each polyline a run returned
     seen = Counter()
 
     def pending(world):
@@ -573,16 +582,21 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         assert found == polyline_from_cells(run, "primal", route.SEG_E), route.describe_spec(spec)
         assert len(found) == len(run)
         checked.append(spec)
-        return claim(world, owner, first, last, x, y, obstacles)
+        poly = claim(world, owner, first, last, x, y, obstacles)
+        if poly is not None:
+            opened[id(poly)] = owner
+        return poly
 
     def checked_flush(world, x, y):
         pending(world)
         logged = sorted(box for _, box in runs.pop((id(world), x, y), []))
+        stretch = world.pending.get((x, y))
         inserted.clear()
         flush(world, x, y)
         if logged:
             assert all(a.hi.t == b.lo.t for a, b in zip(logged, logged[1:])), logged
             assert inserted == [Box3(logged[0].lo, logged[-1].hi)], (x, y, logged)
+            assert id(stretch[0]) in opened and stretch[0].claim_boxes() == inserted
             seen["merged runs"] += len(logged)
             seen["flushes"] += 1
         else:
@@ -632,6 +646,18 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
         s.run()
         assert not s.world.pending and not settled(s.world)
         seen["swept"] += len(swept[id(s.world)])
+        logged = {}  # connection -> the boxes its runs logged
+        for _, eid, box in journal_claims(s.journal):
+            if eid.startswith(route.SEG_E + "."):
+                logged.setdefault(eid.split(".")[1], []).append(box)
+        drawn = [d for d in s.geometry.defects if d.role == route.SEG_E]
+        owners = [opened.pop(id(d)) for d in drawn]  # each drawn once, as returned
+        assert not opened and sorted(owners) == sorted(logged)
+        for d, owner in zip(drawn, owners):
+            boxes = sorted(logged[owner])
+            assert all(a.hi.t == b.lo.t for a, b in zip(boxes, boxes[1:])), (owner, boxes)
+            assert d.claim_boxes() == [Box3(boxes[0].lo, boxes[-1].hi)], owner
+        seen["drawn stretches"] += len(drawn)
 
     for circuit in (toffoli, toffoli_unopt):
         for kind in ("spiral", "alap", "asap"):
@@ -647,6 +673,7 @@ def test_every_rail_run_is_the_path_a_search_finds(toffoli, toffoli_unopt, monke
     assert seen["probes"] > 1000 and seen["fenced cells"] > 1000, seen
     assert seen["links"] > 600 and seen["swept"] > 250, seen
     assert seen["links over runs"] > 100, seen
+    assert seen["drawn stretches"] == seen["flushes"], seen
 
 
 def test_alternate_segment_compute_order(toffoli):

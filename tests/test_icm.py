@@ -267,6 +267,30 @@ def test_recycle_preserves_ops_and_counts(toffoli_unopt):
     assert [m.timestep for m in r.magic_inputs] == [m.timestep for m in toffoli_unopt.magic_inputs]
 
 
+def lowest_input_wires(circuit, recycled):
+    """Per output wire of ``recycled``, the lowest wire of ``circuit`` it carries."""
+    lowest = {}
+    for a, b in zip(circuit.ops, recycled.ops):
+        for w_in, w_out in zip(a.wires, b.wires):
+            lowest[w_out] = min(lowest.get(w_out, w_in), w_in)
+    return [lowest[w] for w in sorted(lowest)]
+
+
+def test_recycle_numbers_wires_by_their_lowest_input_wire(toffoli):
+    """Output wires are numbered by the lowest input wire among the
+    lifetimes each carries.  On two Toffolis side by side, numbering them
+    by start time interleaved the copies' wires (the two wires 0 and n
+    start together), so a CNOT's template spanned the other copy's rows."""
+    n = toffoli.wire_count
+    shifted = [ICMOp(op.kind, op.timestep, tuple(w + n for w in op.wires), op.basis)
+               for op in toffoli.ops]
+    pair = ICMCircuit(2 * n, list(toffoli.ops) + shifted)
+    r = recycle_wires(pair)
+    assert r.wire_count == 2 * n
+    lowest = lowest_input_wires(pair, r)
+    assert lowest == sorted(lowest) and lowest[:2] == [0, 1]
+
+
 def lifetime_signature_at(circuit, wire, t):
     for lt in circuit.lifetimes():
         if lt.wire == wire and lt.start <= t and (lt.end is None or t <= lt.end):
@@ -315,6 +339,8 @@ def test_recycle_soundness_random_circuits():
         r = recycle_wires(circuit)
         assert r.wire_count <= circuit.wire_count
         assert r.wire_count == max_live_lifetimes(circuit)
+        lowest = lowest_input_wires(circuit, r)
+        assert lowest == sorted(lowest) and len(lowest) == r.wire_count
         # lifetimes sharing an output wire never overlap (strictly ordered)
         per_wire = {}
         for lt in r.lifetimes():

@@ -766,13 +766,19 @@ def rail_run_world():
     return w, line, fwd
 
 
+def rail_polyline(first, last):
+    """The polyline drawn for the stretch ``first .. last`` on rail ``(3, 4)``."""
+    return DefectPolyline("primal", SEG_E, [Point3(first, 3, 4)] + [Point3(last, 3, 4)] * (last > first))
+
+
 @pytest.mark.parametrize("stop_t", [9, 4], ids=["run", "one-cell"])
 def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, stop_t):
     """A rail run never switches an obstacle: it writes the off and on
     lines of its line guide and forward guard around one claim line: the
     box spanning ``[first, last + 1)`` on the rail's one ``(x, y)`` cell.
-    The box joins the rail's pending stretch, and its bits appear only
-    when the rail is flushed."""
+    The run opens the rail's pending stretch and returns its polyline,
+    whose one claim box is that box, and the box's bits appear only when
+    the rail is flushed."""
     w, line, fwd = rail_run_world()
 
     def refuse(self, oid):
@@ -780,7 +786,8 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
 
     monkeypatch.setattr(ObstacleRegistry, "disable", refuse)
     monkeypatch.setattr(ObstacleRegistry, "enable", refuse)
-    assert claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd)) is None
+    poly = claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd))
+    assert poly == rail_polyline(4, stop_t)
     assert w.obstacles.get(line).enabled and w.obstacles.get(fwd).enabled
     box = Box3(Point3(4, 3, 4), Point3(stop_t + 1, 4, 5))
     assert w.journal.lines[2:] == [
@@ -793,8 +800,10 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
     assert journal_claims(w.journal) == [("connection", "connection_e.c1.c0.0", box)]
     assert set(box_cells(box)) == {(t, 3, 4) for t in range(4, stop_t + 1)}
     around = box.inflated(1, 1, 1)
-    # the stretch keeps its first run's id and the index of its claim line
-    assert w.pending == {(3, 4): [4, stop_t + 1, "connection_e.c1.c0.0", 4]}
+    # the stretch keeps the polyline returned, its first run's id and the
+    # index of its claim line; the polyline's claim box is the run's
+    assert w.pending == {(3, 4): (poly, "connection_e.c1.c0.0", 4)}
+    assert w.pending[3, 4][0] is poly and poly.claim_boxes() == [box]
     assert w.index.solid_rows(around) == 0 and w.is_free(box)
     # the flush is bits only: exactly the box's cells turn solid, no entry is kept
     w.flush(3, 4)
@@ -808,28 +817,32 @@ def test_rail_run_logs_its_switches_and_claims_one_straight_box(monkeypatch, sto
 def test_rail_run_ids_follow_the_commit_sequence():
     """A run's claim id takes the next number of the world's commit
     sequence, shared with searched segments, so ids never repeat.  Runs
-    that continue each other make one pending stretch; a run that does
-    not, overlapping it or leaving a gap, is a fault that claims nothing.
+    that continue each other make one pending stretch, whose polyline the
+    first returns and the second lengthens; a run that does not, overlapping
+    it or leaving a gap, is a fault that claims nothing.
     A stretch that meets a solid fails at its flush under its first run's
     id, naming the solids it meets but not its own runs, which no clash
     names while they are pending."""
     w, line, fwd = rail_run_world()
     compute_taskset([spec((0, 0, 0), (2, 0, 0), owner="c0")], w)
-    claim_run(w, "c1", 4, 9, 3, 4, (line, fwd))
-    claim_run(w, "c1", 10, 10, 3, 4, (line, fwd))
+    poly = claim_run(w, "c1", 4, 9, 3, 4, (line, fwd))
+    assert claim_run(w, "c1", 10, 10, 3, 4, (line, fwd)) is None
     ids = [ln.split()[3] for ln in w.journal.lines if ln.split()[1] == "claim"]
     assert ids == ["connection_c.c0.c0.0", "connection_e.c1.c1.0", "connection_e.c1.c2.0"]
-    assert w.pending == {(3, 4): [4, 11, "connection_e.c1.c1.0", 5]}
+    assert w.pending == {(3, 4): (rail_polyline(4, 10), "connection_e.c1.c1.0", 5)}
+    assert w.pending[3, 4][0] is poly
     assert w.is_free(Box3(Point3(4, 3, 4), Point3(11, 4, 5)))
     for seq, (first, last) in enumerate(((8, 11), (12, 13)), 3):
         with pytest.raises(RouteError, match=rf"^rail run connection_e\.c1\.c{seq}\.0 from {first} "
                            r"does not continue the stretch at \(3, 4\) ending at 10$"):
             claim_run(w, "c1", first, last, 3, 4, (line, fwd))
     assert [ln.split()[3] for ln in w.journal.lines if ln.split()[1] == "claim"] == ids
-    assert w.pending == {(3, 4): [4, 11, "connection_e.c1.c1.0", 5]}
+    assert w.pending == {(3, 4): (rail_polyline(4, 10), "connection_e.c1.c1.0", 5)}
     w.flush(3, 4)
-    claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
-    assert w.pending == {(3, 4): [8, 12, "connection_e.c1.c5.0", 19]}
+    # the same owner opens a second stretch, with a new polyline
+    second = claim_run(w, "c1", 8, 11, 3, 4, (line, fwd))
+    assert second == rail_polyline(8, 11) and second is not poly
+    assert w.pending == {(3, 4): (second, "connection_e.c1.c5.0", 19)}
     assert [w.journal.lines[i].split()[3] for i in (5, 19)] == [ids[1], "connection_e.c1.c5.0"]
     assert w.index.solid_rows(Box3(Point3(0, 3, 4), Point3(40, 4, 5))) == 1
     assert w.is_free(Box3(Point3(11, 3, 4), Point3(12, 4, 5)))
@@ -862,8 +875,8 @@ def self_avoiding_walk(rng, runs):
 def test_polyline_len_counts_its_cells():
     """``len`` of a polyline is the number of cells it covers: for random
     walks with turns, collapsed to their turn points, for a single vertex,
-    and for the rail polylines of the runs the straight-claim test above
-    claims, whose one box each covers as many cells."""
+    and for the rail polylines the runs of the straight-claim test above
+    return, whose one box each covers as many cells."""
     rng = random.Random(24)
     turns = Counter()
     for trial in range(300):
@@ -878,12 +891,10 @@ def test_polyline_len_counts_its_cells():
 
     for stop_t in (9, 4):
         w, line, fwd = rail_run_world()
-        claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd))
+        poly = claim_run(w, "c1", 4, stop_t, 3, 4, (line, fwd))
         [(_, eid, box)] = journal_claims(w.journal)
         assert eid == "connection_e.c1.c0.0"
-        vertices = [Point3(4, 3, 4)] + [Point3(stop_t, 3, 4)] * (stop_t > 4)
-        poly = DefectPolyline("primal", SEG_E, vertices)
-        assert poly.claim_boxes() == [box]
+        assert poly == rail_polyline(4, stop_t) and poly.claim_boxes() == [box]
         assert len(poly) == stop_t - 4 + 1 == len(list(box_cells(box)))
 
 
