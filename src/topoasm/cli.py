@@ -142,7 +142,8 @@ def run_compare(circuit, args, n_seeds: int) -> int:
     spiral = statistics.median(results["spiral"])
     alap = statistics.median(results["alap"])
     if alap:
-        print(f"spiral vs alap: {100.0 * (alap - spiral) / alap:.1f}% smaller")
+        change = 100.0 * (alap - spiral) / alap
+        print(f"spiral vs alap: {abs(change):.1f}% {'smaller' if change >= 0 else 'larger'}")
     return 0
 
 

@@ -2,6 +2,8 @@ import itertools
 import re
 import time
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +14,21 @@ from topoasm.icm import parse_icm
 from topoasm.pool import ASSIGNED, AVAILABLE, RESERVED, TOBEAVAILABLE
 from topoasm.sched import SchedulerPolicy
 from topoasm.spatial import UnknownEntryError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    """The benchmark's ``check``, ``compose`` and ``workloads`` modules.
+    ``topobench/`` is a directory of scripts, not a package, so it goes on
+    the path for the test; ``check`` imports nothing from ``topoasm``."""
+    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
+    import check
+    import compose
+    import workloads
+
+    return SimpleNamespace(check=check, compose=compose, workloads=workloads)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
 import hashlib
+import json
 import os
 import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,9 +12,47 @@ from topoasm import fixtures
 from topoasm.cli import build_parser, export_geometry, main
 from topoasm.engine import synthesize
 
-from conftest import JOURNAL_LINE, scripted_config
+from conftest import JOURNAL_LINE, ROOT, scripted_config
 
-ROOT = Path(__file__).resolve().parents[1]
+SCHEDULERS = ("spiral", "alap", "asap")
+ORDERS = ("cbe", "ceb")
+EXPORTS = ("geometry", "stats", "journal")
+
+# Expected outputs live in two records.  A run the benchmark also makes is
+# recorded in ``topobench/baseline.json`` as ``workloads.digest`` of its
+# export bytes, which ``topobench/baseline.py`` writes only for outputs that
+# pass ``topobench/check.py``; the runs it does not make are pinned here
+# (the Toffoli ``ceb`` rows and ``test_long_chain_digests``) as one sha256
+# over the geometry, stats and journal exports and stdout.
+BASELINE = json.loads((ROOT / "topobench" / "baseline.json").read_text(encoding="utf-8"))
+CEB_DIGESTS = {  # Toffoli, --segment-order ceb: (scheduler, seed) -> sha256
+    ("spiral", 0): "791bae5849d6e61d67cf7402c394bfa1ae7f6257ee486fcc9c5b2e7ffab76d4f",
+    ("spiral", 1): "f280581c8640fb84ea3d1bad7d3eae810346a357a24b30afca3cd065749318da",
+    ("spiral", 2): "cc0d8480ed10d0c40bf26b286f99d2a6e41f79fa544ba01e317426a1335fdc67",
+    ("alap", 0): "173652488aad2c2f4770207cb80196d799137fd701fff7147a699502dd0abd02",
+    ("alap", 1): "f806684bdc7aaef3d7528d0c2ebd8b3c389b9921ad1e0be543c51ab8b391c460",
+    ("alap", 2): "c5da4dec0195f2ba21118a254dd8574464185fd70dd4ac553ea262c8ad7f6d42",
+    ("asap", 0): "0154767dd6d20445649decc947faa692dff34151c5a6e98f060314e497930ec2",
+    ("asap", 1): "0306fdf33a277dc12d08b7df81cdab015fdc5b2257677db520f95b7f7eb26564",
+    ("asap", 2): "e980767c9a23fbad7a764ef5c9201331651ec175e0c2a1309878930fce20c0f6",
+}
+
+
+def toffoli_record(scheduler, seed, order):
+    """Where the expected output of a Toffoli run (recycling on) is kept:
+    a ``cbe`` run is the benchmark's ``toffoli-<scheduler>`` request."""
+    if order == "cbe":
+        return f"toffoli-sweep/toffoli-{scheduler}/{seed}"
+    return CEB_DIGESTS[scheduler, seed]
+
+
+def assert_recorded(bench, record, blobs, stdout):
+    """``blobs`` (geometry, stats, journal bytes) and ``stdout`` are what
+    ``record`` holds: a ``baseline.json`` key or a sha256 literal."""
+    if "/" in record:
+        assert bench.workloads.digest(*blobs) == BASELINE[record], record
+    else:
+        assert hashlib.sha256(b"".join(blobs) + stdout.encode()).hexdigest() == record
 
 
 @pytest.fixture()
@@ -27,6 +65,33 @@ def workdir(tmp_path):
 def run_cli(workdir, *extra):
     argv = ["--circuit", str(workdir / "toffoli.icm")] + list(extra)
     return main(argv)
+
+
+def checked_run(bench, capsys, circuit, *flags):
+    """One CLI run on the file ``circuit`` with all three exporters, which
+    write beside it: it must exit 0 with nothing on stderr, and its exports
+    and stdout must pass ``topobench/check.py`` against the circuit's text.
+    Returns the export bytes (geometry, stats, journal) and stdout."""
+    paths = [circuit.with_suffix(f".{kind}") for kind in EXPORTS]
+    code = main([
+        "--circuit", str(circuit), *flags,
+        "--export-geometry", str(paths[0]),
+        "--export-stats", str(paths[1]),
+        "--journal", str(paths[2]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "", captured.err
+    blobs = [p.read_bytes() for p in paths]
+    source = circuit.read_text(encoding="utf-8-sig")
+    errors = bench.check.check_request(source, *(b.decode() for b in blobs), stdout=captured.out)
+    assert errors == []
+    return blobs, captured.out
+
+
+def readme_output(command):
+    """What the README's code block shows ``command`` printing."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{command}\n", 1)[1].split("```", 1)[0]
 
 
 def test_happy_path_exit_zero(workdir, capsys):
@@ -45,7 +110,8 @@ def test_asap_at_high_failure_rate_exits_zero(workdir, capsys):
 def test_alap_at_high_failure_rate_exits_zero(workdir, capsys):
     """Rounds of over 768 A boxes fit in the alap wall."""
     assert run_cli(workdir, "--scheduler", "alap", "--p-fail", "0.99") == 0
-    assert capsys.readouterr().out == "volume 3201408 plumbing pieces, 18 scheduling rounds\n"
+    assert capsys.readouterr().out == readme_output(
+        "topoasm --circuit src/topoasm/fixtures/toffoli.icm --scheduler alap --p-fail 0.99")
 
 
 def test_unknown_flag_exits_two(workdir, capsys):
@@ -190,29 +256,18 @@ def test_failure_exits_one_with_its_stderr_lines(workdir, capsys, extra, want):
         assert paths["journal"].read_bytes() == (workdir / "ok.journal").read_bytes()
 
 
-def test_scripted_run_exports(workdir):
-    stats = workdir / "stats.csv"
-    geom = workdir / "geom.txt"
-    journal = workdir / "run.journal"
-    code = run_cli(
-        workdir,
-        "--condition", "temporal:15",
-        "--outcomes", str(workdir / "outcomes.txt"),
-        "--export-stats", str(stats),
-        "--export-geometry", str(geom),
-        "--journal", str(journal),
-    )
-    assert code == 0
-    lines = stats.read_text().splitlines()
+def test_scripted_run_exports(workdir, bench, capsys):
+    blobs, _ = checked_run(bench, capsys, workdir / "toffoli.icm", "--condition", "temporal:15",
+                           "--outcomes", str(workdir / "outcomes.txt"))
+    lines = blobs[1].decode().splitlines()
     assert lines[0] == "step,nr_a,nr_y,a_pool,y_pool,sched_round"
     data = [ln for ln in lines[1:] if not ln.startswith("volume,")]
     assert len(data) == 21
     assert data[0] == "1,2,1,6,6,1"
     assert lines[-1].startswith("volume,")
-    assert journal.read_text().splitlines()
 
 
-def test_byte_order_mark_is_ignored(workdir, capsys):
+def test_byte_order_mark_is_ignored(workdir, bench, capsys):
     """A circuit and an outcome script that start with a UTF-8 byte-order
     mark give the same stdout and export bytes as the plain files."""
     for name in ("toffoli.icm", "outcomes.txt"):
@@ -220,17 +275,8 @@ def test_byte_order_mark_is_ignored(workdir, capsys):
         (workdir / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
 
     def run(prefix):
-        paths = [workdir / f"{prefix}out.{kind}" for kind in ("geometry", "stats", "journal")]
-        code = main([
-            "--circuit", str(workdir / f"{prefix}toffoli.icm"), "--condition", "temporal:15",
-            "--outcomes", str(workdir / f"{prefix}outcomes.txt"),
-            "--export-geometry", str(paths[0]),
-            "--export-stats", str(paths[1]),
-            "--journal", str(paths[2]),
-        ])
-        captured = capsys.readouterr()
-        assert code == 0 and captured.err == ""
-        return captured.out, [p.read_bytes() for p in paths]
+        return checked_run(bench, capsys, workdir / f"{prefix}toffoli.icm", "--condition",
+                           "temporal:15", "--outcomes", str(workdir / f"{prefix}outcomes.txt"))
 
     assert run("bom-") == run("")
 
@@ -259,85 +305,24 @@ def test_readme_library_snippet_prints_its_volume(monkeypatch, capsys):
     snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(ROOT)
     exec(snippet, {})
-    assert capsys.readouterr().out == "116640 6\n"
+    quick = readme_output("topoasm --circuit src/topoasm/fixtures/toffoli.icm --scheduler spiral --seed 7")
+    volume, rounds = re.fullmatch(r"volume (\d+) plumbing pieces, (\d+) scheduling rounds\n", quick).groups()
+    assert capsys.readouterr().out == f"{volume} {rounds}\n"
 
 
-@pytest.mark.parametrize(
-    "circuit, extra, digests",
-    [
-        pytest.param(
-            "toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
-            (
-                "3eda286d5492c599c62255ac6261749c2d8d2e646b4e4411ae1af5a16bc4d5ee",
-                "d823cd0f823e3a3e05ec121eae60d2181621f15a6808587eb22888f074823e7d",
-                "15081e5d18266598de4915b9b2cd277dc3d8184d8f2c3adacfbbb7cf1c3aec39",
-            ),
-            id="readme-scripted",
-        ),
-        pytest.param(
-            "toffoli.icm", ["--seed", "1", "--segment-order", "ceb"],
-            (
-                "b61945a177b88f4eb7c031bcd35ac69eabbb96b5f58ac4042e7ff3885de5d8f9",
-                "72d4cb2a93ae99145ae42658eb02f26bb2a542d2d06ceb54e1838054b69d8941",
-                "d93d8603ffe35dc96627c2eb34f26f0ca73e57d350e68f95dc0a7f0bf072edc6",
-            ),
-            id="seed1-ceb",
-        ),
-        pytest.param(
-            "toffoli_unopt.icm", ["--scheduler", "alap", "--seed", "2", "--no-recycle"],
-            (
-                "ec18bda58f39164f84a7d7b2967f11e5fb3d4b99356d3a3eb1806ebb3f484be6",
-                "7c3dc9155ee9918dfb6809ce45230a3094c2e03a71763a4bf3fb0c11cd136232",
-                "52684175c89127abceecb0ca32dcac0bf96eeb5d640bd361695ccd84c494e73d",
-            ),
-            id="alap-unopt-no-recycle",
-        ),
-        pytest.param(
-            "toffoli.icm", ["--scheduler", "asap", "--seed", "0"],
-            (
-                "9676a690527e73d5e9815896cc4045dd6ba193ec7d2233b2eaa96018b1219515",
-                "cdb79703fff843c0ef14742ce138d9d04cb42a25b8ab0e816df88654bb3d7649",
-                "1c624ff4f628d11a0c06d8a1375f86cb91343de80be49c78a9a5d4a44feda8df",
-            ),
-            id="asap",
-        ),
-    ],
-)
-def test_cli_determinism_byte_identical(workdir, circuit, extra, digests):
-    """Reruns write the same bytes, and those bytes match the sha256 digests
-    of the geometry, stats and journal exports recorded for these runs; a
-    change that alters an output must say why and update its digests."""
-    shutil.copy(fixtures.fixture_path(circuit), workdir / circuit)
-    extra = [str(workdir / a) if a.endswith(".txt") else a for a in extra]
-
-    def run(tag):
-        paths = [workdir / f"{tag}.{kind}" for kind in ("geometry", "stats", "journal")]
-        code = main([
-            "--circuit", str(workdir / circuit), *extra,
-            "--export-geometry", str(paths[0]),
-            "--export-stats", str(paths[1]),
-            "--journal", str(paths[2]),
-        ])
-        assert code == 0
-        return [p.read_bytes() for p in paths]
-
-    first = run("a")
-    assert first == run("b")
-    assert tuple(hashlib.sha256(b).hexdigest() for b in first) == digests
-
-
-@pytest.mark.parametrize("order", ["cbe", "ceb"])
-@pytest.mark.parametrize("scheduler", ["spiral", "alap", "asap"])
-def test_exports_do_not_depend_on_the_hash_seed(tmp_path, scheduler, order):
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_exports_do_not_depend_on_the_hash_seed(tmp_path, bench, scheduler, order):
     """Python salts ``str`` hashes per process, so iterating a set or dict
     of strings could reorder a run between processes, which no in-process
-    rerun shows.  The CLI on the Toffoli in two subprocesses, with
+    rerun shows.  The CLI on the Toffoli (seed 0) in two subprocesses, with
     ``PYTHONHASHSEED`` 0 and 1, writes the same geometry, stats and
-    journal bytes and prints the same line."""
+    journal bytes and prints the same line, and both are the recorded
+    output of that run."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     runs = []
     for seed in ("0", "1"):
-        paths = [tmp_path / f"{seed}.{kind}" for kind in ("geometry", "stats", "journal")]
+        paths = [tmp_path / f"{seed}.{kind}" for kind in EXPORTS]
         proc = subprocess.run(
             [sys.executable, "-m", "topoasm", "--circuit", str(fixtures.fixture_path("toffoli.icm")),
              "--scheduler", scheduler, "--segment-order", order,
@@ -346,85 +331,52 @@ def test_exports_do_not_depend_on_the_hash_seed(tmp_path, scheduler, order):
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
             capture_output=True, timeout=120, check=True,
         )
-        runs.append([p.read_bytes() for p in paths] + [proc.stdout])
+        runs.append(([p.read_bytes() for p in paths], proc.stdout.decode()))
     assert runs[0] == runs[1]
-    assert runs[0][0] and runs[0][2]
-
-
-MATRIX_DIGESTS = [  # (circuit, scheduler, seed, segment order, sha256)
-    ("toffoli.icm", "spiral", 0, "cbe", "6ed9ea066a8aae36be9f9a63a9b6ad534f30d168c4735c94893c5b7681739fe2"),
-    ("toffoli.icm", "spiral", 0, "ceb", "791bae5849d6e61d67cf7402c394bfa1ae7f6257ee486fcc9c5b2e7ffab76d4f"),
-    ("toffoli.icm", "spiral", 1, "cbe", "e5347d3c0c9d0e9772e5dd63a23f409132438fab6c4d305ef17802552a482dce"),
-    ("toffoli.icm", "spiral", 1, "ceb", "f280581c8640fb84ea3d1bad7d3eae810346a357a24b30afca3cd065749318da"),
-    ("toffoli.icm", "spiral", 2, "cbe", "8fa10cc068b4dcbbde17350e911be59ee6a147a05d72cefc5204f5248ac3508f"),
-    ("toffoli.icm", "spiral", 2, "ceb", "cc0d8480ed10d0c40bf26b286f99d2a6e41f79fa544ba01e317426a1335fdc67"),
-    ("toffoli.icm", "alap", 0, "cbe", "eb31dcb7b2d906915af6d687e6c5cd16ad176d189fcddc1e263253245c46c4c8"),
-    ("toffoli.icm", "alap", 0, "ceb", "173652488aad2c2f4770207cb80196d799137fd701fff7147a699502dd0abd02"),
-    ("toffoli.icm", "alap", 1, "cbe", "76ff8c388fd82cf0dfd6f741b334956937383ff4e7d9e48216a285b3e52ffc8f"),
-    ("toffoli.icm", "alap", 1, "ceb", "f806684bdc7aaef3d7528d0c2ebd8b3c389b9921ad1e0be543c51ab8b391c460"),
-    ("toffoli.icm", "alap", 2, "cbe", "204b7353f3a21269e663bf7ad783b92e3de167a979b4d6442624bc506f706b2a"),
-    ("toffoli.icm", "alap", 2, "ceb", "c5da4dec0195f2ba21118a254dd8574464185fd70dd4ac553ea262c8ad7f6d42"),
-    ("toffoli.icm", "asap", 0, "cbe", "ccf1565acf8cd7ef7242c2335a9dadba8a531132e98360979b941f9769f69f49"),
-    ("toffoli.icm", "asap", 0, "ceb", "0154767dd6d20445649decc947faa692dff34151c5a6e98f060314e497930ec2"),
-    ("toffoli.icm", "asap", 1, "cbe", "708fda98ddc8e4e88b24f11bf5e3e4144630876d7af8208aad527217e3db0aed"),
-    ("toffoli.icm", "asap", 1, "ceb", "0306fdf33a277dc12d08b7df81cdab015fdc5b2257677db520f95b7f7eb26564"),
-    ("toffoli.icm", "asap", 2, "cbe", "8302cc8a508c67e5adaf6d747fc2a23317efa7c713c00392f499e529ca295ffe"),
-    ("toffoli.icm", "asap", 2, "ceb", "e980767c9a23fbad7a764ef5c9201331651ec175e0c2a1309878930fce20c0f6"),
-    ("toffoli_unopt.icm", "spiral", 0, "cbe", "6ed9ea066a8aae36be9f9a63a9b6ad534f30d168c4735c94893c5b7681739fe2"),
-    ("toffoli_unopt.icm", "spiral", 0, "ceb", "791bae5849d6e61d67cf7402c394bfa1ae7f6257ee486fcc9c5b2e7ffab76d4f"),
-    ("toffoli_unopt.icm", "spiral", 1, "cbe", "e5347d3c0c9d0e9772e5dd63a23f409132438fab6c4d305ef17802552a482dce"),
-    ("toffoli_unopt.icm", "spiral", 1, "ceb", "f280581c8640fb84ea3d1bad7d3eae810346a357a24b30afca3cd065749318da"),
-    ("toffoli_unopt.icm", "spiral", 2, "cbe", "8fa10cc068b4dcbbde17350e911be59ee6a147a05d72cefc5204f5248ac3508f"),
-    ("toffoli_unopt.icm", "spiral", 2, "ceb", "cc0d8480ed10d0c40bf26b286f99d2a6e41f79fa544ba01e317426a1335fdc67"),
-    ("toffoli_unopt.icm", "alap", 0, "cbe", "eb31dcb7b2d906915af6d687e6c5cd16ad176d189fcddc1e263253245c46c4c8"),
-    ("toffoli_unopt.icm", "alap", 0, "ceb", "173652488aad2c2f4770207cb80196d799137fd701fff7147a699502dd0abd02"),
-    ("toffoli_unopt.icm", "alap", 1, "cbe", "76ff8c388fd82cf0dfd6f741b334956937383ff4e7d9e48216a285b3e52ffc8f"),
-    ("toffoli_unopt.icm", "alap", 1, "ceb", "f806684bdc7aaef3d7528d0c2ebd8b3c389b9921ad1e0be543c51ab8b391c460"),
-    ("toffoli_unopt.icm", "alap", 2, "cbe", "204b7353f3a21269e663bf7ad783b92e3de167a979b4d6442624bc506f706b2a"),
-    ("toffoli_unopt.icm", "alap", 2, "ceb", "c5da4dec0195f2ba21118a254dd8574464185fd70dd4ac553ea262c8ad7f6d42"),
-    ("toffoli_unopt.icm", "asap", 0, "cbe", "ccf1565acf8cd7ef7242c2335a9dadba8a531132e98360979b941f9769f69f49"),
-    ("toffoli_unopt.icm", "asap", 0, "ceb", "0154767dd6d20445649decc947faa692dff34151c5a6e98f060314e497930ec2"),
-    ("toffoli_unopt.icm", "asap", 1, "cbe", "708fda98ddc8e4e88b24f11bf5e3e4144630876d7af8208aad527217e3db0aed"),
-    ("toffoli_unopt.icm", "asap", 1, "ceb", "0306fdf33a277dc12d08b7df81cdab015fdc5b2257677db520f95b7f7eb26564"),
-    ("toffoli_unopt.icm", "asap", 2, "cbe", "8302cc8a508c67e5adaf6d747fc2a23317efa7c713c00392f499e529ca295ffe"),
-    ("toffoli_unopt.icm", "asap", 2, "ceb", "e980767c9a23fbad7a764ef5c9201331651ec175e0c2a1309878930fce20c0f6"),
-]
+    assert_recorded(bench, toffoli_record(scheduler, 0, order), *runs[0])
 
 
 @pytest.mark.parametrize(
-    "circuit, extra, digest",
+    "circuit, flags, record",
     [
-        (c, ["--scheduler", s, "--seed", str(seed), "--segment-order", o], d)
-        for c, s, seed, o, d in MATRIX_DIGESTS
+        pytest.param("toffoli.icm",
+                     ["--scheduler", kind, "--seed", str(seed), "--segment-order", order],
+                     toffoli_record(kind, seed, order), id=f"toffoli-{kind}-{seed}-{order}")
+        for kind in SCHEDULERS for seed in range(3) for order in ORDERS
     ]
     + [
-        (
-            "toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
-            "af7a26ae96be67cc8286e7cb1dc87ca0a84f499650f405aa174c59a22da7f284",
-        )
+        pytest.param("toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
+                     "toffoli-sweep/cli-scripted/0", id="readme-scripted"),
+        pytest.param("toffoli_unopt.icm", ["--scheduler", "alap", "--seed", "2", "--no-recycle"],
+                     "toffoli-sweep/unopt-alap/2", id="toffoli_unopt-alap-2-no-recycle"),
+    ]
+    + [
+        pytest.param("parallel-x2", ["--scheduler", kind, "--seed", "0", "--segment-order", order],
+                     None, id=f"parallel-x2-{kind}-0-{order}")
+        for kind in SCHEDULERS for order in ORDERS
     ],
-    ids=[f"{c.split('.')[0]}-{s}-{seed}-{o}" for c, s, seed, o, _ in MATRIX_DIGESTS] + ["readme-scripted"],
 )
-def test_release_matrix_digests(workdir, capsys, circuit, extra, digest):
-    """The release matrix: both fixtures under every scheduler, seeds 0-2 and
-    both segment orders, plus the README scripted run.  Each row pins one
-    sha256 over the geometry, stats and journal exports and stdout; a change
-    that alters an output must say why and update the row."""
-    shutil.copy(fixtures.fixture_path(circuit), workdir / circuit)
-    extra = [str(workdir / a) if a.endswith(".txt") else a for a in extra]
-    paths = [workdir / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
-    code = main([
-        "--circuit", str(workdir / circuit), *extra,
-        "--export-geometry", str(paths[0]),
-        "--export-stats", str(paths[1]),
-        "--journal", str(paths[2]),
-    ])
-    assert code == 0
-    h = hashlib.sha256()
-    for p in paths:
-        h.update(p.read_bytes())
-    h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == digest
+def test_release_matrix_digests(workdir, bench, capsys, circuit, flags, record):
+    """The release matrix: the Toffoli under every scheduler, seeds 0-2 and
+    both segment orders, the README scripted run, the unoptimized fixture
+    without recycling, and two Toffolis side by side with recycling on
+    (``parallel-x2``).  Every run passes ``topobench/check.py``, and an
+    in-process rerun writes the same bytes.  A run with a ``record`` writes
+    what it holds; ``parallel-x2`` is pinned by the check alone.  Recycling
+    turns the unoptimized fixture into the Toffoli (``test_icm``), so its
+    recycled runs are the Toffoli rows.  A change that alters an output
+    must say why and re-record it: ``python topobench/baseline.py`` for the
+    benchmark's runs, ``CEB_DIGESTS`` for the rest."""
+    path = workdir / f"run-{circuit}"
+    if circuit == "parallel-x2":
+        path.write_text(bench.compose.compose(fixtures.toffoli_text(), 2, sequential=False))
+    else:
+        shutil.copy(fixtures.fixture_path(circuit), path)
+    flags = [str(workdir / f) if f.endswith(".txt") else f for f in flags]
+    first = checked_run(bench, capsys, path, *flags)
+    assert checked_run(bench, capsys, path, *flags) == first
+    if record:
+        assert_recorded(bench, record, *first)
 
 
 def test_compare_mode_prints_medians(workdir, capsys):
@@ -435,6 +387,19 @@ def test_compare_mode_prints_medians(workdir, capsys):
     assert "smaller" in out
 
 
+def test_compare_says_larger_when_spiral_is_larger(tmp_path, capsys):
+    """On a one-input circuit the spiral's median volume is above alap's,
+    and the summary says by how much instead of printing a negative
+    reduction."""
+    circuit = tmp_path / "one.icm"
+    circuit.write_text("@0 init 0 A\n@1 measure 0 X\n")
+    assert main(["--circuit", str(circuit), "--compare", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    spiral, alap = (int(line.split()[3]) for line in lines[:2])
+    assert spiral > alap
+    assert lines[-1] == f"spiral vs alap: {100 * (spiral - alap) / alap:.1f}% larger"
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     """topobench's tracer looks library names up by string, so deleting or
     renaming one it wraps lands in ``Tracer.missing`` instead of failing.
@@ -443,7 +408,7 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     keep the untraced volume and count the searched segments and cells."""
     import topoasm.cli
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "topobench"))
+    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
     import tracer
 
     untraced = synthesize(toffoli, scripted_config()).volume
@@ -460,38 +425,6 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch, toffoli):
     assert count["route.path_cells"] > 0 and count["route.astar"] > 0
 
 
-@pytest.mark.parametrize("order", ["cbe", "ceb"])
-@pytest.mark.parametrize("scheduler", ["spiral", "alap", "asap"])
-@pytest.mark.parametrize("circuit", ["toffoli.icm", "toffoli_unopt.icm", "parallel-x2"])
-def test_cli_exports_pass_the_independent_checker(tmp_path, monkeypatch, capsys,
-                                                  circuit, scheduler, order):
-    """Every exporter's output, through the CLI, passes ``topobench/check.py``,
-    which reads the ICM source and the exports alone: both fixtures and two
-    Toffolis side by side with recycling on (``parallel-x2``), under each
-    scheduler and segment order."""
-    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
-    import check
-    import compose
-
-    if circuit == "parallel-x2":
-        source = compose.compose(fixtures.toffoli_text(), 2, sequential=False)
-    else:
-        source = fixtures.fixture_path(circuit).read_text(encoding="utf-8")
-    path = tmp_path / "circuit.icm"
-    path.write_text(source)
-    paths = [tmp_path / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
-    code = main([
-        "--circuit", str(path), "--scheduler", scheduler, "--seed", "0",
-        "--segment-order", order,
-        "--export-geometry", str(paths[0]),
-        "--export-stats", str(paths[1]),
-        "--journal", str(paths[2]),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert check.check_request(source, *(p.read_text() for p in paths), stdout=out) == []
-
-
 @pytest.mark.parametrize(
     "scheduler, order, digest",
     [
@@ -502,27 +435,14 @@ def test_cli_exports_pass_the_independent_checker(tmp_path, monkeypatch, capsys,
     ],
     ids=["spiral-cbe", "alap-ceb", "spiral-ceb", "alap-cbe"],
 )
-def test_long_chain_digests(tmp_path, monkeypatch, capsys, scheduler, order, digest):
+def test_long_chain_digests(tmp_path, bench, capsys, scheduler, order, digest):
     """A 16-Toffoli sequential chain (``topobench/compose.py``, recycling on)
     through the CLI with every exporter: long rail runs, long guides and
-    many spiral rounds, which the single-Toffoli rows barely reach.  One
-    sha256 over the geometry, stats and journal exports and stdout."""
-    monkeypatch.syspath_prepend(str(ROOT / "topobench"))
-    import compose
-
+    many spiral rounds, which the single-Toffoli rows barely reach.  Its
+    exports pass ``topobench/check.py``, and one sha256 over them and
+    stdout is pinned."""
     circuit = tmp_path / "chain.icm"
-    circuit.write_text(compose.compose(fixtures.toffoli_text(), 16, sequential=True))
-    paths = [tmp_path / f"run.{kind}" for kind in ("geometry", "stats", "journal")]
-    code = main([
-        "--circuit", str(circuit), "--scheduler", scheduler, "--seed", "0",
-        "--segment-order", order,
-        "--export-geometry", str(paths[0]),
-        "--export-stats", str(paths[1]),
-        "--journal", str(paths[2]),
-    ])
-    assert code == 0
-    h = hashlib.sha256()
-    for p in paths:
-        h.update(p.read_bytes())
-    h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == digest
+    circuit.write_text(bench.compose.compose(fixtures.toffoli_text(), 16, sequential=True))
+    run = checked_run(bench, capsys, circuit, "--scheduler", scheduler, "--seed", "0",
+                      "--segment-order", order)
+    assert_recorded(bench, digest, *run)

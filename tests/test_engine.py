@@ -391,6 +391,35 @@ def test_random_circuits_synthesize_soundly(seed):
     assert set(asm.deliveries) == expected
 
 
+def test_random_circuit_exports_pass_the_independent_checker(tmp_path, bench):
+    """Every run on the random circuits (seeds 0-19) that synthesizes, under
+    each scheduler with recycling on and off, exports geometry, stats and
+    a journal that pass ``topobench/check.py`` against the circuit's text."""
+    from topoasm.cli import export_geometry, export_journal, export_stats
+    from topoasm.icm import format_icm
+
+    synthesized = 0
+    for seed in range(20):
+        circuit = random_icm_circuit(random.Random(seed * 131 + 17))
+        for kind in ("spiral", "alap", "asap"):
+            for recycle in (True, False):
+                cfg = SynthesisConfig(policy=SchedulerPolicy(kind=kind), seed=seed,
+                                      optimize_wires=recycle)
+                try:
+                    asm = synthesize(circuit, cfg)
+                except SynthesisFailure:
+                    continue
+                texts = []
+                for export in (export_geometry, export_stats, export_journal):
+                    export(asm, tmp_path / "run.out")
+                    texts.append((tmp_path / "run.out").read_text(encoding="utf-8"))
+                errors = bench.check.check_request(format_icm(circuit), *texts,
+                                                   volume=asm.volume, rounds=len(asm.layers))
+                assert errors == [], (seed, kind, recycle)
+                synthesized += 1
+    assert synthesized >= 100
+
+
 def test_journal_claim_ids_are_unique(toffoli, toffoli_unopt):
     """The index keeps no entry for a solid, so no duplicate-id check
     guards solid ids: they are unique by construction.  Every ``claim`` id

@@ -259,6 +259,16 @@ def test_recycle_unopt_toffoli_to_nine_wires(toffoli_unopt):
     assert r.wire_count == max_live_lifetimes(toffoli_unopt)
 
 
+def test_recycled_unopt_toffoli_is_the_toffoli(toffoli, toffoli_unopt):
+    """Recycling the 24-wire fixture gives the 9-wire one, ops and wire
+    count, and leaves the 9-wire one as it is, so with recycling on both
+    fixtures synthesize the same circuit: the CLI tests run the Toffoli
+    alone."""
+    for circuit in (toffoli_unopt, toffoli):
+        r = recycle_wires(circuit)
+        assert (r.ops, r.wire_count) == (toffoli.ops, toffoli.wire_count)
+
+
 def test_recycle_preserves_ops_and_counts(toffoli_unopt):
     r = recycle_wires(toffoli_unopt)
     strip = lambda ops: Counter((op.kind, op.timestep, op.basis) for op in ops)
