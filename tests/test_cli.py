@@ -336,47 +336,92 @@ def test_exports_do_not_depend_on_the_hash_seed(tmp_path, bench, scheduler, orde
     assert_recorded(bench, toffoli_record(scheduler, 0, order), *runs[0])
 
 
-@pytest.mark.parametrize(
-    "circuit, flags, record",
-    [
-        pytest.param("toffoli.icm",
-                     ["--scheduler", kind, "--seed", str(seed), "--segment-order", order],
-                     toffoli_record(kind, seed, order), id=f"toffoli-{kind}-{seed}-{order}")
-        for kind in SCHEDULERS for seed in range(3) for order in ORDERS
-    ]
-    + [
-        pytest.param("toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
-                     "toffoli-sweep/cli-scripted/0", id="readme-scripted"),
-        pytest.param("toffoli_unopt.icm", ["--scheduler", "alap", "--seed", "2", "--no-recycle"],
-                     "toffoli-sweep/unopt-alap/2", id="toffoli_unopt-alap-2-no-recycle"),
-    ]
-    + [
-        pytest.param("parallel-x2", ["--scheduler", kind, "--seed", "0", "--segment-order", order],
-                     None, id=f"parallel-x2-{kind}-0-{order}")
-        for kind in SCHEDULERS for order in ORDERS
-    ],
-)
-def test_release_matrix_digests(workdir, bench, capsys, circuit, flags, record):
-    """The release matrix: the Toffoli under every scheduler, seeds 0-2 and
-    both segment orders, the README scripted run, the unoptimized fixture
-    without recycling, and two Toffolis side by side with recycling on
-    (``parallel-x2``).  Every run passes ``topobench/check.py``, and an
-    in-process rerun writes the same bytes.  A run with a ``record`` writes
-    what it holds; ``parallel-x2`` is pinned by the check alone.  Recycling
-    turns the unoptimized fixture into the Toffoli (``test_icm``), so its
-    recycled runs are the Toffoli rows.  A change that alters an output
-    must say why and re-record it: ``python topobench/baseline.py`` for the
-    benchmark's runs, ``CEB_DIGESTS`` for the rest."""
+def cli_run_circuit(workdir, bench, circuit):
+    """The file a CLI test row runs: a copy of the fixture ``circuit``, or
+    two Toffolis side by side (``parallel-x2``) composed by the benchmark."""
     path = workdir / f"run-{circuit}"
     if circuit == "parallel-x2":
         path.write_text(bench.compose.compose(fixtures.toffoli_text(), 2, sequential=False))
     else:
         shutil.copy(fixtures.fixture_path(circuit), path)
-    flags = [str(workdir / f) if f.endswith(".txt") else f for f in flags]
+    return path
+
+
+def run_flags(workdir, flags):
+    return [str(workdir / f) if f.endswith(".txt") else f for f in flags]
+
+
+def seed_flags(scheduler, seed, order):
+    return ["--scheduler", scheduler, "--seed", str(seed), "--segment-order", order]
+
+
+@pytest.mark.parametrize(
+    "circuit, flags, record",
+    [
+        pytest.param(circuit, seed_flags(kind, seed, order), toffoli_record(kind, seed, order),
+                     id=f"{circuit.split('.')[0]}-{kind}-{seed}-{order}")
+        for circuit in ("toffoli.icm", "toffoli_unopt.icm")
+        for kind in SCHEDULERS for seed in range(3) for order in ORDERS
+    ]
+    + [
+        pytest.param("toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
+                     "toffoli-sweep/cli-scripted/0", id="readme-scripted"),
+    ],
+)
+def test_release_matrix_digests(workdir, bench, capsys, circuit, flags, record):
+    """The release matrix: both fixtures under every scheduler, seeds 0-2
+    and both segment orders, plus the README scripted run.  Every run
+    passes ``topobench/check.py``, an in-process rerun writes the same
+    bytes, and the run writes what its record holds.  Recycling turns the
+    unoptimized fixture into the Toffoli (``test_icm``), so its rows read
+    the Toffoli's records.  A change that alters an output must say why
+    and re-record it: ``python topobench/baseline.py`` for the benchmark's
+    runs, ``CEB_DIGESTS`` for the rest."""
+    path = cli_run_circuit(workdir, bench, circuit)
+    flags = run_flags(workdir, flags)
     first = checked_run(bench, capsys, path, *flags)
     assert checked_run(bench, capsys, path, *flags) == first
-    if record:
-        assert_recorded(bench, record, *first)
+    assert_recorded(bench, record, *first)
+
+
+@pytest.mark.parametrize(
+    "circuit, flags, record",
+    [
+        pytest.param("toffoli.icm", ["--condition", "temporal:15", "--outcomes", "outcomes.txt"],
+                     "toffoli-sweep/cli-scripted/0", id="readme-scripted"),
+        pytest.param("toffoli.icm", ["--seed", "1", "--segment-order", "ceb"],
+                     toffoli_record("spiral", 1, "ceb"), id="seed1-ceb"),
+        pytest.param("toffoli_unopt.icm", ["--scheduler", "alap", "--seed", "2", "--no-recycle"],
+                     "toffoli-sweep/unopt-alap/2", id="alap-unopt-no-recycle"),
+        pytest.param("toffoli.icm", ["--scheduler", "asap", "--seed", "0"],
+                     toffoli_record("asap", 0, "cbe"), id="asap"),
+    ],
+)
+def test_cli_determinism_byte_identical(workdir, bench, capsys, circuit, flags, record):
+    """A rerun from another directory, on a copy of the circuit under
+    another name with its exports beside it, writes the same bytes and
+    prints the same line: no output depends on where the files live.  Both
+    runs write what the run's record holds."""
+    path = cli_run_circuit(workdir, bench, circuit)
+    flags = run_flags(workdir, flags)
+    elsewhere = workdir / "elsewhere" / "renamed.icm"
+    elsewhere.parent.mkdir()
+    shutil.copy(path, elsewhere)
+    first = checked_run(bench, capsys, path, *flags)
+    assert checked_run(bench, capsys, elsewhere, *flags) == first
+    assert_recorded(bench, record, *first)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("circuit", ["toffoli.icm", "toffoli_unopt.icm", "parallel-x2"])
+def test_cli_exports_pass_the_independent_checker(workdir, bench, capsys, circuit, scheduler, order):
+    """Every exporter's output, through the CLI, passes ``topobench/check.py``,
+    which reads the ICM source and the exports alone: both fixtures and two
+    Toffolis side by side with recycling on (``parallel-x2``, which no
+    record pins), under each scheduler and segment order, seed 0."""
+    checked_run(bench, capsys, cli_run_circuit(workdir, bench, circuit),
+                *seed_flags(scheduler, 0, order))
 
 
 def test_compare_mode_prints_medians(workdir, capsys):
